@@ -12,9 +12,11 @@ run.log sidecar.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import logging
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -26,6 +28,8 @@ from . import corpus, evaluation, features, ltr, retrieval, synth
 log = logging.getLogger(__name__)
 
 ENV_THREADS = "BILEX_THREADS"
+# thread settings recorded in run.log as found in the environment
+LOGGED_ENV = (ENV_THREADS, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ConfigError(Exception):
@@ -75,16 +79,22 @@ def resolve_options(args: argparse.Namespace, schema: dict[str, tuple]) -> argpa
     return out
 
 
-def _resolve_threads(opts: argparse.Namespace) -> int:
+def _resolve_threads(opts: argparse.Namespace, errors: list[str]) -> int:
+    """Worker count from --threads, else BILEX_THREADS, else 1; a bad value is added to errors."""
     if opts.threads is not None:
-        return opts.threads
-    env = os.environ.get(ENV_THREADS)
-    if env:
+        source, threads = "--threads", opts.threads
+    else:
+        env = os.environ.get(ENV_THREADS)
+        if not env:
+            return 1
         try:
-            return int(env)
+            source, threads = ENV_THREADS, int(env)
         except ValueError:
-            raise ConfigError([f"{ENV_THREADS} must be an integer, got {env!r}"]) from None
-    return 1
+            errors.append(f"{ENV_THREADS} must be an integer, got {env!r}")
+            return 1
+    if threads < 1:
+        errors.append(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _require_paths(opts: argparse.Namespace, fields: list[str], errors: list[str], optional: list[str] = ()) -> None:
@@ -100,6 +110,12 @@ def _require_paths(opts: argparse.Namespace, fields: list[str], errors: list[str
             errors.append(f"--{name.replace('_', '-')}: no such file: {value}")
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (ru_maxrss is KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 class _RunLog:
     """Timing sidecar; the only output file that may differ between runs."""
 
@@ -108,9 +124,28 @@ class _RunLog:
         self.command = command
         self.t0 = time.perf_counter()
         self.lines: list[str] = [f"command\t{command}", f"started\t{datetime.datetime.now().isoformat()}"]
+        self.note("numpy", np.__version__)
+        for var in LOGGED_ENV:
+            self.note(var, os.environ.get(var, "unset"))
 
     def note(self, key: str, value) -> None:
         self.lines.append(f"{key}\t{value}")
+
+    @contextlib.contextmanager
+    def stage(self, name: str, **counts):
+        """Log a stage's wall and CPU seconds, peak RSS so far and counts as one "stage.<name>" line.
+
+        The counts dict is yielded, so the stage can add counts it learns while running.
+        """
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        yield counts
+        fields = [
+            f"wall_s={time.perf_counter() - wall0:.3f}",
+            f"cpu_s={time.process_time() - cpu0:.3f}",
+            f"peak_rss_mb={_peak_rss_mb():.1f}",
+        ]
+        fields += [f"{key}={value}" for key, value in counts.items()]
+        self.note(f"stage.{name}", " ".join(fields))
 
     def close(self) -> None:
         self.lines.append(f"elapsed_s\t{time.perf_counter() - self.t0:.3f}")
@@ -123,13 +158,16 @@ def _write_kv(path: Path, items: list[tuple[str, object]]) -> None:
             fh.write(f"{key}\t{value}\n")
 
 
-def _load_spaces(opts: argparse.Namespace, normalize: bool = True):
+def _load_spaces(opts: argparse.Namespace):
+    """Both embedding spaces, unit-normalized, for the commands that compute with vectors."""
     src = corpus.load_embeddings(opts.src_emb, opts.max_vocab)
     tgt = corpus.load_embeddings(opts.tgt_emb, opts.max_vocab)
-    if normalize:
-        src = corpus.normalize_rows(src)
-        tgt = corpus.normalize_rows(tgt)
-    return src, tgt
+    return corpus.normalize_rows(src), corpus.normalize_rows(tgt)
+
+
+def _load_vocabularies(opts: argparse.Namespace):
+    """Both vocabularies, for the commands that only look words up; no vector value is parsed."""
+    return corpus.load_vocabulary(opts.src_emb, opts.max_vocab), corpus.load_vocabulary(opts.tgt_emb, opts.max_vocab)
 
 
 def _aligned_source(src, tgt, seed_dict_path):
@@ -261,14 +299,16 @@ def cmd_retrieve(opts: argparse.Namespace) -> int:
         errors.append(f"--k-csls must be >= 1, got {opts.k_csls}")
     if opts.top_k < 1:
         errors.append(f"--top-k must be >= 1, got {opts.top_k}")
+    threads = _resolve_threads(opts, errors)
     if errors:
         raise ConfigError(errors)
-    threads = _resolve_threads(opts)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runlog = _RunLog(out, "retrieve")
 
-    src, tgt = _load_spaces(opts)
+    with runlog.stage("load", vectors_parsed=1) as counts:
+        src, tgt = _load_spaces(opts)
+        counts["vector_rows"] = len(src) + len(tgt)
     src, seed = _aligned_source(src, tgt, opts.seed_dict)
     if opts.source_words is not None:
         scope_ids = _read_word_list(opts.source_words, src.vocab)
@@ -343,11 +383,13 @@ def cmd_mine(opts: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runlog = _RunLog(out, "mine")
 
-    src, tgt = _load_spaces(opts, normalize=False)
-    cands = retrieval.load_candidates(opts.candidates, src.vocab, tgt.vocab)
-    dic = corpus.load_dictionary(opts.dict, src.vocab, tgt.vocab)
+    with runlog.stage("load", vectors_parsed=0) as counts:
+        src_vocab, tgt_vocab = _load_vocabularies(opts)
+        cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
+        dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
+        counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
     pairs = retrieval.mine_hard_negatives(dic, cands, n_neg=opts.n_neg)
-    retrieval.write_labeled_pairs(pairs, src.vocab, tgt.vocab, out / "hard_negatives.tsv")
+    retrieval.write_labeled_pairs(pairs, src_vocab, tgt_vocab, out / "hard_negatives.tsv")
     runlog.note("rows", len(pairs))
     runlog.close()
     return 0
@@ -436,22 +478,28 @@ def cmd_train(opts: argparse.Namespace) -> int:
         gparams.validate()
     except ValueError as e:
         errors.append(str(e))
+    threads = _resolve_threads(opts, errors)
     if errors:
         raise ConfigError(errors)
-    threads = _resolve_threads(opts)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runlog = _RunLog(out, "train")
 
     need_vectors = opts.mode == "semi" and opts.n_aug > 0
-    src, tgt = _load_spaces(opts, normalize=need_vectors)
-    dic = corpus.load_dictionary(opts.dict_train, src.vocab, tgt.vocab)
-    cands = retrieval.load_candidates(opts.candidates, src.vocab, tgt.vocab)
-    freq_src = corpus.load_frequency_table(opts.freq_src, src.vocab)
-    freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt.vocab)
-    pos_src = corpus.load_pos_table(opts.pos_src, src.vocab)
-    pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt.vocab)
-    ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+    with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
+        if need_vectors:
+            src, tgt = _load_spaces(opts)
+            src_vocab, tgt_vocab = src.vocab, tgt.vocab
+        else:
+            src_vocab, tgt_vocab = _load_vocabularies(opts)
+        dic = corpus.load_dictionary(opts.dict_train, src_vocab, tgt_vocab)
+        cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
+        freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
+        freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
+        pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
+        pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
+        ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+        counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
     params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
 
     if need_vectors:
@@ -466,10 +514,10 @@ def cmd_train(opts: argparse.Namespace) -> int:
     schema = _build_schema(opts)
     groups = features.build_groups(
         dic.sources(), cands, freq_src, freq_tgt, pos_src, pos_tgt,
-        src.vocab, tgt.vocab, dic=dic, ext=ext, schema=schema,
+        src_vocab, tgt_vocab, dic=dic, ext=ext, schema=schema,
     )
     if opts.dump_features:
-        features.write_feature_matrix(groups, src.vocab, tgt.vocab, out / "features.tsv")
+        features.write_feature_matrix(groups, src_vocab, tgt_vocab, out / "features.tsv")
 
     meta: dict = {}
     if opts.mix_search:
@@ -547,19 +595,21 @@ def cmd_eval(opts: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runlog = _RunLog(out, "eval")
 
-    src, tgt = _load_spaces(opts, normalize=False)
-    model = ltr.load_model(opts.model)
-    dic = corpus.load_dictionary(opts.dict_test, src.vocab, tgt.vocab)
-    cands = retrieval.load_candidates(opts.candidates, src.vocab, tgt.vocab)
-    freq_src = corpus.load_frequency_table(opts.freq_src, src.vocab)
-    freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt.vocab)
-    pos_src = corpus.load_pos_table(opts.pos_src, src.vocab)
-    pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt.vocab)
-    ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+    with runlog.stage("load", vectors_parsed=0) as counts:
+        src_vocab, tgt_vocab = _load_vocabularies(opts)
+        model = ltr.load_model(opts.model)
+        dic = corpus.load_dictionary(opts.dict_test, src_vocab, tgt_vocab)
+        cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
+        freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
+        freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
+        pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
+        pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
+        ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+        counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
 
     groups = features.build_groups(
         dic.sources(), cands, freq_src, freq_tgt, pos_src, pos_tgt,
-        src.vocab, tgt.vocab, dic=dic, ext=ext, schema=model.schema,
+        src_vocab, tgt_vocab, dic=dic, ext=ext, schema=model.schema,
     )
     scores = ltr.predict_groups(model, groups)
     if opts.mix is not None:
@@ -579,7 +629,7 @@ def cmd_eval(opts: argparse.Namespace) -> int:
         ("freq_absdiff_predicted_logrank", f"{report.freq_diff.predicted_logrank:.6f}"),
     ])
     evaluation.write_per_pos(report.per_pos, out / "per_pos.tsv")
-    records = evaluation.explain_predictions(groups, scores, src.vocab, tgt.vocab, freq_src, freq_tgt, pos_src, pos_tgt)
+    records = evaluation.explain_predictions(groups, scores, src_vocab, tgt_vocab, freq_src, freq_tgt, pos_src, pos_tgt)
     evaluation.write_explanations(records, out / "explanations.tsv")
     runlog.note("p_at_1", f"{report.p_at_1:.6f}")
     runlog.close()
@@ -622,19 +672,25 @@ def cmd_analyze(opts: argparse.Namespace) -> int:
         errors,
         optional=["seed_dict", "words"],
     )
+    threads = _resolve_threads(opts, errors)
     if errors:
         raise ConfigError(errors)
-    threads = _resolve_threads(opts)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runlog = _RunLog(out, "analyze")
 
     need_vectors = opts.words is not None
-    src, tgt = _load_spaces(opts, normalize=need_vectors)
-    dic = corpus.load_dictionary(opts.dict, src.vocab, tgt.vocab)
-    freq_src = corpus.load_frequency_table(opts.freq_src, src.vocab)
-    freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt.vocab)
-    pos_src = corpus.load_pos_table(opts.pos_src, src.vocab)
+    with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
+        if need_vectors:
+            src, tgt = _load_spaces(opts)
+            src_vocab, tgt_vocab = src.vocab, tgt.vocab
+        else:
+            src_vocab, tgt_vocab = _load_vocabularies(opts)
+        dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
+        freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
+        freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
+        pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
+        counts["vector_rows"] = len(src_vocab) + len(tgt_vocab)
 
     grid = evaluation.pos_freq_correlation(dic, freq_src, freq_tgt, pos_src, min_n=opts.min_n)
     evaluation.write_correlation_grid(grid, opts.pair_label, out / "pos_correlation.tsv")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import stat
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,14 +134,28 @@ def _data_lines(path: Path):
             yield line_no, line
 
 
-def load_embeddings(path: str | Path, max_vocab: int | None = None) -> EmbeddingSpace:
-    """Load text-format word vectors: header "<count> <dim>", then one word per line.
+# Rows per np.loadtxt call in load_embeddings: enough to amortize the call,
+# few enough that a chunk's text stays a few megabytes.
+PARSE_CHUNK_ROWS = 2048
 
-    Duplicate tokens keep their first occurrence (warned and counted). If
-    max_vocab is given only the first max_vocab rows are read.
+# np.loadtxt strips these separators around a number; float() refuses them.
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+class _VectorRows:
+    """Row reader of the text vector format, the one home of its tokenizing rules.
+
+    Construction checks the header "<count> <dim>". Iteration yields
+    (line_no, token, values, word_id) for each non-blank row within
+    max_vocab. token is NFC-normalized. values is the text after the token,
+    less one trailing space (common in fastText exports), and holds exactly
+    dim space-separated fields. word_id is the token's id in self.vocab, or
+    -1 for a duplicate token, which keeps its first occurrence (warned and
+    counted). Rows past max_vocab are counted but not read; after the last
+    row the count is checked against the header.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+
+    def __init__(self, fh, path: Path, max_vocab: int | None):
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
@@ -150,50 +166,139 @@ def load_embeddings(path: str | Path, max_vocab: int | None = None) -> Embedding
             raise DataFormatError(f"{path}: line 1: non-integer header fields {header.strip()!r}") from None
         if count < 0 or dim <= 0:
             raise DataFormatError(f"{path}: line 1: invalid header values count={count} dim={dim}")
+        self.fh = fh
+        self.path = path
+        self.count = count
+        self.dim = dim
+        self.max_vocab = max_vocab
+        self.expected = count if max_vocab is None else min(count, max_vocab)
+        self.vocab = Vocabulary(words=[], index={})
+        self.duplicates = 0
 
-        expected = count if max_vocab is None else min(count, max_vocab)
-        words: list[str] = []
-        index: dict[str, int] = {}
-        rows: list[np.ndarray] = []
-        duplicates = 0
+    def __iter__(self):
+        path, dim = self.path, self.dim
+        words, index = self.vocab.words, self.vocab.index
         read = 0
-        for line_no, raw in enumerate(fh, start=2):
+        for line_no, raw in enumerate(self.fh, start=2):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            if read >= expected:
-                read += 1
-                continue
             read += 1
-            parts = line.split(" ")
-            token = _nfc(parts[0])
-            values = parts[1:]
-            if values and values[-1] == "":  # trailing space, common in fastText exports
-                values = values[:-1]
-            if len(values) != dim:
-                raise DataFormatError(
-                    f"{path}: line {line_no}: expected {dim} values for {token!r}, found {len(values)}"
-                )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise DataFormatError(f"{path}: line {line_no}: non-numeric value in row for {token!r}") from None
-            if token in index:
-                duplicates += 1
-                log.warning("%s: line %d: duplicate token %r, keeping first occurrence", path, line_no, token)
+            if read > self.expected:
                 continue
-            index[token] = len(words)
-            words.append(token)
-            rows.append(vec)
+            token, _, values = line.partition(" ")
+            token = _nfc(token)
+            if values.endswith(" "):  # trailing space, common in fastText exports
+                values = values[:-1]
+                found = values.count(" ") + 1
+            else:
+                found = values.count(" ") + 1 if values else 0
+            if found != dim:
+                raise DataFormatError(f"{path}: line {line_no}: expected {dim} values for {token!r}, found {found}")
+            if token in index:
+                self.duplicates += 1
+                log.warning("%s: line %d: duplicate token %r, keeping first occurrence", path, line_no, token)
+                word_id = -1
+            else:
+                word_id = index[token] = len(words)
+                words.append(token)
+            yield line_no, token, values, word_id
 
-    if max_vocab is None and read != count:
-        raise DataFormatError(f"{path}: header declares {count} rows, found {read}")
-    if max_vocab is not None and read < expected:
-        raise DataFormatError(f"{path}: expected at least {expected} rows, found {read}")
+        if self.max_vocab is None and read != self.count:
+            raise DataFormatError(f"{path}: header declares {self.count} rows, found {read}")
+        if self.max_vocab is not None and read < self.expected:
+            raise DataFormatError(f"{path}: expected at least {self.expected} rows, found {read}")
 
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
-    vocab = Vocabulary(words=words, index=index)
-    return EmbeddingSpace(vocab=vocab, matrix=matrix, dim=dim, normalized=False, duplicate_count=duplicates)
+
+def load_vocabulary(path: str | Path, max_vocab: int | None = None) -> Vocabulary:
+    """Read only the words of a text vector file; no value is converted.
+
+    Words, ids and format checks are those of load_embeddings(path,
+    max_vocab).vocab. Value fields are counted but not parsed, so a
+    non-numeric or non-finite value is not detected here.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        rows = _VectorRows(fh, path, max_vocab)
+        for _ in rows:
+            pass
+    return rows.vocab
+
+
+def _parse_values(path: Path, chunk: list[tuple], dim: int) -> np.ndarray:
+    """Values of a chunk of _VectorRows rows, bitwise equal to float() of each field.
+
+    np.loadtxt parses the chunk in C. A chunk it rejects, or one holding a
+    non-finite value, is parsed again with float() one row at a time, which
+    accepts whatever float() accepts (such as "1_0") and raises for the
+    first bad row.
+    """
+    texts = [values for _, _, values, _ in chunk]
+    if not any(c in text for text in texts for c in _LOADTXT_ONLY_SPACES):
+        try:
+            parsed = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if parsed.shape == (len(chunk), dim) and np.isfinite(parsed).all():
+                return parsed
+    parsed = np.empty((len(chunk), dim), dtype=np.float64)
+    for i, (line_no, token, values, _) in enumerate(chunk):
+        try:
+            parsed[i] = [float(v) for v in values.split(" ")]
+        except ValueError:
+            raise DataFormatError(f"{path}: line {line_no}: non-numeric value in row for {token!r}") from None
+        if not np.isfinite(parsed[i]).all():
+            raise DataFormatError(f"{path}: line {line_no}: non-finite value in row for {token!r}")
+    return parsed
+
+
+def _store_chunk(path: Path, chunk: list[tuple], matrix: np.ndarray) -> None:
+    """Parse a chunk and write its rows to matrix at their word ids; duplicates are checked, then dropped."""
+    if not chunk:
+        return
+    parsed = _parse_values(path, chunk, matrix.shape[1])
+    ids = np.fromiter((word_id for _, _, _, word_id in chunk), dtype=np.int64, count=len(chunk))
+    kept = ids >= 0
+    matrix[ids[kept]] = parsed[kept]
+
+
+def load_embeddings(path: str | Path, max_vocab: int | None = None) -> EmbeddingSpace:
+    """Load text-format word vectors: header "<count> <dim>", then one word per line.
+
+    Duplicate tokens keep their first occurrence (warned and counted). If
+    max_vocab is given only the first max_vocab rows are read. Values are
+    parsed PARSE_CHUNK_ROWS rows at a time into a matrix sized from the
+    header; a non-numeric or non-finite value is an error naming its line.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        rows = _VectorRows(fh, path, max_vocab)
+        capacity = rows.expected
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            # a parsable row takes at least 2 * dim bytes, so an overstated count cannot over-allocate
+            capacity = min(capacity, st.st_size // (2 * rows.dim) + 1)
+        matrix = np.empty((capacity, rows.dim), dtype=np.float64)
+        chunk: list[tuple] = []
+        try:
+            for row in rows:
+                chunk.append(row)
+                if len(chunk) == PARSE_CHUNK_ROWS:
+                    full, chunk = chunk, []
+                    _store_chunk(path, full, matrix)
+        except DataFormatError:
+            # a bad value above the faulty row is the file's first fault
+            _store_chunk(path, chunk, matrix)
+            raise
+        _store_chunk(path, chunk, matrix)
+    return EmbeddingSpace(
+        vocab=rows.vocab,
+        matrix=matrix[: len(rows.vocab)],
+        dim=rows.dim,
+        normalized=False,
+        duplicate_count=rows.duplicates,
+    )
 
 
 def normalize_rows(space: EmbeddingSpace) -> EmbeddingSpace:

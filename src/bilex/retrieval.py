@@ -8,6 +8,7 @@ broken by ascending id, so output is bitwise independent of the worker count.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -401,6 +402,8 @@ def load_candidates(path: str | Path, src_vocab: Vocabulary, tgt_vocab: Vocabula
             score = float(fields[2])
         except ValueError:
             raise DataFormatError(f"{path}: line {line_no}: non-numeric score {fields[2]!r}") from None
+        if not math.isfinite(score):
+            raise DataFormatError(f"{path}: line {line_no}: non-finite score {fields[2]!r}")
         s = src_vocab.id(sw)
         if s != current:
             if s in seen:

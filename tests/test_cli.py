@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from bilex import corpus
 from bilex.cli import main
 
 
@@ -401,6 +402,26 @@ class TestThreadsEnvVar:
             "--top-k", 5, "--k-csls", 3,
         ) == 0
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_env_below_one_is_config_error(self, world_dir, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("BILEX_THREADS", value)
+        out = tmp_path / "out"
+        rc = run(
+            "retrieve", "--out-dir", out,
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+        )
+        assert rc == 2
+        assert f"BILEX_THREADS must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_flag_below_one_is_config_error(self, world_dir, retrieved_dir, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run(*train_args(world_dir, retrieved_dir, out, "--threads", value)) == 2
+        assert f"--threads must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_env_value_is_config_error(self, world_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BILEX_THREADS", "plenty")
         rc = run(
@@ -423,3 +444,101 @@ class TestConfigFile:
         out2 = tmp_path / "o2"
         assert run("synth", "--config", cfg, "--out-dir", out2, "--n", 60) == 0
         assert kv(out2 / "world.meta")["vocab_n"] == "60"
+
+
+def analyze_args(world_dir, out, *extra):
+    return [
+        "analyze", "--out-dir", out,
+        "--src-emb", world_dir / "embeddings.src.vec",
+        "--tgt-emb", world_dir / "embeddings.tgt.vec",
+        "--dict", world_dir / "dict.full.tsv",
+        "--freq-src", world_dir / "freq.src.tsv",
+        "--freq-tgt", world_dir / "freq.tgt.tsv",
+        "--pos-src", world_dir / "pos.src.tsv",
+        *extra,
+    ]
+
+
+class TestVectorLoading:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Paths passed to corpus.load_embeddings during the test."""
+        paths = []
+        real = corpus.load_embeddings
+
+        def counting(path, max_vocab=None):
+            paths.append(Path(path).name)
+            return real(path, max_vocab)
+
+        monkeypatch.setattr(corpus, "load_embeddings", counting)
+        return paths
+
+    def test_vocabulary_only_commands_parse_no_vectors(self, world_dir, retrieved_dir, model_dir, tmp_path, parsed):
+        assert run(
+            "mine", "--out-dir", tmp_path / "mine",
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--candidates", retrieved_dir / "candidates.tsv",
+            "--dict", world_dir / "dict.train.tsv",
+        ) == 0
+        assert run(*train_args(world_dir, retrieved_dir, tmp_path / "train")) == 0
+        assert run(*train_args(world_dir, retrieved_dir, tmp_path / "semi0", "--mode", "semi", "--n-aug", 0)) == 0
+        assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path / "eval")) == 0
+        assert run(*analyze_args(world_dir, tmp_path / "analyze")) == 0
+        assert parsed == []
+        for sub in ("mine", "train", "eval", "analyze"):
+            assert "vectors_parsed=0" in kv(tmp_path / sub / "run.log")["stage.load"]
+
+    def test_vector_commands_parse_both_files(self, world_dir, retrieved_dir, tmp_path, parsed):
+        words = tmp_path / "words.txt"
+        words.write_text("s00003\n")
+        both = ["embeddings.src.vec", "embeddings.tgt.vec"]
+        assert run(
+            "retrieve", "--out-dir", tmp_path / "retrieve",
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--top-k", 5, "--k-csls", 3,
+        ) == 0
+        assert parsed == both
+        assert run(*train_args(world_dir, retrieved_dir, tmp_path / "semi", "--mode", "semi", "--n-aug", 15)) == 0
+        assert parsed == both * 2
+        assert run(*analyze_args(world_dir, tmp_path / "analyze", "--words", words, "--top-k", 5, "--k-csls", 3)) == 0
+        assert parsed == both * 3
+        for sub in ("retrieve", "semi", "analyze"):
+            assert "vectors_parsed=1" in kv(tmp_path / sub / "run.log")["stage.load"]
+
+    def test_run_log_records_load_stage_and_settings(self, model_dir):
+        log = kv(model_dir / "run.log")
+        fields = dict(f.split("=") for f in log["stage.load"].split(" "))
+        assert set(fields) == {"wall_s", "cpu_s", "peak_rss_mb", "vectors_parsed", "vector_rows", "candidate_rows"}
+        assert float(fields["peak_rss_mb"]) > 0
+        assert fields["vector_rows"] == "300" and fields["candidate_rows"] == str(150 * 10)
+        assert log["numpy"]
+        assert {"BILEX_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} <= set(log)
+
+    def test_retrieve_non_finite_vector_exit_3(self, world_dir, tmp_path, capsys):
+        lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
+        fields = lines[4].split(" ")
+        fields[2] = "nan"
+        lines[4] = " ".join(fields)
+        bad = tmp_path / "bad.vec"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(
+            "retrieve", "--out-dir", out,
+            "--src-emb", bad, "--tgt-emb", world_dir / "embeddings.tgt.vec",
+        ) == 3
+        assert f"{bad}: line 5: non-finite value" in capsys.readouterr().err
+        assert not (out / "candidates.tsv").exists()
+
+    def test_train_non_finite_score_exit_3(self, world_dir, retrieved_dir, tmp_path, capsys):
+        lines = (retrieved_dir / "candidates.tsv").read_text().splitlines()
+        src, cand, _ = lines[6].split("\t")
+        lines[6] = f"{src}\t{cand}\tnan"
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        args = train_args(world_dir, retrieved_dir, tmp_path / "out")
+        args[args.index("--candidates") + 1] = bad
+        assert run(*args) == 3
+        assert f"{bad}: line 7: non-finite score" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.json").exists()

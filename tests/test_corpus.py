@@ -1,12 +1,16 @@
 import logging
 import math
 import random
+import re
+import unicodedata
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilex import corpus
 from bilex.corpus import (
     DataFormatError,
     Vocabulary,
@@ -15,6 +19,7 @@ from bilex.corpus import (
     load_embeddings,
     load_frequency_table,
     load_pos_table,
+    load_vocabulary,
     normalize_rows,
     write_embeddings,
 )
@@ -87,6 +92,202 @@ class TestLoadEmbeddings:
         back = load_embeddings(p)
         assert back.vocab.words == space.vocab.words
         np.testing.assert_array_equal(back.matrix, space.matrix)
+
+    def test_trailing_space_and_blank_lines(self, tmp_path):
+        p = write(tmp_path / "e.vec", "2 2\na 1 2 \n\nb 3 4\n")
+        space = load_embeddings(p)
+        assert space.vocab.words == ["a", "b"]
+        np.testing.assert_array_equal(space.matrix, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        p = write(tmp_path / "e.vec", f"2 2\na 1 2\nb 3 {value}\n")
+        with pytest.raises(DataFormatError, match="line 3: non-finite value"):
+            load_embeddings(p)
+
+    def test_float_only_spellings_parse_exactly(self, tmp_path):
+        # np.loadtxt rejects these; the chunk falls back to float()
+        p = write(tmp_path / "e.vec", "2 2\na 1_0 0.5\nb ١٢ -2\n")
+        space = load_embeddings(p)
+        np.testing.assert_array_equal(space.matrix, [[10.0, 0.5], [12.0, -2.0]])
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_around_number_refused_as_float_does(self, tmp_path, sep):
+        # np.loadtxt would strip these characters; float() refuses them
+        p = write(tmp_path / "e.vec", f"2 2\na 1 2\nb 3 4{sep}\n")
+        with pytest.raises(DataFormatError, match="line 3: non-numeric"):
+            load_embeddings(p)
+
+    @pytest.mark.parametrize("bad", ["x", "nan"])
+    def test_bad_value_past_first_chunk_names_true_line(self, tmp_path, bad):
+        n = corpus.PARSE_CHUNK_ROWS + 50
+        bad_row = corpus.PARSE_CHUNK_ROWS + 20  # 0-based; the file line is bad_row + 2
+        rows = [f"w{i} {i} 0.5" if i != bad_row else f"w{i} {bad} 0.5" for i in range(n)]
+        p = write(tmp_path / "e.vec", f"{n} 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=f"line {bad_row + 2}:"):
+            load_embeddings(p)
+
+    def test_bad_value_reported_before_later_row_fault(self, tmp_path):
+        # the value fault on line 2 comes first, even though line 3 is a row-shape fault
+        p = write(tmp_path / "e.vec", "2 2\na 1 x\nb 1\n")
+        with pytest.raises(DataFormatError, match="line 2: non-numeric"):
+            load_embeddings(p)
+        with pytest.raises(DataFormatError, match="line 3: expected 2 values"):
+            load_vocabulary(p)
+
+    def test_overstated_header_count_is_a_format_error(self, tmp_path):
+        p = write(tmp_path / "e.vec", "1000000000000 2\na 1 2\n")
+        with pytest.raises(DataFormatError, match="declares 1000000000000 rows, found 1"):
+            load_embeddings(p)
+
+    def test_matrix_spans_chunks(self, tmp_path, rng):
+        space = space_from(rng.standard_normal((2 * corpus.PARSE_CHUNK_ROWS + 3, 3)))
+        p = tmp_path / "big.vec"
+        write_embeddings(space, p)
+        back = load_embeddings(p)
+        assert back.matrix.tobytes() == space.matrix.tobytes()
+
+
+class TestLoadVocabulary:
+    def test_words_only(self, tmp_path):
+        p = write(tmp_path / "e.vec", "3 2\na 1 2\nb x y\na 5 6\n")
+        v = load_vocabulary(p)
+        assert v.words == ["a", "b"] and v.index == {"a": 0, "b": 1}
+
+    def test_max_vocab_and_nfc(self, tmp_path):
+        p = write(tmp_path / "e.vec", "3 1\ne\u0301 1\n\u00e9 2\nc 3\n")  # two spellings of one word
+        v = load_vocabulary(p, max_vocab=2)
+        assert v.words == ["\u00e9"]
+
+    def test_row_count_mismatch(self, tmp_path):
+        p = write(tmp_path / "e.vec", "3 1\na 1\n")
+        with pytest.raises(DataFormatError, match="declares 3 rows, found 1"):
+            load_vocabulary(p)
+
+
+def reference_load(path, max_vocab=None):
+    """The one-value-at-a-time loader that load_embeddings must match bit for bit."""
+    with open(path, encoding="utf-8") as fh:
+        lines = list(fh)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise DataFormatError(f"{path}: line 1: malformed header {lines[0].strip()!r}, expected '<count> <dim>'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise DataFormatError(f"{path}: line 1: non-integer header fields {lines[0].strip()!r}") from None
+    if count < 0 or dim <= 0:
+        raise DataFormatError(f"{path}: line 1: invalid header values count={count} dim={dim}")
+    expected = count if max_vocab is None else min(count, max_vocab)
+    words, index, rows, read, duplicates = [], {}, [], 0, 0
+    for line_no, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        read += 1
+        if read > expected:
+            continue
+        parts = line.split(" ")
+        token, values = unicodedata.normalize("NFC", parts[0]), parts[1:]
+        if values and values[-1] == "":
+            values = values[:-1]
+        if len(values) != dim:
+            raise DataFormatError(f"{path}: line {line_no}: expected {dim} values for {token!r}, found {len(values)}")
+        try:
+            vec = [float(v) for v in values]
+        except ValueError:
+            raise DataFormatError(f"{path}: line {line_no}: non-numeric value in row for {token!r}") from None
+        if not all(math.isfinite(v) for v in vec):
+            raise DataFormatError(f"{path}: line {line_no}: non-finite value in row for {token!r}")
+        if token in index:
+            duplicates += 1
+            continue
+        index[token] = len(words)
+        words.append(token)
+        rows.append(vec)
+    if max_vocab is None and read != count:
+        raise DataFormatError(f"{path}: header declares {count} rows, found {read}")
+    if max_vocab is not None and read < expected:
+        raise DataFormatError(f"{path}: expected at least {expected} rows, found {read}")
+    return words, np.array(rows, dtype=np.float64).reshape(len(rows), dim), duplicates
+
+
+def outcome(load, *args):
+    try:
+        return load(*args)
+    except DataFormatError as e:
+        return str(e)
+
+
+def fault_line(message):
+    found = re.search(r": line (\d+):", message)
+    return int(found.group(1)) if found else math.inf
+
+
+# NFC merges e + combining acute with \u00e9, and the angstrom sign and A + ring with \u00c5
+TOKENS = ["a", "b", "", "e\u0301", "\u00e9", "\u212b", "A\u030a", "\u00c5", "\ufb01"]
+GOOD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-10, max_value=10).map(lambda v: f"{v:.6f}"),
+    st.from_regex(r"[+-]?[0-9]{1,25}(\.[0-9]{0,30})?([eE][+-]?[0-9]{1,2})?", fullmatch=True),
+    st.sampled_from(["1_0", "١٢", "\t1", "1\xa0", "+.5", "-0"]),
+)
+BAD_VALUES = st.sampled_from(["x", "", "nan", "-inf", "1e999", "1\x1c", "0x1", "1,5"])
+
+
+def rarely(n):
+    """True about once in n draws (a middle value, since hypothesis favours the ends of a range)."""
+    return st.integers(0, n - 1).map(lambda i: i == n // 2)
+
+
+@st.composite
+def vec_files(draw):
+    """Text of a vector file, valid or carrying a header, row-shape or value fault."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(rarely(6)):
+            lines.append("")
+        width = draw(st.integers(0, dim + 1)) if draw(rarely(25)) else dim
+        values = [draw(BAD_VALUES) if draw(rarely(60)) else draw(GOOD_VALUES) for _ in range(width)]
+        trailing = " " if draw(st.booleans()) else ""
+        lines.append(" ".join([draw(st.sampled_from(TOKENS))] + values) + trailing)
+    rows = sum(1 for line in lines if line)
+    count = draw(st.integers(0, rows + 2)) if draw(rarely(10)) else rows
+    header = draw(st.sampled_from([f"{count}", f"{count} x", "1 0"])) if draw(rarely(20)) else f"{count} {dim}"
+    return "\n".join([header] + lines) + "\n"
+
+
+class TestLoaderEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(text=vec_files(), max_vocab=st.one_of(st.none(), st.integers(0, 8)), chunk_rows=st.integers(1, 4))
+    def test_loaders_agree_with_float_reference(self, tmp_path_factory, text, max_vocab, chunk_rows):
+        p = tmp_path_factory.mktemp("vec") / "e.vec"
+        p.write_text(text, encoding="utf-8")
+        with mock.patch.object(corpus, "PARSE_CHUNK_ROWS", chunk_rows):
+            space = outcome(load_embeddings, p, max_vocab)
+        vocab_only = outcome(load_vocabulary, p, max_vocab)
+        expected = outcome(reference_load, p, max_vocab)
+
+        if isinstance(expected, str):
+            assert space == expected
+        else:
+            words, matrix, duplicates = expected
+            assert space.vocab.words == words
+            assert space.vocab.index == {w: i for i, w in enumerate(words)}
+            assert space.matrix.tobytes() == matrix.tobytes() and space.matrix.shape == matrix.shape
+            assert space.duplicate_count == duplicates
+
+        if isinstance(vocab_only, str):
+            # a header, row-count or row-shape fault: load_embeddings names the same
+            # fault, unless a bad value on an earlier line came first
+            assert space == vocab_only or (
+                re.search("non-numeric|non-finite", space) and fault_line(space) < fault_line(vocab_only)
+            )
+        elif isinstance(space, str):
+            assert re.search("non-numeric|non-finite", space)
+        else:
+            assert vocab_only.words == space.vocab.words and vocab_only.index == space.vocab.index
 
 
 class TestNormalizeRows:

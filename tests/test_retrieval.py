@@ -449,3 +449,13 @@ class TestCandidateFiles:
         v = Vocabulary.from_words(["w0"])
         with pytest.raises(DataFormatError, match="unknown source word"):
             load_candidates(path, v, v)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_fatal_with_line(self, tmp_path, score):
+        from bilex.corpus import DataFormatError
+
+        path = tmp_path / "cands.tsv"
+        path.write_text(f"w0\tw0\t0.500000\nw1\tw0\t{score}\n")
+        v = Vocabulary.from_words(["w0", "w1"])
+        with pytest.raises(DataFormatError, match="line 2: non-finite score"):
+            load_candidates(path, v, v)

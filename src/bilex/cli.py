@@ -116,8 +116,29 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
+# exceptions that main() reports, with their exit code and message prefix
+FAILURES = (
+    (ConfigError, 2, "config error"),
+    ((corpus.DataFormatError, ValueError, OSError), 3, "data error"),
+    ((AssertionError, ArithmeticError), 4, "internal error"),
+)
+
+
+def _failure(exc: BaseException) -> tuple[int, str] | None:
+    """(exit code, message prefix) for an exception main() reports, else None."""
+    for kinds, code, prefix in FAILURES:
+        if isinstance(exc, kinds):
+            return code, prefix
+    return None
+
+
 class _RunLog:
-    """Timing sidecar; the only output file that may differ between runs."""
+    """Timing sidecar; the only output file that may differ between runs.
+
+    Used as a context manager around a command's work: run.log is written on
+    the way out, also when the command fails, and then ends with the exit
+    code and the error after the stages that finished.
+    """
 
     def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
@@ -147,8 +168,17 @@ class _RunLog:
         fields += [f"{key}={value}" for key, value in counts.items()]
         self.note(f"stage.{name}", " ".join(fields))
 
-    def close(self) -> None:
+    def __enter__(self) -> _RunLog:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.lines.append(f"elapsed_s\t{time.perf_counter() - self.t0:.3f}")
+        if exc is None:
+            self.note("exit_code", 0)
+        else:
+            failure = _failure(exc)
+            self.note("exit_code", 1 if failure is None else failure[0])
+            self.note("error", " ".join(f"{type(exc).__name__}: {exc}".split()))
         (self.out_dir / "run.log").write_text("\n".join(self.lines) + "\n", encoding="utf-8")
 
 
@@ -241,34 +271,32 @@ def cmd_synth(opts: argparse.Namespace) -> int:
         raise ConfigError(errors)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runlog = _RunLog(out, "synth")
-
-    world = synth.gen_bilingual_world(cfg)
-    train_dict, test_dict = synth.split_gold(world, opts.test_fraction)
-    corpus.write_embeddings(world.src, out / "embeddings.src.vec")
-    corpus.write_embeddings(world.tgt, out / "embeddings.tgt.vec")
-    corpus.write_dictionary(world.gold, world.src.vocab, world.tgt.vocab, out / "dict.full.tsv")
-    corpus.write_dictionary(train_dict, world.src.vocab, world.tgt.vocab, out / "dict.train.tsv")
-    corpus.write_dictionary(test_dict, world.src.vocab, world.tgt.vocab, out / "dict.test.tsv")
-    corpus.write_frequency_counts(world.counts_src, out / "freq.src.tsv")
-    corpus.write_frequency_counts(world.counts_tgt, out / "freq.tgt.tsv")
-    corpus.write_pos_tags(world.tags_src, out / "pos.src.tsv")
-    corpus.write_pos_tags(world.tags_tgt, out / "pos.tgt.tsv")
-    _write_kv(out / "world.meta", [
-        ("vocab_n", cfg.vocab_n),
-        ("dim", cfg.dim),
-        ("noise_sigma", repr(cfg.noise_sigma)),
-        ("hub_count", cfg.hub_count),
-        ("zipf_exponent", repr(cfg.zipf_exponent)),
-        ("pos_match_prob", repr(cfg.pos_match_prob)),
-        ("rank_jitter", repr(cfg.rank_jitter)),
-        ("test_fraction", repr(opts.test_fraction)),
-        ("seed", cfg.seed),
-        ("train_pairs", train_dict.pair_count()),
-        ("test_pairs", test_dict.pair_count()),
-    ])
-    runlog.note("vocab_n", cfg.vocab_n)
-    runlog.close()
+    with _RunLog(out, "synth") as runlog:
+        world = synth.gen_bilingual_world(cfg)
+        train_dict, test_dict = synth.split_gold(world, opts.test_fraction)
+        corpus.write_embeddings(world.src, out / "embeddings.src.vec")
+        corpus.write_embeddings(world.tgt, out / "embeddings.tgt.vec")
+        corpus.write_dictionary(world.gold, world.src.vocab, world.tgt.vocab, out / "dict.full.tsv")
+        corpus.write_dictionary(train_dict, world.src.vocab, world.tgt.vocab, out / "dict.train.tsv")
+        corpus.write_dictionary(test_dict, world.src.vocab, world.tgt.vocab, out / "dict.test.tsv")
+        corpus.write_frequency_counts(world.counts_src, out / "freq.src.tsv")
+        corpus.write_frequency_counts(world.counts_tgt, out / "freq.tgt.tsv")
+        corpus.write_pos_tags(world.tags_src, out / "pos.src.tsv")
+        corpus.write_pos_tags(world.tags_tgt, out / "pos.tgt.tsv")
+        _write_kv(out / "world.meta", [
+            ("vocab_n", cfg.vocab_n),
+            ("dim", cfg.dim),
+            ("noise_sigma", repr(cfg.noise_sigma)),
+            ("hub_count", cfg.hub_count),
+            ("zipf_exponent", repr(cfg.zipf_exponent)),
+            ("pos_match_prob", repr(cfg.pos_match_prob)),
+            ("rank_jitter", repr(cfg.rank_jitter)),
+            ("test_fraction", repr(opts.test_fraction)),
+            ("seed", cfg.seed),
+            ("train_pairs", train_dict.pair_count()),
+            ("test_pairs", test_dict.pair_count()),
+        ])
+        runlog.note("vocab_n", cfg.vocab_n)
     return 0
 
 
@@ -304,56 +332,54 @@ def cmd_retrieve(opts: argparse.Namespace) -> int:
         raise ConfigError(errors)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runlog = _RunLog(out, "retrieve")
+    with _RunLog(out, "retrieve") as runlog:
+        with runlog.stage("load", vectors_parsed=1) as counts:
+            src, tgt = _load_spaces(opts)
+            counts["vector_rows"] = len(src) + len(tgt)
+        src, seed = _aligned_source(src, tgt, opts.seed_dict)
+        if opts.source_words is not None:
+            scope_ids = _read_word_list(opts.source_words, src.vocab)
+            queries = _subset_space(src, scope_ids)
+        else:
+            scope_ids = list(range(len(src)))
+            queries = src
 
-    with runlog.stage("load", vectors_parsed=1) as counts:
-        src, tgt = _load_spaces(opts)
-        counts["vector_rows"] = len(src) + len(tgt)
-    src, seed = _aligned_source(src, tgt, opts.seed_dict)
-    if opts.source_words is not None:
-        scope_ids = _read_word_list(opts.source_words, src.vocab)
-        queries = _subset_space(src, scope_ids)
-    else:
-        scope_ids = list(range(len(src)))
-        queries = src
+        params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
+        cands, _ = retrieval.retrieve_topk(queries, tgt, params, metric=opts.metric, n_threads=threads)
+        # candidate rows are indexed by scope position; export uses real words
+        retrieval.write_candidates(cands, queries.vocab, tgt.vocab, out / "candidates.tsv")
 
-    params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
-    cands, _ = retrieval.retrieve_topk(queries, tgt, params, metric=opts.metric, n_threads=threads)
-    # candidate rows are indexed by scope position; export uses real words
-    retrieval.write_candidates(cands, queries.vocab, tgt.vocab, out / "candidates.tsv")
-
-    skew_k = min(10, opts.top_k)
-    n_k = np.bincount(cands.cand_ids[:, :skew_k].ravel(), minlength=len(tgt))
-    report: list[tuple[str, object]] = [
-        ("n_src", len(queries)),
-        ("n_tgt", len(tgt)),
-        ("metric", opts.metric),
-        ("k_csls", opts.k_csls),
-        ("top_k", opts.top_k),
-        ("hubness_skew_k", skew_k),
-        ("hubness_skew", f"{retrieval.skewness(n_k.astype(np.float64)):.6f}"),
-        ("src_zero_rows", src.zero_row_count),
-        ("tgt_zero_rows", tgt.zero_row_count),
-        ("src_duplicates", src.duplicate_count),
-        ("tgt_duplicates", tgt.duplicate_count),
-    ]
-    if seed is not None:
-        scope_set = {int(s) for s in scope_ids}
-        eligible = [s for s in seed.sources() if s in scope_set]
-        missed = 0
-        pos_of = {int(s): i for i, s in enumerate(scope_ids)}
-        for s in eligible:
-            row = pos_of[s]
-            retrieved = set(cands.cand_ids[row].tolist())
-            if not retrieved & set(seed.entries[s]):
-                missed += 1
-        report.append(("dict_sources_in_scope", len(eligible)))
-        report.append(("gold_missed", missed))
-        if eligible:
-            report.append(("gold_missed_rate", f"{missed / len(eligible):.6f}"))
-    _write_kv(out / "retrieval_report.txt", report)
-    runlog.note("n_src", len(queries))
-    runlog.close()
+        skew_k = min(10, opts.top_k)
+        n_k = np.bincount(cands.cand_ids[:, :skew_k].ravel(), minlength=len(tgt))
+        report: list[tuple[str, object]] = [
+            ("n_src", len(queries)),
+            ("n_tgt", len(tgt)),
+            ("metric", opts.metric),
+            ("k_csls", opts.k_csls),
+            ("top_k", opts.top_k),
+            ("hubness_skew_k", skew_k),
+            ("hubness_skew", f"{retrieval.skewness(n_k.astype(np.float64)):.6f}"),
+            ("src_zero_rows", src.zero_row_count),
+            ("tgt_zero_rows", tgt.zero_row_count),
+            ("src_duplicates", src.duplicate_count),
+            ("tgt_duplicates", tgt.duplicate_count),
+        ]
+        if seed is not None:
+            scope_set = {int(s) for s in scope_ids}
+            eligible = [s for s in seed.sources() if s in scope_set]
+            missed = 0
+            pos_of = {int(s): i for i, s in enumerate(scope_ids)}
+            for s in eligible:
+                row = pos_of[s]
+                retrieved = set(cands.cand_ids[row].tolist())
+                if not retrieved & set(seed.entries[s]):
+                    missed += 1
+            report.append(("dict_sources_in_scope", len(eligible)))
+            report.append(("gold_missed", missed))
+            if eligible:
+                report.append(("gold_missed_rate", f"{missed / len(eligible):.6f}"))
+        _write_kv(out / "retrieval_report.txt", report)
+        runlog.note("n_src", len(queries))
     return 0
 
 
@@ -381,17 +407,15 @@ def cmd_mine(opts: argparse.Namespace) -> int:
         raise ConfigError(errors)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runlog = _RunLog(out, "mine")
-
-    with runlog.stage("load", vectors_parsed=0) as counts:
-        src_vocab, tgt_vocab = _load_vocabularies(opts)
-        cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
-        dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
-        counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
-    pairs = retrieval.mine_hard_negatives(dic, cands, n_neg=opts.n_neg)
-    retrieval.write_labeled_pairs(pairs, src_vocab, tgt_vocab, out / "hard_negatives.tsv")
-    runlog.note("rows", len(pairs))
-    runlog.close()
+    with _RunLog(out, "mine") as runlog:
+        with runlog.stage("load", vectors_parsed=0) as counts:
+            src_vocab, tgt_vocab = _load_vocabularies(opts)
+            cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
+            dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
+            counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
+        pairs = retrieval.mine_hard_negatives(dic, cands, n_neg=opts.n_neg)
+        retrieval.write_labeled_pairs(pairs, src_vocab, tgt_vocab, out / "hard_negatives.tsv")
+        runlog.note("rows", len(pairs))
     return 0
 
 
@@ -483,55 +507,61 @@ def cmd_train(opts: argparse.Namespace) -> int:
         raise ConfigError(errors)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runlog = _RunLog(out, "train")
+    with _RunLog(out, "train") as runlog:
+        need_vectors = opts.mode == "semi" and opts.n_aug > 0
+        with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
+            if need_vectors:
+                src, tgt = _load_spaces(opts)
+                src_vocab, tgt_vocab = src.vocab, tgt.vocab
+            else:
+                src_vocab, tgt_vocab = _load_vocabularies(opts)
+            dic = corpus.load_dictionary(opts.dict_train, src_vocab, tgt_vocab)
+            cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
+            freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
+            freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
+            pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
+            pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
+            ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+            counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
+        params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
 
-    need_vectors = opts.mode == "semi" and opts.n_aug > 0
-    with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
         if need_vectors:
-            src, tgt = _load_spaces(opts)
-            src_vocab, tgt_vocab = src.vocab, tgt.vocab
-        else:
-            src_vocab, tgt_vocab = _load_vocabularies(opts)
-        dic = corpus.load_dictionary(opts.dict_train, src_vocab, tgt_vocab)
-        cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
-        freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
-        freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
-        pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
-        pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
-        ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
-        counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
-    params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
+            with runlog.stage("augment") as counts:
+                aligned_src, _ = _aligned_source(src, tgt, opts.dict_train)
+                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, params, n_threads=threads)
+                dic = retrieval.augment_dictionary(dic, mined, opts.n_aug)
+                missing = [s for s in dic.sources() if s not in cands]
+                if missing:
+                    cands = _extend_candidates(cands, missing, aligned_src, tgt, params, threads)
+                counts.update(mined_pairs=len(mined), retrieved_sources=len(missing))
+            runlog.note("augmented_to", len(dic))
 
-    if need_vectors:
-        aligned_src, _ = _aligned_source(src, tgt, opts.dict_train)
-        mined = retrieval.mutual_nn_pairs(aligned_src, tgt, params, n_threads=threads)
-        dic = retrieval.augment_dictionary(dic, mined, opts.n_aug)
-        missing = [s for s in dic.sources() if s not in cands]
-        if missing:
-            cands = _extend_candidates(cands, missing, aligned_src, tgt, params, threads)
-        runlog.note("augmented_to", len(dic))
+        schema = _build_schema(opts)
+        with runlog.stage("featurize") as counts:
+            groups = features.build_groups(
+                dic.sources(), cands, freq_src, freq_tgt, pos_src, pos_tgt,
+                src_vocab, tgt_vocab, dic=dic, ext=ext, schema=schema,
+            )
+            if opts.dump_features:
+                features.write_feature_matrix(groups, src_vocab, tgt_vocab, out / "features.tsv")
+            n_rows = sum(len(grp) for grp in groups)
+            counts.update(groups=len(groups), rows=n_rows)
 
-    schema = _build_schema(opts)
-    groups = features.build_groups(
-        dic.sources(), cands, freq_src, freq_tgt, pos_src, pos_tgt,
-        src_vocab, tgt_vocab, dic=dic, ext=ext, schema=schema,
-    )
-    if opts.dump_features:
-        features.write_feature_matrix(groups, src_vocab, tgt_vocab, out / "features.tsv")
+        meta: dict = {}
+        if opts.mix_search:
+            with runlog.stage("mix_search"):
+                meta["recommended_mix"] = _search_mix(groups, gparams, schema, opts.seed)
 
-    meta: dict = {}
-    if opts.mix_search:
-        meta["recommended_mix"] = _search_mix(groups, gparams, schema, opts.seed)
-
-    model, trace = ltr.train(groups, gparams, schema)
-    model.meta.update(meta)
-    ltr.save_model(model, out / "model.json")
-    with open(out / "train_trace.tsv", "w", encoding="utf-8") as fh:
-        fh.write("round\ttrain_map\n")
-        for round_no, value in trace:
-            fh.write(f"{round_no}\t{value:.6f}\n")
-    runlog.note("final_train_map", f"{trace[-1][1]:.6f}")
-    runlog.close()
+        with runlog.stage("fit", trees=gparams.n_trees, rows=n_rows):
+            model, trace = ltr.train(groups, gparams, schema)
+        model.meta.update(meta)
+        with runlog.stage("write"):
+            ltr.save_model(model, out / "model.json")
+            with open(out / "train_trace.tsv", "w", encoding="utf-8") as fh:
+                fh.write("round\ttrain_map\n")
+                for round_no, value in trace:
+                    fh.write(f"{round_no}\t{value:.6f}\n")
+        runlog.note("final_train_map", f"{trace[-1][1]:.6f}")
     return 0
 
 
@@ -593,46 +623,49 @@ def cmd_eval(opts: argparse.Namespace) -> int:
         raise ConfigError(errors)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runlog = _RunLog(out, "eval")
+    with _RunLog(out, "eval") as runlog:
+        with runlog.stage("load", vectors_parsed=0) as counts:
+            src_vocab, tgt_vocab = _load_vocabularies(opts)
+            model = ltr.load_model(opts.model)
+            dic = corpus.load_dictionary(opts.dict_test, src_vocab, tgt_vocab)
+            cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
+            freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
+            freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
+            pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
+            pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
+            ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+            counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
 
-    with runlog.stage("load", vectors_parsed=0) as counts:
-        src_vocab, tgt_vocab = _load_vocabularies(opts)
-        model = ltr.load_model(opts.model)
-        dic = corpus.load_dictionary(opts.dict_test, src_vocab, tgt_vocab)
-        cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
-        freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
-        freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
-        pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
-        pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
-        ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
-        counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
+        with runlog.stage("featurize") as counts:
+            groups = features.build_groups(
+                dic.sources(), cands, freq_src, freq_tgt, pos_src, pos_tgt,
+                src_vocab, tgt_vocab, dic=dic, ext=ext, schema=model.schema,
+            )
+            n_rows = sum(len(grp) for grp in groups)
+            counts.update(groups=len(groups), rows=n_rows)
+        with runlog.stage("predict", rows=n_rows, trees=len(model.trees)):
+            scores = ltr.predict_groups(model, groups)
+            if opts.mix is not None:
+                scores = ltr.combine_with_retriever(scores, [grp.csls for grp in groups], opts.mix)
 
-    groups = features.build_groups(
-        dic.sources(), cands, freq_src, freq_tgt, pos_src, pos_tgt,
-        src_vocab, tgt_vocab, dic=dic, ext=ext, schema=model.schema,
-    )
-    scores = ltr.predict_groups(model, groups)
-    if opts.mix is not None:
-        scores = ltr.combine_with_retriever(scores, [grp.csls for grp in groups], opts.mix)
-
-    report = evaluation.build_eval_report(groups, scores, dic, freq_src, freq_tgt, pos_src, opts.errors_only)
-    _write_kv(out / "eval_report.txt", [
-        ("n_eval", report.n_eval),
-        ("p_at_1", f"{report.p_at_1:.6f}"),
-        ("p_at_1_x100", f"{report.p_at_1 * 100:.2f}"),
-        ("gold_missed", report.gold_missed),
-        ("mix", "none" if opts.mix is None else repr(opts.mix)),
-        ("errors_only", int(opts.errors_only)),
-        ("freq_absdiff_gold_zipf", f"{report.freq_diff.gold_zipf:.6f}"),
-        ("freq_absdiff_predicted_zipf", f"{report.freq_diff.predicted_zipf:.6f}"),
-        ("freq_absdiff_gold_logrank", f"{report.freq_diff.gold_logrank:.6f}"),
-        ("freq_absdiff_predicted_logrank", f"{report.freq_diff.predicted_logrank:.6f}"),
-    ])
-    evaluation.write_per_pos(report.per_pos, out / "per_pos.tsv")
-    records = evaluation.explain_predictions(groups, scores, src_vocab, tgt_vocab, freq_src, freq_tgt, pos_src, pos_tgt)
-    evaluation.write_explanations(records, out / "explanations.tsv")
-    runlog.note("p_at_1", f"{report.p_at_1:.6f}")
-    runlog.close()
+        with runlog.stage("report"):
+            report = evaluation.build_eval_report(groups, scores, dic, freq_src, freq_tgt, pos_src, opts.errors_only)
+            _write_kv(out / "eval_report.txt", [
+                ("n_eval", report.n_eval),
+                ("p_at_1", f"{report.p_at_1:.6f}"),
+                ("p_at_1_x100", f"{report.p_at_1 * 100:.2f}"),
+                ("gold_missed", report.gold_missed),
+                ("mix", "none" if opts.mix is None else repr(opts.mix)),
+                ("errors_only", int(opts.errors_only)),
+                ("freq_absdiff_gold_zipf", f"{report.freq_diff.gold_zipf:.6f}"),
+                ("freq_absdiff_predicted_zipf", f"{report.freq_diff.predicted_zipf:.6f}"),
+                ("freq_absdiff_gold_logrank", f"{report.freq_diff.gold_logrank:.6f}"),
+                ("freq_absdiff_predicted_logrank", f"{report.freq_diff.predicted_logrank:.6f}"),
+            ])
+            evaluation.write_per_pos(report.per_pos, out / "per_pos.tsv")
+            records = evaluation.explain_predictions(groups, scores, src_vocab, tgt_vocab, freq_src, freq_tgt, pos_src, pos_tgt)
+            evaluation.write_explanations(records, out / "explanations.tsv")
+        runlog.note("p_at_1", f"{report.p_at_1:.6f}")
     return 0
 
 
@@ -677,50 +710,48 @@ def cmd_analyze(opts: argparse.Namespace) -> int:
         raise ConfigError(errors)
     out = Path(opts.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runlog = _RunLog(out, "analyze")
+    with _RunLog(out, "analyze") as runlog:
+        need_vectors = opts.words is not None
+        with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
+            if need_vectors:
+                src, tgt = _load_spaces(opts)
+                src_vocab, tgt_vocab = src.vocab, tgt.vocab
+            else:
+                src_vocab, tgt_vocab = _load_vocabularies(opts)
+            dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
+            freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
+            freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
+            pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
+            counts["vector_rows"] = len(src_vocab) + len(tgt_vocab)
 
-    need_vectors = opts.words is not None
-    with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
+        grid = evaluation.pos_freq_correlation(dic, freq_src, freq_tgt, pos_src, min_n=opts.min_n)
+        evaluation.write_correlation_grid(grid, opts.pair_label, out / "pos_correlation.tsv")
+
         if need_vectors:
-            src, tgt = _load_spaces(opts)
-            src_vocab, tgt_vocab = src.vocab, tgt.vocab
-        else:
-            src_vocab, tgt_vocab = _load_vocabularies(opts)
-        dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
-        freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
-        freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
-        pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
-        counts["vector_rows"] = len(src_vocab) + len(tgt_vocab)
-
-    grid = evaluation.pos_freq_correlation(dic, freq_src, freq_tgt, pos_src, min_n=opts.min_n)
-    evaluation.write_correlation_grid(grid, opts.pair_label, out / "pos_correlation.tsv")
-
-    if need_vectors:
-        src_aligned, _ = _aligned_source(src, tgt, opts.seed_dict)
-        word_ids = _read_word_list(opts.words, src.vocab)
-        params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
-        queries = _subset_space(src_aligned, word_ids)
-        cands, _ = retrieval.retrieve_topk(queries, tgt, params, n_threads=threads)
-        for row, s in enumerate(word_ids):
-            word = src.vocab.word(s)
-            if s not in dic.entries:
-                log.warning("analyze: %r has no gold entry, skipping PCA export", word)
-                continue
-            gold = dic.entries[s][0]
-            vectors = np.vstack([
-                src_aligned.matrix[s],
-                tgt.matrix[gold],
-                tgt.matrix[cands.cand_ids[row]],
-            ])
-            coords = evaluation.pca_project(vectors)
-            rows = [(word, "source", coords[0, 0], coords[0, 1]),
-                    (tgt.vocab.word(gold), "gold", coords[1, 0], coords[1, 1])]
-            rows += [
-                (tgt.vocab.word(int(c)), "candidate", coords[2 + i, 0], coords[2 + i, 1])
-                for i, c in enumerate(cands.cand_ids[row])
-            ]
-            evaluation.write_pca_coordinates(rows, out / f"pca_{_safe_name(word)}.tsv")
-    runlog.close()
+            src_aligned, _ = _aligned_source(src, tgt, opts.seed_dict)
+            word_ids = _read_word_list(opts.words, src.vocab)
+            params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
+            queries = _subset_space(src_aligned, word_ids)
+            cands, _ = retrieval.retrieve_topk(queries, tgt, params, n_threads=threads)
+            for row, s in enumerate(word_ids):
+                word = src.vocab.word(s)
+                if s not in dic.entries:
+                    log.warning("analyze: %r has no gold entry, skipping PCA export", word)
+                    continue
+                gold = dic.entries[s][0]
+                vectors = np.vstack([
+                    src_aligned.matrix[s],
+                    tgt.matrix[gold],
+                    tgt.matrix[cands.cand_ids[row]],
+                ])
+                coords = evaluation.pca_project(vectors)
+                rows = [(word, "source", coords[0, 0], coords[0, 1]),
+                        (tgt.vocab.word(gold), "gold", coords[1, 0], coords[1, 1])]
+                rows += [
+                    (tgt.vocab.word(int(c)), "candidate", coords[2 + i, 0], coords[2 + i, 1])
+                    for i, c in enumerate(cands.cand_ids[row])
+                ]
+                evaluation.write_pca_coordinates(rows, out / f"pca_{_safe_name(word)}.tsv")
     return 0
 
 
@@ -846,16 +877,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = resolve_options(args, args.schema)
         return args.func(opts)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 2
-    except (corpus.DataFormatError, ValueError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except (AssertionError, ArithmeticError) as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 4
+    except Exception as e:
+        failure = _failure(e)
+        if failure is None:
+            raise
+        code, prefix = failure
+        for msg in e.errors if isinstance(e, ConfigError) else [e]:
+            print(f"{prefix}: {msg}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ treated as immutable after construction and are safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
@@ -438,6 +439,25 @@ def load_pos_table(path: str | Path, vocab: Vocabulary) -> PosTable:
     if unknown:
         log.warning("%s: %d unknown tag strings mapped to X", path, unknown)
     return table
+
+
+@contextlib.contextmanager
+def atomic_writer(path: str | Path):
+    """Text handle whose content replaces path only once the block completes.
+
+    The text goes to a temporary file beside path, which is renamed over path
+    on success. On any failure the temporary file is removed and path keeps
+    its old content (or stays absent), so no reader sees a truncated file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:

@@ -1,9 +1,14 @@
 """Listwise gradient-boosted tree ranker optimizing mean average precision.
 
 Pairwise logistic gradients are weighted by the exact AP change of swapping
-the pair in the current ranking; trees are grown by exact greedy search with
-second-order (Newton) leaf values. Everything is deterministic: stable sorts,
-fixed reduction orders, ties to the lowest feature index / candidate position.
+the pair in the current ranking; trees are grown with second-order (Newton)
+leaf values by an exact histogram split search: each column is binned once
+per training by its distinct values, and every node builds its gradient and
+hessian histograms directly from its own rows, so every distinct-value cut
+is scored. Each round is a few whole-array passes: one histogram build per
+node, one stacked tree prediction, one bucketed MAP trace. Everything is
+deterministic: stable sorts, fixed reduction orders, ties to the lowest
+feature index / candidate position.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataFormatError
+from .corpus import DataFormatError, atomic_writer
 from .features import FeatureSchema, RankingGroup
 
 log = logging.getLogger(__name__)
@@ -105,17 +110,35 @@ def average_precision(labels) -> float:
 
 
 def mean_ap(groups: list[RankingGroup], scores: list[np.ndarray]) -> float:
-    """Mean AP over groups that contain a positive, each ranked by score."""
-    aps = []
-    skipped = 0
-    for grp, s in zip(groups, scores):
-        if int(grp.labels.sum()) == 0:
-            skipped += 1
+    """Mean AP over groups that contain a positive, each ranked by score.
+
+    Groups are ranked in buckets of equal length, one row-wise stable sort
+    per bucket. Each AP is the last entry of a running sum of the precisions
+    at the positive ranks, added in rank order as average_precision does.
+    """
+    buckets: dict[int, list[int]] = {}
+    for i, grp in enumerate(groups):
+        buckets.setdefault(len(grp), []).append(i)
+    aps = np.zeros(len(groups))
+    has_positive = np.zeros(len(groups), dtype=bool)
+    for size, members in buckets.items():
+        y = np.array([groups[i].labels for i in members], dtype=np.float64)
+        positives = y.sum(axis=1)
+        keep = positives > 0
+        if not keep.any():
             continue
-        aps.append(average_precision(grp.labels[rank_order(s)]))
+        s = np.array([scores[i] for i in members], dtype=np.float64)[keep]
+        order = np.argsort(-s, axis=1, kind="stable")
+        ranked = np.take_along_axis(y[keep], order, axis=1)
+        hits = np.cumsum(ranked, axis=1)
+        precision = np.where(ranked == 1, hits / np.arange(1, size + 1, dtype=np.float64), 0.0)
+        rows = np.array(members)[keep]
+        aps[rows] = np.cumsum(precision, axis=1)[:, -1] / positives[keep]
+        has_positive[rows] = True
+    skipped = len(groups) - int(has_positive.sum())
     if skipped:
         log.debug("mean_ap: %d all-negative groups excluded", skipped)
-    return float(np.mean(aps)) if aps else 0.0
+    return float(np.mean(aps[has_positive])) if has_positive.any() else 0.0
 
 
 def _ap_prefixes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,79 +250,74 @@ def _lambdas_single_positive_batch(
     return g, h
 
 
-class _SplitContext:
-    """Per-training precomputation shared by every tree.
+class _BinnedColumns:
+    """Per-training binning of the feature matrix, shared by every tree.
 
-    Columns taking only the values {0, 1} get their one candidate split
-    evaluated from indicator sums; the remaining columns keep a stable
-    sorted row order that is partitioned down the tree, so each column is
-    sorted only once per training.
+    Each column holding at least two distinct values gets one bin per
+    distinct value, in ascending order. Bin numbers are offset per column
+    so that one flat bincount over a node's rows builds every column's
+    histogram at once. Constant columns get no bins and never split.
     """
 
     def __init__(self, X: np.ndarray):
-        self.X = X
-        is_binary = ((X == 0.0) | (X == 1.0)).all(axis=0)
-        self.binary_cols = np.nonzero(is_binary)[0]
-        self.numeric_cols = np.nonzero(~is_binary)[0]
-        self.ones = X[:, self.binary_cols] == 1.0  # (n, nb)
-        self.presorted = np.argsort(X[:, self.numeric_cols], axis=0, kind="stable")
+        features, values, codes = [], [], []
+        n_bins = 0
+        for f in range(X.shape[1]):
+            distinct, inverse = np.unique(X[:, f], return_inverse=True)
+            if distinct.size < 2:
+                continue
+            features.append(f)
+            values.append(distinct)
+            codes.append(inverse + n_bins)
+            n_bins += distinct.size
+        self.features = np.array(features, dtype=np.int64)
+        self.values = np.concatenate(values) if values else np.zeros(0)
+        self.codes = np.column_stack(codes) if codes else np.zeros((X.shape[0], 0), dtype=np.intp)
+        self.n_bins = n_bins
+        # column position (index into features) of every bin
+        self.bin_col = np.repeat(np.arange(len(values)), [v.size for v in values])
 
 
-def _best_split_at(ctx: _SplitContext, g, h, rows, idx_num, G, H, lam, mcw):
-    """Best (gain, feature, threshold) of a node, or None.
+def _best_split_at(bins: _BinnedColumns, g, h, rows, G, H, lam, mcw):
+    """Best (feature, threshold) of a node, or None.
 
-    Ties go to the lowest feature index, then the lowest threshold, matching
-    a deterministic feature-ascending scan.
+    A cut goes after each non-empty bin that has a later non-empty bin, at
+    the midpoint of the two values. Cuts are scanned feature by feature,
+    thresholds ascending, so the first maximum breaks ties to the lowest
+    feature index, then the lowest threshold.
     """
-    m = rows.size
-    n_features = ctx.X.shape[1]
-    gain_of = np.full(n_features, -np.inf)
-    thr_of = np.zeros(n_features)
-    parent = G * G / (H + lam) if H + lam > 0 else 0.0
-
-    if ctx.binary_cols.size:
-        ones = ctx.ones[rows]
-        gn = g[rows]
-        hn = h[rows]
-        G1 = gn @ ones
-        H1 = hn @ ones
-        GL, HL = G - G1, H - H1  # zeros sort left of ones
-        GR, HR = G1, H1
-        count1 = ones.sum(axis=0)
-        sep = (count1 > 0) & (count1 < m)
-        dl, dr = HL + lam, HR + lam
-        valid = sep & (HL >= mcw) & (HR >= mcw) & (dl > 0) & (dr > 0)
-        if valid.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = 0.5 * (GL * GL / dl + GR * GR / dr - parent)
-            gain_of[ctx.binary_cols[valid]] = gains[valid]
-            thr_of[ctx.binary_cols] = 0.5
-
-    if ctx.numeric_cols.size and m >= 2:
-        xs = ctx.X[idx_num, ctx.numeric_cols[None, :]]
-        cg = np.cumsum(g[idx_num], axis=0)
-        ch = np.cumsum(h[idx_num], axis=0)
-        GL, HL = cg[:-1], ch[:-1]
-        GR, HR = G - GL, H - HL
-        dl, dr = HL + lam, HR + lam
-        valid = (xs[1:] != xs[:-1]) & (HL >= mcw) & (HR >= mcw) & (dl > 0) & (dr > 0)
-        if valid.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = np.where(valid, 0.5 * (GL * GL / dl + GR * GR / dr - parent), -np.inf)
-            cuts = np.argmax(gains, axis=0)  # first maximum = lowest threshold
-            cols = np.arange(ctx.numeric_cols.size)
-            col_gains = gains[cuts, cols]
-            lo = xs[cuts, cols]
-            hi = xs[cuts + 1, cols]
-            thr = 0.5 * (lo + hi)
-            thr = np.where(thr <= lo, hi, thr)  # midpoint rounded onto lo
-            gain_of[ctx.numeric_cols] = col_gains
-            thr_of[ctx.numeric_cols] = thr
-
-    f = int(np.argmax(gain_of))  # first maximum = lowest feature index
-    if not gain_of[f] > 0.0:
+    n_cols = bins.features.size
+    if n_cols == 0:
         return None
-    return f, float(thr_of[f])
+    codes = bins.codes[rows].ravel()
+    count = np.bincount(codes, minlength=bins.n_bins)
+    nz = np.flatnonzero(count)
+    GL = np.bincount(codes, weights=np.repeat(g[rows], n_cols), minlength=bins.n_bins)[nz]
+    HL = np.bincount(codes, weights=np.repeat(h[rows], n_cols), minlength=bins.n_bins)[nz]
+    # left sums per column, accumulated in bin order; every row lands in one
+    # bin of each column, so each column has at least one non-empty bin
+    col = bins.bin_col[nz]
+    ends = np.cumsum(np.bincount(col, minlength=n_cols))
+    start = 0
+    for end in ends.tolist():
+        np.cumsum(GL[start:end], out=GL[start:end])
+        np.cumsum(HL[start:end], out=HL[start:end])
+        start = end
+    GR, HR = G - GL, H - HL
+    dl, dr = HL + lam, HR + lam
+    valid = (HL >= mcw) & (HR >= mcw) & (dl > 0) & (dr > 0)
+    valid[ends - 1] = False  # the last non-empty bin of a column has nothing to its right
+    parent = G * G / (H + lam) if H + lam > 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = np.where(valid, 0.5 * (GL * GL / dl + GR * GR / dr - parent), -np.inf)
+    best = int(np.argmax(gains))  # first maximum: lowest feature, then lowest threshold
+    if not gains[best] > 0.0:
+        return None
+    lo, hi = bins.values[nz[best]], bins.values[nz[best + 1]]
+    thr = 0.5 * (lo + hi)
+    if thr <= lo:  # midpoint rounded onto lo
+        thr = hi
+    return int(bins.features[col[best]]), float(thr)
 
 
 def fit_tree(
@@ -307,21 +325,21 @@ def fit_tree(
     g: np.ndarray,
     h: np.ndarray,
     params: GbdtParams,
-    ctx: _SplitContext | None = None,
+    bins: _BinnedColumns | None = None,
 ) -> RegressionTree:
-    """Grow one regression tree by exact greedy gain search.
+    """Grow one regression tree by exact histogram gain search.
 
-    Candidate thresholds are midpoints of consecutive distinct sorted values;
-    gain = 0.5*(GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)). Ties go to the
-    lowest feature index, then the lowest threshold.
+    Candidate thresholds are midpoints of consecutive distinct values present
+    in the node; gain = 0.5*(GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)).
+    Ties go to the lowest feature index, then the lowest threshold.
     """
     n, n_features = X.shape
     if n == 0:
         raise ValueError("cannot fit a tree on empty input")
     lam = params.l2_leaf_reg
     mcw = params.min_child_weight
-    if ctx is None:
-        ctx = _SplitContext(X)
+    if bins is None:
+        bins = _BinnedColumns(X)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -338,14 +356,14 @@ def fit_tree(
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, np.arange(n), ctx.presorted, 0)]
+    stack = [(root, np.arange(n), 0)]
     while stack:
-        node, rows, idx_num, depth = stack.pop()
+        node, rows, depth = stack.pop()
         G = float(g[rows].sum())
         H = float(h[rows].sum())
         best = None
         if depth < params.max_depth:
-            best = _best_split_at(ctx, g, h, rows, idx_num, G, H, lam, mcw)
+            best = _best_split_at(bins, g, h, rows, G, H, lam, mcw)
         if best is None:
             denom = H + lam
             value[node] = (-G / denom if denom > 0 else 0.0) + 0.0
@@ -353,19 +371,13 @@ def fit_tree(
         f, thr = best
         feature[node] = f
         threshold[node] = thr
-        go_left = X[:, f] < thr
-        sel = go_left[rows]
-        keep = go_left[idx_num]  # every column holds the same row set
-        m_left = int(sel.sum())
-        nn = ctx.numeric_cols.size
-        left_idx = idx_num.T[keep.T].reshape(nn, m_left).T
-        right_idx = idx_num.T[~keep.T].reshape(nn, rows.size - m_left).T
+        sel = X[rows, f] < thr
         lchild = new_node()
         rchild = new_node()
         left[node] = lchild
         right[node] = rchild
-        stack.append((rchild, rows[~sel], right_idx, depth + 1))
-        stack.append((lchild, rows[sel], left_idx, depth + 1))
+        stack.append((rchild, rows[~sel], depth + 1))
+        stack.append((lchild, rows[sel], depth + 1))
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
@@ -401,7 +413,7 @@ def train(
     X = np.vstack([grp.features for grp in groups])
     n = X.shape[0]
     scores = np.zeros(n, dtype=np.float64)
-    ctx = _SplitContext(X)
+    bins = _BinnedColumns(X)
 
     # groups with exactly one positive take a vectorized batch path,
     # bucketed by candidate count; the rest use the general pair scheme
@@ -434,7 +446,7 @@ def train(
             gg, hh = compute_lambdas(scores[lo:hi], groups[i].labels, params.sigma)
             g[lo:hi] = gg
             h[lo:hi] = hh
-        tree = fit_tree(X, g, h, params, ctx)
+        tree = fit_tree(X, g, h, params, bins)
         trees.append(tree)
         scores += params.learning_rate * tree.predict(X)
         per_group = [scores[offsets[i]:offsets[i + 1]] for i in range(len(groups))]
@@ -467,11 +479,16 @@ def predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_groups(model: GbdtModel, groups: list[RankingGroup]) -> list[np.ndarray]:
-    return [predict(model, grp.features) for grp in groups]
+    """Per-group scores from one predict call over the stacked group features."""
+    if not groups:
+        return []
+    sizes = np.array([len(grp) for grp in groups])
+    scores = predict(model, np.vstack([grp.features for grp in groups]))
+    return np.split(scores, np.cumsum(sizes)[:-1])
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:
-    """Versioned JSON document; floats render with shortest-roundtrip repr."""
+    """Versioned JSON document; floats render with shortest-roundtrip repr. All or nothing."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -502,7 +519,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
             for tree in model.trees
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataFormatError, EmbeddingSpace, TranslationDictionary, Vocabulary, _data_lines, _nfc
+from .corpus import DataFormatError, EmbeddingSpace, TranslationDictionary, Vocabulary, _data_lines, _nfc, atomic_writer
 
 log = logging.getLogger(__name__)
 
@@ -373,8 +373,8 @@ def hubness_skew(
 
 
 def write_candidates(cands: CandidateSet, src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:
-    """Export "src<TAB>cand<TAB>score" rows, grouped by source in retrieval order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Export "src<TAB>cand<TAB>score" rows, grouped by source in retrieval order; all or nothing."""
+    with atomic_writer(path) as fh:
         for row, s in enumerate(cands.src_ids):
             sw = src_vocab.word(int(s))
             for c, v in zip(cands.cand_ids[row], cands.scores[row]):

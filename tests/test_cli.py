@@ -542,3 +542,69 @@ class TestVectorLoading:
         assert run(*args) == 3
         assert f"{bad}: line 7: non-finite score" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.json").exists()
+
+
+def stage_fields(log, name):
+    return dict(f.split("=") for f in log[f"stage.{name}"].split(" "))
+
+
+class TestRunLogStages:
+    def test_train_and_eval_stage_lines(self, world_dir, retrieved_dir, model_dir, tmp_path):
+        log = kv(model_dir / "run.log")
+        timing = {"wall_s", "cpu_s", "peak_rss_mb"}
+        featurize = stage_fields(log, "featurize")
+        assert set(featurize) == timing | {"groups", "rows"}
+        n_groups = len({line.split("\t")[0] for line in (world_dir / "dict.train.tsv").read_text().splitlines()})
+        assert featurize["groups"] == str(n_groups) and featurize["rows"] == str(n_groups * 10)
+        fit = stage_fields(log, "fit")
+        assert set(fit) == timing | {"trees", "rows"}
+        assert fit["trees"] == "6" and fit["rows"] == featurize["rows"]
+        assert set(stage_fields(log, "write")) == timing
+        assert log["exit_code"] == "0" and "error" not in log
+
+        assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path)) == 0
+        log = kv(tmp_path / "run.log")
+        featurize = stage_fields(log, "featurize")
+        assert set(featurize) == timing | {"groups", "rows"}
+        assert featurize["groups"] == kv(tmp_path / "eval_report.txt")["n_eval"]
+        predict = stage_fields(log, "predict")
+        assert set(predict) == timing | {"rows", "trees"}
+        assert predict["rows"] == featurize["rows"] and predict["trees"] == "6"
+        assert set(stage_fields(log, "report")) == timing
+        stages = [key for key in log if key.startswith("stage.")]
+        assert stages == ["stage.load", "stage.featurize", "stage.predict", "stage.report"]
+
+
+class TestFailedRunLog:
+    def test_retrieve_non_finite_vector_writes_only_run_log(self, world_dir, tmp_path, capsys):
+        lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
+        fields = lines[4].split(" ")
+        fields[2] = "nan"
+        lines[4] = " ".join(fields)
+        bad = tmp_path / "bad.vec"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(
+            "retrieve", "--out-dir", out,
+            "--src-emb", bad, "--tgt-emb", world_dir / "embeddings.tgt.vec",
+        ) == 3
+        assert [p.name for p in out.iterdir()] == ["run.log"]
+        log = kv(out / "run.log")
+        assert log["command"] == "retrieve"
+        assert log["exit_code"] == "3"
+        assert f"{bad}: line 5: non-finite value" in log["error"]
+        assert not any(key.startswith("stage.") for key in log)  # loading did not finish
+
+    def test_failure_after_finished_stages_logs_them(self, world_dir, retrieved_dir, model_dir, tmp_path):
+        tampered = tmp_path / "tampered.json"
+        doc = json.loads((model_dir / "model.json").read_text())
+        doc["schema"]["fingerprint"] = "0" * 64
+        tampered.write_text(json.dumps(doc))
+        args = eval_args(world_dir, retrieved_dir, model_dir, tmp_path / "out")
+        args[args.index("--model") + 1] = tampered
+        assert run(*args) == 3
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["run.log"]
+        log = kv(tmp_path / "out" / "run.log")
+        assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.featurize"]
+        assert log["exit_code"] == "3"
+        assert "fingerprint mismatch" in log["error"]

@@ -17,6 +17,7 @@ from bilex.ltr import (
     load_model,
     mean_ap,
     predict,
+    predict_groups,
     rank_order,
     save_model,
     train,
@@ -455,3 +456,240 @@ class TestCombineWithRetriever:
     def test_mix_range_validated(self):
         with pytest.raises(ValueError):
             combine_with_retriever([np.zeros(2)], [np.zeros(2)], 1.5)
+
+
+# ---------------------------------------------------------------- whole-array ranker passes
+
+
+def oracle_tree(X, g, h, params, rows=None, depth=0):
+    """Tree grown by brute force, as nested tuples (feature, threshold, left, right) or leaf values.
+
+    Every feature and every midpoint between consecutive distinct node values is
+    scored from direct masked sums. Candidates are grouped by the row partition
+    they induce (a column and a decreasing transform of it give the same one),
+    and a partition is taken by the lowest feature, then the lowest threshold,
+    that induces it. Returns (tree, unambiguous): unambiguous is False when some
+    node's best partition beats its runner-up by no more than 1e-9 relative.
+    """
+    lam, mcw = params.l2_leaf_reg, params.min_child_weight
+    rows = np.arange(X.shape[0]) if rows is None else rows
+    G, H = float(g[rows].sum()), float(h[rows].sum())
+    leaf = (-G / (H + lam) if H + lam > 0 else 0.0) + 0.0
+    if depth >= params.max_depth:
+        return leaf, True
+    parent = G * G / (H + lam) if H + lam > 0 else 0.0
+    by_partition = {}
+    for f in range(X.shape[1]):
+        values = np.unique(X[rows, f])
+        for lo, hi in zip(values[:-1], values[1:]):
+            thr = 0.5 * (lo + hi)
+            thr = hi if thr <= lo else thr
+            left = X[rows, f] < thr
+            GL, HL = float(g[rows][left].sum()), float(h[rows][left].sum())
+            GR, HR = float(g[rows][~left].sum()), float(h[rows][~left].sum())
+            if not (HL >= mcw and HR >= mcw and HL + lam > 0 and HR + lam > 0):
+                continue
+            gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent)
+            key = tuple(left) if left[0] else tuple(~left)
+            if key not in by_partition:
+                by_partition[key] = (gain, f, float(thr), left)
+    ranked = sorted(by_partition.values(), key=lambda c: -c[0])
+    if not ranked or not ranked[0][0] > 0.0:
+        return leaf, True
+    gain, f, thr, left = ranked[0]
+    unambiguous = len(ranked) == 1 or gain - ranked[1][0] > 1e-9 * abs(gain)
+    lt, ok_l = oracle_tree(X, g, h, params, rows[left], depth + 1)
+    rt, ok_r = oracle_tree(X, g, h, params, rows[~left], depth + 1)
+    return (f, thr, lt, rt), unambiguous and ok_l and ok_r
+
+
+def nested(tree, node=0):
+    if tree.feature[node] < 0:
+        return float(tree.value[node])
+    return (
+        int(tree.feature[node]),
+        float(tree.threshold[node]),
+        nested(tree, int(tree.left[node])),
+        nested(tree, int(tree.right[node])),
+    )
+
+
+@st.composite
+def split_problems(draw):
+    """Small matrices mixing binary, constant, tied, duplicated and transformed columns.
+
+    Values, gradients and hessians are small multiples of 1/4, so every sum is
+    exact and candidates inducing the same partition tie exactly.
+    """
+    n = draw(st.integers(min_value=2, max_value=24))
+    ints = st.integers(min_value=0, max_value=5)
+    cols = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["binary", "constant", "ties", "distinct", "copy", "increasing", "decreasing"]))
+        if kind in ("copy", "increasing", "decreasing") and cols:
+            base = cols[draw(st.integers(min_value=0, max_value=len(cols) - 1))]
+            cols.append({"copy": base, "increasing": 3.0 * base + 1.0, "decreasing": 5.0 - 2.0 * base}[kind])
+        elif kind == "binary":
+            cols.append(np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64))
+        elif kind == "constant":
+            cols.append(np.full(n, float(draw(ints))))
+        elif kind == "distinct":
+            cols.append(np.array(draw(st.permutations(range(n))), dtype=np.float64) / 8.0)
+        else:
+            cols.append(np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.float64))
+    X = np.column_stack(cols)
+    g = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)), dtype=np.float64) / 4.0
+    h = np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), dtype=np.float64) / 4.0
+    params = GbdtParams(
+        max_depth=draw(st.integers(min_value=1, max_value=3)),
+        l2_leaf_reg=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.25, 1.0])),
+    )
+    return X, g, h, params
+
+
+class TestHistogramSplitOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(split_problems())
+    def test_matches_brute_force_oracle(self, problem):
+        X, g, h, params = problem
+        want, unambiguous = oracle_tree(X, g, h, params)
+        if unambiguous:
+            assert nested(fit_tree(X, g, h, params)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_problems(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_generic_gradients_pick_a_best_root_split(self, problem, seed):
+        # non-dyadic gradients: sums round differently, but the chosen root
+        # split must still be the oracle's best partition unless it is a near tie
+        X, _, _, params = problem
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(X.shape[0])
+        h = rng.random(X.shape[0]) + 0.01
+        stump = GbdtParams(max_depth=1, l2_leaf_reg=params.l2_leaf_reg, min_child_weight=params.min_child_weight)
+        want, unambiguous = oracle_tree(X, g, h, stump)
+        tree = fit_tree(X, g, h, stump)
+        if unambiguous and isinstance(want, tuple):
+            assert tree.feature[0] >= 0
+            left = X[:, tree.feature[0]] < tree.threshold[0]
+            want_left = X[:, want[0]] < want[1]
+            assert (left == want_left).all() or (left == ~want_left).all()
+        elif unambiguous:
+            assert tree.n_nodes() == 1
+
+    def test_adjacent_values_split_between_them(self):
+        # the midpoint of two neighbouring floats rounds onto the lower one;
+        # the threshold must then be the upper value so the rows still separate
+        lo = 1.0
+        hi = float(np.nextafter(lo, 2.0))
+        X = np.array([[lo], [hi], [lo], [hi]])
+        g = np.array([-1.0, 1.0, -1.0, 1.0])
+        tree = fit_tree(X, g, np.ones(4), GbdtParams(max_depth=1, l2_leaf_reg=0.0, min_child_weight=0.0))
+        assert tree.threshold[0] == hi
+        np.testing.assert_array_equal(tree.predict(X), [1.0, -1.0, 1.0, -1.0])
+
+    def test_constant_matrix_is_one_leaf(self):
+        X = np.full((5, 3), 2.0)
+        tree = fit_tree(X, np.array([-1.0, 1.0, -1.0, 1.0, 2.0]), np.ones(5), GbdtParams(min_child_weight=0.0))
+        assert tree.n_nodes() == 1
+        assert tree.value[0] == -2.0 / 6.0
+
+
+class TestSplitTieRule:
+    @pytest.mark.parametrize("transform_first", [False, True])
+    def test_decreasing_transform_ties_to_lower_index(self, transform_first):
+        x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        cols = [x, 10.0 - 2.0 * x]
+        X = np.column_stack(cols[::-1] if transform_first else cols)
+        g = np.array([-1.0, -1.0, -0.5, 0.75, 1.0, 1.0])
+        tree = fit_tree(X, g, np.ones(6), GbdtParams(max_depth=1, min_child_weight=0.0))
+        assert tree.feature[0] == 0
+        np.testing.assert_array_equal(X[:, 0] < tree.threshold[0], transform_first ^ (x < 2.5))
+
+    def test_duplicate_column_ties_to_lower_index(self, rng):
+        x = rng.standard_normal(40)
+        X = np.column_stack([np.zeros(40), x, x])
+        tree = fit_tree(X, rng.standard_normal(40), np.ones(40), GbdtParams(max_depth=3, min_child_weight=0.0))
+        assert set(tree.feature[tree.feature >= 0].tolist()) == {1}
+
+
+class TestPredictGroups:
+    def test_equals_per_group_predict_bitwise(self, rng):
+        model, _ = train(separable_groups(rng, n_groups=12), GbdtParams(n_trees=6, max_depth=3))
+        groups = [
+            make_group(rng.standard_normal((size, N_FEATURES)), np.zeros(size, dtype=np.int8), src=i)
+            for i, size in enumerate([1, 7, 3, 50, 2, 7])
+        ]
+        got = predict_groups(model, groups)
+        assert len(got) == len(groups)
+        for grp, scores in zip(groups, got):
+            assert scores.shape == (len(grp),)
+            np.testing.assert_array_equal(scores, predict(model, grp.features))
+
+    def test_empty_list(self, rng):
+        model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=1))
+        assert predict_groups(model, []) == []
+
+
+def mean_ap_reference(groups, scores):
+    aps = [
+        average_precision(grp.labels[rank_order(s)])
+        for grp, s in zip(groups, scores)
+        if grp.labels.sum() > 0
+    ]
+    return float(np.mean(aps)) if aps else 0.0
+
+
+class TestVectorizedMeanAp:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.integers(min_value=1, max_value=20).flatmap(lambda k: st.tuples(
+            st.lists(st.integers(0, 1), min_size=k, max_size=k),
+            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.25]), min_size=k, max_size=k),
+        )),
+        min_size=0, max_size=12,
+    ))
+    def test_equals_average_precision_loop(self, data):
+        groups = [make_group(np.zeros((len(y), N_FEATURES)), y) for y, _ in data]
+        scores = [np.array(s) for _, s in data]
+        got = mean_ap(groups, scores)
+        want = mean_ap_reference(groups, scores)
+        if all(sum(y) < 8 for y, _ in data):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_many_positives_within_tolerance(self, rng):
+        groups, scores = [], []
+        for size in [30, 30, 17, 45, 3]:
+            labels = (rng.random(size) < 0.5).astype(np.int8)
+            groups.append(make_group(np.zeros((size, N_FEATURES)), labels))
+            scores.append(np.round(rng.standard_normal(size), 1))
+        assert max(int(g.labels.sum()) for g in groups) >= 8
+        assert mean_ap(groups, scores) == pytest.approx(mean_ap_reference(groups, scores), abs=1e-12)
+
+    def test_only_all_negative_groups(self):
+        groups = [make_group(np.zeros((3, N_FEATURES)), [0, 0, 0]), make_group(np.zeros((1, N_FEATURES)), [0])]
+        assert mean_ap(groups, [np.zeros(3), np.zeros(1)]) == 0.0
+
+
+class TestAtomicModelWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path, rng):
+        model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=2))
+        model.meta["unserializable"] = object()  # json.dump raises after writing the trees' prefix
+        path = tmp_path / "model.json"
+        with pytest.raises(TypeError):
+            save_model(model, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, rng):
+        model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        model.meta["unserializable"] = object()
+        with pytest.raises(TypeError):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        load_model(path)

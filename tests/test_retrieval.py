@@ -459,3 +459,27 @@ class TestCandidateFiles:
         v = Vocabulary.from_words(["w0", "w1"])
         with pytest.raises(DataFormatError, match="line 2: non-finite score"):
             load_candidates(path, v, v)
+
+
+class TestAtomicCandidateWrite:
+    def cands_with_unknown_target(self, rng):
+        src = unit_space(rng.standard_normal((6, 8)))
+        tgt = unit_space(rng.standard_normal((9, 8)))
+        cands, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=2, top_k=4))
+        cands.cand_ids[3, 1] = 99  # no such target word: the export fails on row 3
+        return cands, src, tgt
+
+    def test_failed_write_leaves_no_file(self, tmp_path, rng):
+        cands, src, tgt = self.cands_with_unknown_target(rng)
+        with pytest.raises(IndexError):
+            write_candidates(cands, src.vocab, tgt.vocab, tmp_path / "candidates.tsv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, rng):
+        cands, src, tgt = self.cands_with_unknown_target(rng)
+        path = tmp_path / "candidates.tsv"
+        path.write_text("previous\trun\t1.000000\n")
+        with pytest.raises(IndexError):
+            write_candidates(cands, src.vocab, tgt.vocab, path)
+        assert path.read_text() == "previous\trun\t1.000000\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["candidates.tsv"]

@@ -1,7 +1,10 @@
 """Batch pipeline driver: synth, retrieve, mine, train, eval, analyze.
 
 Options resolve as CLI flag > config file ("key = value" lines) > default.
-Every command validates its full configuration before writing anything.
+Each option is declared once, as an Option in its command's schema; the
+parser, the config file keys and the required/file/choice checks all come
+from that entry. Every command validates its full configuration before
+writing anything.
 Exit codes: 0 success, 2 config error, 3 data error, 4 internal invariant.
 
 All randomness flows from the single --seed value; identical configurations
@@ -19,7 +22,9 @@ import os
 import resource
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,16 +45,6 @@ class ConfigError(Exception):
         self.errors = errors
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for line_no, line in corpus._data_lines(Path(path)):
-        if "=" not in line:
-            raise ConfigError([f"{path}: line {line_no}: expected 'key = value'"])
-        key, _, raw = line.partition("=")
-        values[key.strip().replace("-", "_")] = raw.strip()
-    return values
-
-
 def _as_bool(raw: str) -> bool:
     if raw.lower() in ("1", "true", "yes", "on"):
         return True
@@ -58,25 +53,82 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def resolve_options(args: argparse.Namespace, schema: dict[str, tuple]) -> argparse.Namespace:
-    """Merge flags, config file entries, and defaults into one namespace."""
+@dataclass(frozen=True)
+class Option:
+    """One option of one command: its flag, its config key and its checks.
+
+    The flag is "--" plus the key with "-" for "_"; an `_as_bool` option is a
+    bare store_true flag, and `const` is the value of a bare flag that may
+    also take a value.
+    """
+
+    conv: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    is_file: bool = False  # an input file, which must exist when given
+    choices: tuple[str, ...] = ()
+    minimum: int | None = None
+    const: object = None
+
+
+OUT_DIR = Option(required=True)
+INPUT = Option(required=True, is_file=True)
+OPTIONAL_INPUT = Option(is_file=True)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def load_config_file(path: str | Path) -> dict[str, str]:
+    """Values by key; a malformed line or a key that no command declares is a config error."""
+    values: dict[str, str] = {}
+    errors = []
+    for line_no, line in corpus._data_lines(Path(path)):
+        if "=" not in line:
+            errors.append(f"{path}: line {line_no}: expected 'key = value'")
+            continue
+        name, _, raw = line.partition("=")
+        key = name.strip().replace("-", "_")
+        if key not in CONFIG_KEYS:
+            errors.append(f"{path}: line {line_no}: unknown key {name.strip()!r}")
+        values[key] = raw.strip()
+    if errors:
+        raise ConfigError(errors)
+    return values
+
+
+def resolve_options(args: argparse.Namespace, schema: dict[str, Option]) -> tuple[argparse.Namespace, list[str]]:
+    """Merge flags, config file entries, and defaults into one namespace.
+
+    Also returns the problems the schema finds: a missing required option, a
+    missing input file, a value outside its choices or below its minimum, or
+    one that does not convert (which then takes its default). The command
+    adds its own checks.
+    """
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     out = argparse.Namespace()
     errors = []
-    for key, (conv, default) in schema.items():
+    for key, opt in schema.items():
         value = getattr(args, key, None)
         if value is None and key in file_values:
             try:
-                value = conv(file_values[key])
+                value = opt.conv(file_values[key])
             except ValueError as e:
                 errors.append(f"config key {key}: {e}")
-                continue
         if value is None:
-            value = default
+            value = opt.default
         setattr(out, key, value)
-    if errors:
-        raise ConfigError(errors)
-    return out
+        if value is None:
+            if opt.required:
+                errors.append(f"missing required option: {_flag(key)}")
+        elif opt.is_file and not Path(value).is_file():
+            errors.append(f"{_flag(key)}: no such file: {value}")
+        elif opt.choices and value not in opt.choices:
+            errors.append(f"{_flag(key)} must be {' or '.join(opt.choices)}, got {value!r}")
+        elif opt.minimum is not None and value < opt.minimum:
+            errors.append(f"{_flag(key)} must be >= {opt.minimum}, got {value}")
+    return out, errors
 
 
 def _resolve_threads(opts: argparse.Namespace, errors: list[str]) -> int:
@@ -97,17 +149,13 @@ def _resolve_threads(opts: argparse.Namespace, errors: list[str]) -> int:
     return threads
 
 
-def _require_paths(opts: argparse.Namespace, fields: list[str], errors: list[str], optional: list[str] = ()) -> None:
-    for name in fields:
-        value = getattr(opts, name)
-        if value is None:
-            errors.append(f"missing required option: --{name.replace('_', '-')}")
-        elif not Path(value).is_file():
-            errors.append(f"--{name.replace('_', '-')}: no such file: {value}")
-    for name in optional:
-        value = getattr(opts, name)
-        if value is not None and not Path(value).is_file():
-            errors.append(f"--{name.replace('_', '-')}: no such file: {value}")
+def _output_dir(opts: argparse.Namespace, errors: list[str]) -> Path:
+    """Raise every config problem found so far; else create --out-dir and return it."""
+    if errors:
+        raise ConfigError(errors)
+    out = Path(opts.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _peak_rss_mb() -> float:
@@ -142,7 +190,6 @@ class _RunLog:
 
     def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
-        self.command = command
         self.t0 = time.perf_counter()
         self.lines: list[str] = [f"command\t{command}", f"started\t{datetime.datetime.now().isoformat()}"]
         self.note("numpy", np.__version__)
@@ -200,6 +247,18 @@ def _load_vocabularies(opts: argparse.Namespace):
     return corpus.load_vocabulary(opts.src_emb, opts.max_vocab), corpus.load_vocabulary(opts.tgt_emb, opts.max_vocab)
 
 
+def _load_side_tables(opts: argparse.Namespace, src_vocab, tgt_vocab):
+    """Frequency, POS and external-score tables; a table the command does not declare is None."""
+    pos_tgt, ext_scores = getattr(opts, "pos_tgt", None), getattr(opts, "ext_scores", None)
+    return (
+        corpus.load_frequency_table(opts.freq_src, src_vocab),
+        corpus.load_frequency_table(opts.freq_tgt, tgt_vocab),
+        corpus.load_pos_table(opts.pos_src, src_vocab),
+        corpus.load_pos_table(pos_tgt, tgt_vocab) if pos_tgt else None,
+        features.load_external_scores(ext_scores) if ext_scores else None,
+    )
+
+
 def _aligned_source(src, tgt, seed_dict_path):
     """Procrustes-align the source space when a seed dictionary is given."""
     if seed_dict_path is None:
@@ -232,24 +291,21 @@ def _read_word_list(path: str | Path, vocab: corpus.Vocabulary) -> list[int]:
 # ---------------------------------------------------------------- synth
 
 SYNTH_SCHEMA = {
-    "out_dir": (str, None),
-    "n": (int, 2000),
-    "dim": (int, 64),
-    "noise_sigma": (float, 0.0),
-    "hub_count": (int, 0),
-    "zipf_exponent": (float, 1.0),
-    "pos_match_prob": (float, 0.9),
-    "rank_jitter": (float, 0.1),
-    "mean_offset": (float, 0.0),
-    "test_fraction": (float, 0.3),
-    "seed": (int, 0),
+    "out_dir": OUT_DIR,
+    "n": Option(int, 2000),
+    "dim": Option(int, 64),
+    "noise_sigma": Option(float, 0.0),
+    "hub_count": Option(int, 0),
+    "zipf_exponent": Option(float, 1.0),
+    "pos_match_prob": Option(float, 0.9),
+    "rank_jitter": Option(float, 0.1),
+    "mean_offset": Option(float, 0.0),
+    "test_fraction": Option(float, 0.3),
+    "seed": Option(int, 0),
 }
 
 
-def cmd_synth(opts: argparse.Namespace) -> int:
-    errors = []
-    if opts.out_dir is None:
-        errors.append("missing required option: --out-dir")
+def cmd_synth(opts: argparse.Namespace, errors: list[str]) -> int:
     cfg = synth.SynthConfig(
         vocab_n=opts.n,
         dim=opts.dim,
@@ -267,10 +323,7 @@ def cmd_synth(opts: argparse.Namespace) -> int:
         errors.append(str(e))
     if not 0.0 < opts.test_fraction < 1.0:
         errors.append(f"--test-fraction must be in (0, 1), got {opts.test_fraction}")
-    if errors:
-        raise ConfigError(errors)
-    out = Path(opts.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(opts, errors)
     with _RunLog(out, "synth") as runlog:
         world = synth.gen_bilingual_world(cfg)
         train_dict, test_dict = synth.split_gold(world, opts.test_fraction)
@@ -291,6 +344,7 @@ def cmd_synth(opts: argparse.Namespace) -> int:
             ("zipf_exponent", repr(cfg.zipf_exponent)),
             ("pos_match_prob", repr(cfg.pos_match_prob)),
             ("rank_jitter", repr(cfg.rank_jitter)),
+            ("mean_offset", repr(cfg.mean_offset)),
             ("test_fraction", repr(opts.test_fraction)),
             ("seed", cfg.seed),
             ("train_pairs", train_dict.pair_count()),
@@ -303,40 +357,28 @@ def cmd_synth(opts: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- retrieve
 
 RETRIEVE_SCHEMA = {
-    "out_dir": (str, None),
-    "src_emb": (str, None),
-    "tgt_emb": (str, None),
-    "seed_dict": (str, None),
-    "source_words": (str, None),
-    "metric": (str, "csls"),
-    "k_csls": (int, 10),
-    "top_k": (int, 50),
-    "max_vocab": (int, None),
-    "threads": (int, None),
+    "out_dir": OUT_DIR,
+    "src_emb": INPUT,
+    "tgt_emb": INPUT,
+    "seed_dict": OPTIONAL_INPUT,
+    "source_words": OPTIONAL_INPUT,
+    "metric": Option(str, "csls", choices=("csls", "cosine")),
+    "k_csls": Option(int, 10, minimum=1),
+    "top_k": Option(int, 50, minimum=1),
+    "max_vocab": Option(int),
+    "threads": Option(int),
 }
 
 
-def cmd_retrieve(opts: argparse.Namespace) -> int:
-    errors = []
-    if opts.out_dir is None:
-        errors.append("missing required option: --out-dir")
-    _require_paths(opts, ["src_emb", "tgt_emb"], errors, optional=["seed_dict", "source_words"])
-    if opts.metric not in ("csls", "cosine"):
-        errors.append(f"--metric must be csls or cosine, got {opts.metric!r}")
-    if opts.k_csls < 1:
-        errors.append(f"--k-csls must be >= 1, got {opts.k_csls}")
-    if opts.top_k < 1:
-        errors.append(f"--top-k must be >= 1, got {opts.top_k}")
+def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
     threads = _resolve_threads(opts, errors)
-    if errors:
-        raise ConfigError(errors)
-    out = Path(opts.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(opts, errors)
     with _RunLog(out, "retrieve") as runlog:
         with runlog.stage("load", vectors_parsed=1) as counts:
             src, tgt = _load_spaces(opts)
             counts["vector_rows"] = len(src) + len(tgt)
-        src, seed = _aligned_source(src, tgt, opts.seed_dict)
+        with runlog.stage("align"):
+            src, seed = _aligned_source(src, tgt, opts.seed_dict)
         if opts.source_words is not None:
             scope_ids = _read_word_list(opts.source_words, src.vocab)
             queries = _subset_space(src, scope_ids)
@@ -345,40 +387,43 @@ def cmd_retrieve(opts: argparse.Namespace) -> int:
             queries = src
 
         params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
-        cands, _ = retrieval.retrieve_topk(queries, tgt, params, metric=opts.metric, n_threads=threads)
-        # candidate rows are indexed by scope position; export uses real words
-        retrieval.write_candidates(cands, queries.vocab, tgt.vocab, out / "candidates.tsv")
+        with runlog.stage("retrieve", queries=len(queries), top_k=opts.top_k):
+            cands, _ = retrieval.retrieve_topk(queries, tgt, params, metric=opts.metric, n_threads=threads)
+        with runlog.stage("write"):
+            # candidate rows are indexed by scope position; export uses real words
+            retrieval.write_candidates(cands, queries.vocab, tgt.vocab, out / "candidates.tsv")
 
-        skew_k = min(10, opts.top_k)
-        n_k = np.bincount(cands.cand_ids[:, :skew_k].ravel(), minlength=len(tgt))
-        report: list[tuple[str, object]] = [
-            ("n_src", len(queries)),
-            ("n_tgt", len(tgt)),
-            ("metric", opts.metric),
-            ("k_csls", opts.k_csls),
-            ("top_k", opts.top_k),
-            ("hubness_skew_k", skew_k),
-            ("hubness_skew", f"{retrieval.skewness(n_k.astype(np.float64)):.6f}"),
-            ("src_zero_rows", src.zero_row_count),
-            ("tgt_zero_rows", tgt.zero_row_count),
-            ("src_duplicates", src.duplicate_count),
-            ("tgt_duplicates", tgt.duplicate_count),
-        ]
-        if seed is not None:
-            scope_set = {int(s) for s in scope_ids}
-            eligible = [s for s in seed.sources() if s in scope_set]
-            missed = 0
-            pos_of = {int(s): i for i, s in enumerate(scope_ids)}
-            for s in eligible:
-                row = pos_of[s]
-                retrieved = set(cands.cand_ids[row].tolist())
-                if not retrieved & set(seed.entries[s]):
-                    missed += 1
-            report.append(("dict_sources_in_scope", len(eligible)))
-            report.append(("gold_missed", missed))
-            if eligible:
-                report.append(("gold_missed_rate", f"{missed / len(eligible):.6f}"))
-        _write_kv(out / "retrieval_report.txt", report)
+        with runlog.stage("report"):
+            skew_k = min(10, opts.top_k)
+            n_k = np.bincount(cands.cand_ids[:, :skew_k].ravel(), minlength=len(tgt))
+            report: list[tuple[str, object]] = [
+                ("n_src", len(queries)),
+                ("n_tgt", len(tgt)),
+                ("metric", opts.metric),
+                ("k_csls", opts.k_csls),
+                ("top_k", opts.top_k),
+                ("hubness_skew_k", skew_k),
+                ("hubness_skew", f"{retrieval.skewness(n_k.astype(np.float64)):.6f}"),
+                ("src_zero_rows", src.zero_row_count),
+                ("tgt_zero_rows", tgt.zero_row_count),
+                ("src_duplicates", src.duplicate_count),
+                ("tgt_duplicates", tgt.duplicate_count),
+            ]
+            if seed is not None:
+                scope_set = {int(s) for s in scope_ids}
+                eligible = [s for s in seed.sources() if s in scope_set]
+                missed = 0
+                pos_of = {int(s): i for i, s in enumerate(scope_ids)}
+                for s in eligible:
+                    row = pos_of[s]
+                    retrieved = set(cands.cand_ids[row].tolist())
+                    if not retrieved & set(seed.entries[s]):
+                        missed += 1
+                report.append(("dict_sources_in_scope", len(eligible)))
+                report.append(("gold_missed", missed))
+                if eligible:
+                    report.append(("gold_missed_rate", f"{missed / len(eligible):.6f}"))
+            _write_kv(out / "retrieval_report.txt", report)
         runlog.note("n_src", len(queries))
     return 0
 
@@ -386,35 +431,29 @@ def cmd_retrieve(opts: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- mine
 
 MINE_SCHEMA = {
-    "out_dir": (str, None),
-    "src_emb": (str, None),
-    "tgt_emb": (str, None),
-    "candidates": (str, None),
-    "dict": (str, None),
-    "n_neg": (int, 20),
-    "max_vocab": (int, None),
+    "out_dir": OUT_DIR,
+    "src_emb": INPUT,
+    "tgt_emb": INPUT,
+    "candidates": INPUT,
+    "dict": INPUT,
+    "n_neg": Option(int, 20, minimum=0),
+    "max_vocab": Option(int),
 }
 
 
-def cmd_mine(opts: argparse.Namespace) -> int:
-    errors = []
-    if opts.out_dir is None:
-        errors.append("missing required option: --out-dir")
-    _require_paths(opts, ["src_emb", "tgt_emb", "candidates", "dict"], errors)
-    if opts.n_neg < 0:
-        errors.append(f"--n-neg must be >= 0, got {opts.n_neg}")
-    if errors:
-        raise ConfigError(errors)
-    out = Path(opts.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_mine(opts: argparse.Namespace, errors: list[str]) -> int:
+    out = _output_dir(opts, errors)
     with _RunLog(out, "mine") as runlog:
         with runlog.stage("load", vectors_parsed=0) as counts:
             src_vocab, tgt_vocab = _load_vocabularies(opts)
             cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
             dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
             counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
-        pairs = retrieval.mine_hard_negatives(dic, cands, n_neg=opts.n_neg)
-        retrieval.write_labeled_pairs(pairs, src_vocab, tgt_vocab, out / "hard_negatives.tsv")
+        with runlog.stage("mine") as counts:
+            pairs = retrieval.mine_hard_negatives(dic, cands, n_neg=opts.n_neg)
+            counts["rows"] = len(pairs)
+        with runlog.stage("write"):
+            retrieval.write_labeled_pairs(pairs, src_vocab, tgt_vocab, out / "hard_negatives.tsv")
         runlog.note("rows", len(pairs))
     return 0
 
@@ -422,33 +461,33 @@ def cmd_mine(opts: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- train
 
 TRAIN_SCHEMA = {
-    "out_dir": (str, None),
-    "src_emb": (str, None),
-    "tgt_emb": (str, None),
-    "candidates": (str, None),
-    "dict_train": (str, None),
-    "freq_src": (str, None),
-    "freq_tgt": (str, None),
-    "pos_src": (str, None),
-    "pos_tgt": (str, None),
-    "ext_scores": (str, None),
-    "mode": (str, "supervised"),
-    "n_aug": (int, 4000),
-    "k_csls": (int, 10),
-    "top_k": (int, 50),
-    "n_trees": (int, 200),
-    "max_depth": (int, 3),
-    "learning_rate": (float, 0.1),
-    "min_child_weight": (float, 1.0),
-    "l2_leaf_reg": (float, 1.0),
-    "sigma": (float, 1.0),
-    "seed": (int, 0),
-    "no_pos": (_as_bool, False),
-    "no_freq": (_as_bool, False),
-    "mix_search": (_as_bool, False),
-    "dump_features": (_as_bool, False),
-    "max_vocab": (int, None),
-    "threads": (int, None),
+    "out_dir": OUT_DIR,
+    "src_emb": INPUT,
+    "tgt_emb": INPUT,
+    "candidates": INPUT,
+    "dict_train": INPUT,
+    "freq_src": INPUT,
+    "freq_tgt": INPUT,
+    "pos_src": INPUT,
+    "pos_tgt": INPUT,
+    "ext_scores": OPTIONAL_INPUT,
+    "mode": Option(str, "supervised", choices=("supervised", "semi")),
+    "n_aug": Option(int, 4000),
+    "k_csls": Option(int, 10),
+    "top_k": Option(int, 50),
+    "n_trees": Option(int, 200),
+    "max_depth": Option(int, 3),
+    "learning_rate": Option(float, 0.1),
+    "min_child_weight": Option(float, 1.0),
+    "l2_leaf_reg": Option(float, 1.0),
+    "sigma": Option(float, 1.0),
+    "seed": Option(int, 0),
+    "no_pos": Option(_as_bool, False),
+    "no_freq": Option(_as_bool, False),
+    "mix_search": Option(_as_bool, False),
+    "dump_features": Option(_as_bool, False),
+    "max_vocab": Option(int),
+    "threads": Option(int),
 }
 
 
@@ -475,18 +514,7 @@ def _extend_candidates(cands, missing: list[int], src, tgt, params, threads):
     return retrieval.CandidateSet.from_arrays(src_ids, cand_ids, scores)
 
 
-def cmd_train(opts: argparse.Namespace) -> int:
-    errors = []
-    if opts.out_dir is None:
-        errors.append("missing required option: --out-dir")
-    _require_paths(
-        opts,
-        ["src_emb", "tgt_emb", "candidates", "dict_train", "freq_src", "freq_tgt", "pos_src", "pos_tgt"],
-        errors,
-        optional=["ext_scores"],
-    )
-    if opts.mode not in ("supervised", "semi"):
-        errors.append(f"--mode must be supervised or semi, got {opts.mode!r}")
+def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
     if opts.mode == "semi" and opts.n_aug < 0:
         errors.append(f"--n-aug must be >= 0 in semi mode, got {opts.n_aug}")
     gparams = ltr.GbdtParams(
@@ -496,17 +524,13 @@ def cmd_train(opts: argparse.Namespace) -> int:
         min_child_weight=opts.min_child_weight,
         l2_leaf_reg=opts.l2_leaf_reg,
         sigma=opts.sigma,
-        seed=opts.seed,
     )
     try:
         gparams.validate()
     except ValueError as e:
         errors.append(str(e))
     threads = _resolve_threads(opts, errors)
-    if errors:
-        raise ConfigError(errors)
-    out = Path(opts.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(opts, errors)
     with _RunLog(out, "train") as runlog:
         need_vectors = opts.mode == "semi" and opts.n_aug > 0
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
@@ -517,11 +541,7 @@ def cmd_train(opts: argparse.Namespace) -> int:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
             dic = corpus.load_dictionary(opts.dict_train, src_vocab, tgt_vocab)
             cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
-            freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
-            freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
-            pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
-            pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
-            ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+            freq_src, freq_tgt, pos_src, pos_tgt, ext = _load_side_tables(opts, src_vocab, tgt_vocab)
             counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
         params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
 
@@ -590,50 +610,34 @@ def _search_mix(groups, gparams, schema, seed: int) -> float:
 # ---------------------------------------------------------------- eval
 
 EVAL_SCHEMA = {
-    "out_dir": (str, None),
-    "src_emb": (str, None),
-    "tgt_emb": (str, None),
-    "model": (str, None),
-    "candidates": (str, None),
-    "dict_test": (str, None),
-    "freq_src": (str, None),
-    "freq_tgt": (str, None),
-    "pos_src": (str, None),
-    "pos_tgt": (str, None),
-    "ext_scores": (str, None),
-    "mix": (float, None),
-    "errors_only": (_as_bool, False),
-    "max_vocab": (int, None),
+    "out_dir": OUT_DIR,
+    "src_emb": INPUT,
+    "tgt_emb": INPUT,
+    "model": INPUT,
+    "candidates": INPUT,
+    "dict_test": INPUT,
+    "freq_src": INPUT,
+    "freq_tgt": INPUT,
+    "pos_src": INPUT,
+    "pos_tgt": INPUT,
+    "ext_scores": OPTIONAL_INPUT,
+    "mix": Option(float, const=0.5),
+    "errors_only": Option(_as_bool, False),
+    "max_vocab": Option(int),
 }
 
 
-def cmd_eval(opts: argparse.Namespace) -> int:
-    errors = []
-    if opts.out_dir is None:
-        errors.append("missing required option: --out-dir")
-    _require_paths(
-        opts,
-        ["src_emb", "tgt_emb", "model", "candidates", "dict_test", "freq_src", "freq_tgt", "pos_src", "pos_tgt"],
-        errors,
-        optional=["ext_scores"],
-    )
+def cmd_eval(opts: argparse.Namespace, errors: list[str]) -> int:
     if opts.mix is not None and not 0.0 <= opts.mix <= 1.0:
         errors.append(f"--mix must be in [0, 1], got {opts.mix}")
-    if errors:
-        raise ConfigError(errors)
-    out = Path(opts.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(opts, errors)
     with _RunLog(out, "eval") as runlog:
         with runlog.stage("load", vectors_parsed=0) as counts:
             src_vocab, tgt_vocab = _load_vocabularies(opts)
             model = ltr.load_model(opts.model)
             dic = corpus.load_dictionary(opts.dict_test, src_vocab, tgt_vocab)
             cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
-            freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
-            freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
-            pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
-            pos_tgt = corpus.load_pos_table(opts.pos_tgt, tgt_vocab)
-            ext = features.load_external_scores(opts.ext_scores) if opts.ext_scores else None
+            freq_src, freq_tgt, pos_src, pos_tgt, ext = _load_side_tables(opts, src_vocab, tgt_vocab)
             counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
 
         with runlog.stage("featurize") as counts:
@@ -672,21 +676,21 @@ def cmd_eval(opts: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- analyze
 
 ANALYZE_SCHEMA = {
-    "out_dir": (str, None),
-    "src_emb": (str, None),
-    "tgt_emb": (str, None),
-    "dict": (str, None),
-    "freq_src": (str, None),
-    "freq_tgt": (str, None),
-    "pos_src": (str, None),
-    "seed_dict": (str, None),
-    "words": (str, None),
-    "pair_label": (str, "src-tgt"),
-    "min_n": (int, 10),
-    "k_csls": (int, 10),
-    "top_k": (int, 50),
-    "max_vocab": (int, None),
-    "threads": (int, None),
+    "out_dir": OUT_DIR,
+    "src_emb": INPUT,
+    "tgt_emb": INPUT,
+    "dict": INPUT,
+    "freq_src": INPUT,
+    "freq_tgt": INPUT,
+    "pos_src": INPUT,
+    "seed_dict": OPTIONAL_INPUT,
+    "words": OPTIONAL_INPUT,
+    "pair_label": Option(str, "src-tgt"),
+    "min_n": Option(int, 10),
+    "k_csls": Option(int, 10),
+    "top_k": Option(int, 50),
+    "max_vocab": Option(int),
+    "threads": Option(int),
 }
 
 
@@ -695,21 +699,9 @@ def _safe_name(word: str) -> str:
     return cleaned or "word"
 
 
-def cmd_analyze(opts: argparse.Namespace) -> int:
-    errors = []
-    if opts.out_dir is None:
-        errors.append("missing required option: --out-dir")
-    _require_paths(
-        opts,
-        ["src_emb", "tgt_emb", "dict", "freq_src", "freq_tgt", "pos_src"],
-        errors,
-        optional=["seed_dict", "words"],
-    )
+def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
     threads = _resolve_threads(opts, errors)
-    if errors:
-        raise ConfigError(errors)
-    out = Path(opts.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(opts, errors)
     with _RunLog(out, "analyze") as runlog:
         need_vectors = opts.words is not None
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
@@ -719,154 +711,71 @@ def cmd_analyze(opts: argparse.Namespace) -> int:
             else:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
             dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
-            freq_src = corpus.load_frequency_table(opts.freq_src, src_vocab)
-            freq_tgt = corpus.load_frequency_table(opts.freq_tgt, tgt_vocab)
-            pos_src = corpus.load_pos_table(opts.pos_src, src_vocab)
+            freq_src, freq_tgt, pos_src, _, _ = _load_side_tables(opts, src_vocab, tgt_vocab)
             counts["vector_rows"] = len(src_vocab) + len(tgt_vocab)
 
-        grid = evaluation.pos_freq_correlation(dic, freq_src, freq_tgt, pos_src, min_n=opts.min_n)
-        evaluation.write_correlation_grid(grid, opts.pair_label, out / "pos_correlation.tsv")
+        with runlog.stage("grid"):
+            grid = evaluation.pos_freq_correlation(dic, freq_src, freq_tgt, pos_src, min_n=opts.min_n)
+            evaluation.write_correlation_grid(grid, opts.pair_label, out / "pos_correlation.tsv")
 
         if need_vectors:
-            src_aligned, _ = _aligned_source(src, tgt, opts.seed_dict)
-            word_ids = _read_word_list(opts.words, src.vocab)
-            params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
-            queries = _subset_space(src_aligned, word_ids)
-            cands, _ = retrieval.retrieve_topk(queries, tgt, params, n_threads=threads)
-            for row, s in enumerate(word_ids):
-                word = src.vocab.word(s)
-                if s not in dic.entries:
-                    log.warning("analyze: %r has no gold entry, skipping PCA export", word)
-                    continue
-                gold = dic.entries[s][0]
-                vectors = np.vstack([
-                    src_aligned.matrix[s],
-                    tgt.matrix[gold],
-                    tgt.matrix[cands.cand_ids[row]],
-                ])
-                coords = evaluation.pca_project(vectors)
-                rows = [(word, "source", coords[0, 0], coords[0, 1]),
-                        (tgt.vocab.word(gold), "gold", coords[1, 0], coords[1, 1])]
-                rows += [
-                    (tgt.vocab.word(int(c)), "candidate", coords[2 + i, 0], coords[2 + i, 1])
-                    for i, c in enumerate(cands.cand_ids[row])
-                ]
-                evaluation.write_pca_coordinates(rows, out / f"pca_{_safe_name(word)}.tsv")
+            with runlog.stage("pca") as counts:
+                src_aligned, _ = _aligned_source(src, tgt, opts.seed_dict)
+                word_ids = _read_word_list(opts.words, src.vocab)
+                counts["words"] = len(word_ids)
+                params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
+                queries = _subset_space(src_aligned, word_ids)
+                cands, _ = retrieval.retrieve_topk(queries, tgt, params, n_threads=threads)
+                for row, s in enumerate(word_ids):
+                    word = src.vocab.word(s)
+                    if s not in dic.entries:
+                        log.warning("analyze: %r has no gold entry, skipping PCA export", word)
+                        continue
+                    gold = dic.entries[s][0]
+                    vectors = np.vstack([
+                        src_aligned.matrix[s],
+                        tgt.matrix[gold],
+                        tgt.matrix[cands.cand_ids[row]],
+                    ])
+                    coords = evaluation.pca_project(vectors)
+                    rows = [(word, "source", coords[0, 0], coords[0, 1]),
+                            (tgt.vocab.word(gold), "gold", coords[1, 0], coords[1, 1])]
+                    rows += [
+                        (tgt.vocab.word(int(c)), "candidate", coords[2 + i, 0], coords[2 + i, 1])
+                        for i, c in enumerate(cands.cand_ids[row])
+                    ]
+                    evaluation.write_pca_coordinates(rows, out / f"pca_{_safe_name(word)}.tsv")
     return 0
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file; flags win")
-    p.add_argument("--out-dir", dest="out_dir")
+# name, help text, options, function
+COMMANDS = (
+    ("synth", "generate a synthetic bilingual world", SYNTH_SCHEMA, cmd_synth),
+    ("retrieve", "align and retrieve top-k candidates", RETRIEVE_SCHEMA, cmd_retrieve),
+    ("mine", "export hard-negative training pairs", MINE_SCHEMA, cmd_mine),
+    ("train", "train the lexical-feature boosted ranker", TRAIN_SCHEMA, cmd_train),
+    ("eval", "rank test groups and report accuracy", EVAL_SCHEMA, cmd_eval),
+    ("analyze", "correlation grid and PCA coordinate export", ANALYZE_SCHEMA, cmd_analyze),
+)
+# one config file may serve every command, so a key is known if any command declares it
+CONFIG_KEYS = frozenset(key for _, _, schema, _ in COMMANDS for key in schema)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bilex", description="Bilingual lexicon induction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic bilingual world")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--hub-count", dest="hub_count", type=int)
-    p.add_argument("--zipf-exponent", dest="zipf_exponent", type=float)
-    p.add_argument("--pos-match-prob", dest="pos_match_prob", type=float)
-    p.add_argument("--rank-jitter", dest="rank_jitter", type=float)
-    p.add_argument("--mean-offset", dest="mean_offset", type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(schema=SYNTH_SCHEMA, func=cmd_synth)
-
-    p = sub.add_parser("retrieve", help="align and retrieve top-k candidates")
-    _add_common(p)
-    p.add_argument("--src-emb", dest="src_emb")
-    p.add_argument("--tgt-emb", dest="tgt_emb")
-    p.add_argument("--seed-dict", dest="seed_dict")
-    p.add_argument("--source-words", dest="source_words")
-    p.add_argument("--metric", choices=["csls", "cosine"])
-    p.add_argument("--k-csls", dest="k_csls", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--max-vocab", dest="max_vocab", type=int)
-    p.add_argument("--threads", type=int)
-    p.set_defaults(schema=RETRIEVE_SCHEMA, func=cmd_retrieve)
-
-    p = sub.add_parser("mine", help="export hard-negative training pairs")
-    _add_common(p)
-    p.add_argument("--src-emb", dest="src_emb")
-    p.add_argument("--tgt-emb", dest="tgt_emb")
-    p.add_argument("--candidates")
-    p.add_argument("--dict")
-    p.add_argument("--n-neg", dest="n_neg", type=int)
-    p.add_argument("--max-vocab", dest="max_vocab", type=int)
-    p.set_defaults(schema=MINE_SCHEMA, func=cmd_mine)
-
-    p = sub.add_parser("train", help="train the lexical-feature boosted ranker")
-    _add_common(p)
-    p.add_argument("--src-emb", dest="src_emb")
-    p.add_argument("--tgt-emb", dest="tgt_emb")
-    p.add_argument("--candidates")
-    p.add_argument("--dict-train", dest="dict_train")
-    p.add_argument("--freq-src", dest="freq_src")
-    p.add_argument("--freq-tgt", dest="freq_tgt")
-    p.add_argument("--pos-src", dest="pos_src")
-    p.add_argument("--pos-tgt", dest="pos_tgt")
-    p.add_argument("--ext-scores", dest="ext_scores")
-    p.add_argument("--mode", choices=["supervised", "semi"])
-    p.add_argument("--n-aug", dest="n_aug", type=int)
-    p.add_argument("--k-csls", dest="k_csls", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--n-trees", dest="n_trees", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--min-child-weight", dest="min_child_weight", type=float)
-    p.add_argument("--l2-leaf-reg", dest="l2_leaf_reg", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--no-pos", dest="no_pos", action="store_true", default=None)
-    p.add_argument("--no-freq", dest="no_freq", action="store_true", default=None)
-    p.add_argument("--mix-search", dest="mix_search", action="store_true", default=None)
-    p.add_argument("--dump-features", dest="dump_features", action="store_true", default=None)
-    p.add_argument("--max-vocab", dest="max_vocab", type=int)
-    p.add_argument("--threads", type=int)
-    p.set_defaults(schema=TRAIN_SCHEMA, func=cmd_train)
-
-    p = sub.add_parser("eval", help="rank test groups and report accuracy")
-    _add_common(p)
-    p.add_argument("--src-emb", dest="src_emb")
-    p.add_argument("--tgt-emb", dest="tgt_emb")
-    p.add_argument("--model")
-    p.add_argument("--candidates")
-    p.add_argument("--dict-test", dest="dict_test")
-    p.add_argument("--freq-src", dest="freq_src")
-    p.add_argument("--freq-tgt", dest="freq_tgt")
-    p.add_argument("--pos-src", dest="pos_src")
-    p.add_argument("--pos-tgt", dest="pos_tgt")
-    p.add_argument("--ext-scores", dest="ext_scores")
-    p.add_argument("--mix", type=float, nargs="?", const=0.5)
-    p.add_argument("--errors-only", dest="errors_only", action="store_true", default=None)
-    p.add_argument("--max-vocab", dest="max_vocab", type=int)
-    p.set_defaults(schema=EVAL_SCHEMA, func=cmd_eval)
-
-    p = sub.add_parser("analyze", help="correlation grid and PCA coordinate export")
-    _add_common(p)
-    p.add_argument("--src-emb", dest="src_emb")
-    p.add_argument("--tgt-emb", dest="tgt_emb")
-    p.add_argument("--dict")
-    p.add_argument("--freq-src", dest="freq_src")
-    p.add_argument("--freq-tgt", dest="freq_tgt")
-    p.add_argument("--pos-src", dest="pos_src")
-    p.add_argument("--seed-dict", dest="seed_dict")
-    p.add_argument("--words")
-    p.add_argument("--pair-label", dest="pair_label")
-    p.add_argument("--min-n", dest="min_n", type=int)
-    p.add_argument("--k-csls", dest="k_csls", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--max-vocab", dest="max_vocab", type=int)
-    p.add_argument("--threads", type=int)
-    p.set_defaults(schema=ANALYZE_SCHEMA, func=cmd_analyze)
+    for name, help_text, schema, func in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file; flags win")
+        for key, opt in schema.items():
+            if opt.conv is _as_bool:
+                p.add_argument(_flag(key), action="store_true", default=None)
+            else:
+                nargs = None if opt.const is None else "?"
+                p.add_argument(_flag(key), type=opt.conv, choices=opt.choices or None, nargs=nargs, const=opt.const)
+        p.set_defaults(schema=schema, func=func)
     return parser
 
 
@@ -875,8 +784,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = resolve_options(args, args.schema)
-        return args.func(opts)
+        opts, errors = resolve_options(args, args.schema)
+        return args.func(opts, errors)
     except Exception as e:
         failure = _failure(e)
         if failure is None:

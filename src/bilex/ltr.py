@@ -37,7 +37,6 @@ class GbdtParams:
     min_child_weight: float = 1.0
     l2_leaf_reg: float = 1.0
     sigma: float = 1.0
-    seed: int = 0
 
     def validate(self) -> None:
         if self.n_trees < 1:
@@ -500,7 +499,6 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
             "min_child_weight": model.params.min_child_weight,
             "l2_leaf_reg": model.params.l2_leaf_reg,
             "sigma": model.params.sigma,
-            "seed": model.params.seed,
         },
         "schema": {
             "names": list(model.schema.names),
@@ -552,7 +550,10 @@ def load_model(path: str | Path) -> GbdtModel:
     if doc.get("version") != MODEL_VERSION:
         raise DataFormatError(f"{path}: unsupported model version {doc.get('version')!r}, expected {MODEL_VERSION}")
     try:
-        params = GbdtParams(**doc["params"])
+        # v1 files written before the unused seed field was dropped carry it; it is ignored
+        fields = {**doc["params"]}
+        fields.pop("seed", None)
+        params = GbdtParams(**fields)
         schema = FeatureSchema(names=tuple(doc["schema"]["names"]), disabled=tuple(doc["schema"]["disabled"]))
         trees = [
             RegressionTree(

@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from bilex import corpus
-from bilex.cli import main
+from bilex.cli import COMMANDS, _as_bool, build_parser, main, resolve_options
 
 
 def run(*argv):
@@ -96,6 +97,11 @@ class TestSynth:
         assert run("synth", "--out-dir", tmp_path, "--n", 1) == 2
         assert "vocab_n" in capsys.readouterr().err
 
+    def test_world_meta_records_mean_offset(self, world_dir, tmp_path):
+        assert kv(world_dir / "world.meta")["mean_offset"] == "0.0"
+        assert run("synth", "--out-dir", tmp_path, "--n", 40, "--dim", 8, "--mean-offset", "0.75") == 0
+        assert kv(tmp_path / "world.meta")["mean_offset"] == "0.75"
+
 
 class TestRetrieve:
     def test_candidate_rows_per_source(self, world_dir, retrieved_dir):
@@ -115,6 +121,18 @@ class TestRetrieve:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--src-emb" in err and "--tgt-emb" in err
+
+    def test_optional_input_must_be_a_file(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(
+            "retrieve", "--out-dir", out,
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--seed-dict", tmp_path,
+        )
+        assert rc == 2
+        assert f"--seed-dict: no such file: {tmp_path}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_errors_reported_at_once(self, tmp_path, capsys):
         rc = run("retrieve", "--out-dir", tmp_path, "--metric", "csls", "--k-csls", 0)
@@ -445,6 +463,115 @@ class TestConfigFile:
         assert run("synth", "--config", cfg, "--out-dir", out2, "--n", 60) == 0
         assert kv(out2 / "world.meta")["vocab_n"] == "60"
 
+    def test_unknown_key_refused_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 40\nnoise_sigmaa = 0.5\n")
+        out = tmp_path / "out"
+        assert run("synth", "--config", cfg, "--out-dir", out) == 2
+        assert f"{cfg}: line 2: unknown key 'noise_sigmaa'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_of_another_command_allowed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 40\ndim = 8\ntop-k = 5\nmetric = cosine\n")
+        assert run("synth", "--config", cfg, "--out-dir", tmp_path / "out") == 0
+        assert kv(tmp_path / "out" / "world.meta")["vocab_n"] == "40"
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("retrieve", "metric = dot", "--metric must be csls or cosine, got 'dot'"),
+        ("train", "mode = both", "--mode must be supervised or semi, got 'both'"),
+        ("retrieve", "k_csls = 0", "--k-csls must be >= 1, got 0"),
+    ])
+    def test_bad_value_in_config_file_names_flag(self, world_dir, retrieved_dir, tmp_path, capsys, command, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        if command == "train":
+            args = train_args(world_dir, retrieved_dir, out)
+        else:
+            args = ["retrieve", "--out-dir", out,
+                    "--src-emb", world_dir / "embeddings.src.vec", "--tgt-emb", world_dir / "embeddings.tgt.vec"]
+        assert run(*args, "--config", cfg) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+# every flag each command accepts, written out so that an edit to the option
+# tables cannot drop or rename one unnoticed
+COMMAND_FLAGS = {
+    "synth": [
+        "--config", "--out-dir", "--n", "--dim", "--noise-sigma", "--hub-count", "--zipf-exponent",
+        "--pos-match-prob", "--rank-jitter", "--mean-offset", "--test-fraction", "--seed",
+    ],
+    "retrieve": [
+        "--config", "--out-dir", "--src-emb", "--tgt-emb", "--seed-dict", "--source-words", "--metric",
+        "--k-csls", "--top-k", "--max-vocab", "--threads",
+    ],
+    "mine": ["--config", "--out-dir", "--src-emb", "--tgt-emb", "--candidates", "--dict", "--n-neg", "--max-vocab"],
+    "train": [
+        "--config", "--out-dir", "--src-emb", "--tgt-emb", "--candidates", "--dict-train", "--freq-src",
+        "--freq-tgt", "--pos-src", "--pos-tgt", "--ext-scores", "--mode", "--n-aug", "--k-csls", "--top-k",
+        "--n-trees", "--max-depth", "--learning-rate", "--min-child-weight", "--l2-leaf-reg", "--sigma",
+        "--seed", "--no-pos", "--no-freq", "--mix-search", "--dump-features", "--max-vocab", "--threads",
+    ],
+    "eval": [
+        "--config", "--out-dir", "--src-emb", "--tgt-emb", "--model", "--candidates", "--dict-test",
+        "--freq-src", "--freq-tgt", "--pos-src", "--pos-tgt", "--ext-scores", "--mix", "--errors-only",
+        "--max-vocab",
+    ],
+    "analyze": [
+        "--config", "--out-dir", "--src-emb", "--tgt-emb", "--dict", "--freq-src", "--freq-tgt", "--pos-src",
+        "--seed-dict", "--words", "--pair-label", "--min-n", "--k-csls", "--top-k", "--max-vocab", "--threads",
+    ],
+}
+
+
+def non_default_value(key, opt, tmp_path):
+    """A config-file spelling of a valid value other than the option's default."""
+    if opt.is_file:
+        path = tmp_path / "input.txt"
+        path.write_text("x\n")
+        return str(path)
+    if key == "out_dir":
+        return str(tmp_path / "out")
+    if opt.choices:
+        return next(c for c in opt.choices if c != opt.default)
+    if opt.conv is int:
+        return str((opt.default or 0) + 3)
+    if opt.conv is float:
+        return "0.25"
+    return "aa-bb"
+
+
+class TestOptionTables:
+    def test_each_command_accepts_exactly_its_flags(self, capsys):
+        assert [name for name, *_ in COMMANDS] == list(COMMAND_FLAGS)
+        for name, flags in COMMAND_FLAGS.items():
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+            assert shown == {"--help", *flags}, name
+
+    def test_flag_and_config_file_resolve_alike(self, tmp_path):
+        parser = build_parser()
+        cfg = tmp_path / "run.cfg"
+        for name, _, schema, _ in COMMANDS:
+            for key, opt in schema.items():
+                flag = "--" + key.replace("_", "-")
+                if opt.conv is _as_bool:
+                    cases = [([flag], "true")]
+                else:
+                    raw = non_default_value(key, opt, tmp_path)
+                    cases = [([flag, raw], raw)]
+                    if opt.const is not None:
+                        cases.append(([flag], repr(opt.const)))
+                for flag_args, raw in cases:
+                    cfg.write_text(f"{key} = {raw}\n")
+                    by_flag = resolve_options(parser.parse_args([name, *flag_args]), schema)
+                    by_file = resolve_options(parser.parse_args([name, "--config", str(cfg)]), schema)
+                    assert by_flag == by_file, (name, key, raw)
+                    assert getattr(by_flag[0], key) != opt.default, (name, key)
+
 
 def analyze_args(world_dir, out, *extra):
     return [
@@ -573,6 +700,43 @@ class TestRunLogStages:
         assert set(stage_fields(log, "report")) == timing
         stages = [key for key in log if key.startswith("stage.")]
         assert stages == ["stage.load", "stage.featurize", "stage.predict", "stage.report"]
+
+    def test_retrieve_mine_analyze_stage_lines(self, world_dir, retrieved_dir, tmp_path):
+        timing = {"wall_s", "cpu_s", "peak_rss_mb"}
+        log = kv(retrieved_dir / "run.log")
+        stages = [key for key in log if key.startswith("stage.")]
+        assert stages == ["stage.load", "stage.align", "stage.retrieve", "stage.write", "stage.report"]
+        retrieve = stage_fields(log, "retrieve")
+        assert set(retrieve) == timing | {"queries", "top_k"}
+        assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
+        for name in ("align", "write", "report"):
+            assert set(stage_fields(log, name)) == timing
+
+        assert run(
+            "mine", "--out-dir", tmp_path / "mine",
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--candidates", retrieved_dir / "candidates.tsv",
+            "--dict", world_dir / "dict.train.tsv",
+        ) == 0
+        log = kv(tmp_path / "mine" / "run.log")
+        assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.mine", "stage.write"]
+        mine = stage_fields(log, "mine")
+        assert set(mine) == timing | {"rows"}
+        assert mine["rows"] == str(len((tmp_path / "mine" / "hard_negatives.tsv").read_text().splitlines()))
+        assert set(stage_fields(log, "write")) == timing
+
+        words = tmp_path / "words.txt"
+        words.write_text("s00003\ns00007\n")
+        assert run(*analyze_args(world_dir, tmp_path / "pca", "--words", words, "--top-k", 5, "--k-csls", 3)) == 0
+        log = kv(tmp_path / "pca" / "run.log")
+        assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.grid", "stage.pca"]
+        assert set(stage_fields(log, "grid")) == timing
+        pca = stage_fields(log, "pca")
+        assert set(pca) == timing | {"words"} and pca["words"] == "2"
+        assert run(*analyze_args(world_dir, tmp_path / "grid")) == 0
+        log = kv(tmp_path / "grid" / "run.log")
+        assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.grid"]
 
 
 class TestFailedRunLog:

@@ -387,6 +387,22 @@ class TestPredictAndPersistence:
         X = rng.standard_normal((1000, N_FEATURES))
         np.testing.assert_array_equal(predict(model, X), predict(back, X))
 
+    def test_file_with_seed_param_still_loads(self, tmp_path, rng):
+        import json
+
+        groups = separable_groups(rng, n_groups=10)
+        model, _ = train(groups, GbdtParams(n_trees=8, max_depth=3))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "seed" not in doc["params"]
+        doc["params"]["seed"] = 7  # as written by versions that stored the unused seed
+        path.write_text(json.dumps(doc, indent=1))
+        back = load_model(path)
+        assert back.params == model.params
+        X = rng.standard_normal((1000, N_FEATURES))
+        np.testing.assert_array_equal(predict(model, X), predict(back, X))
+
     def test_truncated_file_names_offset(self, tmp_path, rng):
         groups = separable_groups(rng, n_groups=4)
         model, _ = train(groups, GbdtParams(n_trees=2))

@@ -180,6 +180,17 @@ def _failure(exc: BaseException) -> tuple[int, str] | None:
     return None
 
 
+class _WarningCounter(logging.Handler):
+    """Counts the WARNING-and-above records of the bilex loggers."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.count += 1
+
+
 class _RunLog:
     """Timing sidecar; the only output file that may differ between runs.
 
@@ -193,8 +204,11 @@ class _RunLog:
         self.t0 = time.perf_counter()
         self.lines: list[str] = [f"command\t{command}", f"started\t{datetime.datetime.now().isoformat()}"]
         self.note("numpy", np.__version__)
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        self.note("blas", f"{blas.get('name')} {blas.get('version')}")
         for var in LOGGED_ENV:
             self.note(var, os.environ.get(var, "unset"))
+        self.warnings = _WarningCounter()
 
     def note(self, key: str, value) -> None:
         self.lines.append(f"{key}\t{value}")
@@ -216,10 +230,13 @@ class _RunLog:
         self.note(f"stage.{name}", " ".join(fields))
 
     def __enter__(self) -> _RunLog:
+        logging.getLogger("bilex").addHandler(self.warnings)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        logging.getLogger("bilex").removeHandler(self.warnings)
         self.lines.append(f"elapsed_s\t{time.perf_counter() - self.t0:.3f}")
+        self.note("warnings", self.warnings.count)
         if exc is None:
             self.note("exit_code", 0)
         else:
@@ -572,7 +589,12 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             with runlog.stage("mix_search"):
                 meta["recommended_mix"] = _search_mix(groups, gparams, schema, opts.seed)
 
-        with runlog.stage("fit", trees=gparams.n_trees, rows=n_rows):
+        positives = [int(grp.labels.sum()) for grp in groups]
+        trainable = [p for p, grp in zip(positives, groups) if 0 < p < len(grp)]
+        with runlog.stage(
+            "fit", trees=gparams.n_trees, rows=n_rows,
+            trainable_groups=len(trainable), multi_positive_groups=sum(p > 1 for p in trainable),
+        ):
             model, trace = ltr.train(groups, gparams, schema)
         model.meta.update(meta)
         with runlog.stage("write"):

@@ -1,12 +1,14 @@
 """Listwise gradient-boosted tree ranker optimizing mean average precision.
 
 Pairwise logistic gradients are weighted by the exact AP change of swapping
-the pair in the current ranking; trees are grown with second-order (Newton)
-leaf values by an exact histogram split search: each column is binned once
-per training by its distinct values, and every node builds its gradient and
-hessian histograms directly from its own rows, so every distinct-value cut
-is scored. Each round is a few whole-array passes: one histogram build per
-node, one stacked tree prediction, one bucketed MAP trace. Everything is
+the pair in the current ranking; one routine, compute_lambdas, computes them
+for a batch of equal-length groups with any number of positives. Trees are
+grown with second-order (Newton) leaf values by an exact histogram split
+search: each column is binned once per training by its distinct values, and
+every node builds its gradient and hessian histograms directly from its own
+rows, so every distinct-value cut is scored. Each round is a few whole-array
+passes: one lambda batch per group length, one histogram build per node, one
+stacked tree prediction, one bucketed MAP trace. Everything is
 deterministic: stable sorts, fixed reduction orders, ties to the lowest
 feature index / candidate position.
 """
@@ -141,9 +143,9 @@ def mean_ap(groups: list[RankingGroup], scores: list[np.ndarray]) -> float:
 
 
 def _ap_prefixes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative positives and cumulative y_k/k over 1-based rank positions."""
-    ks = np.arange(1, y.size + 1, dtype=np.float64)
-    return np.cumsum(y).astype(np.float64), np.cumsum(y / ks)
+    """Cumulative positives and cumulative y_k/k over 1-based rank positions, along the last axis."""
+    ks = np.arange(1, y.shape[-1] + 1, dtype=np.float64)
+    return np.cumsum(y, axis=-1).astype(np.float64), np.cumsum(y / ks, axis=-1)
 
 
 def delta_ap(labels, ranking, i: int, j: int) -> float:
@@ -180,72 +182,52 @@ def _pair_sigmoid(x: np.ndarray) -> np.ndarray:
 def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Per-candidate gradient/hessian of the AP-weighted pairwise objective.
 
-    For each (positive i, negative j) pair, rho = 1/(1+exp(sigma*(s_i-s_j)))
-    and the pair's weight is |delta AP| of swapping the two in the current
-    ranking; positives accumulate negative gradient. Gradients sum to zero by
-    construction.
+    scores and labels are one group (k,) or a batch of equal-length groups
+    (m, k) with any number of positives per row. For each (positive i,
+    negative j) pair of a row, rho = 1/(1+exp(sigma*(s_i-s_j))) and the pair's
+    weight is |delta AP| of swapping the two in the current ranking; positives
+    accumulate negative gradient. Gradients sum to zero by construction.
+
+    Pairs live in (m, P, k) arrays: each row's positives, padded to the
+    largest count P in the batch, against every candidate, with zero off the
+    pairs. A positive sums over the whole candidate axis and a negative over
+    the positive axis, so a row's result does not depend on its batch.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    n = s.size
-    g = np.zeros(n)
-    h = np.zeros(n)
-    pos = np.nonzero(y == 1)[0]
-    neg = np.nonzero(y == 0)[0]
-    if pos.size == 0 or neg.size == 0:
-        return g, h
+    if s.ndim == 1:
+        g, h = compute_lambdas(s[None, :], y[None, :], sigma)
+        return g[0], h[0]
+    row = np.arange(s.shape[0])[:, None]
+    pos = y == 1
+    n_pos = pos.sum(axis=1)
+    # each row's positive candidates first, ascending; slots past the row's count are padding
+    slots = np.argsort(~pos, axis=1, kind="stable")[:, : n_pos.max(initial=0)]
+    pair = (np.arange(slots.shape[1]) < n_pos[:, None])[:, :, None] & (y == 0)[:, None, :]
 
-    order = rank_order(s)
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[order] = np.arange(1, n + 1)
-    c, S = _ap_prefixes(y[order].astype(np.float64))
-    P = float(pos.size)
+    order = np.argsort(-s, axis=1, kind="stable")
+    rank_of = np.empty_like(order)
+    rank_of[row, order] = np.arange(1, s.shape[1] + 1)
+    c, S = _ap_prefixes(y[row, order].astype(np.float64))
 
-    ra = rank_of[pos][:, None]          # positive ranks, (P, 1)
-    rb = rank_of[neg][None, :]          # negative ranks, (1, N)
+    ra = rank_of[row, slots][:, :, None]  # positive ranks, (m, P, 1)
+    rb = rank_of[:, None, :]              # every rank, (m, 1, k)
     amin = np.minimum(ra, rb)
     amax = np.maximum(ra, rb)
     concordant = ra < rb
-    mid = S[amax - 2] - S[amin - 1]
-    w = ((c[amin - 1] + (~concordant).astype(np.float64)) / amin + mid - c[amax - 1] / amax) / P
+    r = row[:, :, None]  # amax - 2 is -1 only off the pairs
+    mid = S[r, amax - 2] - S[r, amin - 1]
+    P = np.maximum(n_pos, 1)[:, None, None]  # a row without positives has no pairs
+    w = ((c[r, amin - 1] + (~concordant).astype(np.float64)) / amin + mid - c[r, amax - 1] / amax) / P
 
-    rho = _pair_sigmoid(sigma * (s[pos][:, None] - s[neg][None, :]))
-    lam = sigma * rho * w
-    curv = sigma * sigma * rho * (1.0 - rho) * w
-    g[pos] = -lam.sum(axis=1)
-    g[neg] = lam.sum(axis=0)
-    h[pos] = curv.sum(axis=1)
-    h[neg] = curv.sum(axis=0)
-    return g, h
-
-
-def _lambdas_single_positive_batch(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    sigma: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized lambdas for groups holding exactly one positive each.
-
-    With a single positive at rank a, swapping it with a negative at rank b
-    changes AP by exactly 1/a - 1/b, so the pair weights need no prefix sums.
-    scores and labels are (n_groups, k); returns (g, h) of the same shape.
-    """
-    order = np.argsort(-scores, axis=1, kind="stable")
-    k = scores.shape[1]
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(1, k + 1), order.shape), axis=1)
-    r = ranks.astype(np.float64)
-    pos = labels == 1
-    r_pos = (r * pos).sum(axis=1, keepdims=True)
-    s_pos = (scores * pos).sum(axis=1, keepdims=True)
-    w = np.abs(1.0 / r_pos - 1.0 / r)
-    rho = _pair_sigmoid(sigma * (s_pos - scores))
-    lam = sigma * rho * w
-    curv = sigma * sigma * rho * (1.0 - rho) * w
-    lam[pos] = 0.0
-    curv[pos] = 0.0
-    g = np.where(pos, -lam.sum(axis=1, keepdims=True), lam)
-    h = np.where(pos, curv.sum(axis=1, keepdims=True), curv)
+    rho = _pair_sigmoid(sigma * (s[row, slots][:, :, None] - s[:, None, :]))
+    lam = np.where(pair, sigma * rho * w, 0.0)
+    curv = np.where(pair, sigma * sigma * rho * (1.0 - rho) * w, 0.0)
+    g = lam.sum(axis=1)
+    h = curv.sum(axis=1)
+    # a positive's column holds 0 so far, and a padding slot's sum is 0
+    g[row, slots] -= lam.sum(axis=2)
+    h[row, slots] += curv.sum(axis=2)
     return g, h
 
 
@@ -402,49 +384,30 @@ def train(
         raise ValueError("no groups to train on")
     sizes = [len(grp) for grp in groups]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    trainable = [
-        i for i, grp in enumerate(groups)
-        if 0 < int(grp.labels.sum()) < len(grp)
-    ]
-    if not trainable:
+    # trainable groups bucketed by candidate count: one lambda batch of pooled rows and labels each
+    buckets: dict[int, list[int]] = {}
+    for i, grp in enumerate(groups):
+        if 0 < int(grp.labels.sum()) < len(grp):
+            buckets.setdefault(len(grp), []).append(i)
+    if not buckets:
         raise ValueError("no trainable group: need at least one group with a positive and a negative")
+    batches = [
+        (offsets[members][:, None] + np.arange(size), np.vstack([groups[i].labels for i in members]))
+        for size, members in buckets.items()
+    ]
 
     X = np.vstack([grp.features for grp in groups])
     n = X.shape[0]
     scores = np.zeros(n, dtype=np.float64)
     bins = _BinnedColumns(X)
 
-    # groups with exactly one positive take a vectorized batch path,
-    # bucketed by candidate count; the rest use the general pair scheme
-    single = [i for i in trainable if int(groups[i].labels.sum()) == 1]
-    general = [i for i in trainable if int(groups[i].labels.sum()) != 1]
-    batches: dict[int, list[int]] = {}
-    for i in single:
-        batches.setdefault(len(groups[i]), []).append(i)
-    batch_rows = {
-        size: np.array([[offsets[i] + j for j in range(size)] for i in members])
-        for size, members in batches.items()
-    }
-    batch_labels = {
-        size: np.vstack([groups[i].labels for i in members])
-        for size, members in batches.items()
-    }
-
     trees: list[RegressionTree] = []
     trace: list[tuple[int, float]] = []
     for round_no in range(1, params.n_trees + 1):
         g = np.zeros(n)
         h = np.zeros(n)
-        for size, members in batches.items():
-            rows = batch_rows[size]
-            gg, hh = _lambdas_single_positive_batch(scores[rows], batch_labels[size], params.sigma)
-            g[rows.ravel()] = gg.ravel()
-            h[rows.ravel()] = hh.ravel()
-        for i in general:
-            lo, hi = offsets[i], offsets[i + 1]
-            gg, hh = compute_lambdas(scores[lo:hi], groups[i].labels, params.sigma)
-            g[lo:hi] = gg
-            h[lo:hi] = hh
+        for rows, labels in batches:
+            g[rows], h[rows] = compute_lambdas(scores[rows], labels, params.sigma)
         tree = fit_tree(X, g, h, params, bins)
         trees.append(tree)
         scores += params.learning_rate * tree.predict(X)
@@ -529,8 +492,9 @@ def _check_tree(tree: RegressionTree, n_features: int, where: str) -> None:
     internal = tree.feature >= 0
     if (tree.feature >= n_features).any():
         raise DataFormatError(f"{where}: feature index out of range")
-    kids = np.concatenate([tree.left[internal], tree.right[internal]])
-    if ((kids <= 0) | (kids >= n)).any():
+    # fit_tree appends children after their parent; requiring that keeps every path finite
+    kids = np.stack([tree.left[internal], tree.right[internal]])
+    if ((kids <= np.flatnonzero(internal)) | (kids >= n)).any():
         raise DataFormatError(f"{where}: child index out of range")
     if not ((tree.left[~internal] == -1) & (tree.right[~internal] == -1)).all():
         raise DataFormatError(f"{where}: leaf with children")

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import bilex
 from bilex import corpus
 from bilex.cli import COMMANDS, _as_bool, build_parser, main, resolve_options
 
@@ -336,6 +341,25 @@ class TestEval:
         assert run(*args) == 3
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_cyclic_tree_exit_3_without_hanging(self, world_dir, retrieved_dir, model_dir, tmp_path):
+        doc = json.loads((model_dir / "model.json").read_text())
+        t, node = next(
+            (t, i) for t, tree in enumerate(doc["trees"]) for i, f in enumerate(tree["feature"]) if f >= 0 and i > 0
+        )
+        doc["trees"][t]["left"][node] = node  # routes a row back to the same node forever
+        tampered = tmp_path / "cyclic.json"
+        tampered.write_text(json.dumps(doc))
+        args = eval_args(world_dir, retrieved_dir, model_dir, tmp_path / "out")
+        args[args.index("--model") + 1] = tampered
+        env = {**os.environ, "PYTHONPATH": str(Path(bilex.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilex.cli", *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert f"{tampered}: tree {t}: child index out of range" in proc.stderr
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["run.log"]
+
 
 class TestAnalyze:
     def test_grid_and_pca_exports(self, world_dir, tmp_path):
@@ -642,6 +666,24 @@ class TestVectorLoading:
         assert fields["vector_rows"] == "300" and fields["candidate_rows"] == str(150 * 10)
         assert log["numpy"]
         assert {"BILEX_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} <= set(log)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert log["blas"] == f"{blas['name']} {blas['version']}"
+        keys = list(log)
+        assert log["warnings"] == "0" and keys.index("warnings") == keys.index("exit_code") - 1
+
+    def test_run_log_counts_warnings(self, world_dir, retrieved_dir, tmp_path):
+        lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
+        count, dim = lines[0].split(" ")
+        dup = tmp_path / "dup.vec"
+        dup.write_text("\n".join([f"{int(count) + 1} {dim}", *lines[1:], lines[1]]) + "\n")
+        assert run(
+            "mine", "--out-dir", tmp_path / "mine",
+            "--src-emb", dup,
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--candidates", retrieved_dir / "candidates.tsv",
+            "--dict", world_dir / "dict.train.tsv",
+        ) == 0
+        assert kv(tmp_path / "mine" / "run.log")["warnings"] == "1"
 
     def test_retrieve_non_finite_vector_exit_3(self, world_dir, tmp_path, capsys):
         lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
@@ -675,7 +717,32 @@ def stage_fields(log, name):
     return dict(f.split("=") for f in log[f"stage.{name}"].split(" "))
 
 
+def gold_and_candidates(dict_path, candidates_path):
+    gold, cands = {}, {}
+    for line in Path(dict_path).read_text().splitlines():
+        src, tgt = line.split("\t")
+        gold.setdefault(src, set()).add(tgt)
+    for line in Path(candidates_path).read_text().splitlines():
+        src, cand, _ = line.split("\t")
+        cands.setdefault(src, []).append(cand)
+    return gold, cands
+
+
 class TestRunLogStages:
+    def test_fit_counts_multi_positive_groups(self, world_dir, retrieved_dir, tmp_path):
+        gold, cands = gold_and_candidates(world_dir / "dict.train.tsv", retrieved_dir / "candidates.tsv")
+        retrieved = [s for s in gold if gold[s] & set(cands[s])]
+        lines = (world_dir / "dict.train.tsv").read_text().splitlines()
+        for src in retrieved[:5]:  # a second gold target among the candidates
+            lines.append(f"{src}\t{next(c for c in cands[src] if c not in gold[src])}")
+        multi = tmp_path / "dict.multi.tsv"
+        multi.write_text("\n".join(lines) + "\n")
+        args = train_args(world_dir, retrieved_dir, tmp_path / "out")
+        args[args.index("--dict-train") + 1] = multi
+        assert run(*args) == 0
+        fit = stage_fields(kv(tmp_path / "out" / "run.log"), "fit")
+        assert fit["trainable_groups"] == str(len(retrieved)) and fit["multi_positive_groups"] == "5"
+
     def test_train_and_eval_stage_lines(self, world_dir, retrieved_dir, model_dir, tmp_path):
         log = kv(model_dir / "run.log")
         timing = {"wall_s", "cpu_s", "peak_rss_mb"}
@@ -684,8 +751,11 @@ class TestRunLogStages:
         n_groups = len({line.split("\t")[0] for line in (world_dir / "dict.train.tsv").read_text().splitlines()})
         assert featurize["groups"] == str(n_groups) and featurize["rows"] == str(n_groups * 10)
         fit = stage_fields(log, "fit")
-        assert set(fit) == timing | {"trees", "rows"}
+        assert set(fit) == timing | {"trees", "rows", "trainable_groups", "multi_positive_groups"}
         assert fit["trees"] == "6" and fit["rows"] == featurize["rows"]
+        gold, cands = gold_and_candidates(world_dir / "dict.train.tsv", retrieved_dir / "candidates.tsv")
+        trainable = sum(bool(gold[s] & set(cands[s])) for s in gold)  # one target each, ten candidates
+        assert fit["trainable_groups"] == str(trainable) and fit["multi_positive_groups"] == "0"
         assert set(stage_fields(log, "write")) == timing
         assert log["exit_code"] == "0" and "error" not in log
 

@@ -9,6 +9,7 @@ from bilex.corpus import DataFormatError
 from bilex.features import N_FEATURES, FeatureSchema, RankingGroup
 from bilex.ltr import (
     GbdtParams,
+    _pair_sigmoid,
     average_precision,
     combine_with_retriever,
     compute_lambdas,
@@ -211,19 +212,77 @@ class TestComputeLambdas:
         np.testing.assert_allclose(h, h_want, atol=1e-12)
 
 
-class TestSinglePositiveBatch:
-    def test_matches_general_path(self, rng):
-        from bilex.ltr import _lambdas_single_positive_batch
+def lambdas_oracle(scores, labels, sigma):
+    """Per-pair sums of the AP-weighted objective, with the public delta_ap as the pair weight."""
+    ranking = rank_order(scores).tolist()
+    pos_of = {c: r for r, c in enumerate(ranking)}
+    g, h = np.zeros(len(scores)), np.zeros(len(scores))
+    for i in np.flatnonzero(labels == 1):
+        for j in np.flatnonzero(labels == 0):
+            w = abs(delta_ap(labels, ranking, pos_of[i], pos_of[j]))
+            rho = 1.0 / (1.0 + np.exp(sigma * (scores[i] - scores[j])))
+            g[i] -= sigma * rho * w
+            g[j] += sigma * rho * w
+            h[i] += sigma**2 * rho * (1 - rho) * w
+            h[j] += sigma**2 * rho * (1 - rho) * w
+    return g, h
 
-        for _ in range(100):
-            k = int(rng.integers(2, 30))
-            labels = np.zeros(k, dtype=np.int8)
-            labels[rng.integers(0, k)] = 1
-            scores = rng.standard_normal(k)
-            g1, h1 = compute_lambdas(scores, labels, 1.3)
-            g2, h2 = _lambdas_single_positive_batch(scores[None, :], labels[None, :], 1.3)
-            np.testing.assert_allclose(g1, g2[0], atol=1e-12)
-            np.testing.assert_allclose(h1, h2[0], atol=1e-12)
+
+def single_positive_closed_form(scores, labels, sigma):
+    """Lambdas of a group with one positive: swapping it at rank a with a negative at rank b changes AP by 1/a - 1/b."""
+    ranks = np.empty(len(scores))
+    ranks[rank_order(scores)] = np.arange(1, len(scores) + 1)
+    pos = labels == 1
+    w = np.abs(1.0 / ranks[pos][0] - 1.0 / ranks)
+    rho = _pair_sigmoid(sigma * (scores[pos][0] - scores))
+    lam = sigma * rho * w
+    curv = sigma * sigma * rho * (1.0 - rho) * w
+    lam[pos] = 0.0
+    curv[pos] = 0.0
+    return np.where(pos, -lam.sum(), lam), np.where(pos, curv.sum(), curv)
+
+
+@st.composite
+def lambda_batches(draw):
+    """(m, k) batches with ragged positive counts, tied scores, all-positive and all-negative rows."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=14))
+    score = st.one_of(
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False),
+    )
+    scores = np.array([draw(st.lists(score, min_size=k, max_size=k)) for _ in range(m)])
+    labels = np.zeros((m, k), dtype=np.int8)
+    for row in labels:
+        count = draw(st.sampled_from([0, 1, k, None]))
+        if count is None:
+            row[:] = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        else:
+            row[draw(st.permutations(range(k)))[:count]] = 1
+    return scores, labels, draw(st.sampled_from([0.5, 1.0, 1.3]))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBatchedLambdas:
+    @settings(max_examples=300, deadline=None)
+    @given(lambda_batches())
+    def test_rows_match_oracle_one_group_calls_and_closed_form(self, batch):
+        scores, labels, sigma = batch
+        g, h = compute_lambdas(scores, labels, sigma)
+        assert g.shape == h.shape == scores.shape
+        for s, y, g_row, h_row in zip(scores, labels, g, h):
+            g_want, h_want = lambdas_oracle(s, y, sigma)
+            np.testing.assert_allclose(g_row, g_want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(h_row, h_want, rtol=0, atol=1e-12)
+            assert abs(g_row.sum()) < 1e-12
+            g_one, h_one = compute_lambdas(s, y, sigma)
+            assert np.array_equal(bits(g_row), bits(g_one)) and np.array_equal(bits(h_row), bits(h_one))
+            if y.sum() == 1 and y.size > 1:
+                g_closed, h_closed = single_positive_closed_form(s, y, sigma)
+                assert np.array_equal(bits(g_row), bits(g_closed)) and np.array_equal(bits(h_row), bits(h_closed))
 
 
 class TestFitTree:
@@ -441,6 +500,32 @@ class TestPredictAndPersistence:
         doc["trees"][0]["left"] = [99] * len(doc["trees"][0]["left"])
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match="child index"):
+            load_model(path)
+
+    @pytest.mark.parametrize("node, side, target", [(0, "left", 0), (1, "right", 1), (1, "left", 0), (0, "right", 5)])
+    def test_child_not_after_its_parent_rejected(self, tmp_path, rng, node, side, target):
+        import json
+
+        model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=1))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        # root splits on feature 0, its left child on feature 1; nodes 2, 3 and 4 are leaves
+        doc["trees"][0] = {
+            "feature": [0, 1, -1, -1, -1],
+            "threshold": [0.5, 0.0, 0.0, 0.0, 0.0],
+            "left": [1, 3, -1, -1, -1],
+            "right": [2, 4, -1, -1, -1],
+            "value": [0.0, 0.0, 1.0, 2.0, 3.0],
+        }
+        path.write_text(json.dumps(doc))
+        X = np.zeros((3, N_FEATURES))
+        X[:, 0] = [0.0, 0.0, 1.0]
+        X[:, 1] = [-1.0, 1.0, 0.0]
+        np.testing.assert_array_equal(predict(load_model(path), X), model.params.learning_rate * np.array([2.0, 3.0, 1.0]))
+        doc["trees"][0][side][node] = target  # a cycle, or a child past the last node
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="tree 0: child index out of range"):
             load_model(path)
 
     def test_wrong_column_count(self, rng):

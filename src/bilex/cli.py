@@ -465,7 +465,11 @@ def cmd_mine(opts: argparse.Namespace, errors: list[str]) -> int:
             src_vocab, tgt_vocab = _load_vocabularies(opts)
             cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
             dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
-            counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
+            counts.update(
+                vector_rows=len(src_vocab) + len(tgt_vocab),
+                candidate_rows=cands.cand_ids.size,
+                oov_pairs=dic.oov_src + dic.oov_tgt,
+            )
         with runlog.stage("mine") as counts:
             pairs = retrieval.mine_hard_negatives(dic, cands, n_neg=opts.n_neg)
             counts["rows"] = len(pairs)
@@ -559,7 +563,11 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             dic = corpus.load_dictionary(opts.dict_train, src_vocab, tgt_vocab)
             cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
             freq_src, freq_tgt, pos_src, pos_tgt, ext = _load_side_tables(opts, src_vocab, tgt_vocab)
-            counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
+            counts.update(
+                vector_rows=len(src_vocab) + len(tgt_vocab),
+                candidate_rows=cands.cand_ids.size,
+                oov_pairs=dic.oov_src + dic.oov_tgt,
+            )
         params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
 
         if need_vectors:
@@ -582,7 +590,7 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             if opts.dump_features:
                 features.write_feature_matrix(groups, src_vocab, tgt_vocab, out / "features.tsv")
             n_rows = sum(len(grp) for grp in groups)
-            counts.update(groups=len(groups), rows=n_rows)
+            counts.update(groups=len(groups), rows=n_rows, gold_missed=sum(grp.gold_missed for grp in groups))
 
         meta: dict = {}
         if opts.mix_search:
@@ -660,7 +668,11 @@ def cmd_eval(opts: argparse.Namespace, errors: list[str]) -> int:
             dic = corpus.load_dictionary(opts.dict_test, src_vocab, tgt_vocab)
             cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
             freq_src, freq_tgt, pos_src, pos_tgt, ext = _load_side_tables(opts, src_vocab, tgt_vocab)
-            counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), candidate_rows=cands.cand_ids.size)
+            counts.update(
+                vector_rows=len(src_vocab) + len(tgt_vocab),
+                candidate_rows=cands.cand_ids.size,
+                oov_pairs=dic.oov_src + dic.oov_tgt,
+            )
 
         with runlog.stage("featurize") as counts:
             groups = features.build_groups(
@@ -668,7 +680,7 @@ def cmd_eval(opts: argparse.Namespace, errors: list[str]) -> int:
                 src_vocab, tgt_vocab, dic=dic, ext=ext, schema=model.schema,
             )
             n_rows = sum(len(grp) for grp in groups)
-            counts.update(groups=len(groups), rows=n_rows)
+            counts.update(groups=len(groups), rows=n_rows, gold_missed=sum(grp.gold_missed for grp in groups))
         with runlog.stage("predict", rows=n_rows, trees=len(model.trees)):
             scores = ltr.predict_groups(model, groups)
             if opts.mix is not None:
@@ -734,7 +746,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
             dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
             freq_src, freq_tgt, pos_src, _, _ = _load_side_tables(opts, src_vocab, tgt_vocab)
-            counts["vector_rows"] = len(src_vocab) + len(tgt_vocab)
+            counts.update(vector_rows=len(src_vocab) + len(tgt_vocab), oov_pairs=dic.oov_src + dic.oov_tgt)
 
         with runlog.stage("grid"):
             grid = evaluation.pos_freq_correlation(dic, freq_src, freq_tgt, pos_src, min_n=opts.min_n)

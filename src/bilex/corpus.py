@@ -12,8 +12,10 @@ import math
 import os
 import stat
 import unicodedata
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -226,31 +228,34 @@ def load_vocabulary(path: str | Path, max_vocab: int | None = None) -> Vocabular
     return rows.vocab
 
 
-def _parse_values(path: Path, chunk: list[tuple], dim: int) -> np.ndarray:
-    """Values of a chunk of _VectorRows rows, bitwise equal to float() of each field.
+def _parse_values(texts: list[str], width: int, delimiter: str, fault: Callable[[int, str], str]) -> np.ndarray:
+    """(len(texts), width) values, bitwise equal to float() of each field.
 
-    np.loadtxt parses the chunk in C. A chunk it rejects, or one holding a
-    non-finite value, is parsed again with float() one row at a time, which
-    accepts whatever float() accepts (such as "1_0") and raises for the
-    first bad row.
+    Each text holds width fields joined by delimiter. np.loadtxt parses the
+    texts in C. Texts it rejects, or that hold a non-finite value, are parsed
+    again with float() one text at a time, which accepts whatever float()
+    accepts (such as "1_0") and raises DataFormatError(fault(i, kind)) for
+    the first bad text i, kind being "non-numeric" or "non-finite".
     """
-    texts = [values for _, _, values, _ in chunk]
-    if not any(c in text for text in texts for c in _LOADTXT_ONLY_SPACES):
+    joined = "".join(texts)
+    if not any(c in joined for c in _LOADTXT_ONLY_SPACES):
         try:
-            parsed = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+            with warnings.catch_warnings():  # texts that are all empty warn; the shape check below refuses them
+                warnings.simplefilter("ignore", UserWarning)
+                parsed = np.loadtxt(texts, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
         except ValueError:
             pass
         else:
-            if parsed.shape == (len(chunk), dim) and np.isfinite(parsed).all():
+            if parsed.shape == (len(texts), width) and np.isfinite(parsed).all():
                 return parsed
-    parsed = np.empty((len(chunk), dim), dtype=np.float64)
-    for i, (line_no, token, values, _) in enumerate(chunk):
+    parsed = np.empty((len(texts), width), dtype=np.float64)
+    for i, text in enumerate(texts):
         try:
-            parsed[i] = [float(v) for v in values.split(" ")]
+            parsed[i] = [float(v) for v in text.split(delimiter)]
         except ValueError:
-            raise DataFormatError(f"{path}: line {line_no}: non-numeric value in row for {token!r}") from None
+            raise DataFormatError(fault(i, "non-numeric")) from None
         if not np.isfinite(parsed[i]).all():
-            raise DataFormatError(f"{path}: line {line_no}: non-finite value in row for {token!r}")
+            raise DataFormatError(fault(i, "non-finite"))
     return parsed
 
 
@@ -258,7 +263,12 @@ def _store_chunk(path: Path, chunk: list[tuple], matrix: np.ndarray) -> None:
     """Parse a chunk and write its rows to matrix at their word ids; duplicates are checked, then dropped."""
     if not chunk:
         return
-    parsed = _parse_values(path, chunk, matrix.shape[1])
+    parsed = _parse_values(
+        [values for _, _, values, _ in chunk],
+        matrix.shape[1],
+        " ",
+        lambda i, kind: f"{path}: line {chunk[i][0]}: {kind} value in row for {chunk[i][1]!r}",
+    )
     ids = np.fromiter((word_id for _, _, _, word_id in chunk), dtype=np.int64, count=len(chunk))
     kept = ids >= 0
     matrix[ids[kept]] = parsed[kept]

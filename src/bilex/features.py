@@ -3,6 +3,12 @@
 The 46-column layout is fixed: retriever/reranker scores, frequency features,
 a POS-match bit, and two 18-way one-hot POS blocks. Ablations zero columns
 out in place; the schema length never changes.
+
+build_groups fills one (n, 46) matrix per call, column by column through id
+arrays; the groups it returns are consecutive row slices of it, and
+stacked_features hands that matrix to the ranker without a copy.
+featurize_pair and label_candidates compute one pair at a time and are the
+reference the matrix is tested against.
 """
 
 from __future__ import annotations
@@ -137,7 +143,7 @@ class RankingGroup:
 
 
 def label_candidates(src: int, cands: list[int] | np.ndarray, dic: TranslationDictionary) -> np.ndarray:
-    """1 for candidates in the gold set of src, else 0."""
+    """1 for candidates in the gold set of src, else 0; the per-pair reference of build_groups' labels."""
     if len(cands) == 0:
         raise ValueError(f"empty candidate list for source id {src}")
     gold = set(dic.entries[src])
@@ -154,7 +160,7 @@ def featurize_pair(
     pos_src: PosTable,
     pos_tgt: PosTable,
 ) -> np.ndarray:
-    """One 46-dim feature row for a (source, candidate) pair."""
+    """One 46-dim feature row for a (source, candidate) pair; the per-pair reference of build_groups' rows."""
     vec = np.zeros(N_FEATURES, dtype=np.float64)
     vec[0] = csls
     if ext is not None:
@@ -176,6 +182,34 @@ def featurize_pair(
     return vec
 
 
+def _log2_1p(ranks: np.ndarray) -> np.ndarray:
+    """math.log2(1 + r) per rank, through a table over the distinct ranks; np.log2 may differ in the last bit."""
+    distinct, inverse = np.unique(ranks, return_inverse=True)
+    table = np.array([math.log2(1 + r) for r in distinct.tolist()], dtype=np.float64)
+    return table[inverse]
+
+
+def _ext_columns(
+    ext: ExternalScores, src_vocab: Vocabulary, tgt_vocab: Vocabulary, src: np.ndarray, cand: np.ndarray, X: np.ndarray
+) -> None:
+    """Fill ext_logit and ext_present (columns 1 and 2) for the rows whose (source, candidate) pair ext lists."""
+    base = len(tgt_vocab)
+    listed = {}
+    for (sw, cw), value in ext.logits.items():
+        s, c = src_vocab.index.get(sw), tgt_vocab.index.get(cw)
+        if s is not None and c is not None:
+            listed[s * base + c] = value
+    if not listed:
+        return
+    codes = np.array(sorted(listed), dtype=np.int64)
+    logits = np.array([listed[code] for code in codes.tolist()], dtype=np.float64)
+    pairs = src * base + cand
+    at = np.minimum(np.searchsorted(codes, pairs), codes.size - 1)
+    found = codes[at] == pairs
+    X[found, 1] = logits[at[found]]
+    X[found, 2] = 1.0
+
+
 def build_groups(
     sources: list[int],
     cands: CandidateSet,
@@ -194,39 +228,88 @@ def build_groups(
     Labels come from dic when the source is present there; otherwise the
     group is an unlabeled inference group. Sources without a candidate list
     are fatal.
+
+    All rows go into one contiguous (n, 46) matrix, filled column by column
+    through the source and candidate id arrays (featurize_pair and
+    label_candidates compute the same values one pair at a time). Each
+    group's features, labels, candidate_ids and csls are consecutive row
+    slices of shared arrays, so stacked_features(groups) is that matrix.
     """
     schema = schema or FeatureSchema()
-    groups: list[RankingGroup] = []
     for s in sources:
         if s not in cands:
             raise DataFormatError(f"source {src_vocab.word(s)!r} has no candidate list")
-        ids, scores = cands.for_source(s)
-        has_gold = dic is not None and s in dic.entries
-        if has_gold:
-            labels = label_candidates(s, ids, dic)
-        else:
-            labels = np.zeros(len(ids), dtype=np.int8)
-        rows = np.empty((len(ids), N_FEATURES), dtype=np.float64)
-        sw = src_vocab.word(s)
-        for i, (c, v) in enumerate(zip(ids, scores)):
-            ext_value = ext.get(sw, tgt_vocab.word(int(c))) if ext is not None else None
-            rows[i] = featurize_pair(s, int(c), float(v), ext_value, freq_src, freq_tgt, pos_src, pos_tgt)
-        rows = schema.apply_mask(rows)
-        gold_missed = has_gold and int(labels.sum()) == 0
-        if gold_missed:
-            log.info("build_groups: gold for %r never retrieved", sw)
-        groups.append(
-            RankingGroup(
-                src=s,
-                candidate_ids=np.asarray(ids, dtype=np.int64),
-                labels=labels,
-                features=rows,
-                csls=np.asarray(scores, dtype=np.float64),
-                has_gold=has_gold,
-                gold_missed=gold_missed,
-            )
+    rows = np.array([cands.row_of[s] for s in sources], dtype=np.int64)
+    m, k = len(sources), cands.cand_ids.shape[1]
+    src = np.repeat(np.array(sources, dtype=np.int64), k)
+    cand = cands.cand_ids[rows].astype(np.int64).ravel()
+    csls = cands.scores[rows].astype(np.float64).ravel()
+
+    X = np.zeros((m * k, N_FEATURES), dtype=np.float64)
+    X[:, 0] = csls
+    if ext is not None:
+        _ext_columns(ext, src_vocab, tgt_vocab, src, cand, X)
+    zs = np.asarray(freq_src.zipf, dtype=np.float64)[src]
+    zc = np.asarray(freq_tgt.zipf, dtype=np.float64)[cand]
+    X[:, 3] = zs
+    X[:, 4] = zc
+    X[:, 5] = zs - zc
+    X[:, 6] = np.abs(zs - zc)
+    X[:, 7] = _log2_1p(freq_src.rank[src])
+    X[:, 8] = _log2_1p(freq_tgt.rank[cand])
+    ts = pos_src.tag_ids[src].astype(np.int64)
+    tc = pos_tgt.tag_ids[cand].astype(np.int64)
+    X[:, 9] = ts == tc
+    X[np.arange(m * k), 10 + ts] = 1.0
+    X[np.arange(m * k), 28 + tc] = 1.0
+    X[:, schema.masked_columns()] = 0.0
+
+    labels = np.zeros(m * k, dtype=np.int8)
+    has_gold = [dic is not None and s in dic.entries for s in sources]
+    gold = np.array(
+        [(s, t) for s, labeled in zip(sources, has_gold) if labeled for t in dic.entries[s]], dtype=np.int64
+    )
+    if gold.size:
+        base = int(max(cand.max(initial=0), gold[:, 1].max())) + 1
+        labels[np.isin(src * base + cand, gold[:, 0] * base + gold[:, 1])] = 1
+    gold_missed = np.array(has_gold, dtype=bool) & ~labels.reshape(m, k).any(axis=1)
+    if gold_missed.any():
+        log.info("build_groups: gold never retrieved for %d of %d labeled sources", gold_missed.sum(), sum(has_gold))
+
+    return [
+        RankingGroup(
+            src=s,
+            candidate_ids=cand[i * k:(i + 1) * k],
+            labels=labels[i * k:(i + 1) * k],
+            features=X[i * k:(i + 1) * k],
+            csls=csls[i * k:(i + 1) * k],
+            has_gold=has_gold[i],
+            gold_missed=bool(gold_missed[i]),
         )
-    return groups
+        for i, s in enumerate(sources)
+    ]
+
+
+def stacked_features(groups: list[RankingGroup]) -> np.ndarray:
+    """The feature rows of all groups, in group order, as one (n, 46) matrix.
+
+    Groups that are consecutive row slices of one matrix, as build_groups
+    returns them, give a view of that matrix; any other list is stacked into
+    a new one.
+    """
+    matrix = groups[0].features.base
+    if matrix is not None and matrix.ndim == 2 and matrix.strides[0] > 0:
+        offset = groups[0].features.__array_interface__["data"][0] - matrix.__array_interface__["data"][0]
+        lo = at = offset // matrix.strides[0]
+        for grp in groups:
+            rows = len(grp.features)
+            # equal interfaces: the same memory, shape, strides and dtype
+            if at < 0 or grp.features.__array_interface__ != matrix[at:at + rows].__array_interface__:
+                break
+            at += rows
+        else:
+            return matrix[lo:at]
+    return np.vstack([grp.features for grp in groups])
 
 
 def write_feature_matrix(groups: list[RankingGroup], src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DataFormatError, atomic_writer
-from .features import FeatureSchema, RankingGroup
+from .features import FeatureSchema, RankingGroup, stacked_features
 
 log = logging.getLogger(__name__)
 
@@ -396,7 +396,7 @@ def train(
         for size, members in buckets.items()
     ]
 
-    X = np.vstack([grp.features for grp in groups])
+    X = stacked_features(groups)
     n = X.shape[0]
     scores = np.zeros(n, dtype=np.float64)
     bins = _BinnedColumns(X)
@@ -441,11 +441,11 @@ def predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_groups(model: GbdtModel, groups: list[RankingGroup]) -> list[np.ndarray]:
-    """Per-group scores from one predict call over the stacked group features."""
+    """Per-group scores from one predict call over all group rows (stacked_features)."""
     if not groups:
         return []
     sizes = np.array([len(grp) for grp in groups])
-    scores = predict(model, np.vstack([grp.features for grp in groups]))
+    scores = predict(model, stacked_features(groups))
     return np.split(scores, np.cumsum(sizes)[:-1])
 
 

@@ -1,8 +1,14 @@
-"""Alignment, exact cosine/CSLS retrieval, mining, and hubness diagnostics.
+"""Alignment, exact cosine/CSLS retrieval, mining, hubness diagnostics, and
+candidate files.
 
 All similarity work is exact brute force over blocked matrix products. Blocks
 have a fixed size, results are reduced in block order, and every tie is
 broken by ascending id, so output is bitwise independent of the worker count.
+
+Candidate files are read back in chunks of text: fields are split, words
+looked up and scores parsed a chunk at a time, and a chunk that fails a check
+is re-read row by row to name its first faulty line. A candidate listed twice
+for one source is an error.
 """
 
 from __future__ import annotations
@@ -12,10 +18,19 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .corpus import DataFormatError, EmbeddingSpace, TranslationDictionary, Vocabulary, _data_lines, _nfc, atomic_writer
+from .corpus import (
+    DataFormatError,
+    EmbeddingSpace,
+    TranslationDictionary,
+    Vocabulary,
+    _nfc,
+    _parse_values,
+    atomic_writer,
+)
 
 log = logging.getLogger(__name__)
 
@@ -381,15 +396,67 @@ def write_candidates(cands: CandidateSet, src_vocab: Vocabulary, tgt_vocab: Voca
                 fh.write(f"{sw}\t{tgt_vocab.word(int(c))}\t{v:.6f}\n")
 
 
-def load_candidates(path: str | Path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> CandidateSet:
-    """Read a candidate export back; rows must stay grouped by source."""
-    path = Path(path)
-    src_ids: list[int] = []
-    cand_rows: list[list[int]] = []
-    score_rows: list[list[float]] = []
-    seen: set[int] = set()
-    current = -1
-    for line_no, line in _data_lines(path):
+# Characters per read in load_candidates, extended to the end of a line: enough
+# to amortize the per-chunk calls, few enough that a chunk's field strings stay
+# near a megabyte (larger chunks raised the peak RSS of a later stage).
+CANDIDATE_CHUNK_CHARS = 1 << 16
+
+
+def _data_chunks(fh) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
+    """Yield (text, UTF-8 bytes of text, line numbers) per chunk of whole data lines.
+
+    Each line of text ends in \n; blank lines and # comments are dropped and
+    the line numbers (1-based, in the file) are those of the lines kept.
+    Universal newlines have already turned \r and \r\n into \n, the only
+    line break here (str.splitlines would also break at \x85 and others),
+    and in UTF-8 no other character holds a \n, \t or # byte.
+    """
+    line_base = 0
+    while text := fh.read(CANDIDATE_CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        if not text.endswith("\n"):  # the last line of a file without a final newline
+            text += "\n"
+        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        ends = np.flatnonzero(raw == 10)
+        numbers = np.arange(line_base + 1, line_base + 1 + ends.size)
+        line_base += ends.size
+        heads = raw[np.concatenate(([0], ends[:-1] + 1))]
+        skipped = (heads == 10) | (heads == 35)
+        if skipped.any():
+            lines = text.split("\n")
+            kept = np.flatnonzero(~skipped)
+            text = "".join([lines[i] + "\n" for i in kept.tolist()])
+            raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+            numbers = numbers[kept]
+        if numbers.size:
+            yield text, raw, numbers
+
+
+def _word_ids(words: list[str], vocab: Vocabulary, cache: dict[str, int]) -> np.ndarray:
+    """Vocabulary id of each raw word, -1 if unknown; each distinct word is normalized and looked up once."""
+    try:
+        return np.fromiter(map(cache.__getitem__, words), dtype=np.int64, count=len(words))
+    except KeyError:  # words not seen in earlier chunks: add every new word of this one
+        for w in set(words).difference(cache):
+            cache[w] = vocab.index.get(_nfc(w), -1)
+    return np.fromiter(map(cache.__getitem__, words), dtype=np.int64, count=len(words))
+
+
+def _raise_first_fault(
+    path: Path,
+    numbered: list[tuple[int, str]],
+    src_vocab: Vocabulary,
+    tgt_vocab: Vocabulary,
+    seen: np.ndarray,
+    current: int,
+) -> None:
+    """Check rows one at a time, in the order load_candidates lists, and raise the first fault.
+
+    seen marks the source ids whose rows came before, current is the source
+    of the row just before.
+    """
+    for line_no, line in numbered:
         fields = line.split("\t")
         if len(fields) != 3:
             raise DataFormatError(f"{path}: line {line_no}: expected 'src<TAB>cand<TAB>score'")
@@ -406,25 +473,82 @@ def load_candidates(path: str | Path, src_vocab: Vocabulary, tgt_vocab: Vocabula
             raise DataFormatError(f"{path}: line {line_no}: non-finite score {fields[2]!r}")
         s = src_vocab.id(sw)
         if s != current:
-            if s in seen:
+            if seen[s]:
                 raise DataFormatError(f"{path}: line {line_no}: rows for {sw!r} are not contiguous")
-            seen.add(s)
+            seen[s] = True
             current = s
-            src_ids.append(s)
-            cand_rows.append([])
-            score_rows.append([])
-        cand_rows[-1].append(tgt_vocab.id(cw))
-        score_rows[-1].append(score)
-    if not src_ids:
+    raise AssertionError(f"{path}: a chunk flagged as faulty has no fault")
+
+
+def load_candidates(path: str | Path, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> CandidateSet:
+    """Read a candidate export back; rows must stay grouped by source.
+
+    Each row is "src<TAB>cand<TAB>score"; blank lines and # comments are
+    skipped. A row's checks run in this order: three fields, a known source
+    word, a known candidate word, a numeric score, a finite score, and rows of
+    one source contiguous. The first faulty row in file order is an error
+    naming its line. After the whole file, lists of mixed lengths are an
+    error, then a candidate repeated within one source's list (naming the
+    second occurrence).
+
+    The file is parsed CANDIDATE_CHUNK_CHARS characters at a time, extended
+    to a line end: a chunk's fields are split at once, each distinct word is
+    normalized and looked up once, and its scores are parsed by one
+    corpus._parse_values call. A chunk that fails one of these whole-chunk
+    checks is checked again row by row, to name its first fault.
+    """
+    path = Path(path)
+    src_cache: dict[str, int] = {}
+    tgt_cache: dict[str, int] = {}
+    seen = np.zeros(len(src_vocab), dtype=bool)
+    current = -1
+    src_parts, cand_parts, score_parts, line_parts = [], [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for text, raw, numbers in _data_chunks(fh):
+            n = numbers.size
+            # each row holds exactly two tabs: tabs 2i and 2i + 1 lie between the ends of rows i - 1 and i
+            tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
+            ok = tabs.size == 2 * n and (tabs[1::2] < ends).all() and (tabs[2::2] > ends[:-1]).all()
+            if ok:
+                fields = text.replace("\n", "\t").split("\t")
+                src = _word_ids(fields[0:-1:3], src_vocab, src_cache)
+                cand = _word_ids(fields[1::3], tgt_vocab, tgt_cache)
+                starts = src[src != np.concatenate(([current], src[:-1]))]
+                ok = (src >= 0).all() and (cand >= 0).all()
+                ok = ok and not seen[starts].any() and np.unique(starts).size == starts.size
+            if not ok:
+                numbered = list(zip(numbers.tolist(), text.split("\n")))
+                _raise_first_fault(path, numbered, src_vocab, tgt_vocab, seen, current)
+            texts = fields[2::3]
+            scores = _parse_values(
+                texts, 1, "\t", lambda i, kind: f"{path}: line {numbers[i]}: {kind} score {texts[i]!r}"
+            )
+            seen[starts] = True
+            current = int(src[-1])
+            src_parts.append(src)
+            cand_parts.append(cand)
+            score_parts.append(scores[:, 0])
+            line_parts.append(numbers)
+    if not src_parts:
         return CandidateSet.from_arrays(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0)))
-    widths = {len(r) for r in cand_rows}
-    if len(widths) != 1:
-        raise DataFormatError(f"{path}: candidate lists have mixed lengths {sorted(widths)}")
-    return CandidateSet.from_arrays(
-        np.array(src_ids, dtype=np.int64),
-        np.array(cand_rows, dtype=np.int64),
-        np.array(score_rows, dtype=np.float64),
-    )
+
+    src = np.concatenate(src_parts)
+    starts = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
+    widths = np.diff(np.append(starts, src.size))
+    if (widths != widths[0]).any():
+        raise DataFormatError(f"{path}: candidate lists have mixed lengths {sorted(set(widths.tolist()))}")
+    k = int(widths[0])
+    cand_ids = np.concatenate(cand_parts).reshape(-1, k)
+    ordered = np.sort(cand_ids, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeated.any():
+        r = int(np.argmax(repeated))
+        row = cand_ids[r].tolist()
+        j = next(j for j, c in enumerate(row) if c in row[:j])
+        line_no = np.concatenate(line_parts)[r * k + j]
+        sw, cw = src_vocab.word(int(src[starts[r]])), tgt_vocab.word(row[j])
+        raise DataFormatError(f"{path}: line {line_no}: candidate {cw!r} repeated for {sw!r}")
+    return CandidateSet.from_arrays(src[starts], cand_ids, np.concatenate(score_parts).reshape(-1, k))
 
 
 def write_labeled_pairs(

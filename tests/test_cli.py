@@ -228,6 +228,23 @@ class TestMine:
         pos = [r for r in rows if r[2] == "1"]
         assert len(negs) == 5 * len(pos)
 
+    def test_mine_repeated_candidate_exit_3(self, world_dir, retrieved_dir, tmp_path, capsys):
+        lines = (retrieved_dir / "candidates.tsv").read_text().splitlines()
+        src, cand, _ = lines[0].split("\t")
+        lines[1] = f"{src}\t{cand}\t0.000001"  # the first list names its top candidate twice
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(
+            "mine", "--out-dir", out,
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--candidates", bad,
+            "--dict", world_dir / "dict.train.tsv",
+        ) == 3
+        assert f"{bad}: line 2: candidate {cand!r} repeated for {src!r}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["run.log"]
+
 
 class TestTrain:
     def test_happy_path_writes_model_and_trace(self, model_dir):
@@ -661,9 +678,12 @@ class TestVectorLoading:
     def test_run_log_records_load_stage_and_settings(self, model_dir):
         log = kv(model_dir / "run.log")
         fields = dict(f.split("=") for f in log["stage.load"].split(" "))
-        assert set(fields) == {"wall_s", "cpu_s", "peak_rss_mb", "vectors_parsed", "vector_rows", "candidate_rows"}
+        assert set(fields) == {
+            "wall_s", "cpu_s", "peak_rss_mb", "vectors_parsed", "vector_rows", "candidate_rows", "oov_pairs",
+        }
         assert float(fields["peak_rss_mb"]) > 0
         assert fields["vector_rows"] == "300" and fields["candidate_rows"] == str(150 * 10)
+        assert fields["oov_pairs"] == "0"
         assert log["numpy"]
         assert {"BILEX_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} <= set(log)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -743,11 +763,26 @@ class TestRunLogStages:
         fit = stage_fields(kv(tmp_path / "out" / "run.log"), "fit")
         assert fit["trainable_groups"] == str(len(retrieved)) and fit["multi_positive_groups"] == "5"
 
+    def test_load_counts_oov_pairs(self, world_dir, retrieved_dir, tmp_path):
+        lines = (world_dir / "dict.train.tsv").read_text().splitlines()
+        src, tgt = lines[0].split("\t")
+        lines += [f"nosuchsource\t{tgt}", f"nosuchsource2\t{tgt}", f"{src}\tnosuchtarget"]
+        oov = tmp_path / "dict.oov.tsv"
+        oov.write_text("\n".join(lines) + "\n")
+        assert run(
+            "mine", "--out-dir", tmp_path / "mine",
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--candidates", retrieved_dir / "candidates.tsv",
+            "--dict", oov,
+        ) == 0
+        assert stage_fields(kv(tmp_path / "mine" / "run.log"), "load")["oov_pairs"] == "3"
+
     def test_train_and_eval_stage_lines(self, world_dir, retrieved_dir, model_dir, tmp_path):
         log = kv(model_dir / "run.log")
         timing = {"wall_s", "cpu_s", "peak_rss_mb"}
         featurize = stage_fields(log, "featurize")
-        assert set(featurize) == timing | {"groups", "rows"}
+        assert set(featurize) == timing | {"groups", "rows", "gold_missed"}
         n_groups = len({line.split("\t")[0] for line in (world_dir / "dict.train.tsv").read_text().splitlines()})
         assert featurize["groups"] == str(n_groups) and featurize["rows"] == str(n_groups * 10)
         fit = stage_fields(log, "fit")
@@ -756,14 +791,16 @@ class TestRunLogStages:
         gold, cands = gold_and_candidates(world_dir / "dict.train.tsv", retrieved_dir / "candidates.tsv")
         trainable = sum(bool(gold[s] & set(cands[s])) for s in gold)  # one target each, ten candidates
         assert fit["trainable_groups"] == str(trainable) and fit["multi_positive_groups"] == "0"
+        assert featurize["gold_missed"] == str(n_groups - trainable)
         assert set(stage_fields(log, "write")) == timing
         assert log["exit_code"] == "0" and "error" not in log
 
         assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path)) == 0
         log = kv(tmp_path / "run.log")
         featurize = stage_fields(log, "featurize")
-        assert set(featurize) == timing | {"groups", "rows"}
+        assert set(featurize) == timing | {"groups", "rows", "gold_missed"}
         assert featurize["groups"] == kv(tmp_path / "eval_report.txt")["n_eval"]
+        assert featurize["gold_missed"] == kv(tmp_path / "eval_report.txt")["gold_missed"]
         predict = stage_fields(log, "predict")
         assert set(predict) == timing | {"rows", "trees"}
         assert predict["rows"] == featurize["rows"] and predict["trees"] == "6"

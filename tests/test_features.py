@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilex.corpus import (
     ALL_TAGS,
@@ -17,10 +19,12 @@ from bilex.features import (
     N_FEATURES,
     ExternalScores,
     FeatureSchema,
+    RankingGroup,
     build_groups,
     featurize_pair,
     label_candidates,
     load_external_scores,
+    stacked_features,
     write_feature_matrix,
 )
 from bilex.retrieval import CandidateSet
@@ -232,3 +236,144 @@ def test_feature_matrix_export_header(tmp_path, world):
     header = path.read_text().splitlines()[0].split("\t")
     assert header[:3] == ["src", "cand", "label"]
     assert header[3:] == list(FEATURE_NAMES)
+
+
+def reference_groups(sources, cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic, ext, schema):
+    """build_groups one pair at a time: featurize_pair and label_candidates per candidate."""
+    out = []
+    for s in sources:
+        ids, scores = cands.for_source(s)
+        rows = np.array([
+            featurize_pair(
+                s, int(c), float(v),
+                ext.get(src_vocab.word(s), tgt_vocab.word(int(c))) if ext is not None else None,
+                fs, ft, ps, pt,
+            )
+            for c, v in zip(ids, scores)
+        ]).reshape(len(ids), N_FEATURES)
+        has_gold = dic is not None and s in dic.entries
+        labels = label_candidates(s, ids, dic) if has_gold else np.zeros(len(ids), dtype=np.int8)
+        out.append((schema.apply_mask(rows), labels, has_gold, has_gold and not labels.any()))
+    return out
+
+
+TAGS = st.one_of(st.none(), st.sampled_from(list(ALL_TAGS[:-1]) + ["bogus"]))
+
+
+@st.composite
+def featurize_worlds(draw):
+    """Vocabularies with unlisted and untagged words, candidate lists, a partial dictionary and external scores."""
+    n_src, n_tgt = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    src_vocab = Vocabulary.from_words([f"s{i}" for i in range(n_src)])
+    tgt_vocab = Vocabulary.from_words([f"t{i}" for i in range(n_tgt)])
+    tables = []
+    for vocab in (src_vocab, tgt_vocab):
+        counts = {w: draw(st.integers(1, 10**6)) for w in vocab.words if draw(st.booleans())}  # the rest rank len(vocab)
+        tags = {w: tag for w in vocab.words if (tag := draw(TAGS)) is not None}
+        tables.append((frequency_table_from_counts(counts, vocab), pos_table_from_tags(tags, vocab)[0]))
+    (fs, ps), (ft, pt) = tables
+    k = draw(st.integers(1, n_tgt))
+    listed = draw(st.permutations(range(n_src)))
+    cand_ids = np.array([draw(st.permutations(range(n_tgt)))[:k] for _ in listed], dtype=np.int64)
+    scores = np.array(draw(st.lists(st.floats(-2, 2), min_size=len(listed) * k, max_size=len(listed) * k)))
+    cands = CandidateSet.from_arrays(np.array(listed, dtype=np.int64), cand_ids, scores.reshape(len(listed), k))
+    sources = draw(st.lists(st.sampled_from(listed), unique=True))
+    entries = {}
+    for s in sources:
+        if draw(st.booleans()):  # multi-target, and possibly none of them retrieved
+            entries[s] = tuple(sorted(set(draw(st.lists(st.integers(0, n_tgt - 1), min_size=1, max_size=3)))))
+    dic = TranslationDictionary(entries=entries) if draw(st.booleans()) else None
+    ext = None
+    if draw(st.booleans()):
+        pairs = st.tuples(st.sampled_from(src_vocab.words + ["zz"]), st.sampled_from(tgt_vocab.words + ["zz"]))
+        ext = ExternalScores(logits=draw(st.dictionaries(pairs, st.floats(-5, 5), max_size=12)))
+    schema = FeatureSchema(disabled=draw(st.sampled_from([(), ("pos",), ("freq",), ("freq", "pos")])))
+    return sources, cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic, ext, schema
+
+
+class TestOneMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(featurize_worlds())
+    def test_equals_per_pair_reference_bitwise(self, world):
+        sources, cands, *_ = world
+        groups = build_groups(*world[:8], dic=world[8], ext=world[9], schema=world[10])
+        expected = reference_groups(*world)
+        assert [grp.src for grp in groups] == sources
+        for grp, (rows, labels, has_gold, gold_missed), s in zip(groups, expected, sources):
+            ids, scores = cands.for_source(s)
+            assert grp.features.dtype == np.float64 and grp.features.shape == rows.shape
+            assert grp.features.tobytes() == rows.tobytes()
+            assert grp.labels.dtype == np.int8 and grp.labels.tolist() == labels.tolist()
+            assert grp.candidate_ids.dtype == np.int64 and grp.candidate_ids.tolist() == ids.tolist()
+            assert grp.csls.tobytes() == np.asarray(scores, dtype=np.float64).tobytes()
+            assert (grp.has_gold, grp.gold_missed) == (has_gold, gold_missed)
+
+    def test_log_rank_is_math_log2_bitwise(self, world):
+        # np.log2(1 + r) differs from math.log2 in the last bit at ranks such as 1620 and 3241
+        src_vocab, _, fs, _, ps, _ = world
+        tgt_vocab = Vocabulary.from_words([f"w{i}" for i in range(3300)])
+        ft = frequency_table_from_counts({f"w{i}": 4000 - i for i in range(3300)}, tgt_vocab)
+        pt, _ = pos_table_from_tags({}, tgt_vocab)
+        cands = CandidateSet.from_arrays(np.array([0]), np.arange(3300)[None, :], np.zeros((1, 3300)))
+        col = build_groups([0], cands, fs, ft, ps, pt, src_vocab, tgt_vocab)[0].features[:, 8]
+        expected = np.array([math.log2(1 + r) for r in range(1, 3301)])
+        assert col.tobytes() == expected.tobytes()
+        assert (np.log2(1.0 + np.arange(1, 3301)) != expected).any()
+
+    def test_groups_are_consecutive_views_of_one_matrix(self, world):
+        src_vocab, tgt_vocab, fs, ft, ps, pt = world
+        dic = TranslationDictionary(entries={0: (0,), 1: (3,), 2: (1, 2)})
+        groups = build_groups([2, 0, 1], simple_cands(3, 3), fs, ft, ps, pt, src_vocab, tgt_vocab, dic=dic)
+        matrix = groups[0].features.base
+        assert matrix.shape == (9, N_FEATURES) and matrix.flags.c_contiguous
+        for i, grp in enumerate(groups):
+            assert grp.features.base is matrix
+            assert np.shares_memory(grp.features, matrix[3 * i:3 * i + 3])
+            for name in ("labels", "candidate_ids", "csls"):
+                assert getattr(grp, name).base is getattr(groups[0], name).base
+        stacked = stacked_features(groups)
+        assert stacked.base is matrix and stacked.shape == matrix.shape
+        assert stacked_features(groups[1:]).tobytes() == matrix[3:].tobytes()
+        assert np.shares_memory(stacked_features(groups[1:]), matrix)
+        # any other order or selection is a new, stacked matrix
+        for hand_built in (groups[::-1], [groups[0], groups[2]]):
+            out = stacked_features(hand_built)
+            assert not np.shares_memory(out, matrix)
+            assert out.tobytes() == np.vstack([grp.features for grp in hand_built]).tobytes()
+
+
+def test_train_and_predict_same_on_views_and_copies(rng):
+    from bilex.ltr import GbdtParams, predict_groups, train
+
+    n_src, n_tgt, k = 60, 40, 8
+    src_vocab = Vocabulary.from_words([f"s{i}" for i in range(n_src)])
+    tgt_vocab = Vocabulary.from_words([f"t{i}" for i in range(n_tgt)])
+    fs = frequency_table_from_counts({w: int(rng.integers(1, 10**5)) for w in src_vocab.words[:50]}, src_vocab)
+    ft = frequency_table_from_counts({w: int(rng.integers(1, 10**5)) for w in tgt_vocab.words[:30]}, tgt_vocab)
+    ps, _ = pos_table_from_tags({w: ALL_TAGS[int(rng.integers(0, 5))] for w in src_vocab.words}, src_vocab)
+    pt, _ = pos_table_from_tags({w: ALL_TAGS[int(rng.integers(0, 5))] for w in tgt_vocab.words}, tgt_vocab)
+    cand_ids = np.array([rng.permutation(n_tgt)[:k] for _ in range(n_src)], dtype=np.int64)
+    cands = CandidateSet.from_arrays(np.arange(n_src), cand_ids, np.sort(rng.random((n_src, k)), axis=1)[:, ::-1])
+    dic = TranslationDictionary(entries={s: (int(cand_ids[s, rng.integers(0, k)]),) for s in range(n_src)})
+    groups = build_groups(dic.sources(), cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic=dic)
+    copies = [
+        RankingGroup(
+            src=grp.src,
+            candidate_ids=np.copy(grp.candidate_ids),
+            labels=np.copy(grp.labels),
+            features=np.copy(grp.features),
+            csls=np.copy(grp.csls),
+            has_gold=grp.has_gold,
+            gold_missed=grp.gold_missed,
+        )
+        for grp in groups
+    ]
+    params = GbdtParams(n_trees=8, max_depth=3)
+    model, trace = train(groups, params)
+    model_c, trace_c = train(copies, params)
+    assert trace == trace_c
+    for a, b in zip(model.trees, model_c.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    for x, y in zip(predict_groups(model, groups), predict_groups(model, copies)):
+        assert x.tobytes() == y.tobytes()

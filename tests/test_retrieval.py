@@ -1,5 +1,11 @@
+import math
+import unicodedata
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilex.corpus import TranslationDictionary, Vocabulary
 from bilex.retrieval import (
@@ -483,3 +489,211 @@ class TestAtomicCandidateWrite:
             write_candidates(cands, src.vocab, tgt.vocab, path)
         assert path.read_text() == "previous\trun\t1.000000\n"
         assert [p.name for p in tmp_path.iterdir()] == ["candidates.tsv"]
+
+
+def load_error(path, src, tgt):
+    from bilex.corpus import DataFormatError
+
+    with pytest.raises(DataFormatError) as caught:
+        load_candidates(path, src, tgt)
+    return str(caught.value)
+
+
+class TestCandidateFileErrors:
+    """Each load_candidates fault: its exact text and the file line it names."""
+
+    SRC = Vocabulary.from_words(["s0", "s1"])
+    TGT = Vocabulary.from_words(["t0", "t1", "t2"])
+    HEAD = "# candidates\n\ns0\tt0\t0.500000\ns0\tt1\t0.250000\n"  # lines 1-4
+
+    def error_for(self, tmp_path, rows):
+        path = tmp_path / "cands.tsv"
+        path.write_text(self.HEAD + rows, encoding="utf-8")
+        return path, load_error(path, self.SRC, self.TGT)
+
+    def test_wrong_field_count(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s1\tt0\n")
+        assert msg == f"{path}: line 5: expected 'src<TAB>cand<TAB>score'"
+
+    def test_short_row_balanced_by_a_long_one(self, tmp_path):
+        # the six fields of lines 5 and 6 would read as two good rows
+        path, msg = self.error_for(tmp_path, "s1\tt0\n0.1\ts1\tt1\t0.2\n")
+        assert msg == f"{path}: line 5: expected 'src<TAB>cand<TAB>score'"
+
+    def test_unknown_source_word(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s9\tt0\t0.1\n")
+        assert msg == f"{path}: line 5: unknown source word 's9'"
+
+    def test_unknown_candidate_word(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s1\tt9\t0.1\n")
+        assert msg == f"{path}: line 5: unknown candidate word 't9'"
+
+    def test_non_numeric_score(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s1\tt0\t0.1x\n")
+        assert msg == f"{path}: line 5: non-numeric score '0.1x'"
+
+    def test_non_finite_score(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s1\tt0\t-inf\n")
+        assert msg == f"{path}: line 5: non-finite score '-inf'"
+
+    def test_non_contiguous_source(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s1\tt0\t0.1\ns1\tt1\t0.1\ns0\tt2\t0.1\n")
+        assert msg == f"{path}: line 7: rows for 's0' are not contiguous"
+
+    def test_mixed_widths(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s1\tt0\t0.1\n")
+        assert msg == f"{path}: candidate lists have mixed lengths [1, 2]"
+
+    def test_first_failing_check_of_a_line_is_reported(self, tmp_path):
+        # unknown source and non-numeric score on one line: the source is checked first
+        path, msg = self.error_for(tmp_path, "s9\tt0\tx\n")
+        assert msg == f"{path}: line 5: unknown source word 's9'"
+        # non-contiguous and non-numeric: the score is checked first
+        path, msg = self.error_for(tmp_path, "s1\tt0\t0.1\ns0\tt2\tx\n")
+        assert msg == f"{path}: line 6: non-numeric score 'x'"
+
+    def test_repeated_candidate_names_second_occurrence(self, tmp_path):
+        path, msg = self.error_for(tmp_path, "s1\tt2\t0.9\ns1\tt2\t0.8\n")
+        assert msg == f"{path}: line 6: candidate 't2' repeated for 's1'"
+
+
+def reference_load_candidates(path, src_vocab, tgt_vocab):
+    """The line-by-line loader: one row at a time, each check in turn, then the
+    whole-file checks (mixed widths, then a candidate repeated within a list)."""
+    from bilex.corpus import DataFormatError
+
+    src_ids, cand_rows, score_rows, line_rows = [], [], [], []
+    seen = set()
+    current = -1
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise DataFormatError(f"{path}: line {line_no}: expected 'src<TAB>cand<TAB>score'")
+            sw, cw = unicodedata.normalize("NFC", fields[0]), unicodedata.normalize("NFC", fields[1])
+            if sw not in src_vocab:
+                raise DataFormatError(f"{path}: line {line_no}: unknown source word {sw!r}")
+            if cw not in tgt_vocab:
+                raise DataFormatError(f"{path}: line {line_no}: unknown candidate word {cw!r}")
+            try:
+                score = float(fields[2])
+            except ValueError:
+                raise DataFormatError(f"{path}: line {line_no}: non-numeric score {fields[2]!r}") from None
+            if not math.isfinite(score):
+                raise DataFormatError(f"{path}: line {line_no}: non-finite score {fields[2]!r}")
+            s = src_vocab.id(sw)
+            if s != current:
+                if s in seen:
+                    raise DataFormatError(f"{path}: line {line_no}: rows for {sw!r} are not contiguous")
+                seen.add(s)
+                current = s
+                src_ids.append(s)
+                cand_rows.append([])
+                score_rows.append([])
+                line_rows.append([])
+            cand_rows[-1].append(tgt_vocab.id(cw))
+            score_rows[-1].append(score)
+            line_rows[-1].append(line_no)
+    if not src_ids:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0))
+    widths = {len(r) for r in cand_rows}
+    if len(widths) != 1:
+        raise DataFormatError(f"{path}: candidate lists have mixed lengths {sorted(widths)}")
+    for s, row, lines in zip(src_ids, cand_rows, line_rows):
+        for j, c in enumerate(row):
+            if c in row[:j]:
+                raise DataFormatError(
+                    f"{path}: line {lines[j]}: candidate {tgt_vocab.word(c)!r} repeated for {src_vocab.word(s)!r}"
+                )
+    return np.array(src_ids, dtype=np.int64), np.array(cand_rows, dtype=np.int64), np.array(score_rows, dtype=np.float64)
+
+
+# \x85, \u2028 and \x1c break lines for str.splitlines but not for the file format;
+# e + combining acute and \u00e9 are one word after NFC, as are n + tilde and \u00f1
+CAND_SRC = Vocabulary.from_words(["s0", "s\x85x", "s\u2028y", "\u00e9", "s\x1cz"])
+CAND_TGT = Vocabulary.from_words(["t0", "t1", "t\x85", "t\u2028", "\u00f1", "t\x1c"])
+SPELLINGS = {"\u00e9": ["\u00e9", "e\u0301"], "\u00f1": ["\u00f1", "n\u0303"]}
+SCORE_TEXTS = st.one_of(
+    st.floats(min_value=-10, max_value=10).map(lambda v: f"{v:.6f}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_0", " 0.5", "0.5 ", "\x850.5", "-0.000000", "\u0661\u0662", "+.5"]),
+)
+# np.loadtxt would accept the \x1c and \x1f spellings; float() refuses them
+BAD_SCORE_TEXTS = st.sampled_from(["x", "", "nan", "-inf", "1e999", "0x1", "1,5", "\x1c0.5", "0.5\x1f"])
+
+
+def spelled(draw, word):
+    return draw(st.sampled_from(SPELLINGS.get(word, [word])))
+
+
+@st.composite
+def candidate_files(draw):
+    """Text of a candidate file: grouped rows of one width, then a few faults, comments and blanks."""
+    width = draw(st.integers(1, 4))
+    sources = draw(st.lists(st.sampled_from(range(len(CAND_SRC))), unique=True, max_size=len(CAND_SRC)))
+    rows = []
+    for s in sources:
+        cands = draw(st.lists(st.sampled_from(range(len(CAND_TGT))), unique=True, min_size=width, max_size=width))
+        for c in cands:
+            rows.append([CAND_SRC.word(s), CAND_TGT.word(c), draw(SCORE_TEXTS)])
+    lines = [[spelled(draw, sw), spelled(draw, cw), score] for sw, cw, score in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["comment", "blank", "fields", "src", "cand", "score", "drop", "repeat", "move"]))
+        if kind == "comment":
+            lines.insert(at, "#" + draw(st.sampled_from(["", " c", "\tx\ty", "s0\tt0\t1"])))
+        elif kind == "blank":
+            lines.insert(at, "")
+        elif kind == "fields":
+            lines.insert(at, "\t".join(draw(st.sampled_from([["s0"], ["s0", "t0"], ["s0", "t0", "1", "2"]]))))
+        elif lines and at < len(lines) and isinstance(lines[at], list):
+            row = lines[at]
+            if kind == "src":
+                row[0] = draw(st.sampled_from(["zz", "s0", "s\x85", CAND_SRC.word(len(CAND_SRC) - 1)]))
+            elif kind == "cand":
+                row[1] = draw(st.sampled_from(["zz", "t0", "t\u2028", "t"]))
+            elif kind == "score":
+                row[2] = draw(BAD_SCORE_TEXTS)
+            elif kind == "drop":
+                del lines[at]
+            elif kind == "repeat":  # an earlier candidate of the same list, else one more row
+                earlier = [line for line in lines[:at] if isinstance(line, list) and line[0] == row[0]]
+                if earlier:
+                    row[1] = earlier[-1][1]
+                else:
+                    lines.insert(at + 1, [row[0], row[1], "0.1"])
+            else:
+                lines.insert(draw(st.integers(0, len(lines))), lines.pop(at))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join("\t".join(line) if isinstance(line, list) else line for line in lines)
+    return text + (eol if lines and draw(st.booleans()) else "")
+
+
+class TestCandidateLoaderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(text=candidate_files(), chunk_chars=st.sampled_from([1, 2, 7, 30, 100, 1 << 20]))
+    def test_matches_line_by_line_reference(self, tmp_path_factory, text, chunk_chars):
+        from bilex import retrieval
+        from bilex.corpus import DataFormatError
+
+        path = tmp_path_factory.mktemp("cands") / "cands.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = reference_load_candidates(path, CAND_SRC, CAND_TGT)
+        except DataFormatError as e:
+            expected = str(e)
+        with mock.patch.object(retrieval, "CANDIDATE_CHUNK_CHARS", chunk_chars):
+            if isinstance(expected, str):
+                assert load_error(path, CAND_SRC, CAND_TGT) == expected
+                return
+            got = load_candidates(path, CAND_SRC, CAND_TGT)
+        src_ids, cand_ids, scores = expected
+        assert got.src_ids.dtype == np.int64 and got.src_ids.tolist() == src_ids.tolist()
+        assert got.cand_ids.dtype == np.int64 and got.cand_ids.shape == cand_ids.shape
+        assert got.cand_ids.tolist() == cand_ids.tolist()
+        assert got.scores.dtype == np.float64 and got.scores.shape == scores.shape
+        assert got.scores.tobytes() == scores.tobytes()
+        assert got.row_of == {int(s): i for i, s in enumerate(src_ids)}

@@ -252,11 +252,17 @@ def _write_kv(path: Path, items: list[tuple[str, object]]) -> None:
             fh.write(f"{key}\t{value}\n")
 
 
-def _load_spaces(opts: argparse.Namespace):
-    """Both embedding spaces, unit-normalized, for the commands that compute with vectors."""
-    src = corpus.load_embeddings(opts.src_emb, opts.max_vocab)
-    tgt = corpus.load_embeddings(opts.tgt_emb, opts.max_vocab)
-    return corpus.normalize_rows(src), corpus.normalize_rows(tgt)
+def _load_spaces(opts: argparse.Namespace, counts: dict):
+    """Both embedding spaces, unit-normalized, for the commands that compute with vectors.
+
+    Adds each side's duplicate tokens and zero rows to the load stage's counts.
+    """
+    src = corpus.normalize_rows(corpus.load_embeddings(opts.src_emb, opts.max_vocab))
+    tgt = corpus.normalize_rows(corpus.load_embeddings(opts.tgt_emb, opts.max_vocab))
+    for side, space in (("src", src), ("tgt", tgt)):
+        counts[f"{side}_duplicate_tokens"] = space.duplicate_count
+        counts[f"{side}_zero_rows"] = space.zero_row_count
+    return src, tgt
 
 
 def _load_vocabularies(opts: argparse.Namespace):
@@ -285,24 +291,17 @@ def _aligned_source(src, tgt, seed_dict_path):
     return retrieval.apply_alignment(src, W), seed
 
 
-def _subset_space(space, ids: list[int]):
-    vocab = corpus.Vocabulary.from_words([space.vocab.word(i) for i in ids])
-    return corpus.EmbeddingSpace(
-        vocab=vocab,
-        matrix=space.matrix[ids],
-        dim=space.dim,
-        normalized=space.normalized,
-    )
-
-
 def _read_word_list(path: str | Path, vocab: corpus.Vocabulary) -> list[int]:
-    ids = []
+    """Vocabulary ids of a one-word-per-line file, in file order; an unknown or repeated word is an error."""
+    ids: dict[int, None] = {}  # an ordered set
     for line_no, line in corpus._data_lines(Path(path)):
         word = corpus._nfc(line.strip())
         if word not in vocab:
             raise corpus.DataFormatError(f"{path}: line {line_no}: unknown word {word!r}")
-        ids.append(vocab.id(word))
-    return ids
+        if vocab.id(word) in ids:
+            raise corpus.DataFormatError(f"{path}: line {line_no}: repeated word {word!r}")
+        ids[vocab.id(word)] = None
+    return list(ids)
 
 
 # ---------------------------------------------------------------- synth
@@ -392,29 +391,28 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
     out = _output_dir(opts, errors)
     with _RunLog(out, "retrieve") as runlog:
         with runlog.stage("load", vectors_parsed=1) as counts:
-            src, tgt = _load_spaces(opts)
+            src, tgt = _load_spaces(opts, counts)
             counts["vector_rows"] = len(src) + len(tgt)
         with runlog.stage("align"):
             src, seed = _aligned_source(src, tgt, opts.seed_dict)
-        if opts.source_words is not None:
-            scope_ids = _read_word_list(opts.source_words, src.vocab)
-            queries = _subset_space(src, scope_ids)
-        else:
-            scope_ids = list(range(len(src)))
-            queries = src
+        rows = None if opts.source_words is None else np.array(_read_word_list(opts.source_words, src.vocab))
 
         params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
-        with runlog.stage("retrieve", queries=len(queries), top_k=opts.top_k):
-            cands, _ = retrieval.retrieve_topk(queries, tgt, params, metric=opts.metric, n_threads=threads)
+        n_queries = len(src) if rows is None else len(rows)
+        with runlog.stage("retrieve", queries=n_queries, top_k=opts.top_k) as counts:
+            stats = retrieval.ScanStats()
+            cands, _ = retrieval.retrieve_topk(
+                src, tgt, params, metric=opts.metric, n_threads=threads, rows=rows, stats=stats
+            )
+            counts.update(stats.fields())
         with runlog.stage("write"):
-            # candidate rows are indexed by scope position; export uses real words
-            retrieval.write_candidates(cands, queries.vocab, tgt.vocab, out / "candidates.tsv")
+            retrieval.write_candidates(cands, src.vocab, tgt.vocab, out / "candidates.tsv")
 
         with runlog.stage("report"):
             skew_k = min(10, opts.top_k)
             n_k = np.bincount(cands.cand_ids[:, :skew_k].ravel(), minlength=len(tgt))
             report: list[tuple[str, object]] = [
-                ("n_src", len(queries)),
+                ("n_src", n_queries),
                 ("n_tgt", len(tgt)),
                 ("metric", opts.metric),
                 ("k_csls", opts.k_csls),
@@ -427,21 +425,14 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
                 ("tgt_duplicates", tgt.duplicate_count),
             ]
             if seed is not None:
-                scope_set = {int(s) for s in scope_ids}
-                eligible = [s for s in seed.sources() if s in scope_set]
-                missed = 0
-                pos_of = {int(s): i for i, s in enumerate(scope_ids)}
-                for s in eligible:
-                    row = pos_of[s]
-                    retrieved = set(cands.cand_ids[row].tolist())
-                    if not retrieved & set(seed.entries[s]):
-                        missed += 1
+                eligible = [s for s in seed.sources() if s in cands]
+                missed = sum(not set(cands.for_source(s)[0].tolist()) & set(seed.entries[s]) for s in eligible)
                 report.append(("dict_sources_in_scope", len(eligible)))
                 report.append(("gold_missed", missed))
                 if eligible:
                     report.append(("gold_missed_rate", f"{missed / len(eligible):.6f}"))
             _write_kv(out / "retrieval_report.txt", report)
-        runlog.note("n_src", len(queries))
+        runlog.note("n_src", n_queries)
     return 0
 
 
@@ -521,10 +512,12 @@ def _build_schema(opts: argparse.Namespace) -> features.FeatureSchema:
     return features.FeatureSchema(disabled=tuple(disabled))
 
 
-def _extend_candidates(cands, missing: list[int], src, tgt, params, threads):
-    """Retrieve candidate lists for sources absent from the loaded file."""
-    queries = _subset_space(src, missing)
-    extra, _ = retrieval.retrieve_topk(queries, tgt, params, metric="csls", n_threads=threads)
+def _extend_candidates(cands, missing: list[int], src, tgt, params, threads, means=None, stats=None):
+    """Retrieve candidate lists for sources absent from the loaded file, scored
+    against the neighborhood means of the whole spaces (computed if not given)."""
+    extra, _ = retrieval.retrieve_topk(
+        src, tgt, params, n_threads=threads, rows=np.array(missing), means=means, stats=stats
+    )
     if cands.cand_ids.size and extra.cand_ids.shape[1] != cands.cand_ids.shape[1]:
         raise corpus.DataFormatError(
             f"candidate width mismatch: file has {cands.cand_ids.shape[1]}, retrieval produced {extra.cand_ids.shape[1]}"
@@ -556,7 +549,7 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
         need_vectors = opts.mode == "semi" and opts.n_aug > 0
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
             if need_vectors:
-                src, tgt = _load_spaces(opts)
+                src, tgt = _load_spaces(opts, counts)
                 src_vocab, tgt_vocab = src.vocab, tgt.vocab
             else:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
@@ -573,12 +566,14 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
         if need_vectors:
             with runlog.stage("augment") as counts:
                 aligned_src, _ = _aligned_source(src, tgt, opts.dict_train)
-                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, params, n_threads=threads)
+                stats = retrieval.ScanStats()
+                means = retrieval.neighborhood_means(aligned_src, tgt, params, threads, stats)
+                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, params, threads, means, stats)
                 dic = retrieval.augment_dictionary(dic, mined, opts.n_aug)
                 missing = [s for s in dic.sources() if s not in cands]
                 if missing:
-                    cands = _extend_candidates(cands, missing, aligned_src, tgt, params, threads)
-                counts.update(mined_pairs=len(mined), retrieved_sources=len(missing))
+                    cands = _extend_candidates(cands, missing, aligned_src, tgt, params, threads, means, stats)
+                counts.update(mined_pairs=len(mined), retrieved_sources=len(missing), **stats.fields())
             runlog.note("augmented_to", len(dic))
 
         schema = _build_schema(opts)
@@ -740,7 +735,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
         need_vectors = opts.words is not None
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
             if need_vectors:
-                src, tgt = _load_spaces(opts)
+                src, tgt = _load_spaces(opts, counts)
                 src_vocab, tgt_vocab = src.vocab, tgt.vocab
             else:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
@@ -758,8 +753,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
                 word_ids = _read_word_list(opts.words, src.vocab)
                 counts["words"] = len(word_ids)
                 params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
-                queries = _subset_space(src_aligned, word_ids)
-                cands, _ = retrieval.retrieve_topk(queries, tgt, params, n_threads=threads)
+                cands, _ = retrieval.retrieve_topk(src_aligned, tgt, params, n_threads=threads, rows=np.array(word_ids))
                 for row, s in enumerate(word_ids):
                     word = src.vocab.word(s)
                     if s not in dic.entries:

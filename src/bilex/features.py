@@ -318,6 +318,9 @@ def write_feature_matrix(groups: list[RankingGroup], src_vocab: Vocabulary, tgt_
         fh.write("src\tcand\tlabel\t" + "\t".join(FEATURE_NAMES) + "\n")
         for grp in groups:
             sw = src_vocab.word(grp.src)
-            for i, c in enumerate(grp.candidate_ids):
-                cells = "\t".join(repr(float(v)) for v in grp.features[i])
-                fh.write(f"{sw}\t{tgt_vocab.word(int(c))}\t{int(grp.labels[i])}\t{cells}\n")
+            # tolist() gives Python floats, whose repr is the shortest round-trip text
+            rows = zip(grp.candidate_ids.tolist(), grp.labels.tolist(), grp.features.tolist())
+            fh.write("".join(
+                f"{sw}\t{tgt_vocab.word(c)}\t{int(label)}\t" + "\t".join(map(repr, cells)) + "\n"
+                for c, label, cells in rows
+            ))

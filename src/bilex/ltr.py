@@ -110,33 +110,61 @@ def average_precision(labels) -> float:
     return float((hits[y == 1] / ks[y == 1]).sum() / positives)
 
 
-def mean_ap(groups: list[RankingGroup], scores: list[np.ndarray]) -> float:
+@dataclass(frozen=True)
+class ApBuckets:
+    """The groups of one list that hold a positive, in buckets of equal length.
+
+    Each bucket is (rows, labels, positives, members): the positions of its
+    groups' scores in the back-to-back score vector (b, size), their labels
+    (b, size), positive counts (b,) and group indices (b,). Built once,
+    it serves every mean_ap call on the same group list.
+    """
+
+    n_groups: int
+    buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+    @classmethod
+    def of(cls, groups: list[RankingGroup]) -> "ApBuckets":
+        offsets = np.concatenate([[0], np.cumsum([len(grp) for grp in groups], dtype=np.int64)])
+        by_size: dict[int, list[int]] = {}
+        for i, grp in enumerate(groups):
+            by_size.setdefault(len(grp), []).append(i)
+        buckets = []
+        for size, members in by_size.items():
+            y = np.array([groups[i].labels for i in members], dtype=np.float64)
+            positives = y.sum(axis=1)
+            keep = positives > 0
+            if keep.any():
+                kept = np.array(members)[keep]
+                buckets.append((offsets[kept][:, None] + np.arange(size), y[keep], positives[keep], kept))
+        return cls(n_groups=len(groups), buckets=buckets)
+
+
+def mean_ap(groups: list[RankingGroup], scores, buckets: ApBuckets | None = None) -> float:
     """Mean AP over groups that contain a positive, each ranked by score.
 
+    scores holds each group's scores, as one array per group or all of them
+    back to back in one array. buckets, if given, must be ApBuckets.of(groups).
     Groups are ranked in buckets of equal length, one row-wise stable sort
     per bucket. Each AP is the last entry of a running sum of the precisions
     at the positive ranks, added in rank order as average_precision does.
     """
-    buckets: dict[int, list[int]] = {}
-    for i, grp in enumerate(groups):
-        buckets.setdefault(len(grp), []).append(i)
-    aps = np.zeros(len(groups))
-    has_positive = np.zeros(len(groups), dtype=bool)
-    for size, members in buckets.items():
-        y = np.array([groups[i].labels for i in members], dtype=np.float64)
-        positives = y.sum(axis=1)
-        keep = positives > 0
-        if not keep.any():
-            continue
-        s = np.array([scores[i] for i in members], dtype=np.float64)[keep]
-        order = np.argsort(-s, axis=1, kind="stable")
-        ranked = np.take_along_axis(y[keep], order, axis=1)
+    if buckets is None:
+        buckets = ApBuckets.of(groups)
+    if isinstance(scores, np.ndarray):
+        pooled = scores.astype(np.float64, copy=False)
+    else:
+        pooled = np.concatenate([np.asarray(s, dtype=np.float64) for s in scores]) if scores else np.zeros(0)
+    aps = np.zeros(buckets.n_groups)
+    has_positive = np.zeros(buckets.n_groups, dtype=bool)
+    for rows, y, positives, members in buckets.buckets:
+        order = np.argsort(-pooled[rows], axis=1, kind="stable")
+        ranked = np.take_along_axis(y, order, axis=1)
         hits = np.cumsum(ranked, axis=1)
-        precision = np.where(ranked == 1, hits / np.arange(1, size + 1, dtype=np.float64), 0.0)
-        rows = np.array(members)[keep]
-        aps[rows] = np.cumsum(precision, axis=1)[:, -1] / positives[keep]
-        has_positive[rows] = True
-    skipped = len(groups) - int(has_positive.sum())
+        precision = np.where(ranked == 1, hits / np.arange(1, rows.shape[1] + 1, dtype=np.float64), 0.0)
+        aps[members] = np.cumsum(precision, axis=1)[:, -1] / positives
+        has_positive[members] = True
+    skipped = buckets.n_groups - int(has_positive.sum())
     if skipped:
         log.debug("mean_ap: %d all-negative groups excluded", skipped)
     return float(np.mean(aps[has_positive])) if has_positive.any() else 0.0
@@ -401,6 +429,8 @@ def train(
     scores = np.zeros(n, dtype=np.float64)
     bins = _BinnedColumns(X)
 
+    ap_buckets = ApBuckets.of(groups)  # the MAP trace ranks the same groups every round
+
     trees: list[RegressionTree] = []
     trace: list[tuple[int, float]] = []
     for round_no in range(1, params.n_trees + 1):
@@ -411,8 +441,7 @@ def train(
         tree = fit_tree(X, g, h, params, bins)
         trees.append(tree)
         scores += params.learning_rate * tree.predict(X)
-        per_group = [scores[offsets[i]:offsets[i + 1]] for i in range(len(groups))]
-        trace.append((round_no, mean_ap(groups, per_group)))
+        trace.append((round_no, mean_ap(groups, scores, ap_buckets)))
 
     model = GbdtModel(
         trees=trees,

@@ -5,6 +5,20 @@ All similarity work is exact brute force over blocked matrix products. Blocks
 have a fixed size, results are reduced in block order, and every tie is
 broken by ascending id, so output is bitwise independent of the worker count.
 
+Each worker writes its blocks' products into one block buffer, held for the
+length of a pass and freed when it returns; CSLS scores 2*S - r are formed
+in place there, so no pass allocates or copies a whole block. Top-k
+selection over wide rows first screens each row by the maxima of fixed-width
+column chunks: the chunks reaching the k-th largest chunk maximum hold every
+value at or above the row's k-th, boundary ties included, and the exact
+tie-rule selection then runs on that shortlist, SELECT_ROWS rows at a time
+to keep each worker's temporaries small. Top-k means are summed in
+descending order, so any selection route gives the same bits.
+
+CSLS neighborhood means always cover the whole source and target spaces; a
+retrieval scoped to some source rows scores them against those means, as a
+full run does (neighborhood_means computes them once for several passes).
+
 Candidate files are read back in chunks of text: fields are split, words
 looked up and scores parsed a chunk at a time, and a chunk that fails a check
 is re-read row by row to name its first faulty line. A candidate listed twice
@@ -15,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +56,13 @@ BLOCK_CELLS = 8_000_000
 
 def _block_rows(n_cols: int) -> int:
     return max(32, min(4096, BLOCK_CELLS // max(1, n_cols)))
+
+
+# rows per top-k selection call. Rows are selected independently, so slicing
+# changes no result; selecting whole blocks (400 x 20k, 1,600 x 5k) peaked
+# 26-45 MB higher on a 5k x 20k retrieval, from temporaries left in the
+# worker threads' heaps.
+SELECT_ROWS = 128
 
 
 @dataclass
@@ -87,6 +109,41 @@ class CandidateSet:
         return self.cand_ids[row], self.scores[row]
 
 
+class ScanStats:
+    """Shortlist widths and block-buffer sizes of the similarity passes, for run.log.
+
+    Workers add to it concurrently, under a lock.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.rows = 0
+        self.columns = 0
+        self.widest = 0
+        self.buffer_bytes = 0
+
+    def note_shortlist(self, kept: np.ndarray) -> None:
+        """Record the columns kept per row by one top-k selection."""
+        with self._lock:
+            self.rows += kept.size
+            self.columns += int(kept.sum())
+            self.widest = max(self.widest, int(kept.max(initial=0)))
+
+    def note_buffers(self, nbytes: int) -> None:
+        """Record the block buffers one pass held."""
+        with self._lock:
+            self.buffer_bytes = max(self.buffer_bytes, nbytes)
+
+    def fields(self) -> dict[str, str]:
+        """Mean and widest shortlist in columns per row, and the largest buffer total of one pass in MB."""
+        mean = self.columns / self.rows if self.rows else 0.0
+        return {
+            "shortlist_mean": f"{mean:.1f}",
+            "shortlist_max": str(self.widest),
+            "buffer_mb": f"{self.buffer_bytes / 2**20:.1f}",
+        }
+
+
 def _check_aligned_pair(src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
     if src.dim != tgt.dim:
         raise ValueError(f"dimension mismatch: source d={src.dim}, target d={tgt.dim}")
@@ -94,26 +151,96 @@ def _check_aligned_pair(src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
         raise ValueError("both spaces must be row-normalized")
 
 
-def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int) -> list:
-    """Apply fn(lo, hi) to fixed-size row blocks, preserving block order.
+def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanStats | None = None) -> list:
+    """Apply fn(lo, hi, out) to fixed-size row blocks, preserving block order.
 
-    Block boundaries depend only on the problem shape, not on n_threads, so
-    the concatenated result is identical for any worker count.
+    out is an (hi - lo, n_cols) float64 block buffer that fn may overwrite.
+    A buffer is taken from a pool when a block starts and returned when it
+    ends, so there are at most as many buffers as workers; they are freed
+    when this call returns. Block boundaries depend only on the problem
+    shape, not on n_threads, so the concatenated result is identical for any
+    worker count.
     """
     block = _block_rows(n_cols)
     spans = [(lo, min(lo + block, n_rows)) for lo in range(0, n_rows, block)]
+    free: list[np.ndarray] = []  # list.pop and list.append are atomic
+    made: list[int] = []
+
+    def run(span: tuple[int, int]):
+        lo, hi = span
+        try:
+            buf = free.pop()
+        except IndexError:
+            buf = np.empty((min(block, n_rows), n_cols))
+            made.append(buf.nbytes)
+        try:
+            return fn(lo, hi, buf[: hi - lo])
+        finally:
+            free.append(buf)
+
     if n_threads <= 1 or len(spans) <= 1:
-        return [fn(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(lambda span: fn(*span), spans))
+        parts = [run(span) for span in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            parts = list(pool.map(run, spans))
+    if stats is not None:
+        stats.note_buffers(sum(made))
+    return parts
 
 
-def _topk_desc_rows(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise top-k by descending score, ties broken by ascending column id.
+def _chunk_width(n: int, k: int) -> int:
+    """Column-chunk width of the top-k screen over rows of n values; 0 means no screen.
 
-    Returns (ids, values), each (m, k). Exact even when values tie across the
-    selection boundary.
+    Rows narrower than 16k columns are selected in full. Wider rows get at
+    least 8k chunks of at most 64 columns, so the kept chunks are a small
+    share of the row.
     """
+    return 0 if n < 16 * k else min(64, n // (8 * k))
+
+
+def _shortlist(rows: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact screen: the columns of each row that can hold one of its k largest values.
+
+    Each row is cut into chunks of `width` columns (the last may be shorter)
+    and the k-th largest chunk maximum is taken. k distinct columns reach
+    that bound, so it is at most the row's k-th largest value: every chunk
+    holding a value at or above the k-th, boundary ties included, has a
+    maximum at or above the bound and is kept.
+
+    Returns (values, chunks, kept): values (m, c * width) holds the kept
+    chunks of each row side by side in ascending chunk order, the short last
+    chunk padded with -inf; a row that keeps fewer than c chunks fills its
+    last slots with chunks it did not keep, whose values are all below the
+    bound and never reach its top k. chunks (m, c) is the chunk index of each
+    slot and kept (m,) the columns of the kept chunks per row. Position p of
+    a row is column chunks[row, p // width] * width + p % width, ascending
+    over the kept values, so a lowest-position tie rule on values is the
+    lowest-id rule.
+    """
+    m, n = rows.shape
+    # reduceat is faster here than a max over the last axis of a 3-d view
+    maxima = np.maximum.reduceat(rows, np.arange(0, n, width), axis=1)
+    n_chunks = maxima.shape[1]
+    n_whole, tail = divmod(n, width)
+    whole = rows[:, : n_whole * width].reshape(m, n_whole, width)
+    bound = np.partition(maxima, n_chunks - k, axis=1)[:, n_chunks - k]
+    keep = maxima >= bound[:, None]
+    counts = keep.sum(axis=1)
+    c = int(counts.max())
+    chunks = np.argsort(~keep, axis=1, kind="stable")[:, :c]  # kept chunks first, each part ascending
+    values = whole[np.arange(m)[:, None], np.minimum(chunks, n_whole - 1)]  # (m, c, width)
+    kept = counts * width
+    if tail:  # the short last chunk: its columns, then -inf
+        at_tail = chunks == n_whole
+        values[at_tail] = -np.inf
+        values[at_tail, :tail] = rows[np.nonzero(at_tail)[0], n_whole * width :]
+        kept -= (width - tail) * keep[:, -1]
+    return values.reshape(m, c * width), chunks, kept
+
+
+def _topk_desc_full(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise top-k by descending score over whole rows, ties broken by
+    ascending column id; the selection rule that _topk_desc_rows applies."""
     m, n = scores.shape
     if k > n:
         raise ValueError(f"k={k} exceeds row length {n}")
@@ -141,14 +268,56 @@ def _topk_desc_rows(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return ids, vals
 
 
-def _topk_mean_rows(sims: np.ndarray, k: int) -> np.ndarray:
-    """Mean of the k largest values per row."""
-    n = sims.shape[1]
-    if k == n:
-        top = sims
+def _screen(rows: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """What a top-k selection runs on: (values, chunks, width) from _shortlist
+    for wide rows, (rows, None, 0) for rows narrower than 16k."""
+    m, n = rows.shape
+    width = _chunk_width(n, k)
+    if width:
+        values, chunks, kept = _shortlist(rows, k, width)
     else:
-        top = np.partition(sims, n - k, axis=1)[:, n - k:]
-    return top.sum(axis=1) / k
+        values, chunks, kept = rows, None, np.full(m, n)
+    if stats is not None:
+        stats.note_shortlist(kept)
+    return values, chunks, width
+
+
+def _topk_desc_rows(scores: np.ndarray, k: int, stats: ScanStats | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise top-k by descending score, ties broken by ascending column id.
+
+    Returns (ids, values), each (m, k). Exact even when values tie across the
+    selection boundary: wide rows are screened to their kept chunks first,
+    which hold every value at or above the k-th, and the same rule then runs
+    on that shortlist. Rows are selected SELECT_ROWS at a time.
+    """
+    parts = [_topk_desc_slice(scores[lo : lo + SELECT_ROWS], k, stats) for lo in range(0, len(scores), SELECT_ROWS)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _topk_desc_slice(scores: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.ndarray, np.ndarray]:
+    values, chunks, width = _screen(scores, k, stats)
+    ids, vals = _topk_desc_full(values, k)
+    if chunks is not None:  # shortlist positions to column ids
+        ids = np.take_along_axis(chunks, ids // width, axis=1) * width + ids % width
+    return ids, vals
+
+
+def _topk_mean_rows(sims: np.ndarray, k: int, stats: ScanStats | None = None) -> np.ndarray:
+    """Mean of the k largest values per row, summed in descending order.
+
+    The k values are the same whichever route selects them, and a fixed
+    summation order makes the mean the same to the bit; wide rows are
+    screened as in _topk_desc_rows, SELECT_ROWS at a time.
+    """
+    return np.concatenate([_topk_mean_slice(sims[lo : lo + SELECT_ROWS], k, stats) for lo in range(0, len(sims), SELECT_ROWS)])
+
+
+def _topk_mean_slice(sims: np.ndarray, k: int, stats: ScanStats | None) -> np.ndarray:
+    values, _, _ = _screen(sims, k, stats)
+    n = values.shape[1]
+    top = np.sort(values if k == n else np.partition(values, n - k, axis=1)[:, n - k:], axis=1)
+    # cumsum adds strictly left to right, largest value first
+    return np.cumsum(top[:, ::-1], axis=1)[:, -1] / k
 
 
 def csls_score(x: np.ndarray, y: np.ndarray, r_x: float, r_y: float) -> float:
@@ -156,7 +325,13 @@ def csls_score(x: np.ndarray, y: np.ndarray, r_x: float, r_y: float) -> float:
     return 2.0 * float(np.dot(x, y)) - r_x - r_y
 
 
-def knn_mean_similarity(queries: EmbeddingSpace, index: EmbeddingSpace, k: int, n_threads: int = 1) -> np.ndarray:
+def knn_mean_similarity(
+    queries: EmbeddingSpace,
+    index: EmbeddingSpace,
+    k: int,
+    n_threads: int = 1,
+    stats: ScanStats | None = None,
+) -> np.ndarray:
     """Per query row, the mean cosine of its k nearest index rows.
 
     A query vector also present in the index is not excluded from its own
@@ -167,11 +342,32 @@ def knn_mean_similarity(queries: EmbeddingSpace, index: EmbeddingSpace, k: int, 
         raise ValueError(f"k must be in [1, {len(index)}], got {k}")
     Q, I = queries.matrix, index.matrix
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        return _topk_mean_rows(Q[lo:hi] @ I.T, k)
+    def block(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        np.matmul(Q[lo:hi], I.T, out=out)
+        return _topk_mean_rows(out, k, stats)
 
-    parts = _map_row_blocks(block, len(queries), len(index), n_threads)
+    parts = _map_row_blocks(block, len(queries), len(index), n_threads, stats)
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def neighborhood_means(
+    src: EmbeddingSpace,
+    tgt: EmbeddingSpace,
+    params: SimilarityParams,
+    n_threads: int = 1,
+    stats: ScanStats | None = None,
+) -> NeighborhoodMeans:
+    """CSLS neighborhood means of both whole spaces at k_csls.
+
+    r_tgt is capped at the source vocabulary size; r_src at the target size
+    is checked by params.
+    """
+    _check_aligned_pair(src, tgt)
+    params.validate(len(tgt))
+    return NeighborhoodMeans(
+        r_src=knn_mean_similarity(src, tgt, params.k_csls, n_threads, stats),
+        r_tgt=knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats),
+    )
 
 
 def retrieve_topk(
@@ -180,46 +376,57 @@ def retrieve_topk(
     params: SimilarityParams,
     metric: str = "csls",
     n_threads: int = 1,
+    rows: np.ndarray | None = None,
+    means: NeighborhoodMeans | None = None,
+    stats: ScanStats | None = None,
 ) -> tuple[CandidateSet, NeighborhoodMeans]:
-    """Exact top-k retrieval of target candidates for every source word.
+    """Exact top-k retrieval of target candidates for the source ids in rows
+    (default: every source word), in that order.
 
     metric "csls" scores 2*cos(x,y) - r_src(x) - r_tgt(y) with neighborhood
-    means at k_csls; metric "cosine" scores the plain dot product and leaves
-    the returned means at zero.
+    means at k_csls over the whole spaces, whatever rows holds, so a scoped
+    row scores as in a full run (up to the last bits of its dot products).
+    means, if given, must be neighborhood_means of these spaces and
+    params; else r_tgt is computed here and r_src inside each block. metric
+    "cosine" scores the plain dot product and leaves the returned means at
+    zero. The returned r_src covers the retrieved rows only.
     """
     _check_aligned_pair(src, tgt)
     params.validate(len(tgt))
     if metric not in ("csls", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
-    X, Y = src.matrix, tgt.matrix
-    n_src = len(src)
+    csls = metric == "csls"
+    src_ids = np.arange(len(src), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+    X = src.matrix if rows is None else src.matrix[src_ids]
+    Y = tgt.matrix
 
-    if metric == "csls":
-        # target-side neighborhoods live in the scoped source set, which may
-        # be smaller than k_csls when retrieving for a handful of words
-        r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, n_src), n_threads)
-    else:
+    if not csls:
         r_tgt = np.zeros(len(tgt))
+    elif means is not None:
+        r_tgt = means.r_tgt
+    else:
+        r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats)
 
-    def block(lo: int, hi: int):
-        sims = X[lo:hi] @ Y.T
-        if metric == "csls":
-            r_src_block = _topk_mean_rows(sims, params.k_csls)
-            sims *= 2.0
-            sims -= r_tgt[None, :]
+    def block(lo: int, hi: int, sims: np.ndarray):
+        np.matmul(X[lo:hi], Y.T, out=sims)
+        if not csls:
+            return (*_topk_desc_rows(sims, params.top_k, stats), np.zeros(hi - lo))
+        if means is not None:
+            r_src_block = means.r_src[src_ids[lo:hi]]
         else:
-            r_src_block = np.zeros(hi - lo)
-        ids, vals = _topk_desc_rows(sims, params.top_k)
-        if metric == "csls":
-            vals = vals - r_src_block[:, None]
+            r_src_block = _topk_mean_rows(sims, params.k_csls, stats)
+        sims *= 2.0
+        sims -= r_tgt[None, :]
+        ids, vals = _topk_desc_rows(sims, params.top_k, stats)
+        vals -= r_src_block[:, None]
         return ids, vals, r_src_block
 
-    parts = _map_row_blocks(block, n_src, len(tgt), n_threads)
+    parts = _map_row_blocks(block, len(src_ids), len(tgt), n_threads, stats)
     cand_ids = np.concatenate([p[0] for p in parts]) if parts else np.zeros((0, params.top_k), dtype=np.int64)
     scores = np.concatenate([p[1] for p in parts]) if parts else np.zeros((0, params.top_k))
     r_src = np.concatenate([p[2] for p in parts]) if parts else np.zeros(0)
 
-    cands = CandidateSet.from_arrays(np.arange(n_src, dtype=np.int64), cand_ids.astype(np.int64), scores)
+    cands = CandidateSet.from_arrays(src_ids, cand_ids.astype(np.int64), scores)
     return cands, NeighborhoodMeans(r_src=r_src, r_tgt=r_tgt)
 
 
@@ -264,32 +471,41 @@ def mutual_nn_pairs(
     tgt: EmbeddingSpace,
     params: SimilarityParams,
     n_threads: int = 1,
+    means: NeighborhoodMeans | None = None,
+    stats: ScanStats | None = None,
 ) -> list[tuple[int, int, float]]:
     """High-confidence pairs: mutual CSLS nearest neighbors, best first.
 
     (s, t) is kept when t is s's CSLS argmax over targets and s is t's CSLS
-    argmax over sources. Argmax ties go to the lowest id.
+    argmax over sources. Argmax ties go to the lowest id. means, if given,
+    must be neighborhood_means(src, tgt, params); a caller that also
+    retrieves for these spaces computes them once for both.
     """
     _check_aligned_pair(src, tgt)
     params.validate(len(tgt))
     X, Y = src.matrix, tgt.matrix
-    r_src = knn_mean_similarity(src, tgt, params.k_csls, n_threads)
-    r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads)
+    if means is None:
+        means = neighborhood_means(src, tgt, params, n_threads, stats)
+    r_src, r_tgt = means.r_src, means.r_tgt
 
-    def src_block(lo: int, hi: int):
-        adj = 2.0 * (X[lo:hi] @ Y.T) - r_tgt[None, :]
+    def src_block(lo: int, hi: int, adj: np.ndarray):
+        np.matmul(X[lo:hi], Y.T, out=adj)
+        adj *= 2.0
+        adj -= r_tgt[None, :]
         best = adj.argmax(axis=1)
         vals = adj[np.arange(hi - lo), best] - r_src[lo:hi]
         return best, vals
 
-    def tgt_block(lo: int, hi: int):
-        adj = 2.0 * (Y[lo:hi] @ X.T) - r_src[None, :]
+    def tgt_block(lo: int, hi: int, adj: np.ndarray):
+        np.matmul(Y[lo:hi], X.T, out=adj)
+        adj *= 2.0
+        adj -= r_src[None, :]
         return adj.argmax(axis=1)
 
-    src_parts = _map_row_blocks(src_block, len(src), len(tgt), n_threads)
+    src_parts = _map_row_blocks(src_block, len(src), len(tgt), n_threads, stats)
     best_t = np.concatenate([p[0] for p in src_parts])
     best_scores = np.concatenate([p[1] for p in src_parts])
-    tgt_parts = _map_row_blocks(tgt_block, len(tgt), len(src), n_threads)
+    tgt_parts = _map_row_blocks(tgt_block, len(tgt), len(src), n_threads, stats)
     best_s = np.concatenate(tgt_parts)
 
     src_ids = np.arange(len(src))

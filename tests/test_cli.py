@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import bilex
-from bilex import corpus
-from bilex.cli import COMMANDS, _as_bool, build_parser, main, resolve_options
+from bilex import corpus, retrieval
+from bilex.cli import COMMANDS, _aligned_source, _as_bool, _extend_candidates, build_parser, main, resolve_options
 
 
 def run(*argv):
@@ -158,6 +158,33 @@ class TestRetrieve:
         assert len(lines) == 3 * 4
         assert {l.split("\t")[0] for l in lines} == {"s00001", "s00005", "s00009"}
         assert kv(tmp_path / "retrieval_report.txt")["n_src"] == "3"
+
+    def test_repeated_source_word_exit_3(self, world_dir, tmp_path, capsys):
+        words = tmp_path / "words.txt"
+        words.write_text("s00001\ns00005\ns00001\n")
+        assert run(
+            "retrieve", "--out-dir", tmp_path / "out",
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--source-words", words,
+        ) == 3
+        assert f"{words}: line 3: repeated word 's00001'" in capsys.readouterr().err
+
+    def test_threads_leave_candidates_byte_identical(self, tmp_path, monkeypatch):
+        # 400 targets >= 16 * top_k, so both top-k selections go through the
+        # chunk screen; 32-row blocks give every worker several blocks
+        world = tmp_path / "world"
+        assert run("synth", "--out-dir", world, "--n", 400, "--dim", 16, "--noise-sigma", "0.2", "--seed", 4) == 0
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 32 * 400)
+        for threads in (1, 3):
+            assert run(
+                "retrieve", "--out-dir", tmp_path / f"t{threads}",
+                "--src-emb", world / "embeddings.src.vec",
+                "--tgt-emb", world / "embeddings.tgt.vec",
+                "--seed-dict", world / "dict.train.tsv",
+                "--top-k", 10, "--k-csls", 5, "--threads", threads,
+            ) == 0
+        assert (tmp_path / "t1" / "candidates.tsv").read_bytes() == (tmp_path / "t3" / "candidates.tsv").read_bytes()
 
     def test_csls_gold_missed_not_worse_than_cosine(self, tmp_path_factory):
         world = tmp_path_factory.mktemp("hubworld")
@@ -376,6 +403,65 @@ class TestEval:
         assert proc.returncode == 3
         assert f"{tampered}: tree {t}: child index out of range" in proc.stderr
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["run.log"]
+
+
+def candidate_rows(path):
+    """Candidate ids and scores per source word of a candidates.tsv."""
+    rows = {}
+    for line in Path(path).read_text().splitlines():
+        src, cand, score = line.split("\t")
+        rows.setdefault(src, []).append((cand, float(score)))
+    return rows
+
+
+class TestScopedRetrieval:
+    """Scoped rows are scored against the neighborhood means of the whole spaces."""
+
+    def test_source_words_rows_match_the_full_run(self, world_dir, retrieved_dir, tmp_path):
+        words = ["s00100", "s00002", "s00077", "s00149"]
+        (tmp_path / "words.txt").write_text("\n".join(words) + "\n")
+        assert run(
+            "retrieve", "--out-dir", tmp_path / "out",
+            "--src-emb", world_dir / "embeddings.src.vec",
+            "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--seed-dict", world_dir / "dict.train.tsv",
+            "--source-words", tmp_path / "words.txt", "--top-k", 10, "--k-csls", 5,
+        ) == 0
+        full = candidate_rows(retrieved_dir / "candidates.tsv")
+        scoped = candidate_rows(tmp_path / "out" / "candidates.tsv")
+        assert list(scoped) == words
+        for word in words:
+            assert [c for c, _ in scoped[word]] == [c for c, _ in full[word]]
+            # six decimals in the file; the scores themselves agree to 1e-12
+            assert all(abs(a - b) <= 1.5e-6 for (_, a), (_, b) in zip(scoped[word], full[word]))
+
+    def test_analyze_words_candidates_match_the_full_run(self, world_dir, retrieved_dir, tmp_path):
+        (tmp_path / "words.txt").write_text("s00003\ns00007\n")
+        assert run(*analyze_args(
+            world_dir, tmp_path / "out", "--seed-dict", world_dir / "dict.train.tsv",
+            "--words", tmp_path / "words.txt", "--top-k", 10, "--k-csls", 5,
+        )) == 0
+        full = candidate_rows(retrieved_dir / "candidates.tsv")
+        for word in ("s00003", "s00007"):
+            lines = (tmp_path / "out" / f"pca_{word}.tsv").read_text().splitlines()
+            pca = [line.split("\t")[0] for line in lines if line.split("\t")[1] == "candidate"]
+            assert pca == [c for c, _ in full[word]]
+
+    def test_semi_extension_rows_match_the_full_run(self, world_dir):
+        src = corpus.normalize_rows(corpus.load_embeddings(world_dir / "embeddings.src.vec"))
+        tgt = corpus.normalize_rows(corpus.load_embeddings(world_dir / "embeddings.tgt.vec"))
+        aligned, _ = _aligned_source(src, tgt, world_dir / "dict.train.tsv")
+        params = retrieval.SimilarityParams(k_csls=5, top_k=10)
+        full, _ = retrieval.retrieve_topk(aligned, tgt, params)
+        loaded = retrieval.CandidateSet.from_arrays(full.src_ids[:100], full.cand_ids[:100], full.scores[:100])
+        means = retrieval.neighborhood_means(aligned, tgt, params)
+        missing = list(range(149, 99, -1))
+        for given in (None, means):
+            extended = _extend_candidates(loaded, missing, aligned, tgt, params, 1, given)
+            order = list(range(100)) + missing
+            assert extended.src_ids.tolist() == order
+            assert extended.cand_ids.tolist() == full.cand_ids[order].tolist()
+            np.testing.assert_allclose(extended.scores, full.scores[order], rtol=0, atol=1e-12)
 
 
 class TestAnalyze:
@@ -763,6 +849,33 @@ class TestRunLogStages:
         fit = stage_fields(kv(tmp_path / "out" / "run.log"), "fit")
         assert fit["trainable_groups"] == str(len(retrieved)) and fit["multi_positive_groups"] == "5"
 
+    def test_vector_load_counts_duplicates_and_zero_rows_per_side(self, world_dir, tmp_path):
+        lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
+        count, dim = lines[0].split(" ")
+        zero = lines[2].split(" ")[0] + " " + " ".join(["0"] * int(dim))
+        odd = tmp_path / "odd.vec"
+        odd.write_text("\n".join([f"{int(count) + 1} {dim}", lines[1], zero, *lines[3:], lines[1]]) + "\n")
+        assert run(
+            "retrieve", "--out-dir", tmp_path / "out",
+            "--src-emb", odd, "--tgt-emb", world_dir / "embeddings.tgt.vec", "--top-k", 5, "--k-csls", 3,
+        ) == 0
+        load = stage_fields(kv(tmp_path / "out" / "run.log"), "load")
+        assert load["src_duplicate_tokens"] == "1" and load["src_zero_rows"] == "1"
+        assert load["tgt_duplicate_tokens"] == "0" and load["tgt_zero_rows"] == "0"
+        assert load["vector_rows"] == "300"
+
+    def test_augment_stage_counts(self, world_dir, retrieved_dir, tmp_path):
+        assert run(*train_args(world_dir, retrieved_dir, tmp_path, "--mode", "semi", "--n-aug", 15)) == 0
+        log = kv(tmp_path / "run.log")
+        augment = stage_fields(log, "augment")
+        assert set(augment) == {
+            "wall_s", "cpu_s", "peak_rss_mb", "mined_pairs", "retrieved_sources",
+            "shortlist_mean", "shortlist_max", "buffer_mb",
+        }
+        assert 0 < float(augment["shortlist_mean"]) <= int(augment["shortlist_max"]) <= 150
+        assert float(augment["buffer_mb"]) > 0
+        assert "src_duplicate_tokens=0" in log["stage.load"] and "tgt_zero_rows=0" in log["stage.load"]
+
     def test_load_counts_oov_pairs(self, world_dir, retrieved_dir, tmp_path):
         lines = (world_dir / "dict.train.tsv").read_text().splitlines()
         src, tgt = lines[0].split("\t")
@@ -814,8 +927,10 @@ class TestRunLogStages:
         stages = [key for key in log if key.startswith("stage.")]
         assert stages == ["stage.load", "stage.align", "stage.retrieve", "stage.write", "stage.report"]
         retrieve = stage_fields(log, "retrieve")
-        assert set(retrieve) == timing | {"queries", "top_k"}
+        assert set(retrieve) == timing | {"queries", "top_k", "shortlist_mean", "shortlist_max", "buffer_mb"}
         assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
+        assert 0 < float(retrieve["shortlist_mean"]) <= int(retrieve["shortlist_max"]) <= 150
+        assert float(retrieve["buffer_mb"]) > 0
         for name in ("align", "write", "report"):
             assert set(stage_fields(log, name)) == timing
 

@@ -238,6 +238,34 @@ def test_feature_matrix_export_header(tmp_path, world):
     assert header[3:] == list(FEATURE_NAMES)
 
 
+def reference_feature_matrix(groups, src_vocab, tgt_vocab):
+    """The per-value writer: repr(float(v)) for every cell."""
+    lines = ["src\tcand\tlabel\t" + "\t".join(FEATURE_NAMES) + "\n"]
+    for grp in groups:
+        for i, c in enumerate(grp.candidate_ids):
+            cells = "\t".join(repr(float(v)) for v in grp.features[i])
+            lines.append(f"{src_vocab.word(grp.src)}\t{tgt_vocab.word(int(c))}\t{int(grp.labels[i])}\t{cells}\n")
+    return "".join(lines)
+
+
+def test_feature_matrix_export_matches_per_value_reference(tmp_path, world):
+    src_vocab, tgt_vocab, *_ = world
+    awkward = [1e-05, -0.0, 0.1 + 0.2, 1e16, 123456789.125, -2.5e-310, 1 / 3, 0.0, 5e-324, -1e300]
+    groups = []
+    for src, size in ((0, 3), (2, 4), (1, 1)):
+        features = np.resize(np.array(awkward), (size, N_FEATURES)) * (src + 1)
+        features[0, 1] = -0.0
+        labels = np.array([1] + [0] * (size - 1), dtype=np.int8)
+        groups.append(RankingGroup(
+            src=src, candidate_ids=np.arange(size)[::-1].copy(), labels=labels, features=features, csls=features[:, 0],
+        ))
+    path = tmp_path / "features.tsv"
+    write_feature_matrix(groups, src_vocab, tgt_vocab, path)
+    text = path.read_bytes().decode("utf-8")
+    assert text == reference_feature_matrix(groups, src_vocab, tgt_vocab)
+    assert "\t-0.0\t" in text and "\t1e-05\t" in text and "\t0.30000000000000004\t" in text
+
+
 def reference_groups(sources, cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic, ext, schema):
     """build_groups one pair at a time: featurize_pair and label_candidates per candidate."""
     out = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bilex.corpus import DataFormatError
 from bilex.features import N_FEATURES, FeatureSchema, RankingGroup
 from bilex.ltr import (
+    ApBuckets,
     GbdtParams,
     _pair_sigmoid,
     average_precision,
@@ -741,15 +742,19 @@ def mean_ap_reference(groups, scores):
     return float(np.mean(aps)) if aps else 0.0
 
 
+# groups as (labels, scores) pairs of one random length each
+MAP_GROUPS = st.lists(
+    st.integers(min_value=1, max_value=20).flatmap(lambda k: st.tuples(
+        st.lists(st.integers(0, 1), min_size=k, max_size=k),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.25]), min_size=k, max_size=k),
+    )),
+    min_size=0, max_size=12,
+)
+
+
 class TestVectorizedMeanAp:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(
-        st.integers(min_value=1, max_value=20).flatmap(lambda k: st.tuples(
-            st.lists(st.integers(0, 1), min_size=k, max_size=k),
-            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.25]), min_size=k, max_size=k),
-        )),
-        min_size=0, max_size=12,
-    ))
+    @given(MAP_GROUPS)
     def test_equals_average_precision_loop(self, data):
         groups = [make_group(np.zeros((len(y), N_FEATURES)), y) for y, _ in data]
         scores = [np.array(s) for _, s in data]
@@ -768,6 +773,17 @@ class TestVectorizedMeanAp:
             scores.append(np.round(rng.standard_normal(size), 1))
         assert max(int(g.labels.sum()) for g in groups) >= 8
         assert mean_ap(groups, scores) == pytest.approx(mean_ap_reference(groups, scores), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(MAP_GROUPS)
+    def test_prebuilt_buckets_and_pooled_scores_give_the_same_bits(self, data):
+        groups = [make_group(np.zeros((len(y), N_FEATURES)), y) for y, _ in data]
+        scores = [np.array(s) for _, s in data]
+        pooled = np.concatenate(scores) if scores else np.zeros(0)
+        want = mean_ap(groups, scores)
+        buckets = ApBuckets.of(groups)
+        assert mean_ap(groups, pooled, buckets) == want
+        assert mean_ap(groups, scores, buckets) == want
 
     def test_only_all_negative_groups(self):
         groups = [make_group(np.zeros((3, N_FEATURES)), [0, 0, 0]), make_group(np.zeros((1, N_FEATURES)), [0])]

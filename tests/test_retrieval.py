@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 import unicodedata
 from unittest import mock
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilex import retrieval
 from bilex.corpus import TranslationDictionary, Vocabulary
 from bilex.retrieval import (
     CandidateSet,
@@ -190,6 +193,156 @@ class TestRetrieveTopk:
             want = rank_desc_with_id_ties(full[i])[:10]
             assert cands.cand_ids[i].tolist() == want
             np.testing.assert_allclose(cands.scores[i], full[i][want], atol=1e-6)
+
+
+@st.composite
+def wide_rows(draw):
+    """Rows wide enough for the chunk screen (n >= 16k), often with a short
+    last chunk, with continuous, coarsely rounded or constant values."""
+    k = draw(st.integers(1, 24))
+    n = 16 * k + draw(st.integers(0, 150))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = rng.standard_normal((m, n))
+    kind = draw(st.sampled_from(["continuous", "rounded", "integers", "constant"]))
+    if kind == "rounded":
+        S = np.round(S * 20) / 20
+    elif kind == "integers":
+        S = np.round(S)
+    elif kind == "constant":
+        S[:] = draw(st.sampled_from([0.0, 0.25, -1.0]))
+    return S, k
+
+
+def kept_columns(row, k, width):
+    """Columns in the chunks whose maximum reaches the k-th largest chunk maximum."""
+    chunks = [row[lo:lo + width] for lo in range(0, row.size, width)]
+    bound = sorted((chunk.max() for chunk in chunks), reverse=True)[k - 1]
+    return sum(chunk.size for chunk in chunks if chunk.max() >= bound)
+
+
+class TestExactScreen:
+    def test_wide_rows_are_screened_with_a_short_last_chunk(self):
+        k, n = 5, 16 * 5 + 7
+        width = retrieval._chunk_width(n, k)
+        assert width and n % width
+        assert retrieval._chunk_width(16 * k - 1, k) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
+    def test_top_k_equals_the_full_row_routine(self, case, select_rows):
+        S, k = case
+        stats = retrieval.ScanStats()
+        with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
+            ids, vals = retrieval._topk_desc_rows(S, k, stats)
+        full_ids, full_vals = retrieval._topk_desc_full(S, k)
+        assert ids.tolist() == full_ids.tolist()
+        assert vals.tobytes() == full_vals.tobytes()
+        for row, got in zip(S, ids):
+            assert got.tolist() == np.lexsort((np.arange(row.size), -row))[:k].tolist()
+        kept = [kept_columns(row, k, retrieval._chunk_width(S.shape[1], k)) for row in S]
+        assert (stats.rows, stats.columns, stats.widest) == (len(S), sum(kept), max(kept))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
+    def test_top_k_mean_is_the_descending_sum(self, case, select_rows):
+        S, k = case
+        with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
+            got = retrieval._topk_mean_rows(S, k)
+        want = np.array([sum(sorted(row.tolist(), reverse=True)[:k]) / k for row in S])
+        assert got.tobytes() == want.tobytes()
+
+    def test_narrow_rows_take_the_same_sum(self, rng):
+        S = np.round(rng.standard_normal((6, 40)) * 20) / 20
+        for k in (1, 3, 10, 40):
+            want = np.array([sum(sorted(row.tolist(), reverse=True)[:k]) / k for row in S])
+            assert retrieval._topk_mean_rows(S, k).tobytes() == want.tobytes()
+
+    def test_block_buffers_leave_results_independent_of_workers(self, rng, monkeypatch):
+        # 32-row blocks: several blocks share each worker's buffer
+        src = unit_space(rng.standard_normal((200, 12)))
+        tgt = unit_space(rng.standard_normal((400, 12)))
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 32 * 400)
+        params = SimilarityParams(k_csls=5, top_k=10)
+        one, one_means = retrieve_topk(src, tgt, params, n_threads=1)
+        stats = retrieval.ScanStats()
+        three, three_means = retrieve_topk(src, tgt, params, n_threads=3, stats=stats)
+        assert three.cand_ids.tolist() == one.cand_ids.tolist()
+        assert three.scores.tobytes() == one.scores.tobytes()
+        assert three_means.r_src.tobytes() == one_means.r_src.tobytes()
+        assert three_means.r_tgt.tobytes() == one_means.r_tgt.tobytes()
+        assert 0 < stats.buffer_bytes <= 3 * 32 * 400 * 8
+        assert mutual_nn_pairs(src, tgt, params, n_threads=3) == mutual_nn_pairs(src, tgt, params)
+
+    def test_workers_never_share_a_buffer_or_lose_a_count(self, monkeypatch):
+        # more workers than cores and a short switch interval, to interleave the pool and the lock
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 32 * 50)
+        stats = retrieval.ScanStats()
+        kept = np.full(4, 2)
+
+        def fill(lo, hi, out):
+            out[:] = lo
+            for _ in range(40):
+                time.sleep(0)  # lets another worker run while this one holds its buffer
+                stats.note_shortlist(kept)
+            assert (out == lo).all()
+            return lo
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = retrieval._map_row_blocks(fill, 32 * 400, 50, 6, stats)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == list(range(0, 32 * 400, 32))
+        assert (stats.rows, stats.columns, stats.widest) == (400 * 40 * 4, 400 * 40 * 8, 2)
+        assert 0 < stats.buffer_bytes <= 6 * 32 * 50 * 8
+
+    def test_matmul_into_a_buffer_equals_the_operator(self, rng):
+        a = rng.standard_normal((37, 300))
+        b = rng.standard_normal((611, 300))
+        out = np.empty((64, 611))[:37]
+        np.matmul(a, b.T, out=out)
+        assert out.tobytes() == (a @ b.T).tobytes()
+
+
+class TestScopedRetrieval:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_src=st.integers(3, 80),
+        n_tgt=st.integers(3, 400),
+        k_csls=st.integers(1, 12),
+        top_k=st.integers(1, 20),
+        data=st.data(),
+    )
+    def test_scoped_rows_match_the_full_run(self, seed, n_src, n_tgt, k_csls, top_k, data):
+        rng = np.random.default_rng(seed)
+        src = unit_space(rng.standard_normal((n_src, 16)))
+        tgt = unit_space(rng.standard_normal((n_tgt, 16)))
+        params = SimilarityParams(k_csls=min(k_csls, n_tgt), top_k=min(top_k, n_tgt))
+        rows = np.array(data.draw(st.lists(st.integers(0, n_src - 1), unique=True, max_size=n_src)), dtype=np.int64)
+        full, full_means = retrieve_topk(src, tgt, params)
+        means = retrieval.neighborhood_means(src, tgt, params)
+        assert means.r_src.tobytes() == full_means.r_src.tobytes()
+        assert means.r_tgt.tobytes() == full_means.r_tgt.tobytes()
+        for given_means in (None, means):  # retrieve --source-words and analyze --words; the semi extension
+            scoped, scoped_means = retrieve_topk(src, tgt, params, rows=rows, means=given_means)
+            assert scoped.src_ids.tolist() == rows.tolist()
+            assert scoped.cand_ids.tolist() == full.cand_ids[rows].tolist()
+            np.testing.assert_allclose(scoped.scores, full.scores[rows], rtol=0, atol=1e-12)
+            assert scoped_means.r_tgt.tobytes() == full_means.r_tgt.tobytes()
+            np.testing.assert_allclose(scoped_means.r_src, full_means.r_src[rows], rtol=0, atol=1e-12)
+
+    def test_reused_means_skip_the_neighborhood_pass(self, rng):
+        src = unit_space(rng.standard_normal((30, 8)))
+        tgt = unit_space(rng.standard_normal((40, 8)))
+        params = SimilarityParams(k_csls=5, top_k=6)
+        means = retrieval.neighborhood_means(src, tgt, params)
+        with mock.patch.object(retrieval, "knn_mean_similarity", side_effect=AssertionError("recomputed")):
+            pairs = mutual_nn_pairs(src, tgt, params, means=means)
+            retrieve_topk(src, tgt, params, rows=np.array([3, 1]), means=means)
+        assert pairs == mutual_nn_pairs(src, tgt, params)
 
 
 def test_r_tgt_shift_leaves_ordering_invariant(rng):

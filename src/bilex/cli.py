@@ -597,8 +597,10 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
         with runlog.stage(
             "fit", trees=gparams.n_trees, rows=n_rows,
             trainable_groups=len(trainable), multi_positive_groups=sum(p > 1 for p in trainable),
-        ):
-            model, trace = ltr.train(groups, gparams, schema)
+        ) as counts:
+            stats = ltr.FitStats()
+            model, trace = ltr.train(groups, gparams, schema, stats)
+            counts.update(stats.fields())
         model.meta.update(meta)
         with runlog.stage("write"):
             ltr.save_model(model, out / "model.json")

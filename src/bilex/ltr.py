@@ -4,19 +4,26 @@ Pairwise logistic gradients are weighted by the exact AP change of swapping
 the pair in the current ranking; one routine, compute_lambdas, computes them
 for a batch of equal-length groups with any number of positives. Trees are
 grown with second-order (Newton) leaf values by an exact histogram split
-search: each column is binned once per training by its distinct values, and
-every node builds its gradient and hessian histograms directly from its own
-rows, so every distinct-value cut is scored. Each round is a few whole-array
-passes: one lambda batch per group length, one histogram build per node, one
-stacked tree prediction, one bucketed MAP trace. Everything is
-deterministic: stable sorts, fixed reduction orders, ties to the lowest
-feature index / candidate position.
+search (the exact greedy search of XGBoost, Chen & Guestrin 2016): each
+column is binned once per training by its distinct values into its own code
+array, and every node builds three histograms (counts, gradients, hessians)
+per code array directly from its own rows, so every distinct-value cut is
+scored. 0/1 columns that are never 1 in the same row, such as the one-hot POS
+blocks, share one code array (Exclusive Feature Bundling, Ke et al. 2017);
+each member's cut takes its bin as the right side and the node total minus
+that bin as the left. fit_tree writes each training row's leaf value as it
+settles the leaves, and train adds those values to the scores instead of
+running the tree over its own rows again. Each round is a few whole-array
+passes: one lambda batch per group length, one histogram build per node,
+one bucketed MAP trace. Everything is deterministic: stable sorts, fixed
+reduction orders, ties to the lowest feature index / candidate position.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,71 +269,106 @@ def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0) 
 class _BinnedColumns:
     """Per-training binning of the feature matrix, shared by every tree.
 
-    Each column holding at least two distinct values gets one bin per
-    distinct value, in ascending order. Bin numbers are offset per column
-    so that one flat bincount over a node's rows builds every column's
-    histogram at once. Constant columns get no bins and never split.
+    Each column holding at least two distinct values gets its own code array,
+    one bin per distinct value in ascending order. 0/1 columns that are never
+    1 in the same row are bundled (Exclusive Feature Bundling, Ke et al.
+    2017): taken in column order, each joins the first bundle it shares no 1
+    with. A bundle's code of a row is the position of the member holding the
+    1 there, or the member count when none does. A bundle of one column stays
+    a plain column. Constant columns get no codes and never split.
     """
 
     def __init__(self, X: np.ndarray):
-        features, values, codes = [], [], []
-        n_bins = 0
+        self.n_rows = X.shape[0]
+        self.plain: list[tuple[int, np.ndarray, np.ndarray]] = []  # (feature, distinct values, codes)
+        flags: list[tuple[int, np.ndarray]] = []  # 0/1 columns: (feature, rows holding the 1)
         for f in range(X.shape[1]):
             distinct, inverse = np.unique(X[:, f], return_inverse=True)
             if distinct.size < 2:
                 continue
-            features.append(f)
-            values.append(distinct)
-            codes.append(inverse + n_bins)
-            n_bins += distinct.size
-        self.features = np.array(features, dtype=np.int64)
-        self.values = np.concatenate(values) if values else np.zeros(0)
-        self.codes = np.column_stack(codes) if codes else np.zeros((X.shape[0], 0), dtype=np.intp)
-        self.n_bins = n_bins
-        # column position (index into features) of every bin
-        self.bin_col = np.repeat(np.arange(len(values)), [v.size for v in values])
+            if distinct.size == 2 and distinct[0] == 0.0 and distinct[1] == 1.0:
+                flags.append((f, inverse == 1))
+            else:
+                self.plain.append((f, distinct, inverse))
+        groups: list[tuple[list[int], np.ndarray]] = []  # (positions in flags, rows holding a 1)
+        for i, (_, ones) in enumerate(flags):
+            home = next((grp for grp in groups if not (grp[1] & ones).any()), None)
+            if home is None:
+                groups.append(([i], ones.copy()))
+            else:
+                members, taken = home
+                members.append(i)
+                taken |= ones
+        self.bundles: list[tuple[np.ndarray, np.ndarray]] = []  # (member features, codes)
+        for members, _ in groups:
+            if len(members) == 1:
+                f, ones = flags[members[0]]
+                self.plain.append((f, np.array([0.0, 1.0]), ones.astype(np.intp)))
+                continue
+            codes = np.full(self.n_rows, len(members), dtype=np.intp)
+            for t, i in enumerate(members):
+                codes[flags[i][1]] = t
+            self.bundles.append((np.array([flags[i][0] for i in members], dtype=np.int64), codes))
 
 
-def _best_split_at(bins: _BinnedColumns, g, h, rows, G, H, lam, mcw):
+def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
     """Best (feature, threshold) of a node, or None.
 
-    A cut goes after each non-empty bin that has a later non-empty bin, at
-    the midpoint of the two values. Cuts are scanned feature by feature,
-    thresholds ascending, so the first maximum breaks ties to the lowest
+    g_rows and h_rows are g[rows] and h[rows]. Each code array gives three
+    histograms over the node's rows (counts, gradients, hessians). In a plain
+    column a cut goes after each non-empty bin that has a later non-empty
+    bin, at the midpoint of the two values, and its left sums accumulate in
+    bin order. A bundle member's cut is at 0.5: its bin is the right side,
+    and the left side is the node total minus it. Gains tie to the lowest
     feature index, then the lowest threshold.
     """
-    n_cols = bins.features.size
-    if n_cols == 0:
-        return None
-    codes = bins.codes[rows].ravel()
-    count = np.bincount(codes, minlength=bins.n_bins)
-    nz = np.flatnonzero(count)
-    GL = np.bincount(codes, weights=np.repeat(g[rows], n_cols), minlength=bins.n_bins)[nz]
-    HL = np.bincount(codes, weights=np.repeat(h[rows], n_cols), minlength=bins.n_bins)[nz]
-    # left sums per column, accumulated in bin order; every row lands in one
-    # bin of each column, so each column has at least one non-empty bin
-    col = bins.bin_col[nz]
-    ends = np.cumsum(np.bincount(col, minlength=n_cols))
-    start = 0
-    for end in ends.tolist():
-        np.cumsum(GL[start:end], out=GL[start:end])
-        np.cumsum(HL[start:end], out=HL[start:end])
-        start = end
-    GR, HR = G - GL, H - HL
-    dl, dr = HL + lam, HR + lam
-    valid = (HL >= mcw) & (HR >= mcw) & (dl > 0) & (dr > 0)
-    valid[ends - 1] = False  # the last non-empty bin of a column has nothing to its right
     parent = G * G / (H + lam) if H + lam > 0 else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = np.where(valid, 0.5 * (GL * GL / dl + GR * GR / dr - parent), -np.inf)
-    best = int(np.argmax(gains))  # first maximum: lowest feature, then lowest threshold
-    if not gains[best] > 0.0:
+    whole = rows.size == bins.n_rows  # the root: every row, in order
+
+    def first_best(GL, HL, ok=True) -> tuple[int, float]:
+        """Position and gain of the first best of one code array's cuts."""
+        GR, HR = G - GL, H - HL
+        dl, dr = HL + lam, HR + lam
+        valid = (HL >= mcw) & (HR >= mcw) & (dl > 0) & (dr > 0) & ok
+        # 0.5 * (GL^2 / dl + GR^2 / dr - parent), in place on fresh arrays
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = GL * GL
+            gains /= dl
+            GR *= GR
+            GR /= dr
+            gains += GR
+            gains -= parent
+            gains *= 0.5
+        gains[~valid] = -np.inf
+        i = int(np.argmax(gains))
+        return i, float(gains[i])
+
+    cuts = []  # the first best cut of each code array: (gain, feature, lo, hi)
+    for f, values, codes in bins.plain:
+        code = codes if whole else codes[rows]
+        nz = np.flatnonzero(np.bincount(code, minlength=values.size))
+        if nz.size > 1:
+            GL = np.cumsum(np.bincount(code, weights=g_rows, minlength=values.size)[nz[:-1]])
+            HL = np.cumsum(np.bincount(code, weights=h_rows, minlength=values.size)[nz[:-1]])
+            i, gain = first_best(GL, HL)
+            cuts.append((gain, f, values[nz[i]], values[nz[i + 1]]))
+    for members, codes in bins.bundles:
+        code = codes if whole else codes[rows]
+        m = members.size
+        count = np.bincount(code, minlength=m + 1)[:m]
+        GL = G - np.bincount(code, weights=g_rows, minlength=m + 1)[:m]
+        HL = H - np.bincount(code, weights=h_rows, minlength=m + 1)[:m]
+        # a member holding every row of the node has no cut: G - G_t would be a rounding residue
+        i, gain = first_best(GL, HL, (count > 0) & (count < rows.size))
+        cuts.append((gain, int(members[i]), 0.0, 1.0))
+    # a feature's cuts all come from one code array, so the lowest feature wins a tie here
+    gain, f, lo, hi = max(cuts, key=lambda cut: (cut[0], -cut[1]), default=(0.0, -1, 0.0, 0.0))
+    if not gain > 0.0:
         return None
-    lo, hi = bins.values[nz[best]], bins.values[nz[best + 1]]
     thr = 0.5 * (lo + hi)
     if thr <= lo:  # midpoint rounded onto lo
         thr = hi
-    return int(bins.features[col[best]]), float(thr)
+    return f, float(thr)
 
 
 def fit_tree(
@@ -335,12 +377,15 @@ def fit_tree(
     h: np.ndarray,
     params: GbdtParams,
     bins: _BinnedColumns | None = None,
+    out: np.ndarray | None = None,
 ) -> RegressionTree:
     """Grow one regression tree by exact histogram gain search.
 
     Candidate thresholds are midpoints of consecutive distinct values present
     in the node; gain = 0.5*(GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)).
-    Ties go to the lowest feature index, then the lowest threshold.
+    Ties go to the lowest feature index, then the lowest threshold. If out is
+    given, each row's leaf value is written to it, the same floats that
+    tree.predict(X) returns.
     """
     n, n_features = X.shape
     if n == 0:
@@ -368,14 +413,17 @@ def fit_tree(
     stack = [(root, np.arange(n), 0)]
     while stack:
         node, rows, depth = stack.pop()
-        G = float(g[rows].sum())
-        H = float(h[rows].sum())
+        g_rows, h_rows = g[rows], h[rows]
+        G = float(g_rows.sum())
+        H = float(h_rows.sum())
         best = None
         if depth < params.max_depth:
-            best = _best_split_at(bins, g, h, rows, G, H, lam, mcw)
+            best = _best_split_at(bins, g_rows, h_rows, rows, G, H, lam, mcw)
         if best is None:
             denom = H + lam
             value[node] = (-G / denom if denom > 0 else 0.0) + 0.0
+            if out is not None:
+                out[rows] = value[node]
             continue
         f, thr = best
         feature[node] = f
@@ -385,8 +433,8 @@ def fit_tree(
         rchild = new_node()
         left[node] = lchild
         right[node] = rchild
-        stack.append((rchild, rows[~sel], depth + 1))
-        stack.append((lchild, rows[sel], depth + 1))
+        stack.append((rchild, rows.compress(~sel), depth + 1))
+        stack.append((lchild, rows.compress(sel), depth + 1))
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
@@ -396,15 +444,36 @@ def fit_tree(
     )
 
 
+@dataclass
+class FitStats:
+    """Histogram layout and split-search time of one training, for run.log."""
+
+    histogram_columns: int = 0
+    bundled_columns: int = 0
+    split_s: float = 0.0
+
+    def fields(self) -> dict[str, str]:
+        """Plain columns plus bundles, the 0/1 columns folded into bundles, and seconds in fit_tree."""
+        return {
+            "histogram_columns": str(self.histogram_columns),
+            "bundled_columns": str(self.bundled_columns),
+            "split_s": f"{self.split_s:.3f}",
+        }
+
+
 def train(
     groups: list[RankingGroup],
     params: GbdtParams,
     schema: FeatureSchema | None = None,
+    stats: FitStats | None = None,
 ) -> tuple[GbdtModel, list[tuple[int, float]]]:
     """Boost n_trees rounds over pooled group rows; returns (model, MAP trace).
 
     Groups lacking both a positive and a negative contribute no gradient but
     their rows remain in the pool. At least one mixed group is required.
+    Each round adds the leaf values fit_tree wrote for the training rows, so
+    no tree is run over them again. stats, if given, receives the histogram
+    layout and the seconds spent in fit_tree.
     """
     params.validate()
     schema = schema or FeatureSchema()
@@ -427,7 +496,11 @@ def train(
     X = stacked_features(groups)
     n = X.shape[0]
     scores = np.zeros(n, dtype=np.float64)
+    leaf = np.empty(n, dtype=np.float64)
     bins = _BinnedColumns(X)
+    stats = stats if stats is not None else FitStats()
+    stats.histogram_columns = len(bins.plain) + len(bins.bundles)
+    stats.bundled_columns = sum(members.size for members, _ in bins.bundles)
 
     ap_buckets = ApBuckets.of(groups)  # the MAP trace ranks the same groups every round
 
@@ -438,9 +511,10 @@ def train(
         h = np.zeros(n)
         for rows, labels in batches:
             g[rows], h[rows] = compute_lambdas(scores[rows], labels, params.sigma)
-        tree = fit_tree(X, g, h, params, bins)
-        trees.append(tree)
-        scores += params.learning_rate * tree.predict(X)
+        start = time.perf_counter()
+        trees.append(fit_tree(X, g, h, params, bins, out=leaf))
+        stats.split_s += time.perf_counter() - start
+        scores += params.learning_rate * leaf
         trace.append((round_no, mean_ap(groups, scores, ap_buckets)))
 
     model = GbdtModel(
@@ -568,6 +642,12 @@ def load_model(path: str | Path) -> GbdtModel:
         )
     except (KeyError, TypeError) as e:
         raise DataFormatError(f"{path}: missing or invalid model field: {e}") from None
+    try:
+        params.validate()
+    except (ValueError, TypeError) as e:
+        raise DataFormatError(f"{path}: invalid model params: {e}") from None
+    if len(trees) != params.n_trees:
+        raise DataFormatError(f"{path}: {len(trees)} trees, but params give n_trees={params.n_trees}")
     for t, tree in enumerate(model.trees):
         _check_tree(tree, len(model.schema.names), f"{path}: tree {t}")
     return model

@@ -385,6 +385,22 @@ class TestEval:
         assert run(*args) == 3
         assert "fingerprint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", -3.0, "invalid model params: learning_rate must be in (0, 1], got -3.0"),
+        ("n_trees", 7, "trees, but params give n_trees=7"),
+    ])
+    def test_invalid_model_params_exit_3(self, world_dir, retrieved_dir, model_dir, tmp_path, capsys, field, value, message):
+        tampered = tmp_path / "tampered.json"
+        doc = json.loads((model_dir / "model.json").read_text())
+        doc["params"][field] = value
+        tampered.write_text(json.dumps(doc))
+        args = eval_args(world_dir, retrieved_dir, model_dir, tmp_path / "out")
+        args[args.index("--model") + 1] = tampered
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert f"{tampered}: " in err and message in err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["run.log"]
+
     def test_cyclic_tree_exit_3_without_hanging(self, world_dir, retrieved_dir, model_dir, tmp_path):
         doc = json.loads((model_dir / "model.json").read_text())
         t, node = next(
@@ -899,8 +915,14 @@ class TestRunLogStages:
         n_groups = len({line.split("\t")[0] for line in (world_dir / "dict.train.tsv").read_text().splitlines()})
         assert featurize["groups"] == str(n_groups) and featurize["rows"] == str(n_groups * 10)
         fit = stage_fields(log, "fit")
-        assert set(fit) == timing | {"trees", "rows", "trainable_groups", "multi_positive_groups"}
+        assert set(fit) == timing | {
+            "trees", "rows", "trainable_groups", "multi_positive_groups",
+            "histogram_columns", "bundled_columns", "split_s",
+        }
         assert fit["trees"] == "6" and fit["rows"] == featurize["rows"]
+        # the two one-hot POS blocks are bundles, each of at least two columns
+        assert int(fit["bundled_columns"]) >= 4 and int(fit["histogram_columns"]) >= 3
+        assert 0.0 < float(fit["split_s"]) <= float(fit["wall_s"])
         gold, cands = gold_and_candidates(world_dir / "dict.train.tsv", retrieved_dir / "candidates.tsv")
         trainable = sum(bool(gold[s] & set(cands[s])) for s in gold)  # one target each, ten candidates
         assert fit["trainable_groups"] == str(trainable) and fit["multi_positive_groups"] == "0"

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilex.corpus import DataFormatError
-from bilex.features import N_FEATURES, FeatureSchema, RankingGroup
+from bilex.features import FEATURE_NAMES, N_FEATURES, FeatureSchema, RankingGroup, build_groups, stacked_features
 from bilex.ltr import (
     ApBuckets,
+    FitStats,
     GbdtParams,
+    _BinnedColumns,
     _pair_sigmoid,
     average_precision,
     combine_with_retriever,
@@ -529,6 +531,38 @@ class TestPredictAndPersistence:
         with pytest.raises(DataFormatError, match="tree 0: child index out of range"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", -3.0, "learning_rate must be in (0, 1], got -3.0"),
+        ("max_depth", 0, "max_depth must be >= 1, got 0"),
+        ("sigma", "1", "'<=' not supported"),
+    ])
+    def test_invalid_params_rejected(self, tmp_path, rng, field, value, message):
+        import json
+
+        model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["params"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: invalid model params: ")
+        assert message in str(err.value)
+
+    def test_tree_count_must_match_n_trees(self, tmp_path, rng):
+        import json
+
+        model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=3))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["params"]["n_trees"] = 7
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: 3 trees, but params give n_trees=7"
+
     def test_wrong_column_count(self, rng):
         groups = separable_groups(rng, n_groups=4)
         model, _ = train(groups, GbdtParams(n_trees=1))
@@ -618,19 +652,27 @@ def nested(tree, node=0):
 
 @st.composite
 def split_problems(draw):
-    """Small matrices mixing binary, constant, tied, duplicated and transformed columns.
+    """Small matrices mixing binary, one-hot, constant, tied, duplicated and transformed columns.
 
-    Values, gradients and hessians are small multiples of 1/4, so every sum is
-    exact and candidates inducing the same partition tie exactly.
+    A one-hot block is 2-5 columns with at most one 1 per row, so its
+    columns are bundled. Values, gradients and hessians are small multiples
+    of 1/4, so every sum is exact and candidates inducing the same partition
+    tie exactly.
     """
     n = draw(st.integers(min_value=2, max_value=24))
     ints = st.integers(min_value=0, max_value=5)
     cols = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(["binary", "constant", "ties", "distinct", "copy", "increasing", "decreasing"]))
+        kind = draw(st.sampled_from(
+            ["binary", "onehot", "constant", "ties", "distinct", "copy", "increasing", "decreasing"]
+        ))
         if kind in ("copy", "increasing", "decreasing") and cols:
             base = cols[draw(st.integers(min_value=0, max_value=len(cols) - 1))]
             cols.append({"copy": base, "increasing": 3.0 * base + 1.0, "decreasing": 5.0 - 2.0 * base}[kind])
+        elif kind == "onehot":
+            width = draw(st.integers(min_value=2, max_value=5))
+            hot = np.array(draw(st.lists(st.integers(0, width), min_size=n, max_size=n)))  # width: no 1 in the row
+            cols.extend((hot == j).astype(np.float64) for j in range(width))
         elif kind == "binary":
             cols.append(np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64))
         elif kind == "constant":
@@ -679,6 +721,17 @@ class TestHistogramSplitOracle:
         elif unambiguous:
             assert tree.n_nodes() == 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(split_problems(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_leaf_values_written_to_out_equal_predict(self, problem, seed):
+        X, _, _, params = problem
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(X.shape[0]) / 3.0
+        h = rng.random(X.shape[0]) + 0.01
+        out = np.full(X.shape[0], np.nan)
+        tree = fit_tree(X, g, h, params, out=out)
+        assert np.array_equal(bits(out), bits(tree.predict(X)))
+
     def test_adjacent_values_split_between_them(self):
         # the midpoint of two neighbouring floats rounds onto the lower one;
         # the threshold must then be the upper value so the rows still separate
@@ -695,6 +748,72 @@ class TestHistogramSplitOracle:
         tree = fit_tree(X, np.array([-1.0, 1.0, -1.0, 1.0, 2.0]), np.ones(5), GbdtParams(min_child_weight=0.0))
         assert tree.n_nodes() == 1
         assert tree.value[0] == -2.0 / 6.0
+
+
+@st.composite
+def flag_matrices(draw):
+    """Sparse 0/1 columns, some never 1 in the same row, with a few constant and non-0/1 columns."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    cols = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "dense", "zeros", "zero_two"]))
+        p = {"sparse": [0.0] * 5 + [1.0], "dense": [0.0, 1.0], "zeros": [0.0], "zero_two": [0.0, 2.0]}[kind]
+        cols.append(draw(st.lists(st.sampled_from(p), min_size=n, max_size=n)))
+    return np.array(cols, dtype=np.float64).T
+
+
+class TestBundles:
+    @settings(max_examples=200, deadline=None)
+    @given(flag_matrices())
+    def test_columns_sharing_a_one_never_bundled(self, X):
+        bins = _BinnedColumns(X)
+        plain = [f for f, _, _ in bins.plain]
+        bundled = [int(f) for members, _ in bins.bundles for f in members]
+        assert sorted(plain + bundled) == [f for f in range(X.shape[1]) if np.unique(X[:, f]).size > 1]
+        for members, codes in bins.bundles:
+            assert members.size >= 2 and (np.diff(members) > 0).all()
+            block = X[:, members]
+            assert set(np.unique(block).tolist()) <= {0.0, 1.0}
+            assert (block.sum(axis=1) <= 1).all()  # no row holds two members' 1s
+            np.testing.assert_array_equal(codes, np.where(block.any(axis=1), block.argmax(axis=1), members.size))
+
+    def test_member_holding_every_row_of_a_node_is_not_cut(self):
+        # after the root cut, every row of a child holds the same member and
+        # none holds the other; G - G_t is then a rounding residue, not a gain
+        X = np.zeros((32, 2))
+        X[:16, 0] = 1.0
+        X[16:, 1] = 1.0
+        params = GbdtParams(max_depth=3, min_child_weight=0.0)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = np.concatenate([rng.standard_normal(16) - 2.0, rng.standard_normal(16) + 2.0])
+            tree = fit_tree(X, g, rng.random(32) + 0.5, params)
+            assert tree.n_nodes() == 3
+
+    def test_synth_world_bundles_are_the_pos_blocks(self):
+        from bilex.retrieval import SimilarityParams, align_procrustes, apply_alignment, retrieve_topk
+        from bilex.synth import SynthConfig, gen_bilingual_world
+
+        world = gen_bilingual_world(SynthConfig(vocab_n=300, dim=24, noise_sigma=0.25, seed=4))
+        src = apply_alignment(world.src, align_procrustes(world.src, world.tgt, world.gold))
+        cands, _ = retrieve_topk(src, world.tgt, SimilarityParams(k_csls=10, top_k=30))
+        groups = build_groups(
+            world.gold.sources(), cands, world.freq_src, world.freq_tgt, world.pos_src, world.pos_tgt,
+            world.src.vocab, world.tgt.vocab, dic=world.gold,
+        )
+        X = stacked_features(groups)
+        bins = _BinnedColumns(X)
+        varying = [name for f, name in enumerate(FEATURE_NAMES) if np.unique(X[:, f]).size > 1]
+        want = [[name for name in varying if name.startswith(block)] for block in ("src_pos_", "cand_pos_")]
+        assert len(want[0]) >= 2 and len(want[1]) >= 2
+        assert [[FEATURE_NAMES[f] for f in members] for members, _ in bins.bundles] == want
+        assert "pos_match" in [FEATURE_NAMES[f] for f, _, _ in bins.plain]
+
+        stats = FitStats()
+        train(groups, GbdtParams(n_trees=2), stats=stats)
+        assert stats.histogram_columns == len(varying) - len(want[0]) - len(want[1]) + 2
+        assert stats.bundled_columns == len(want[0]) + len(want[1])
+        assert stats.split_s > 0.0
 
 
 class TestSplitTieRule:

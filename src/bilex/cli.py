@@ -71,9 +71,15 @@ class Option:
     const: object = None
 
 
+# options of more than one command, shared so that their declarations cannot drift apart
 OUT_DIR = Option(required=True)
 INPUT = Option(required=True, is_file=True)
 OPTIONAL_INPUT = Option(is_file=True)
+K_CSLS = Option(int, 10, minimum=1)
+TOP_K = Option(int, 50, minimum=1)
+MAX_VOCAB = Option(int, minimum=1)
+THREADS = Option(int)
+SEED = Option(int, 0)
 
 
 def _flag(key: str) -> str:
@@ -159,7 +165,17 @@ def _output_dir(opts: argparse.Namespace, errors: list[str]) -> Path:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident set size of this process so far (ru_maxrss is KiB on Linux, bytes on macOS)."""
+    """Peak resident set size of this process so far.
+
+    VmHWM where /proc has it: ru_maxrss keeps the high-water mark of the
+    launching process across fork and exec. Otherwise ru_maxrss, which is KiB
+    on Linux and bytes on macOS.
+    """
+    with contextlib.suppress(OSError):
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2**10  # kB
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
@@ -317,7 +333,7 @@ SYNTH_SCHEMA = {
     "rank_jitter": Option(float, 0.1),
     "mean_offset": Option(float, 0.0),
     "test_fraction": Option(float, 0.3),
-    "seed": Option(int, 0),
+    "seed": SEED,
 }
 
 
@@ -379,10 +395,10 @@ RETRIEVE_SCHEMA = {
     "seed_dict": OPTIONAL_INPUT,
     "source_words": OPTIONAL_INPUT,
     "metric": Option(str, "csls", choices=("csls", "cosine")),
-    "k_csls": Option(int, 10, minimum=1),
-    "top_k": Option(int, 50, minimum=1),
-    "max_vocab": Option(int),
-    "threads": Option(int),
+    "k_csls": K_CSLS,
+    "top_k": TOP_K,
+    "max_vocab": MAX_VOCAB,
+    "threads": THREADS,
 }
 
 
@@ -445,7 +461,7 @@ MINE_SCHEMA = {
     "candidates": INPUT,
     "dict": INPUT,
     "n_neg": Option(int, 20, minimum=0),
-    "max_vocab": Option(int),
+    "max_vocab": MAX_VOCAB,
 }
 
 
@@ -484,22 +500,22 @@ TRAIN_SCHEMA = {
     "pos_tgt": INPUT,
     "ext_scores": OPTIONAL_INPUT,
     "mode": Option(str, "supervised", choices=("supervised", "semi")),
-    "n_aug": Option(int, 4000),
-    "k_csls": Option(int, 10),
-    "top_k": Option(int, 50),
+    "n_aug": Option(int, 4000, minimum=0),
+    "k_csls": K_CSLS,
+    "top_k": TOP_K,
     "n_trees": Option(int, 200),
     "max_depth": Option(int, 3),
     "learning_rate": Option(float, 0.1),
     "min_child_weight": Option(float, 1.0),
     "l2_leaf_reg": Option(float, 1.0),
     "sigma": Option(float, 1.0),
-    "seed": Option(int, 0),
+    "seed": SEED,
     "no_pos": Option(_as_bool, False),
     "no_freq": Option(_as_bool, False),
     "mix_search": Option(_as_bool, False),
     "dump_features": Option(_as_bool, False),
-    "max_vocab": Option(int),
-    "threads": Option(int),
+    "max_vocab": MAX_VOCAB,
+    "threads": THREADS,
 }
 
 
@@ -529,8 +545,6 @@ def _extend_candidates(cands, missing: list[int], src, tgt, params, threads, mea
 
 
 def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
-    if opts.mode == "semi" and opts.n_aug < 0:
-        errors.append(f"--n-aug must be >= 0 in semi mode, got {opts.n_aug}")
     gparams = ltr.GbdtParams(
         n_trees=opts.n_trees,
         max_depth=opts.max_depth,
@@ -584,19 +598,18 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             )
             if opts.dump_features:
                 features.write_feature_matrix(groups, src_vocab, tgt_vocab, out / "features.tsv")
-            n_rows = sum(len(grp) for grp in groups)
-            counts.update(groups=len(groups), rows=n_rows, gold_missed=sum(grp.gold_missed for grp in groups))
+            n_rows = groups.labels.size
+            counts.update(groups=len(groups), rows=n_rows, gold_missed=int(groups.gold_missed.sum()))
 
         meta: dict = {}
         if opts.mix_search:
             with runlog.stage("mix_search"):
                 meta["recommended_mix"] = _search_mix(groups, gparams, schema, opts.seed)
 
-        positives = [int(grp.labels.sum()) for grp in groups]
-        trainable = [p for p, grp in zip(positives, groups) if 0 < p < len(grp)]
+        positives = groups.labels.sum(axis=1)[groups.trainable]
         with runlog.stage(
             "fit", trees=gparams.n_trees, rows=n_rows,
-            trainable_groups=len(trainable), multi_positive_groups=sum(p > 1 for p in trainable),
+            trainable_groups=positives.size, multi_positive_groups=int((positives > 1).sum()),
         ) as counts:
             stats = ltr.FitStats()
             model, trace = ltr.train(groups, gparams, schema, stats)
@@ -617,17 +630,15 @@ def _search_mix(groups, gparams, schema, seed: int) -> float:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1001,)))
     perm = rng.permutation(len(groups))
     n_held = max(1, len(groups) // 10)
-    held = [groups[i] for i in perm[:n_held]]
-    rest = [groups[i] for i in perm[n_held:]]
-    if not any(0 < int(grp.labels.sum()) < len(grp) for grp in rest):
+    held, rest = groups.take(perm[:n_held]), groups.take(perm[n_held:])
+    if not rest.trainable.any():
         log.warning("mix search skipped: no trainable group outside the held-out slice")
         return 0.5
     model, _ = ltr.train(rest, gparams, schema)
     ranker = ltr.predict_groups(model, held)
-    csls = [grp.csls for grp in held]
     best_mix, best_p1 = 0.5, -1.0
     for mix in [x / 10 for x in range(1, 10)]:
-        combined = ltr.combine_with_retriever(ranker, csls, mix)
+        combined = ltr.combine_with_retriever(ranker, held.csls, mix)
         p1 = evaluation.precision_at_1(held, combined)
         if p1 > best_p1:
             best_mix, best_p1 = mix, p1
@@ -650,7 +661,7 @@ EVAL_SCHEMA = {
     "ext_scores": OPTIONAL_INPUT,
     "mix": Option(float, const=0.5),
     "errors_only": Option(_as_bool, False),
-    "max_vocab": Option(int),
+    "max_vocab": MAX_VOCAB,
 }
 
 
@@ -676,12 +687,12 @@ def cmd_eval(opts: argparse.Namespace, errors: list[str]) -> int:
                 dic.sources(), cands, freq_src, freq_tgt, pos_src, pos_tgt,
                 src_vocab, tgt_vocab, dic=dic, ext=ext, schema=model.schema,
             )
-            n_rows = sum(len(grp) for grp in groups)
-            counts.update(groups=len(groups), rows=n_rows, gold_missed=sum(grp.gold_missed for grp in groups))
+            n_rows = groups.labels.size
+            counts.update(groups=len(groups), rows=n_rows, gold_missed=int(groups.gold_missed.sum()))
         with runlog.stage("predict", rows=n_rows, trees=len(model.trees)):
             scores = ltr.predict_groups(model, groups)
             if opts.mix is not None:
-                scores = ltr.combine_with_retriever(scores, [grp.csls for grp in groups], opts.mix)
+                scores = ltr.combine_with_retriever(scores, groups.csls, opts.mix)
 
         with runlog.stage("report"):
             report = evaluation.build_eval_report(groups, scores, dic, freq_src, freq_tgt, pos_src, opts.errors_only)
@@ -718,10 +729,10 @@ ANALYZE_SCHEMA = {
     "words": OPTIONAL_INPUT,
     "pair_label": Option(str, "src-tgt"),
     "min_n": Option(int, 10),
-    "k_csls": Option(int, 10),
-    "top_k": Option(int, 50),
-    "max_vocab": Option(int),
-    "threads": Option(int),
+    "k_csls": K_CSLS,
+    "top_k": TOP_K,
+    "max_vocab": MAX_VOCAB,
+    "threads": THREADS,
 }
 
 

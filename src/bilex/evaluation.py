@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ALL_TAGS, FrequencyTable, PosTable, TranslationDictionary, Vocabulary
-from .features import RankingGroup
+from .features import RankingGroups
 from .ltr import rank_order
 
 
@@ -35,41 +35,36 @@ class EvalReport:
     freq_diff: FreqDiffStats
 
 
-def _check_gold(groups: list[RankingGroup]) -> None:
-    for grp in groups:
-        if not grp.has_gold:
-            raise ValueError(f"group for source id {grp.src} has no gold set")
+def _check_gold(groups: RankingGroups) -> None:
+    if not groups.has_gold.all():
+        raise ValueError(f"group for source id {groups.src[~groups.has_gold][0]} has no gold set")
 
 
-def _top1_hit(grp: RankingGroup, scores: np.ndarray) -> bool:
-    return bool(grp.labels[rank_order(scores)[0]] == 1)
+def _top1(groups: RankingGroups, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each source's top-scored candidate position (m,), and whether it is gold (m,)."""
+    top = rank_order(scores)[:, 0]
+    return top, groups.labels[np.arange(len(groups)), top] == 1
 
 
-def precision_at_1(groups: list[RankingGroup], scores: list[np.ndarray]) -> float:
-    """Fraction of groups whose top-scored candidate is a gold translation.
+def precision_at_1(groups: RankingGroups, scores: np.ndarray) -> float:
+    """Fraction of sources whose top-scored candidate is a gold translation; scores are (m, k).
 
-    Groups whose gold never entered the candidate list count as failures.
+    Sources whose gold never entered the candidate list count as failures.
     """
     _check_gold(groups)
-    if not groups:
+    if not len(groups):
         raise ValueError("no groups to evaluate")
-    hits = sum(_top1_hit(grp, s) for grp, s in zip(groups, scores))
-    return hits / len(groups)
+    return int(_top1(groups, scores)[1].sum()) / len(groups)
 
 
-def per_pos_accuracy(
-    groups: list[RankingGroup],
-    scores: list[np.ndarray],
-    pos_src: PosTable,
-) -> dict[str, tuple[int, float]]:
+def per_pos_accuracy(groups: RankingGroups, scores: np.ndarray, pos_src: PosTable) -> dict[str, tuple[int, float]]:
     """P@1 bucketed by source-word POS; empty buckets are omitted."""
     _check_gold(groups)
     counts: dict[str, list[int]] = {}
-    for grp, s in zip(groups, scores):
-        tag = pos_src.tag(grp.src)
-        bucket = counts.setdefault(tag, [0, 0])
+    for s, hit in zip(groups.src.tolist(), _top1(groups, scores)[1].tolist()):
+        bucket = counts.setdefault(pos_src.tag(s), [0, 0])
         bucket[0] += 1
-        bucket[1] += int(_top1_hit(grp, s))
+        bucket[1] += int(hit)
     return {tag: (n, hit / n) for tag, (n, hit) in sorted(counts.items())}
 
 
@@ -78,8 +73,8 @@ def _logrank(table: FrequencyTable, word_id: int) -> float:
 
 
 def freq_diff_report(
-    groups: list[RankingGroup],
-    scores: list[np.ndarray],
+    groups: RankingGroups,
+    scores: np.ndarray,
     dic: TranslationDictionary,
     freq_src: FrequencyTable,
     freq_tgt: FrequencyTable,
@@ -88,7 +83,7 @@ def freq_diff_report(
     """Mean |frequency difference| for gold pairs versus top predictions.
 
     The gold statistic runs over every (source, gold) pair of the evaluated
-    groups; the predicted one over each group's top-1 candidate, restricted
+    sources; the predicted one over each source's top-1 candidate, restricted
     to error cases when errors_only is set. Both Zipf and log2(1+rank)
     scales are reported.
     """
@@ -96,16 +91,16 @@ def freq_diff_report(
     gold_r: list[float] = []
     pred_z: list[float] = []
     pred_r: list[float] = []
-    for grp, s in zip(groups, scores):
-        targets = dic.entries.get(grp.src, ())
-        for t in targets:
-            gold_z.append(abs(float(freq_src.zipf[grp.src]) - float(freq_tgt.zipf[t])))
-            gold_r.append(abs(_logrank(freq_src, grp.src) - _logrank(freq_tgt, t)))
-        if errors_only and _top1_hit(grp, s):
+    top, hits = _top1(groups, scores)
+    top1s = groups.candidate_ids[np.arange(len(groups)), top]
+    for src, top1, hit in zip(groups.src.tolist(), top1s.tolist(), hits.tolist()):
+        for t in dic.entries.get(src, ()):
+            gold_z.append(abs(float(freq_src.zipf[src]) - float(freq_tgt.zipf[t])))
+            gold_r.append(abs(_logrank(freq_src, src) - _logrank(freq_tgt, t)))
+        if errors_only and hit:
             continue
-        top1 = int(grp.candidate_ids[rank_order(s)[0]])
-        pred_z.append(abs(float(freq_src.zipf[grp.src]) - float(freq_tgt.zipf[top1])))
-        pred_r.append(abs(_logrank(freq_src, grp.src) - _logrank(freq_tgt, top1)))
+        pred_z.append(abs(float(freq_src.zipf[src]) - float(freq_tgt.zipf[top1])))
+        pred_r.append(abs(_logrank(freq_src, src) - _logrank(freq_tgt, top1)))
     return FreqDiffStats(
         gold_zipf=float(np.mean(gold_z)) if gold_z else 0.0,
         predicted_zipf=float(np.mean(pred_z)) if pred_z else 0.0,
@@ -204,8 +199,8 @@ def pca_project(vectors: np.ndarray) -> np.ndarray:
 
 
 def explain_predictions(
-    groups: list[RankingGroup],
-    scores: list[np.ndarray],
+    groups: RankingGroups,
+    scores: np.ndarray,
     src_vocab: Vocabulary,
     tgt_vocab: Vocabulary,
     freq_src: FrequencyTable,
@@ -214,28 +209,30 @@ def explain_predictions(
     pos_tgt: PosTable,
 ) -> list[dict]:
     """One record per evaluated source word describing its top prediction."""
+    top, hits = _top1(groups, scores)
+    rows = np.arange(len(groups))
     records = []
-    for grp, s in zip(groups, scores):
-        order = rank_order(s)
-        top1 = int(grp.candidate_ids[order[0]])
+    for src, top1, score, hit in zip(
+        groups.src.tolist(), groups.candidate_ids[rows, top].tolist(), scores[rows, top].tolist(), hits.tolist()
+    ):
         records.append(
             {
-                "src": src_vocab.word(grp.src),
+                "src": src_vocab.word(src),
                 "pred": tgt_vocab.word(top1),
-                "rank_src": int(freq_src.rank[grp.src]),
+                "rank_src": int(freq_src.rank[src]),
                 "rank_pred": int(freq_tgt.rank[top1]),
-                "pos_src": pos_src.tag(grp.src),
+                "pos_src": pos_src.tag(src),
                 "pos_pred": pos_tgt.tag(top1),
-                "score": float(s[order[0]]),
-                "correct": int(grp.labels[order[0]] == 1),
+                "score": score,
+                "correct": int(hit),
             }
         )
     return records
 
 
 def build_eval_report(
-    groups: list[RankingGroup],
-    scores: list[np.ndarray],
+    groups: RankingGroups,
+    scores: np.ndarray,
     dic: TranslationDictionary,
     freq_src: FrequencyTable,
     freq_tgt: FrequencyTable,
@@ -245,7 +242,7 @@ def build_eval_report(
     return EvalReport(
         p_at_1=precision_at_1(groups, scores),
         n_eval=len(groups),
-        gold_missed=sum(grp.gold_missed for grp in groups),
+        gold_missed=int(groups.gold_missed.sum()),
         per_pos=per_pos_accuracy(groups, scores, pos_src),
         freq_diff=freq_diff_report(groups, scores, dic, freq_src, freq_tgt, errors_only),
     )

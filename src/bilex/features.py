@@ -4,11 +4,10 @@ The 46-column layout is fixed: retriever/reranker scores, frequency features,
 a POS-match bit, and two 18-way one-hot POS blocks. Ablations zero columns
 out in place; the schema length never changes.
 
-build_groups fills one (n, 46) matrix per call, column by column through id
-arrays; the groups it returns are consecutive row slices of it, and
-stacked_features hands that matrix to the ranker without a copy.
-featurize_pair and label_candidates compute one pair at a time and are the
-reference the matrix is tested against.
+build_groups returns one sources x k grid, RankingGroups, whose (m * k, 46)
+feature matrix it fills column by column through id arrays. featurize_pair
+and label_candidates compute one pair at a time and are the reference the
+matrix is tested against.
 """
 
 from __future__ import annotations
@@ -127,19 +126,54 @@ def load_external_scores(path: str | Path) -> ExternalScores:
 
 
 @dataclass
-class RankingGroup:
-    """One source word with its ranked candidates: the unit of LTR training."""
+class RankingGroups:
+    """m sources, each with its k ranked candidates: the unit of LTR training and evaluation.
 
-    src: int
+    src is (m,), candidate_ids and labels are (m, k), and features holds the
+    m * k candidate rows, source by source, as one (m * k, 46) matrix. Every
+    list has the same width k, so each layer works on whole (m, k) arrays.
+    len() is the source count, and iterating yields each source's
+    candidate-id row.
+    """
+
+    src: np.ndarray
     candidate_ids: np.ndarray
     labels: np.ndarray
     features: np.ndarray
-    csls: np.ndarray
-    has_gold: bool = False
-    gold_missed: bool = False
+    has_gold: np.ndarray
+
+    @property
+    def csls(self) -> np.ndarray:
+        """The retriever scores, (m, k): a view of feature column 0, which no ablation masks."""
+        return self.features[:, 0].reshape(self.labels.shape)
+
+    @property
+    def gold_missed(self) -> np.ndarray:
+        """Sources with a gold set of which no candidate is a member, (m,)."""
+        return self.has_gold & ~self.labels.any(axis=1)
+
+    @property
+    def trainable(self) -> np.ndarray:
+        """Sources with both a positive and a negative candidate, (m,): the ones that give a gradient."""
+        positives = self.labels.sum(axis=1)
+        return (positives > 0) & (positives < self.labels.shape[1])
 
     def __len__(self) -> int:
-        return len(self.candidate_ids)
+        return len(self.src)
+
+    def __iter__(self):
+        return iter(self.candidate_ids)
+
+    def take(self, idx) -> "RankingGroups":
+        """The sources at positions idx, in that order, as a new grid."""
+        rows = self.features.reshape(*self.labels.shape, N_FEATURES)[idx]
+        return RankingGroups(
+            src=self.src[idx],
+            candidate_ids=self.candidate_ids[idx],
+            labels=self.labels[idx],
+            features=rows.reshape(-1, N_FEATURES),
+            has_gold=self.has_gold[idx],
+        )
 
 
 def label_candidates(src: int, cands: list[int] | np.ndarray, dic: TranslationDictionary) -> np.ndarray:
@@ -222,18 +256,16 @@ def build_groups(
     dic: TranslationDictionary | None = None,
     ext: ExternalScores | None = None,
     schema: FeatureSchema | None = None,
-) -> list[RankingGroup]:
-    """One RankingGroup per requested source, candidate order preserved.
+) -> RankingGroups:
+    """The grid of the requested sources, in order, each with its whole candidate list in order.
 
     Labels come from dic when the source is present there; otherwise the
-    group is an unlabeled inference group. Sources without a candidate list
+    source is an unlabeled inference row. Sources without a candidate list
     are fatal.
 
-    All rows go into one contiguous (n, 46) matrix, filled column by column
-    through the source and candidate id arrays (featurize_pair and
-    label_candidates compute the same values one pair at a time). Each
-    group's features, labels, candidate_ids and csls are consecutive row
-    slices of shared arrays, so stacked_features(groups) is that matrix.
+    All rows go into one contiguous (m * k, 46) matrix, filled column by
+    column through the source and candidate id arrays (featurize_pair and
+    label_candidates compute the same values one pair at a time).
     """
     schema = schema or FeatureSchema()
     for s in sources:
@@ -265,61 +297,35 @@ def build_groups(
     X[:, schema.masked_columns()] = 0.0
 
     labels = np.zeros(m * k, dtype=np.int8)
-    has_gold = [dic is not None and s in dic.entries for s in sources]
+    has_gold = np.array([dic is not None and s in dic.entries for s in sources], dtype=bool)
     gold = np.array(
         [(s, t) for s, labeled in zip(sources, has_gold) if labeled for t in dic.entries[s]], dtype=np.int64
     )
     if gold.size:
         base = int(max(cand.max(initial=0), gold[:, 1].max())) + 1
         labels[np.isin(src * base + cand, gold[:, 0] * base + gold[:, 1])] = 1
-    gold_missed = np.array(has_gold, dtype=bool) & ~labels.reshape(m, k).any(axis=1)
-    if gold_missed.any():
-        log.info("build_groups: gold never retrieved for %d of %d labeled sources", gold_missed.sum(), sum(has_gold))
-
-    return [
-        RankingGroup(
-            src=s,
-            candidate_ids=cand[i * k:(i + 1) * k],
-            labels=labels[i * k:(i + 1) * k],
-            features=X[i * k:(i + 1) * k],
-            csls=csls[i * k:(i + 1) * k],
-            has_gold=has_gold[i],
-            gold_missed=bool(gold_missed[i]),
-        )
-        for i, s in enumerate(sources)
-    ]
+    groups = RankingGroups(
+        src=np.array(sources, dtype=np.int64),
+        candidate_ids=cand.reshape(m, k),
+        labels=labels.reshape(m, k),
+        features=X,
+        has_gold=has_gold,
+    )
+    missed = int(groups.gold_missed.sum())
+    if missed:
+        log.info("build_groups: gold never retrieved for %d of %d labeled sources", missed, has_gold.sum())
+    return groups
 
 
-def stacked_features(groups: list[RankingGroup]) -> np.ndarray:
-    """The feature rows of all groups, in group order, as one (n, 46) matrix.
-
-    Groups that are consecutive row slices of one matrix, as build_groups
-    returns them, give a view of that matrix; any other list is stacked into
-    a new one.
-    """
-    matrix = groups[0].features.base
-    if matrix is not None and matrix.ndim == 2 and matrix.strides[0] > 0:
-        offset = groups[0].features.__array_interface__["data"][0] - matrix.__array_interface__["data"][0]
-        lo = at = offset // matrix.strides[0]
-        for grp in groups:
-            rows = len(grp.features)
-            # equal interfaces: the same memory, shape, strides and dtype
-            if at < 0 or grp.features.__array_interface__ != matrix[at:at + rows].__array_interface__:
-                break
-            at += rows
-        else:
-            return matrix[lo:at]
-    return np.vstack([grp.features for grp in groups])
-
-
-def write_feature_matrix(groups: list[RankingGroup], src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:
+def write_feature_matrix(groups: RankingGroups, src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:
     """Debug export: one row per candidate with a schema-name header."""
+    features = groups.features.reshape(*groups.labels.shape, N_FEATURES)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("src\tcand\tlabel\t" + "\t".join(FEATURE_NAMES) + "\n")
-        for grp in groups:
-            sw = src_vocab.word(grp.src)
+        for s, cands, labels, block in zip(groups.src.tolist(), groups.candidate_ids, groups.labels, features):
+            sw = src_vocab.word(s)
             # tolist() gives Python floats, whose repr is the shortest round-trip text
-            rows = zip(grp.candidate_ids.tolist(), grp.labels.tolist(), grp.features.tolist())
+            rows = zip(cands.tolist(), labels.tolist(), block.tolist())
             fh.write("".join(
                 f"{sw}\t{tgt_vocab.word(c)}\t{int(label)}\t" + "\t".join(map(repr, cells)) + "\n"
                 for c, label, cells in rows

@@ -2,8 +2,8 @@
 
 Pairwise logistic gradients are weighted by the exact AP change of swapping
 the pair in the current ranking; one routine, compute_lambdas, computes them
-for a batch of equal-length groups with any number of positives. Trees are
-grown with second-order (Newton) leaf values by an exact histogram split
+for a whole sources x k grid with any number of positives per source. Trees
+are grown with second-order (Newton) leaf values by an exact histogram split
 search (the exact greedy search of XGBoost, Chen & Guestrin 2016): each
 column is binned once per training by its distinct values into its own code
 array, and every node builds three histograms (counts, gradients, hessians)
@@ -14,9 +14,9 @@ each member's cut takes its bin as the right side and the node total minus
 that bin as the left. fit_tree writes each training row's leaf value as it
 settles the leaves, and train adds those values to the scores instead of
 running the tree over its own rows again. Each round is a few whole-array
-passes: one lambda batch per group length, one histogram build per node,
-one bucketed MAP trace. Everything is deterministic: stable sorts, fixed
-reduction orders, ties to the lowest feature index / candidate position.
+passes over the (m, k) grid: one lambda batch, one histogram build per node,
+one MAP trace. Everything is deterministic: stable sorts, fixed reduction
+orders, ties to the lowest feature index / candidate position.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DataFormatError, atomic_writer
-from .features import FeatureSchema, RankingGroup, stacked_features
+from .features import FeatureSchema, RankingGroups
 
 log = logging.getLogger(__name__)
 
@@ -100,8 +100,8 @@ class GbdtModel:
 
 
 def rank_order(scores: np.ndarray) -> np.ndarray:
-    """Descending-score permutation; ties keep original candidate position."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    """Descending-score permutation along the last axis; ties keep original candidate position."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
 
 
 def average_precision(labels) -> float:
@@ -117,64 +117,26 @@ def average_precision(labels) -> float:
     return float((hits[y == 1] / ks[y == 1]).sum() / positives)
 
 
-@dataclass(frozen=True)
-class ApBuckets:
-    """The groups of one list that hold a positive, in buckets of equal length.
+def mean_ap(groups: RankingGroups, scores: np.ndarray) -> float:
+    """Mean AP over the sources that have a positive, each ranked by its row of scores (m, k).
 
-    Each bucket is (rows, labels, positives, members): the positions of its
-    groups' scores in the back-to-back score vector (b, size), their labels
-    (b, size), positive counts (b,) and group indices (b,). Built once,
-    it serves every mean_ap call on the same group list.
+    One row-wise stable sort ranks every source. Each AP is the last entry of
+    a running sum of the precisions at the positive ranks, added in rank order
+    as average_precision does.
     """
-
-    n_groups: int
-    buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-
-    @classmethod
-    def of(cls, groups: list[RankingGroup]) -> "ApBuckets":
-        offsets = np.concatenate([[0], np.cumsum([len(grp) for grp in groups], dtype=np.int64)])
-        by_size: dict[int, list[int]] = {}
-        for i, grp in enumerate(groups):
-            by_size.setdefault(len(grp), []).append(i)
-        buckets = []
-        for size, members in by_size.items():
-            y = np.array([groups[i].labels for i in members], dtype=np.float64)
-            positives = y.sum(axis=1)
-            keep = positives > 0
-            if keep.any():
-                kept = np.array(members)[keep]
-                buckets.append((offsets[kept][:, None] + np.arange(size), y[keep], positives[keep], kept))
-        return cls(n_groups=len(groups), buckets=buckets)
-
-
-def mean_ap(groups: list[RankingGroup], scores, buckets: ApBuckets | None = None) -> float:
-    """Mean AP over groups that contain a positive, each ranked by score.
-
-    scores holds each group's scores, as one array per group or all of them
-    back to back in one array. buckets, if given, must be ApBuckets.of(groups).
-    Groups are ranked in buckets of equal length, one row-wise stable sort
-    per bucket. Each AP is the last entry of a running sum of the precisions
-    at the positive ranks, added in rank order as average_precision does.
-    """
-    if buckets is None:
-        buckets = ApBuckets.of(groups)
-    if isinstance(scores, np.ndarray):
-        pooled = scores.astype(np.float64, copy=False)
-    else:
-        pooled = np.concatenate([np.asarray(s, dtype=np.float64) for s in scores]) if scores else np.zeros(0)
-    aps = np.zeros(buckets.n_groups)
-    has_positive = np.zeros(buckets.n_groups, dtype=bool)
-    for rows, y, positives, members in buckets.buckets:
-        order = np.argsort(-pooled[rows], axis=1, kind="stable")
-        ranked = np.take_along_axis(y, order, axis=1)
-        hits = np.cumsum(ranked, axis=1)
-        precision = np.where(ranked == 1, hits / np.arange(1, rows.shape[1] + 1, dtype=np.float64), 0.0)
-        aps[members] = np.cumsum(precision, axis=1)[:, -1] / positives
-        has_positive[members] = True
-    skipped = buckets.n_groups - int(has_positive.sum())
+    y = groups.labels.astype(np.float64)
+    positives = y.sum(axis=1)
+    keep = positives > 0
+    skipped = len(groups) - int(keep.sum())
     if skipped:
         log.debug("mean_ap: %d all-negative groups excluded", skipped)
-    return float(np.mean(aps[has_positive])) if has_positive.any() else 0.0
+    if not keep.any():
+        return 0.0
+    order = rank_order(np.asarray(scores)[keep])
+    ranked = np.take_along_axis(y[keep], order, axis=1)
+    hits = np.cumsum(ranked, axis=1)
+    precision = np.where(ranked == 1, hits / np.arange(1, y.shape[1] + 1, dtype=np.float64), 0.0)
+    return float(np.mean(np.cumsum(precision, axis=1)[:, -1] / positives[keep]))
 
 
 def _ap_prefixes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +179,8 @@ def _pair_sigmoid(x: np.ndarray) -> np.ndarray:
 def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Per-candidate gradient/hessian of the AP-weighted pairwise objective.
 
-    scores and labels are one group (k,) or a batch of equal-length groups
-    (m, k) with any number of positives per row. For each (positive i,
+    scores and labels are one source's list (k,) or a grid of sources (m, k),
+    with any number of positives per row. For each (positive i,
     negative j) pair of a row, rho = 1/(1+exp(sigma*(s_i-s_j))) and the pair's
     weight is |delta AP| of swapping the two in the current ranking; positives
     accumulate negative gradient. Gradients sum to zero by construction.
@@ -283,8 +245,11 @@ class _BinnedColumns:
         self.plain: list[tuple[int, np.ndarray, np.ndarray]] = []  # (feature, distinct values, codes)
         flags: list[tuple[int, np.ndarray]] = []  # 0/1 columns: (feature, rows holding the 1)
         for f in range(X.shape[1]):
-            distinct, inverse = np.unique(X[:, f], return_inverse=True)
-            if distinct.size < 2:
+            column = X[:, f]
+            if (column == column[:1]).all():  # constant, found without sorting it
+                continue
+            distinct, inverse = np.unique(column, return_inverse=True)
+            if distinct.size < 2:  # all NaN
                 continue
             if distinct.size == 2 and distinct[0] == 0.0 and distinct[1] == 1.0:
                 flags.append((f, inverse == 1))
@@ -462,60 +427,47 @@ class FitStats:
 
 
 def train(
-    groups: list[RankingGroup],
+    groups: RankingGroups,
     params: GbdtParams,
     schema: FeatureSchema | None = None,
     stats: FitStats | None = None,
 ) -> tuple[GbdtModel, list[tuple[int, float]]]:
-    """Boost n_trees rounds over pooled group rows; returns (model, MAP trace).
+    """Boost n_trees rounds over all candidate rows; returns (model, MAP trace).
 
-    Groups lacking both a positive and a negative contribute no gradient but
-    their rows remain in the pool. At least one mixed group is required.
+    Sources lacking both a positive and a negative contribute no gradient but
+    their rows remain in the pool. At least one mixed source is required.
     Each round adds the leaf values fit_tree wrote for the training rows, so
     no tree is run over them again. stats, if given, receives the histogram
     layout and the seconds spent in fit_tree.
     """
     params.validate()
     schema = schema or FeatureSchema()
-    if not groups:
+    if not len(groups):
         raise ValueError("no groups to train on")
-    sizes = [len(grp) for grp in groups]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    # trainable groups bucketed by candidate count: one lambda batch of pooled rows and labels each
-    buckets: dict[int, list[int]] = {}
-    for i, grp in enumerate(groups):
-        if 0 < int(grp.labels.sum()) < len(grp):
-            buckets.setdefault(len(grp), []).append(i)
-    if not buckets:
+    trainable = np.flatnonzero(groups.trainable)
+    if not trainable.size:
         raise ValueError("no trainable group: need at least one group with a positive and a negative")
-    batches = [
-        (offsets[members][:, None] + np.arange(size), np.vstack([groups[i].labels for i in members]))
-        for size, members in buckets.items()
-    ]
+    labels = groups.labels[trainable]
 
-    X = stacked_features(groups)
-    n = X.shape[0]
-    scores = np.zeros(n, dtype=np.float64)
-    leaf = np.empty(n, dtype=np.float64)
+    X = groups.features
+    scores = np.zeros(groups.labels.shape)
+    leaf = np.empty(X.shape[0], dtype=np.float64)
     bins = _BinnedColumns(X)
     stats = stats if stats is not None else FitStats()
     stats.histogram_columns = len(bins.plain) + len(bins.bundles)
     stats.bundled_columns = sum(members.size for members, _ in bins.bundles)
 
-    ap_buckets = ApBuckets.of(groups)  # the MAP trace ranks the same groups every round
-
     trees: list[RegressionTree] = []
     trace: list[tuple[int, float]] = []
     for round_no in range(1, params.n_trees + 1):
-        g = np.zeros(n)
-        h = np.zeros(n)
-        for rows, labels in batches:
-            g[rows], h[rows] = compute_lambdas(scores[rows], labels, params.sigma)
+        g = np.zeros(scores.shape)
+        h = np.zeros(scores.shape)
+        g[trainable], h[trainable] = compute_lambdas(scores[trainable], labels, params.sigma)
         start = time.perf_counter()
-        trees.append(fit_tree(X, g, h, params, bins, out=leaf))
+        trees.append(fit_tree(X, g.ravel(), h.ravel(), params, bins, out=leaf))
         stats.split_s += time.perf_counter() - start
-        scores += params.learning_rate * leaf
-        trace.append((round_no, mean_ap(groups, scores, ap_buckets)))
+        scores += params.learning_rate * leaf.reshape(scores.shape)
+        trace.append((round_no, mean_ap(groups, scores)))
 
     model = GbdtModel(
         trees=trees,
@@ -543,13 +495,9 @@ def predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_groups(model: GbdtModel, groups: list[RankingGroup]) -> list[np.ndarray]:
-    """Per-group scores from one predict call over all group rows (stacked_features)."""
-    if not groups:
-        return []
-    sizes = np.array([len(grp) for grp in groups])
-    scores = predict(model, stacked_features(groups))
-    return np.split(scores, np.cumsum(sizes)[:-1])
+def predict_groups(model: GbdtModel, groups: RankingGroups) -> np.ndarray:
+    """Scores of every candidate, (m, k), from one predict call over the grid's feature matrix."""
+    return predict(model, groups.features).reshape(groups.labels.shape)
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:
@@ -653,29 +601,23 @@ def load_model(path: str | Path) -> GbdtModel:
     return model
 
 
-def combine_with_retriever(
-    ranker_scores: list[np.ndarray],
-    csls_scores: list[np.ndarray],
-    mix: float,
-) -> list[np.ndarray]:
-    """Per group, min-max normalize both score lists and blend them.
+def combine_with_retriever(ranker_scores: np.ndarray, csls_scores: np.ndarray, mix: float) -> np.ndarray:
+    """Per source, min-max normalize both score rows and blend them.
 
-    combined = mix * ranker + (1 - mix) * retriever; a constant list
-    normalizes to all 0.5.
+    combined = mix * ranker + (1 - mix) * retriever, on (m, k) arrays (or one
+    (k,) row); a constant row normalizes to all 0.5.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must be in [0, 1], got {mix}")
+    ranker = np.asarray(ranker_scores, dtype=np.float64)
+    csls = np.asarray(csls_scores, dtype=np.float64)
+    if ranker.shape != csls.shape:
+        raise ValueError(f"ranker scores {ranker.shape} and retriever scores {csls.shape} must be parallel")
 
     def norm(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        span = x.max() - x.min()
-        if span == 0.0:
-            return np.full_like(x, 0.5)
-        return (x - x.min()) / span
+        lo = x.min(axis=-1, keepdims=True)
+        span = x.max(axis=-1, keepdims=True) - lo
+        flat = span == 0.0
+        return np.where(flat, 0.5, (x - lo) / np.where(flat, 1.0, span))
 
-    out = []
-    for r, c in zip(ranker_scores, csls_scores):
-        if len(r) != len(c):
-            raise ValueError("score lists must be parallel within each group")
-        out.append(mix * norm(r) + (1.0 - mix) * norm(c))
-    return out
+    return mix * norm(ranker) + (1.0 - mix) * norm(csls)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bilex.corpus import EmbeddingSpace, Vocabulary
+from bilex.features import N_FEATURES, RankingGroups
 
 
 def write(path, text):
@@ -26,6 +27,20 @@ def unit_space(matrix, words=None):
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return space_from(matrix / norms, words, normalized=True)
+
+
+def grid(labels, features=None, src=None, candidate_ids=None, has_gold=True):
+    """A hand-built RankingGroups: labels (m, k); features (m * k, 46), zeros if not given."""
+    labels = np.asarray(labels, dtype=np.int8)
+    m, k = labels.shape
+    return RankingGroups(
+        src=np.arange(m, dtype=np.int64) if src is None else np.asarray(src, dtype=np.int64),
+        candidate_ids=np.tile(np.arange(k, dtype=np.int64), (m, 1)) if candidate_ids is None
+        else np.asarray(candidate_ids, dtype=np.int64),
+        labels=labels,
+        features=np.zeros((m * k, N_FEATURES)) if features is None else np.asarray(features, dtype=np.float64),
+        has_gold=np.full(m, has_gold),
+    )
 
 
 @pytest.fixture

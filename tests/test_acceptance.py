@@ -16,7 +16,7 @@ import pytest
 
 from bilex.cli import main as cli_main
 from bilex.evaluation import freq_diff_report, precision_at_1, spearman
-from bilex.features import N_FEATURES, FeatureSchema, RankingGroup, build_groups
+from bilex.features import N_FEATURES, FeatureSchema, build_groups
 from bilex.ltr import (
     GbdtParams,
     compute_lambdas,
@@ -37,7 +37,7 @@ from bilex.retrieval import (
     retrieve_topk,
 )
 from bilex.synth import SynthConfig, gen_bilingual_world, split_gold
-from conftest import unit_space
+from conftest import grid, unit_space
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -141,27 +141,22 @@ def test_criterion_03_delta_ap_exactness():
 
 # ------------------------------------------------------------ criterion 4
 
-def separable_group(rng, src, group_size=50):
-    labels = np.zeros(group_size, dtype=np.int8)
-    labels[rng.integers(0, group_size)] = 1
-    features = np.zeros((group_size, N_FEATURES))
-    features[:, 0] = labels
-    features[:, 3] = rng.standard_normal(group_size)
-    return RankingGroup(
-        src=src,
-        candidate_ids=np.arange(group_size, dtype=np.int64),
-        labels=labels,
-        features=features,
-        csls=features[:, 3].copy(),
-        has_gold=True,
-    )
+def separable_groups(rng, n_groups, group_size=50):
+    """Feature 0 equals the label, feature 3 is noise."""
+    labels = np.zeros((n_groups, group_size), dtype=np.int8)
+    features = np.zeros((n_groups * group_size, N_FEATURES))
+    for s in range(n_groups):
+        labels[s, rng.integers(0, group_size)] = 1
+        features[s * group_size:(s + 1) * group_size, 3] = rng.standard_normal(group_size)
+    features[:, 0] = labels.ravel()
+    return grid(labels, features)
 
 
 def test_criterion_04_ranker_learnability():
     rng = np.random.default_rng(404)
     t0 = time.perf_counter()
-    train_groups = [separable_group(rng, s) for s in range(500)]
-    held_groups = [separable_group(rng, s) for s in range(100)]
+    train_groups = separable_groups(rng, 500)
+    held_groups = separable_groups(rng, 100)
     model, trace = train(train_groups, GbdtParams(n_trees=200, max_depth=3, learning_rate=0.1))
     train_map = trace[-1][1]
     held_map = mean_ap(held_groups, predict_groups(model, held_groups))
@@ -198,7 +193,7 @@ def lexical_runs():
         )
         run = {}
         test_groups = build_groups(test_dict.sources(), cands, dic=test_dict, **common)
-        csls_scores = [grp.csls for grp in test_groups]
+        csls_scores = test_groups.csls
         run["p_csls"] = precision_at_1(test_groups, csls_scores)
         fd0 = freq_diff_report(test_groups, csls_scores, test_dict, world.freq_src, world.freq_tgt)
         run["zipf_csls"] = fd0.predicted_zipf
@@ -365,7 +360,7 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
     threads_ok = a == c
 
     rng = np.random.default_rng(909)
-    groups = [separable_group(rng, s, group_size=20) for s in range(30)]
+    groups = separable_groups(rng, 30, group_size=20)
     model, _ = train(groups, GbdtParams(n_trees=200))
     save_model(model, tmp_path / "model.json")
     back = load_model(tmp_path / "model.json")

@@ -10,7 +10,16 @@ import pytest
 
 import bilex
 from bilex import corpus, retrieval
-from bilex.cli import COMMANDS, _aligned_source, _as_bool, _extend_candidates, build_parser, main, resolve_options
+from bilex.cli import (
+    COMMANDS,
+    _aligned_source,
+    _as_bool,
+    _extend_candidates,
+    _peak_rss_mb,
+    build_parser,
+    main,
+    resolve_options,
+)
 
 
 def run(*argv):
@@ -715,6 +724,33 @@ class TestOptionTables:
                     assert by_flag == by_file, (name, key, raw)
                     assert getattr(by_flag[0], key) != opt.default, (name, key)
 
+    def test_a_key_of_several_commands_is_one_option(self):
+        declared = {}
+        for name, _, schema, _ in COMMANDS:
+            for key, opt in schema.items():
+                assert declared.setdefault(key, opt) is opt, (name, key)
+
+    @pytest.mark.parametrize("command,extra,message", [
+        ("train", ["--mode", "semi", "--k-csls", 0], "--k-csls must be >= 1, got 0"),
+        ("train", ["--mode", "semi", "--n-aug", -1], "--n-aug must be >= 0, got -1"),
+        ("retrieve", ["--max-vocab", -5], "--max-vocab must be >= 1, got -5"),
+        ("analyze", ["--top-k", 0], "--top-k must be >= 1, got 0"),
+    ])
+    def test_out_of_range_value_exit_2_before_writing(
+        self, world_dir, retrieved_dir, tmp_path, capsys, command, extra, message,
+    ):
+        out = tmp_path / "out"
+        if command == "train":
+            args = train_args(world_dir, retrieved_dir, out, *extra)
+        elif command == "retrieve":
+            args = ["retrieve", "--out-dir", out, "--src-emb", world_dir / "embeddings.src.vec",
+                    "--tgt-emb", world_dir / "embeddings.tgt.vec", *extra]
+        else:
+            args = analyze_args(world_dir, out, *extra)
+        assert run(*args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def analyze_args(world_dir, out, *extra):
     return [
@@ -848,6 +884,31 @@ def gold_and_candidates(dict_path, candidates_path):
         src, cand, _ = line.split("\t")
         cands.setdefault(src, []).append(cand)
     return gold, cands
+
+
+VMHWM_CHILD = """
+import resource
+from pathlib import Path
+from bilex.cli import _peak_rss_mb
+
+def vmhwm_mb():
+    line = next(x for x in Path("/proc/self/status").read_text().splitlines() if x.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024
+
+before = vmhwm_mb()
+print(before, _peak_rss_mb(), vmhwm_mb(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from /proc")
+def test_peak_rss_is_the_vmhwm_of_this_process():
+    # a child's ru_maxrss carries over the high-water mark of the process that launched it
+    ballast = np.ones(48 * 2**20 // 8)  # 48 MB more in the launching process than the child ever holds
+    env = {**os.environ, "PYTHONPATH": str(Path(bilex.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", VMHWM_CHILD], capture_output=True, text=True, env=env, timeout=60)
+    del ballast
+    before, peak, after, ru_maxrss = map(float, proc.stdout.split())
+    assert before <= peak <= after < ru_maxrss
 
 
 class TestRunLogStages:

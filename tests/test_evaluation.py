@@ -20,60 +20,43 @@ from bilex.evaluation import (
     precision_at_1,
     spearman,
 )
-from bilex.features import N_FEATURES, RankingGroup
-
-
-def group_of(src, cand_ids, labels):
-    cand_ids = np.asarray(cand_ids, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int8)
-    return RankingGroup(
-        src=src,
-        candidate_ids=cand_ids,
-        labels=labels,
-        features=np.zeros((len(labels), N_FEATURES)),
-        csls=np.linspace(1.0, 0.0, len(labels)),
-        has_gold=True,
-        gold_missed=bool(labels.sum() == 0),
-    )
+from bilex.ltr import rank_order
+from conftest import grid
 
 
 class TestPrecisionAt1:
     def test_perfect(self):
-        groups = [group_of(0, [0, 1], [1, 0]), group_of(1, [1, 2], [1, 0])]
-        scores = [np.array([2.0, 1.0]), np.array([5.0, 4.0])]
+        groups = grid([[1, 0], [1, 0]], candidate_ids=[[0, 1], [1, 2]])
+        scores = np.array([[2.0, 1.0], [5.0, 4.0]])
         assert precision_at_1(groups, scores) == 1.0
 
     def test_half(self):
-        groups = [group_of(i, [0, 1], [1, 0]) for i in range(4)]
-        scores = [np.array([2.0, 1.0]), np.array([1.0, 2.0]),
-                  np.array([2.0, 1.0]), np.array([1.0, 2.0])]
+        groups = grid([[1, 0]] * 4)
+        scores = np.array([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
         assert precision_at_1(groups, scores) == 0.5
 
     def test_gold_missed_counts_as_failure(self):
-        groups = [group_of(0, [0, 1], [1, 0]), group_of(1, [0, 1], [0, 0])]
-        scores = [np.array([2.0, 1.0]), np.array([2.0, 1.0])]
+        groups = grid([[1, 0], [0, 0]])
+        scores = np.array([[2.0, 1.0], [2.0, 1.0]])
         assert precision_at_1(groups, scores) == 0.5
 
     def test_requires_gold(self):
-        grp = group_of(0, [0], [1])
-        grp.has_gold = False
         with pytest.raises(ValueError, match="gold"):
-            precision_at_1([grp], [np.array([1.0])])
+            precision_at_1(grid([[1]], has_gold=False), np.array([[1.0]]))
 
     def test_affine_invariance(self, rng):
-        groups = [group_of(i, [0, 1, 2], [0, 1, 0]) for i in range(5)]
-        scores = [rng.standard_normal(3) for _ in range(5)]
+        groups = grid([[0, 1, 0]] * 5)
+        scores = rng.standard_normal((5, 3))
         p = precision_at_1(groups, scores)
-        assert precision_at_1(groups, [3.5 * s + 11 for s in scores]) == p
+        assert precision_at_1(groups, 3.5 * scores + 11) == p
 
 
 class TestPerPosAccuracy:
     def make(self):
         vocab = Vocabulary.from_words(["a", "b", "c", "d"])
         pos, _ = pos_table_from_tags({"a": "NOUN", "b": "NOUN", "c": "VERB", "d": "VERB"}, vocab)
-        groups = [group_of(i, [0, 1], [1, 0]) for i in range(4)]
-        scores = [np.array([2.0, 1.0]), np.array([1.0, 2.0]),
-                  np.array([2.0, 1.0]), np.array([2.0, 1.0])]
+        groups = grid([[1, 0]] * 4)
+        scores = np.array([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 1.0]])
         return groups, scores, pos
 
     def test_buckets(self):
@@ -104,28 +87,60 @@ class TestFreqDiffReport:
 
     def test_single_pair_arithmetic(self):
         fs, ft, dic = self.make()
-        groups = [group_of(0, [0, 1], [1, 0])]
-        stats = freq_diff_report(groups, [np.array([2.0, 1.0])], dic, fs, ft)
+        stats = freq_diff_report(grid([[1, 0]]), np.array([[2.0, 1.0]]), dic, fs, ft)
         assert stats.gold_zipf == pytest.approx(1.5)  # |6.0 - 4.5|
         assert stats.predicted_zipf == pytest.approx(1.5)
 
     def test_identical_predictions_match_gold(self):
         fs, ft, dic = self.make()
-        groups = [group_of(0, [0, 1], [1, 0]), group_of(1, [0, 1], [0, 1])]
-        scores = [np.array([2.0, 1.0]), np.array([1.0, 2.0])]
-        stats = freq_diff_report(groups, scores, dic, fs, ft)
+        scores = np.array([[2.0, 1.0], [1.0, 2.0]])
+        stats = freq_diff_report(grid([[1, 0], [0, 1]]), scores, dic, fs, ft)
         assert stats.predicted_zipf == pytest.approx(stats.gold_zipf)
 
     def test_errors_only_excludes_correct_groups(self):
         fs, ft, dic = self.make()
         # group a: correct (picks x); group b: wrong (picks x instead of y)
-        groups = [group_of(0, [0, 1], [1, 0]), group_of(1, [0, 1], [0, 1])]
-        scores = [np.array([2.0, 1.0]), np.array([2.0, 1.0])]
+        groups = grid([[1, 0], [0, 1]])
+        scores = np.array([[2.0, 1.0], [2.0, 1.0]])
         all_stats = freq_diff_report(groups, scores, dic, fs, ft, errors_only=False)
         err_stats = freq_diff_report(groups, scores, dic, fs, ft, errors_only=True)
         assert all_stats.n_predicted == 2
         assert err_stats.n_predicted == 1
         assert err_stats.predicted_zipf == pytest.approx(abs(5.0 - 4.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=m, max_size=m),
+    st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=k, max_size=k), min_size=m, max_size=m),
+    st.lists(st.permutations(range(6)), min_size=m, max_size=m),
+))), st.booleans())
+def test_grid_equals_per_row_reference(data, errors_only):
+    labels, scores, perms = data
+    scores = np.array(scores)
+    m, k = scores.shape
+    sv = Vocabulary.from_words([f"s{i}" for i in range(m)])
+    tv = Vocabulary.from_words([f"t{i}" for i in range(6)])
+    fs = frequency_table_from_counts({w: 10 * (i + 1) for i, w in enumerate(sv.words)}, sv)
+    ft = frequency_table_from_counts({w: 7 * (i + 2) for i, w in enumerate(tv.words)}, tv)
+    ps, _ = pos_table_from_tags({w: ("NOUN", "VERB")[i % 2] for i, w in enumerate(sv.words)}, sv)
+    pt, _ = pos_table_from_tags({w: "NOUN" for w in tv.words}, tv)
+    cand_ids = np.array([p[:k] for p in perms])
+    dic = TranslationDictionary(entries={s: (int(cand_ids[s, 0]), 5) for s in range(m)})
+    groups = grid(labels, candidate_ids=cand_ids)
+
+    tops = [int(rank_order(row)[0]) for row in scores]
+    hits = [groups.labels[i, t] == 1 for i, t in enumerate(tops)]
+    assert precision_at_1(groups, scores) == sum(hits) / m
+    records = explain_predictions(groups, scores, sv, tv, fs, ft, ps, pt)
+    assert [(r["pred"], r["score"], r["correct"]) for r in records] == [
+        (tv.word(int(cand_ids[i, t])), float(scores[i, t]), int(hits[i])) for i, t in enumerate(tops)
+    ]
+    predicted = [i for i in range(m) if not (errors_only and hits[i])]
+    stats = freq_diff_report(groups, scores, dic, fs, ft, errors_only)
+    want = [abs(float(fs.zipf[i]) - float(ft.zipf[int(cand_ids[i, tops[i]])])) for i in predicted]
+    assert stats.n_predicted == len(predicted) and stats.n_gold_pairs == 2 * m
+    assert stats.predicted_zipf == (float(np.mean(want)) if want else 0.0)
 
 
 class TestSpearman:
@@ -258,8 +273,8 @@ class TestExplainAndReport:
         ps, _ = pos_table_from_tags({"a": "NOUN"}, sv)
         pt, _ = pos_table_from_tags({"x": "NOUN", "y": "VERB"}, tv)
         dic = TranslationDictionary(entries={0: (0,), 1: (1,)})
-        groups = [group_of(0, [0, 1], [1, 0]), group_of(1, [0, 1], [0, 1])]
-        scores = [np.array([2.0, 1.0]), np.array([2.0, 1.0])]
+        groups = grid([[1, 0], [0, 1]])
+        scores = np.array([[2.0, 1.0], [2.0, 1.0]])
         return sv, tv, fs, ft, ps, pt, dic, groups, scores
 
     def test_records_complete(self):

@@ -19,16 +19,14 @@ from bilex.features import (
     N_FEATURES,
     ExternalScores,
     FeatureSchema,
-    RankingGroup,
     build_groups,
     featurize_pair,
     label_candidates,
     load_external_scores,
-    stacked_features,
     write_feature_matrix,
 )
 from bilex.retrieval import CandidateSet
-from conftest import write
+from conftest import grid, write
 
 
 @pytest.fixture
@@ -145,11 +143,10 @@ class TestBuildGroups:
         cands = simple_cands(3, 3)
         dic = TranslationDictionary(entries={0: (0,), 1: (1,), 2: (2,)})
         groups = build_groups([0, 1, 2], cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic=dic)
-        assert len(groups) == 3
-        for grp in groups:
-            assert grp.features.shape == (3, 46)
-            assert grp.labels.sum() == 1
-            assert not grp.gold_missed
+        assert len(groups) == 3 and [len(row) for row in groups] == [3, 3, 3]
+        assert groups.features.shape == (9, 46) and groups.labels.shape == groups.candidate_ids.shape == (3, 3)
+        assert groups.labels.sum(axis=1).tolist() == [1, 1, 1]
+        assert not groups.gold_missed.any()
 
     def test_group_count_includes_gold_missed(self, world):
         src_vocab, tgt_vocab, fs, ft, ps, pt = world
@@ -157,15 +154,14 @@ class TestBuildGroups:
         dic = TranslationDictionary(entries={0: (0,), 1: (3,), 2: (1,)})
         groups = build_groups(dic.sources(), cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic=dic)
         assert len(groups) == 3
-        flags = [grp.gold_missed for grp in groups]
-        assert flags == [False, True, False]
+        assert groups.gold_missed.tolist() == [False, True, False]
 
     def test_ext_coverage_mixed(self, world):
         src_vocab, tgt_vocab, fs, ft, ps, pt = world
         cands = simple_cands(1, 3)
         ext = ExternalScores(logits={("s0", "t0"): 1.0, ("s0", "t2"): -1.0})
         groups = build_groups([0], cands, fs, ft, ps, pt, src_vocab, tgt_vocab, ext=ext)
-        present = groups[0].features[:, 2]
+        present = groups.features[:, 2]
         assert present.tolist() == [1.0, 0.0, 1.0]
 
     def test_missing_source_fatal(self, world):
@@ -177,13 +173,13 @@ class TestBuildGroups:
     def test_inference_groups_without_dict(self, world):
         src_vocab, tgt_vocab, fs, ft, ps, pt = world
         groups = build_groups([0], simple_cands(1, 3), fs, ft, ps, pt, src_vocab, tgt_vocab)
-        assert not groups[0].has_gold
-        assert not groups[0].labels.any()
+        assert not groups.has_gold[0]
+        assert not groups.labels.any()
 
     def test_shuffle_unshuffle_restores_features(self, world, rng):
         src_vocab, tgt_vocab, fs, ft, ps, pt = world
         groups = build_groups([0], simple_cands(1, 3), fs, ft, ps, pt, src_vocab, tgt_vocab)
-        m = groups[0].features
+        m = groups.features
         perm = rng.permutation(3)
         inv = np.argsort(perm)
         np.testing.assert_array_equal(m[perm][inv], m)
@@ -191,14 +187,13 @@ class TestBuildGroups:
     def test_one_hot_consistency(self, world, rng):
         src_vocab, tgt_vocab, fs, ft, ps, pt = world
         groups = build_groups([0, 1, 2], simple_cands(3, 4), fs, ft, ps, pt, src_vocab, tgt_vocab)
-        for grp in groups:
-            for row in grp.features:
-                src_hot = row[10:28]
-                cand_hot = row[28:46]
-                assert src_hot.sum() == 1.0 and cand_hot.sum() == 1.0
-                same = src_hot.argmax() == cand_hot.argmax()
-                assert (row[9] == 1.0) == same
-                assert abs(row[6]) == pytest.approx(abs(row[5]))
+        for row in groups.features:
+            src_hot = row[10:28]
+            cand_hot = row[28:46]
+            assert src_hot.sum() == 1.0 and cand_hot.sum() == 1.0
+            same = src_hot.argmax() == cand_hot.argmax()
+            assert (row[9] == 1.0) == same
+            assert abs(row[6]) == pytest.approx(abs(row[5]))
 
 
 class TestExternalScores:
@@ -241,24 +236,23 @@ def test_feature_matrix_export_header(tmp_path, world):
 def reference_feature_matrix(groups, src_vocab, tgt_vocab):
     """The per-value writer: repr(float(v)) for every cell."""
     lines = ["src\tcand\tlabel\t" + "\t".join(FEATURE_NAMES) + "\n"]
-    for grp in groups:
-        for i, c in enumerate(grp.candidate_ids):
-            cells = "\t".join(repr(float(v)) for v in grp.features[i])
-            lines.append(f"{src_vocab.word(grp.src)}\t{tgt_vocab.word(int(c))}\t{int(grp.labels[i])}\t{cells}\n")
+    k = groups.labels.shape[1]
+    for row, src in enumerate(groups.src):
+        for i, c in enumerate(groups.candidate_ids[row]):
+            cells = "\t".join(repr(float(v)) for v in groups.features[row * k + i])
+            lines.append(f"{src_vocab.word(int(src))}\t{tgt_vocab.word(int(c))}\t{int(groups.labels[row, i])}\t{cells}\n")
     return "".join(lines)
 
 
 def test_feature_matrix_export_matches_per_value_reference(tmp_path, world):
     src_vocab, tgt_vocab, *_ = world
     awkward = [1e-05, -0.0, 0.1 + 0.2, 1e16, 123456789.125, -2.5e-310, 1 / 3, 0.0, 5e-324, -1e300]
-    groups = []
-    for src, size in ((0, 3), (2, 4), (1, 1)):
-        features = np.resize(np.array(awkward), (size, N_FEATURES)) * (src + 1)
-        features[0, 1] = -0.0
-        labels = np.array([1] + [0] * (size - 1), dtype=np.int8)
-        groups.append(RankingGroup(
-            src=src, candidate_ids=np.arange(size)[::-1].copy(), labels=labels, features=features, csls=features[:, 0],
-        ))
+    sources, k = [0, 2, 1], 4
+    features = np.resize(np.array(awkward), (len(sources), k, N_FEATURES)) * (np.array(sources) + 1)[:, None, None]
+    features[:, 0, 1] = -0.0
+    labels = np.zeros((len(sources), k), dtype=np.int8)
+    labels[:, 0] = 1
+    groups = grid(labels, features.reshape(-1, N_FEATURES), src=sources, candidate_ids=np.tile(np.arange(k)[::-1], (3, 1)))
     path = tmp_path / "features.tsv"
     write_feature_matrix(groups, src_vocab, tgt_vocab, path)
     text = path.read_bytes().decode("utf-8")
@@ -326,15 +320,17 @@ class TestOneMatrix:
         sources, cands, *_ = world
         groups = build_groups(*world[:8], dic=world[8], ext=world[9], schema=world[10])
         expected = reference_groups(*world)
-        assert [grp.src for grp in groups] == sources
-        for grp, (rows, labels, has_gold, gold_missed), s in zip(groups, expected, sources):
+        k = cands.cand_ids.shape[1]
+        assert groups.src.tolist() == sources
+        assert groups.features.dtype == np.float64 and groups.features.shape == (len(sources) * k, N_FEATURES)
+        assert groups.labels.dtype == np.int8 and groups.candidate_ids.dtype == np.int64
+        for i, ((rows, labels, has_gold, gold_missed), s) in enumerate(zip(expected, sources)):
             ids, scores = cands.for_source(s)
-            assert grp.features.dtype == np.float64 and grp.features.shape == rows.shape
-            assert grp.features.tobytes() == rows.tobytes()
-            assert grp.labels.dtype == np.int8 and grp.labels.tolist() == labels.tolist()
-            assert grp.candidate_ids.dtype == np.int64 and grp.candidate_ids.tolist() == ids.tolist()
-            assert grp.csls.tobytes() == np.asarray(scores, dtype=np.float64).tobytes()
-            assert (grp.has_gold, grp.gold_missed) == (has_gold, gold_missed)
+            assert groups.features[i * k:(i + 1) * k].tobytes() == rows.tobytes()
+            assert groups.labels[i].tolist() == labels.tolist()
+            assert groups.candidate_ids[i].tolist() == ids.tolist()
+            assert groups.csls[i].tobytes() == np.asarray(scores, dtype=np.float64).tobytes()
+            assert (groups.has_gold[i], groups.gold_missed[i]) == (has_gold, gold_missed)
 
     def test_log_rank_is_math_log2_bitwise(self, world):
         # np.log2(1 + r) differs from math.log2 in the last bit at ranks such as 1620 and 3241
@@ -343,7 +339,7 @@ class TestOneMatrix:
         ft = frequency_table_from_counts({f"w{i}": 4000 - i for i in range(3300)}, tgt_vocab)
         pt, _ = pos_table_from_tags({}, tgt_vocab)
         cands = CandidateSet.from_arrays(np.array([0]), np.arange(3300)[None, :], np.zeros((1, 3300)))
-        col = build_groups([0], cands, fs, ft, ps, pt, src_vocab, tgt_vocab)[0].features[:, 8]
+        col = build_groups([0], cands, fs, ft, ps, pt, src_vocab, tgt_vocab).features[:, 8]
         expected = np.array([math.log2(1 + r) for r in range(1, 3301)])
         assert col.tobytes() == expected.tobytes()
         assert (np.log2(1.0 + np.arange(1, 3301)) != expected).any()
@@ -352,22 +348,17 @@ class TestOneMatrix:
         src_vocab, tgt_vocab, fs, ft, ps, pt = world
         dic = TranslationDictionary(entries={0: (0,), 1: (3,), 2: (1, 2)})
         groups = build_groups([2, 0, 1], simple_cands(3, 3), fs, ft, ps, pt, src_vocab, tgt_vocab, dic=dic)
-        matrix = groups[0].features.base
+        matrix = groups.features
         assert matrix.shape == (9, N_FEATURES) and matrix.flags.c_contiguous
-        for i, grp in enumerate(groups):
-            assert grp.features.base is matrix
-            assert np.shares_memory(grp.features, matrix[3 * i:3 * i + 3])
-            for name in ("labels", "candidate_ids", "csls"):
-                assert getattr(grp, name).base is getattr(groups[0], name).base
-        stacked = stacked_features(groups)
-        assert stacked.base is matrix and stacked.shape == matrix.shape
-        assert stacked_features(groups[1:]).tobytes() == matrix[3:].tobytes()
-        assert np.shares_memory(stacked_features(groups[1:]), matrix)
-        # any other order or selection is a new, stacked matrix
-        for hand_built in (groups[::-1], [groups[0], groups[2]]):
-            out = stacked_features(hand_built)
-            assert not np.shares_memory(out, matrix)
-            assert out.tobytes() == np.vstack([grp.features for grp in hand_built]).tobytes()
+        # the retriever scores are column 0 of that matrix, source by source
+        assert groups.csls.shape == (3, 3) and np.shares_memory(groups.csls, matrix)
+        assert groups.csls.tobytes() == matrix[:, 0].tobytes()
+        # take copies whole sources, rows and all
+        taken = groups.take(np.array([2, 0]))
+        assert taken.src.tolist() == [1, 2] and not np.shares_memory(taken.features, matrix)
+        assert taken.features.tobytes() == np.vstack([matrix[6:9], matrix[0:3]]).tobytes()
+        for name in ("labels", "candidate_ids", "has_gold", "gold_missed", "csls"):
+            assert getattr(taken, name).tobytes() == getattr(groups, name)[[2, 0]].tobytes()
 
 
 def test_train_and_predict_same_on_views_and_copies(rng):
@@ -384,18 +375,8 @@ def test_train_and_predict_same_on_views_and_copies(rng):
     cands = CandidateSet.from_arrays(np.arange(n_src), cand_ids, np.sort(rng.random((n_src, k)), axis=1)[:, ::-1])
     dic = TranslationDictionary(entries={s: (int(cand_ids[s, rng.integers(0, k)]),) for s in range(n_src)})
     groups = build_groups(dic.sources(), cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic=dic)
-    copies = [
-        RankingGroup(
-            src=grp.src,
-            candidate_ids=np.copy(grp.candidate_ids),
-            labels=np.copy(grp.labels),
-            features=np.copy(grp.features),
-            csls=np.copy(grp.csls),
-            has_gold=grp.has_gold,
-            gold_missed=grp.gold_missed,
-        )
-        for grp in groups
-    ]
+    copies = groups.take(np.arange(len(groups)))
+    assert not np.shares_memory(copies.features, groups.features)
     params = GbdtParams(n_trees=8, max_depth=3)
     model, trace = train(groups, params)
     model_c, trace_c = train(copies, params)
@@ -403,5 +384,4 @@ def test_train_and_predict_same_on_views_and_copies(rng):
     for a, b in zip(model.trees, model_c.trees):
         for name in ("feature", "threshold", "left", "right", "value"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    for x, y in zip(predict_groups(model, groups), predict_groups(model, copies)):
-        assert x.tobytes() == y.tobytes()
+    assert predict_groups(model, groups).tobytes() == predict_groups(model, copies).tobytes()

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilex.corpus import DataFormatError
-from bilex.features import FEATURE_NAMES, N_FEATURES, FeatureSchema, RankingGroup, build_groups, stacked_features
+from bilex.features import FEATURE_NAMES, N_FEATURES, FeatureSchema, build_groups
 from bilex.ltr import (
-    ApBuckets,
     FitStats,
     GbdtParams,
     _BinnedColumns,
@@ -26,20 +25,7 @@ from bilex.ltr import (
     save_model,
     train,
 )
-
-
-def make_group(features, labels, src=0):
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int8)
-    return RankingGroup(
-        src=src,
-        candidate_ids=np.arange(len(labels), dtype=np.int64),
-        labels=labels,
-        features=features,
-        csls=features[:, 0].copy(),
-        has_gold=True,
-        gold_missed=bool(labels.sum() == 0),
-    )
+from conftest import grid
 
 
 def pad_features(cols, n_rows):
@@ -93,28 +79,23 @@ class TestAveragePrecision:
 
 class TestMeanAp:
     def test_arithmetic_mean(self):
-        g1 = make_group(pad_features([[2.0], [1.0]], 2), [1, 0])
-        g2 = make_group(pad_features([[2.0], [1.0], [0.5], [0.2]], 4), [0, 1, 0, 1])
-        scores = [np.array([2.0, 1.0]), np.array([4.0, 3.0, 2.0, 1.0])]
-        assert mean_ap([g1, g2], scores) == pytest.approx(0.75)
+        groups = grid([[1, 0, 0, 0], [0, 1, 0, 1]])
+        scores = np.array([[2.0, 1.0, 0.5, 0.2], [4.0, 3.0, 2.0, 1.0]])
+        assert mean_ap(groups, scores) == pytest.approx(0.75)
 
     def test_all_negative_group_excluded(self):
-        g1 = make_group(pad_features([[2.0], [1.0]], 2), [1, 0])
-        g2 = make_group(pad_features([[2.0], [1.0]], 2), [0, 0])
-        scores = [np.array([2.0, 1.0]), np.array([2.0, 1.0])]
-        assert mean_ap([g1, g2], scores) == 1.0
+        groups = grid([[1, 0], [0, 0]])
+        scores = np.array([[2.0, 1.0], [2.0, 1.0]])
+        assert mean_ap(groups, scores) == 1.0
 
     def test_single_group_equals_ap(self):
         labels = [0, 1, 1, 0]
-        g = make_group(pad_features([[0.0]] * 4, 4), labels)
-        s = np.array([4.0, 3.0, 2.0, 1.0])
-        assert mean_ap([g], [s]) == average_precision(labels)
+        s = np.array([[4.0, 3.0, 2.0, 1.0]])
+        assert mean_ap(grid([labels]), s) == average_precision(labels)
 
     def test_ties_break_by_candidate_position(self):
-        g = make_group(pad_features([[0.0]] * 3, 3), [0, 1, 0])
-        s = np.zeros(3)
         # all tied: ranking is candidate order, AP of [0,1,0]
-        assert mean_ap([g], [s]) == pytest.approx(0.5)
+        assert mean_ap(grid([[0, 1, 0]]), np.zeros((1, 3))) == pytest.approx(0.5)
 
 
 def swap_oracle(labels, ranking, i, j):
@@ -367,13 +348,13 @@ class TestFitTree:
 
 def separable_groups(rng, n_groups=40, group_size=10):
     """Feature 0 equals the label, everything else is noise."""
-    groups = []
+    labels = np.zeros((n_groups, group_size), dtype=np.int8)
+    noise = np.zeros((n_groups, group_size))
     for s in range(n_groups):
-        labels = np.zeros(group_size, dtype=np.int8)
-        labels[rng.integers(0, group_size)] = 1
-        cols = np.column_stack([labels.astype(np.float64), rng.standard_normal(group_size)])
-        groups.append(make_group(pad_features(cols, group_size), labels, src=s))
-    return groups
+        labels[s, rng.integers(0, group_size)] = 1
+        noise[s] = rng.standard_normal(group_size)
+    cols = np.column_stack([labels.ravel().astype(np.float64), noise.ravel()])
+    return grid(labels, pad_features(cols, labels.size))
 
 
 class TestTrain:
@@ -386,7 +367,7 @@ class TestTrain:
 
     def test_monotone_improvement_on_separable_data(self, rng):
         groups = separable_groups(rng)
-        initial = mean_ap(groups, [np.zeros(len(g)) for g in groups])
+        initial = mean_ap(groups, np.zeros(groups.labels.shape))
         params = GbdtParams(n_trees=15, max_depth=2, learning_rate=0.3)
         _, trace = train(groups, params)
         assert trace[-1][1] >= initial
@@ -397,9 +378,11 @@ class TestTrain:
             train(groups, GbdtParams(n_trees=0))
 
     def test_no_trainable_group_fatal(self):
-        g = make_group(pad_features([[1.0], [2.0]], 2), [0, 0])
+        # an all-positive source gives no gradient either
+        groups = grid([[0, 0], [1, 1]], pad_features([[1.0], [2.0], [3.0], [4.0]], 4))
+        assert not groups.trainable.any()
         with pytest.raises(ValueError, match="trainable"):
-            train([g], GbdtParams(n_trees=1))
+            train(groups, GbdtParams(n_trees=1))
 
     def test_deterministic(self, rng):
         groups = separable_groups(rng, n_groups=10)
@@ -414,9 +397,8 @@ class TestTrain:
 
     def test_score_shift_invariance_of_map(self, rng):
         groups = separable_groups(rng, n_groups=6)
-        scores = [rng.standard_normal(len(g)) for g in groups]
-        shifted = [s + 17.5 for s in scores]
-        assert mean_ap(groups, scores) == mean_ap(groups, shifted)
+        scores = rng.standard_normal(groups.labels.shape)
+        assert mean_ap(groups, scores) == mean_ap(groups, scores + 17.5)
 
 
 class TestPredictAndPersistence:
@@ -593,6 +575,26 @@ class TestCombineWithRetriever:
         with pytest.raises(ValueError):
             combine_with_retriever([np.zeros(2)], [np.zeros(2)], 1.5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(lambda m: st.integers(1, 8).flatmap(lambda k: st.tuples(*[
+            st.lists(st.sampled_from([-1.5, 0.0, 0.3, 2.0, 7.25]), min_size=m * k, max_size=m * k).map(
+                lambda v, m=m, k=k: np.array(v).reshape(m, k)
+            )
+        ] * 2))),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_grid_equals_per_row_reference_bitwise(self, pair, mix):
+        def norm(x):
+            span = x.max() - x.min()
+            return np.full_like(x, 0.5) if span == 0.0 else (x - x.min()) / span
+
+        ranker, csls = pair
+        got = combine_with_retriever(ranker, csls, mix)
+        assert got.shape == ranker.shape
+        for row, r, c in zip(got, ranker, csls):
+            assert row.tobytes() == (mix * norm(r) + (1.0 - mix) * norm(c)).tobytes()
+
 
 # ---------------------------------------------------------------- whole-array ranker passes
 
@@ -756,8 +758,11 @@ def flag_matrices(draw):
     n = draw(st.integers(min_value=1, max_value=30))
     cols = []
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
-        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "dense", "zeros", "zero_two"]))
-        p = {"sparse": [0.0] * 5 + [1.0], "dense": [0.0, 1.0], "zeros": [0.0], "zero_two": [0.0, 2.0]}[kind]
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "dense", "zeros", "signed_zeros", "sevens", "zero_two"]))
+        p = {
+            "sparse": [0.0] * 5 + [1.0], "dense": [0.0, 1.0], "zeros": [0.0], "signed_zeros": [0.0, -0.0],
+            "sevens": [7.0], "zero_two": [0.0, 2.0],
+        }[kind]
         cols.append(draw(st.lists(st.sampled_from(p), min_size=n, max_size=n)))
     return np.array(cols, dtype=np.float64).T
 
@@ -770,12 +775,27 @@ class TestBundles:
         plain = [f for f, _, _ in bins.plain]
         bundled = [int(f) for members, _ in bins.bundles for f in members]
         assert sorted(plain + bundled) == [f for f in range(X.shape[1]) if np.unique(X[:, f]).size > 1]
+        for f, values, codes in bins.plain:
+            distinct, inverse = np.unique(X[:, f], return_inverse=True)
+            assert np.array_equal(values, distinct) and np.array_equal(codes, inverse)
         for members, codes in bins.bundles:
             assert members.size >= 2 and (np.diff(members) > 0).all()
             block = X[:, members]
             assert set(np.unique(block).tolist()) <= {0.0, 1.0}
             assert (block.sum(axis=1) <= 1).all()  # no row holds two members' 1s
             np.testing.assert_array_equal(codes, np.where(block.any(axis=1), block.argmax(axis=1), members.size))
+
+    def test_constant_columns_get_no_codes_and_leave_the_tree_alone(self, rng):
+        x = rng.standard_normal(40)
+        signed_zeros = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+        X = np.column_stack([np.full(40, 7.0), x, np.zeros(40), signed_zeros, np.full(40, -2.5)])
+        bins = _BinnedColumns(X)
+        assert [f for f, _, _ in bins.plain] == [1] and not bins.bundles
+        g, h = rng.standard_normal(40), rng.random(40) + 0.5
+        params = GbdtParams(max_depth=3, min_child_weight=0.0)
+        tree, alone = fit_tree(X, g, h, params), fit_tree(x[:, None], g, h, params)
+        assert set(tree.feature[tree.feature >= 0].tolist()) == {1}
+        assert tree.threshold.tobytes() == alone.threshold.tobytes() and tree.value.tobytes() == alone.value.tobytes()
 
     def test_member_holding_every_row_of_a_node_is_not_cut(self):
         # after the root cut, every row of a child holds the same member and
@@ -801,7 +821,7 @@ class TestBundles:
             world.gold.sources(), cands, world.freq_src, world.freq_tgt, world.pos_src, world.pos_tgt,
             world.src.vocab, world.tgt.vocab, dic=world.gold,
         )
-        X = stacked_features(groups)
+        X = groups.features
         bins = _BinnedColumns(X)
         varying = [name for f, name in enumerate(FEATURE_NAMES) if np.unique(X[:, f]).size > 1]
         want = [[name for name in varying if name.startswith(block)] for block in ("src_pos_", "cand_pos_")]
@@ -837,76 +857,62 @@ class TestSplitTieRule:
 class TestPredictGroups:
     def test_equals_per_group_predict_bitwise(self, rng):
         model, _ = train(separable_groups(rng, n_groups=12), GbdtParams(n_trees=6, max_depth=3))
-        groups = [
-            make_group(rng.standard_normal((size, N_FEATURES)), np.zeros(size, dtype=np.int8), src=i)
-            for i, size in enumerate([1, 7, 3, 50, 2, 7])
-        ]
+        m, k = 6, 7
+        groups = grid(np.zeros((m, k)), rng.standard_normal((m * k, N_FEATURES)))
         got = predict_groups(model, groups)
-        assert len(got) == len(groups)
-        for grp, scores in zip(groups, got):
-            assert scores.shape == (len(grp),)
-            np.testing.assert_array_equal(scores, predict(model, grp.features))
+        assert got.shape == (m, k)
+        for i in range(m):
+            np.testing.assert_array_equal(got[i], predict(model, groups.features[i * k:(i + 1) * k]))
 
     def test_empty_list(self, rng):
         model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=1))
-        assert predict_groups(model, []) == []
+        assert predict_groups(model, grid(np.zeros((0, 3)))).shape == (0, 3)
 
 
 def mean_ap_reference(groups, scores):
     aps = [
-        average_precision(grp.labels[rank_order(s)])
-        for grp, s in zip(groups, scores)
-        if grp.labels.sum() > 0
+        average_precision(labels[rank_order(s)])
+        for labels, s in zip(groups.labels, scores)
+        if labels.sum() > 0
     ]
     return float(np.mean(aps)) if aps else 0.0
 
 
-# groups as (labels, scores) pairs of one random length each
-MAP_GROUPS = st.lists(
-    st.integers(min_value=1, max_value=20).flatmap(lambda k: st.tuples(
-        st.lists(st.integers(0, 1), min_size=k, max_size=k),
-        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.25]), min_size=k, max_size=k),
-    )),
-    min_size=0, max_size=12,
+# (labels, scores) grids of a random shape, ties and all-negative rows included
+MAP_GRIDS = st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=20)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(st.integers(0, 1), min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]),
+        st.lists(
+            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.25]), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        ),
+        st.just(shape),
+    )
 )
 
 
 class TestVectorizedMeanAp:
     @settings(max_examples=200, deadline=None)
-    @given(MAP_GROUPS)
+    @given(MAP_GRIDS)
     def test_equals_average_precision_loop(self, data):
-        groups = [make_group(np.zeros((len(y), N_FEATURES)), y) for y, _ in data]
-        scores = [np.array(s) for _, s in data]
+        labels, scores, shape = data
+        groups = grid(np.array(labels, dtype=np.int8).reshape(shape))
+        scores = np.array(scores, dtype=np.float64).reshape(shape)
         got = mean_ap(groups, scores)
         want = mean_ap_reference(groups, scores)
-        if all(sum(y) < 8 for y, _ in data):
+        if (groups.labels.sum(axis=1) < 8).all():
             assert got == want
         else:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_many_positives_within_tolerance(self, rng):
-        groups, scores = [], []
-        for size in [30, 30, 17, 45, 3]:
-            labels = (rng.random(size) < 0.5).astype(np.int8)
-            groups.append(make_group(np.zeros((size, N_FEATURES)), labels))
-            scores.append(np.round(rng.standard_normal(size), 1))
-        assert max(int(g.labels.sum()) for g in groups) >= 8
+        groups = grid((rng.random((5, 30)) < 0.5).astype(np.int8))
+        scores = np.round(rng.standard_normal((5, 30)), 1)
+        assert groups.labels.sum(axis=1).max() >= 8
         assert mean_ap(groups, scores) == pytest.approx(mean_ap_reference(groups, scores), abs=1e-12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(MAP_GROUPS)
-    def test_prebuilt_buckets_and_pooled_scores_give_the_same_bits(self, data):
-        groups = [make_group(np.zeros((len(y), N_FEATURES)), y) for y, _ in data]
-        scores = [np.array(s) for _, s in data]
-        pooled = np.concatenate(scores) if scores else np.zeros(0)
-        want = mean_ap(groups, scores)
-        buckets = ApBuckets.of(groups)
-        assert mean_ap(groups, pooled, buckets) == want
-        assert mean_ap(groups, scores, buckets) == want
-
     def test_only_all_negative_groups(self):
-        groups = [make_group(np.zeros((3, N_FEATURES)), [0, 0, 0]), make_group(np.zeros((1, N_FEATURES)), [0])]
-        assert mean_ap(groups, [np.zeros(3), np.zeros(1)]) == 0.0
+        assert mean_ap(grid(np.zeros((2, 3))), np.zeros((2, 3))) == 0.0
 
 
 class TestAtomicModelWrite:

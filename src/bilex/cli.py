@@ -259,11 +259,13 @@ class _RunLog:
             failure = _failure(exc)
             self.note("exit_code", 1 if failure is None else failure[0])
             self.note("error", " ".join(f"{type(exc).__name__}: {exc}".split()))
-        (self.out_dir / "run.log").write_text("\n".join(self.lines) + "\n", encoding="utf-8")
+        with corpus.atomic_writer(self.out_dir / "run.log") as fh:
+            fh.write("\n".join(self.lines) + "\n")
 
 
-def _write_kv(path: Path, items: list[tuple[str, object]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_kv(path: Path, items: list[tuple[object, object]]) -> None:
+    """Write "key<TAB>value" lines; all or nothing."""
+    with corpus.atomic_writer(path) as fh:
         for key, value in items:
             fh.write(f"{key}\t{value}\n")
 
@@ -426,7 +428,6 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
 
         with runlog.stage("report"):
             skew_k = min(10, opts.top_k)
-            n_k = np.bincount(cands.cand_ids[:, :skew_k].ravel(), minlength=len(tgt))
             report: list[tuple[str, object]] = [
                 ("n_src", n_queries),
                 ("n_tgt", len(tgt)),
@@ -434,7 +435,7 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
                 ("k_csls", opts.k_csls),
                 ("top_k", opts.top_k),
                 ("hubness_skew_k", skew_k),
-                ("hubness_skew", f"{retrieval.skewness(n_k.astype(np.float64)):.6f}"),
+                ("hubness_skew", f"{retrieval.hubness_skew(cands, skew_k, len(tgt)):.6f}"),
                 ("src_zero_rows", src.zero_row_count),
                 ("tgt_zero_rows", tgt.zero_row_count),
                 ("src_duplicates", src.duplicate_count),
@@ -530,7 +531,8 @@ def _build_schema(opts: argparse.Namespace) -> features.FeatureSchema:
 
 def _extend_candidates(cands, missing: list[int], src, tgt, params, threads, means=None, stats=None):
     """Retrieve candidate lists for sources absent from the loaded file, scored
-    against the neighborhood means of the whole spaces (computed if not given)."""
+    against the neighborhood means of the whole spaces (those of a run over
+    every source if given, else computed)."""
     extra, _ = retrieval.retrieve_topk(
         src, tgt, params, n_threads=threads, rows=np.array(missing), means=means, stats=stats
     )
@@ -580,9 +582,13 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
         if need_vectors:
             with runlog.stage("augment") as counts:
                 aligned_src, _ = _aligned_source(src, tgt, opts.dict_train)
+                params.validate(len(tgt))  # the top-1 pass checks k_csls only; --top-k fails before it
                 stats = retrieval.ScanStats()
-                means = retrieval.neighborhood_means(aligned_src, tgt, params, threads, stats)
-                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, params, threads, means, stats)
+                best, means = retrieval.retrieve_topk(
+                    aligned_src, tgt, retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1),
+                    n_threads=threads, stats=stats,
+                )
+                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, best, means, threads, stats)
                 dic = retrieval.augment_dictionary(dic, mined, opts.n_aug)
                 missing = [s for s in dic.sources() if s not in cands]
                 if missing:
@@ -617,10 +623,7 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
         model.meta.update(meta)
         with runlog.stage("write"):
             ltr.save_model(model, out / "model.json")
-            with open(out / "train_trace.tsv", "w", encoding="utf-8") as fh:
-                fh.write("round\ttrain_map\n")
-                for round_no, value in trace:
-                    fh.write(f"{round_no}\t{value:.6f}\n")
+            _write_kv(out / "train_trace.tsv", [("round", "train_map")] + [(r, f"{v:.6f}") for r, v in trace])
         runlog.note("final_train_map", f"{trace[-1][1]:.6f}")
     return 0
 

@@ -472,8 +472,7 @@ def atomic_writer(path: str | Path):
 
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
     """Write the text format back out with shortest-roundtrip float rendering."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for i, word in enumerate(space.vocab.words):
             coords = " ".join(repr(float(v)) for v in space.matrix[i])
@@ -481,19 +480,19 @@ def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
 
 
 def write_dictionary(dic: TranslationDictionary, src: Vocabulary, tgt: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for s in sorted(dic.entries):
             for t in dic.entries[s]:
                 fh.write(f"{src.word(s)}\t{tgt.word(t)}\n")
 
 
 def write_frequency_counts(counts: dict[str, int], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for word in counts:
             fh.write(f"{word}\t{counts[word]}\n")
 
 
 def write_pos_tags(tags: dict[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for word in tags:
             fh.write(f"{word}\t{tags[word]}\n")

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ALL_TAGS, FrequencyTable, PosTable, TranslationDictionary, Vocabulary
-from .features import RankingGroups
+from .corpus import ALL_TAGS, FrequencyTable, PosTable, TranslationDictionary, Vocabulary, atomic_writer
+from .features import RankingGroups, _log2_1p
 from .ltr import rank_order
 
 
@@ -68,10 +68,6 @@ def per_pos_accuracy(groups: RankingGroups, scores: np.ndarray, pos_src: PosTabl
     return {tag: (n, hit / n) for tag, (n, hit) in sorted(counts.items())}
 
 
-def _logrank(table: FrequencyTable, word_id: int) -> float:
-    return float(np.log2(1 + int(table.rank[word_id])))
-
-
 def freq_diff_report(
     groups: RankingGroups,
     scores: np.ndarray,
@@ -93,14 +89,16 @@ def freq_diff_report(
     pred_r: list[float] = []
     top, hits = _top1(groups, scores)
     top1s = groups.candidate_ids[np.arange(len(groups)), top]
+    # log2(1 + rank) as the feature columns compute it
+    logrank_src, logrank_tgt = _log2_1p(freq_src.rank).tolist(), _log2_1p(freq_tgt.rank).tolist()
     for src, top1, hit in zip(groups.src.tolist(), top1s.tolist(), hits.tolist()):
         for t in dic.entries.get(src, ()):
             gold_z.append(abs(float(freq_src.zipf[src]) - float(freq_tgt.zipf[t])))
-            gold_r.append(abs(_logrank(freq_src, src) - _logrank(freq_tgt, t)))
+            gold_r.append(abs(logrank_src[src] - logrank_tgt[t]))
         if errors_only and hit:
             continue
         pred_z.append(abs(float(freq_src.zipf[src]) - float(freq_tgt.zipf[top1])))
-        pred_r.append(abs(_logrank(freq_src, src) - _logrank(freq_tgt, top1)))
+        pred_r.append(abs(logrank_src[src] - logrank_tgt[top1]))
     return FreqDiffStats(
         gold_zipf=float(np.mean(gold_z)) if gold_z else 0.0,
         predicted_zipf=float(np.mean(pred_z)) if pred_z else 0.0,
@@ -249,7 +247,7 @@ def build_eval_report(
 
 
 def write_per_pos(per_pos: dict[str, tuple[int, float]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write("pos\tn\taccuracy\n")
         for tag, (n, acc) in per_pos.items():
             fh.write(f"{tag}\t{n}\t{acc:.6f}\n")
@@ -261,7 +259,7 @@ def write_correlation_grid(
     path: str | Path,
 ) -> None:
     """Grid rows are POS tags in inventory order; insufficient cells print NA."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write(f"pos\tn\t{pair_label}\n")
         for tag in ALL_TAGS:
             if tag not in grid:
@@ -273,7 +271,7 @@ def write_correlation_grid(
 
 def write_explanations(records: list[dict], path: str | Path) -> None:
     cols = ["src", "pred", "rank_src", "rank_pred", "pos_src", "pos_pred", "score", "correct"]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write("\t".join(cols) + "\n")
         for rec in records:
             fh.write("\t".join(
@@ -286,7 +284,7 @@ def write_pca_coordinates(
     path: str | Path,
 ) -> None:
     """Rows are (word, role, x, y) with role in {source, gold, candidate}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write("word\trole\tx\ty\n")
         for word, role, x, y in rows:
             fh.write(f"{word}\t{role}\t{x:.6f}\t{y:.6f}\n")

@@ -29,6 +29,7 @@ from .corpus import (
     Vocabulary,
     _data_lines,
     _nfc,
+    atomic_writer,
 )
 from .retrieval import CandidateSet
 
@@ -320,7 +321,7 @@ def build_groups(
 def write_feature_matrix(groups: RankingGroups, src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:
     """Debug export: one row per candidate with a schema-name header."""
     features = groups.features.reshape(*groups.labels.shape, N_FEATURES)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         fh.write("src\tcand\tlabel\t" + "\t".join(FEATURE_NAMES) + "\n")
         for s, cands, labels, block in zip(groups.src.tolist(), groups.candidate_ids, groups.labels, features):
             sw = src_vocab.word(s)

@@ -15,9 +15,17 @@ tie-rule selection then runs on that shortlist, SELECT_ROWS rows at a time
 to keep each worker's temporaries small. Top-k means are summed in
 descending order, so any selection route gives the same bits.
 
-CSLS neighborhood means always cover the whole source and target spaces; a
-retrieval scoped to some source rows scores them against those means, as a
-full run does (neighborhood_means computes them once for several passes).
+retrieve_topk is the only code that forms CSLS scores. CSLS neighborhood
+means always cover the whole source and target spaces; a run over every
+source returns them, and a retrieval scoped to some source rows scores them
+against those means, as a full run does. Mutual nearest neighbors are a
+top-1 retrieval in each direction over the same means, and hubness counts
+the first columns of a retrieval's candidate lists.
+
+Every product of the two spaces goes through _product, which multiplies a
+single row as two (with a zero row): numpy sends a one-row product down
+another BLAS route, so one scoped row would otherwise differ from its row in
+a full run.
 
 Candidate files are read back in chunks of text: fields are split, words
 looked up and scores parsed a chunk at a time, and a chunk that fails a check
@@ -322,7 +330,15 @@ def _topk_mean_slice(sims: np.ndarray, k: int, stats: ScanStats | None) -> np.nd
 
 def csls_score(x: np.ndarray, y: np.ndarray, r_x: float, r_y: float) -> float:
     """Hub-corrected similarity of two unit vectors: 2*cos(x, y) - r_x - r_y."""
-    return 2.0 * float(np.dot(x, y)) - r_x - r_y
+    return 2.0 * float(x.dot(y)) - r_x - r_y
+
+
+def _product(rows: np.ndarray, other: np.ndarray, out: np.ndarray) -> None:
+    """out = rows @ other.T, with a single row multiplied below a zero row."""
+    if len(rows) == 1:
+        out[:] = np.matmul(np.vstack([rows, np.zeros_like(rows)]), other.T)[:1]
+    else:
+        np.matmul(rows, other.T, out=out)
 
 
 def knn_mean_similarity(
@@ -343,31 +359,11 @@ def knn_mean_similarity(
     Q, I = queries.matrix, index.matrix
 
     def block(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        np.matmul(Q[lo:hi], I.T, out=out)
+        _product(Q[lo:hi], I, out)
         return _topk_mean_rows(out, k, stats)
 
     parts = _map_row_blocks(block, len(queries), len(index), n_threads, stats)
     return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def neighborhood_means(
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    params: SimilarityParams,
-    n_threads: int = 1,
-    stats: ScanStats | None = None,
-) -> NeighborhoodMeans:
-    """CSLS neighborhood means of both whole spaces at k_csls.
-
-    r_tgt is capped at the source vocabulary size; r_src at the target size
-    is checked by params.
-    """
-    _check_aligned_pair(src, tgt)
-    params.validate(len(tgt))
-    return NeighborhoodMeans(
-        r_src=knn_mean_similarity(src, tgt, params.k_csls, n_threads, stats),
-        r_tgt=knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats),
-    )
 
 
 def retrieve_topk(
@@ -385,11 +381,11 @@ def retrieve_topk(
 
     metric "csls" scores 2*cos(x,y) - r_src(x) - r_tgt(y) with neighborhood
     means at k_csls over the whole spaces, whatever rows holds, so a scoped
-    row scores as in a full run (up to the last bits of its dot products).
-    means, if given, must be neighborhood_means of these spaces and
-    params; else r_tgt is computed here and r_src inside each block. metric
-    "cosine" scores the plain dot product and leaves the returned means at
-    zero. The returned r_src covers the retrieved rows only.
+    row scores as in a full run. means, if given, must be the means that a
+    run over every source of these spaces at this k_csls returned; else r_tgt
+    is computed here and r_src inside each block. metric "cosine" scores the
+    plain dot product and leaves the returned means at zero. The returned
+    r_src covers the retrieved rows only.
     """
     _check_aligned_pair(src, tgt)
     params.validate(len(tgt))
@@ -408,7 +404,7 @@ def retrieve_topk(
         r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats)
 
     def block(lo: int, hi: int, sims: np.ndarray):
-        np.matmul(X[lo:hi], Y.T, out=sims)
+        _product(X[lo:hi], Y, sims)
         if not csls:
             return (*_topk_desc_rows(sims, params.top_k, stats), np.zeros(hi - lo))
         if means is not None:
@@ -469,49 +465,32 @@ def apply_alignment(space: EmbeddingSpace, W: np.ndarray) -> EmbeddingSpace:
 def mutual_nn_pairs(
     src: EmbeddingSpace,
     tgt: EmbeddingSpace,
-    params: SimilarityParams,
+    best: CandidateSet,
+    means: NeighborhoodMeans,
     n_threads: int = 1,
-    means: NeighborhoodMeans | None = None,
     stats: ScanStats | None = None,
 ) -> list[tuple[int, int, float]]:
     """High-confidence pairs: mutual CSLS nearest neighbors, best first.
 
-    (s, t) is kept when t is s's CSLS argmax over targets and s is t's CSLS
-    argmax over sources. Argmax ties go to the lowest id. means, if given,
-    must be neighborhood_means(src, tgt, params); a caller that also
-    retrieves for these spaces computes them once for both.
+    best and means are what retrieve_topk returned for every source of these
+    spaces (top_k=1 is enough): column 0 of best is each source's CSLS argmax
+    over targets. (s, t) is kept when t is s's argmax and s is t's CSLS argmax
+    over sources, which a top-1 retrieval from the target side finds with the
+    two means swapped. Argmax ties go to the lowest id. Pairs are sorted by
+    descending score, then ascending source id.
     """
-    _check_aligned_pair(src, tgt)
-    params.validate(len(tgt))
-    X, Y = src.matrix, tgt.matrix
-    if means is None:
-        means = neighborhood_means(src, tgt, params, n_threads, stats)
-    r_src, r_tgt = means.r_src, means.r_tgt
-
-    def src_block(lo: int, hi: int, adj: np.ndarray):
-        np.matmul(X[lo:hi], Y.T, out=adj)
-        adj *= 2.0
-        adj -= r_tgt[None, :]
-        best = adj.argmax(axis=1)
-        vals = adj[np.arange(hi - lo), best] - r_src[lo:hi]
-        return best, vals
-
-    def tgt_block(lo: int, hi: int, adj: np.ndarray):
-        np.matmul(Y[lo:hi], X.T, out=adj)
-        adj *= 2.0
-        adj -= r_src[None, :]
-        return adj.argmax(axis=1)
-
-    src_parts = _map_row_blocks(src_block, len(src), len(tgt), n_threads, stats)
-    best_t = np.concatenate([p[0] for p in src_parts])
-    best_scores = np.concatenate([p[1] for p in src_parts])
-    tgt_parts = _map_row_blocks(tgt_block, len(tgt), len(src), n_threads, stats)
-    best_s = np.concatenate(tgt_parts)
-
     src_ids = np.arange(len(src))
-    mutual = src_ids[best_s[best_t[src_ids]] == src_ids]
-    order = np.lexsort((mutual, -best_scores[mutual]))
-    return [(int(s), int(best_t[s]), float(best_scores[s])) for s in mutual[order]]
+    if not np.array_equal(best.src_ids, src_ids):
+        raise ValueError("mutual_nn_pairs needs the candidates of every source, in id order")
+    swapped = NeighborhoodMeans(r_src=means.r_tgt, r_tgt=means.r_src)
+    # k_csls only passes validation here: the given means replace the neighborhood passes
+    back, _ = retrieve_topk(
+        tgt, src, SimilarityParams(k_csls=1, top_k=1), n_threads=n_threads, means=swapped, stats=stats
+    )
+    best_t, best_s, scores = best.cand_ids[:, 0], back.cand_ids[:, 0], best.scores[:, 0]
+    mutual = src_ids[best_s[best_t] == src_ids]
+    order = np.lexsort((mutual, -scores[mutual]))
+    return [(int(s), int(best_t[s]), float(scores[s])) for s in mutual[order]]
 
 
 def augment_dictionary(
@@ -561,21 +540,11 @@ def mine_hard_negatives(
     return out
 
 
-def k_occurrence(
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    k: int,
-    metric: str = "csls",
-    n_threads: int = 1,
-) -> np.ndarray:
-    """N_k(y): how many sources list target y among their k nearest.
-
-    The CSLS variant uses the default neighborhood size of 10 (capped by the
-    vocabulary sizes); the diagnostic compares metrics, not neighborhood
-    choices.
-    """
-    cands, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=min(10, len(src), len(tgt)), top_k=k), metric, n_threads)
-    return np.bincount(cands.cand_ids.ravel(), minlength=len(tgt))
+def k_occurrence(cands: CandidateSet, k: int, n_tgt: int) -> np.ndarray:
+    """N_k(y) over n_tgt targets: how many of cands' sources list target y among their first k candidates."""
+    if not 1 <= k <= cands.cand_ids.shape[1]:
+        raise ValueError(f"k must be in [1, {cands.cand_ids.shape[1]}], got {k}")
+    return np.bincount(cands.cand_ids[:, :k].ravel(), minlength=n_tgt)
 
 
 def skewness(values: np.ndarray) -> float:
@@ -590,17 +559,9 @@ def skewness(values: np.ndarray) -> float:
     return float(m3 / m2 ** 1.5)
 
 
-def hubness_skew(
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    k: int,
-    metric: str = "csls",
-    n_threads: int = 1,
-) -> float:
+def hubness_skew(cands: CandidateSet, k: int, n_tgt: int) -> float:
     """Skewness of the k-occurrence distribution over targets; higher = hubbier."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return skewness(k_occurrence(src, tgt, k, metric, n_threads).astype(np.float64))
+    return skewness(k_occurrence(cands, k, n_tgt).astype(np.float64))
 
 
 def write_candidates(cands: CandidateSet, src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:
@@ -773,7 +734,7 @@ def write_labeled_pairs(
     tgt_vocab: Vocabulary,
     path: str | Path,
 ) -> None:
-    """Export "src<TAB>cand<TAB>label" rows for cross-encoder fine-tuning."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Export "src<TAB>cand<TAB>label" rows for cross-encoder fine-tuning; all or nothing."""
+    with atomic_writer(path) as fh:
         for s, t, label in pairs:
             fh.write(f"{src_vocab.word(s)}\t{tgt_vocab.word(t)}\t{label}\n")

@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,6 +303,15 @@ class TestTrain:
         doc = json.loads((tmp_path / "model.json").read_text())
         assert len(doc["trees"]) == 6
 
+    @pytest.mark.parametrize("flag, value", [("--top-k", 151), ("--k-csls", 151)])
+    def test_semi_similarity_params_beyond_the_targets_exit_3(self, world_dir, retrieved_dir, tmp_path, capsys, flag, value):
+        # 150 target words; --top-k is checked before the top-1 mining pass, which uses k_csls only
+        args = train_args(world_dir, retrieved_dir, tmp_path, "--mode", "semi", "--n-aug", 15, flag, value)
+        with mock.patch.object(retrieval, "retrieve_topk", side_effect=AssertionError("a pass ran")):
+            assert run(*args) == 3
+        assert f"{flag[2:].replace('-', '_')} must be in [1, 150], got {value}" in capsys.readouterr().err
+        assert kv(tmp_path / "run.log")["exit_code"] == "3"
+
     def test_ablation_flags_recorded_and_masked(self, world_dir, retrieved_dir, tmp_path):
         assert run(
             *train_args(world_dir, retrieved_dir, tmp_path, "--no-pos", "--no-freq", "--dump-features")
@@ -477,9 +489,8 @@ class TestScopedRetrieval:
         tgt = corpus.normalize_rows(corpus.load_embeddings(world_dir / "embeddings.tgt.vec"))
         aligned, _ = _aligned_source(src, tgt, world_dir / "dict.train.tsv")
         params = retrieval.SimilarityParams(k_csls=5, top_k=10)
-        full, _ = retrieval.retrieve_topk(aligned, tgt, params)
+        full, means = retrieval.retrieve_topk(aligned, tgt, params)
         loaded = retrieval.CandidateSet.from_arrays(full.src_ids[:100], full.cand_ids[:100], full.scores[:100])
-        means = retrieval.neighborhood_means(aligned, tgt, params)
         missing = list(range(149, 99, -1))
         for given in (None, means):
             extended = _extend_candidates(loaded, missing, aligned, tgt, params, 1, given)
@@ -1077,3 +1088,92 @@ class TestFailedRunLog:
         assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.featurize"]
         assert log["exit_code"] == "3"
         assert "fingerprint mismatch" in log["error"]
+
+
+LAUNCH = Path(__file__).resolve().parent.parent / "perfbench" / "launch.py"
+
+
+def load_launch():
+    """perfbench/launch.py as a module; importing it installs no probe."""
+    spec = importlib.util.spec_from_file_location("perfbench_launch", LAUNCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkProbes:
+    """The benchmark probes bilex functions by name; a rename or a changed signature must show here."""
+
+    def test_probed_names_are_bilex_functions(self):
+        launch = load_launch()
+        for mod, fn in launch.LOADERS + launch.SPANNED + launch.AGGREGATED:
+            assert callable(getattr(importlib.import_module(f"bilex.{mod}"), fn, None)), f"{mod}.{fn}"
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        """Each command run under launch.py's trace probes on a 300-word world: (directory, {name: record})."""
+        base = tmp_path_factory.mktemp("traced")
+        w = base / "world"
+        assert run("synth", "--out-dir", w, "--n", 300, "--dim", 16, "--noise-sigma", "0.2", "--seed", 4) == 0
+        train_sources = sorted({line.split("\t")[0] for line in (w / "dict.train.tsv").read_text().splitlines()})
+        (base / "train_words.txt").write_text("\n".join(train_sources) + "\n")
+        (base / "two_words.txt").write_text("\n".join(train_sources[:2]) + "\n")
+        emb = ["--src-emb", w / "embeddings.src.vec", "--tgt-emb", w / "embeddings.tgt.vec"]
+        sides = ["--freq-src", w / "freq.src.tsv", "--freq-tgt", w / "freq.tgt.tsv", "--pos-src", w / "pos.src.tsv"]
+        ranker = [*sides, "--pos-tgt", w / "pos.tgt.tsv"]
+        sims = ["--top-k", 10, "--k-csls", 5]
+        train = ["train", *emb, *ranker, *sims, "--dict-train", w / "dict.train.tsv", "--n-trees", 3]
+        commands = {
+            "retrieve": ["retrieve", "--out-dir", base / "retrieve", *emb, "--seed-dict", w / "dict.train.tsv", *sims],
+            "retrieve_scoped": [
+                "retrieve", "--out-dir", base / "scoped", *emb, "--seed-dict", w / "dict.train.tsv",
+                "--source-words", base / "train_words.txt", *sims,
+            ],
+            "mine": [
+                "mine", "--out-dir", base / "mine", *emb,
+                "--candidates", base / "retrieve" / "candidates.tsv", "--dict", w / "dict.train.tsv",
+            ],
+            "train": [*train, "--out-dir", base / "train", "--candidates", base / "retrieve" / "candidates.tsv"],
+            # the scoped file lacks the mined sources, so semi train retrieves and appends them
+            "train_semi": [
+                *train, "--out-dir", base / "semi", "--candidates", base / "scoped" / "candidates.tsv",
+                "--mode", "semi", "--n-aug", 40,
+            ],
+            "eval": [
+                "eval", "--out-dir", base / "eval", *emb, *ranker, "--model", base / "train" / "model.json",
+                "--candidates", base / "retrieve" / "candidates.tsv", "--dict-test", w / "dict.test.tsv",
+            ],
+            "analyze": [
+                "analyze", "--out-dir", base / "analyze", *emb, *sides, "--dict", w / "dict.full.tsv",
+                "--seed-dict", w / "dict.train.tsv", "--words", base / "two_words.txt", *sims,
+            ],
+        }
+        records = {}
+        for name, argv in commands.items():
+            record = base / f"{name}.json"
+            proc = subprocess.run(
+                [sys.executable, str(LAUNCH), str(record), "trace", name, "--", *map(str, argv)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, f"{name}: {proc.stderr}"
+            records[name] = json.loads(record.read_text())
+        return base, records
+
+    def test_every_command_traces_without_counter_errors(self, traced):
+        _, records = traced
+        for name, record in records.items():
+            assert record["rc"] == 0, name
+            errors = [(s["name"], s["counter_error"]) for s in record["spans"] if "counter_error" in s]
+            assert errors == [], name
+
+    def test_semi_train_spans(self, traced):
+        base, records = traced
+        augment = dict(field.split("=") for field in kv(base / "semi" / "run.log")["stage.augment"].split())
+        assert int(augment["retrieved_sources"]) > 0
+        spans = records["train_semi"]["spans"]
+        calls = Counter(span["name"] for span in spans)
+        assert calls["retrieval.knn_mean_similarity"] == 1
+        # the top-1 pass, the target-side pass inside mutual_nn_pairs and the extension
+        assert calls["retrieval.retrieve_topk"] == 3
+        (mined,) = [s for s in spans if s["name"] == "retrieval.mutual_nn_pairs"]
+        assert mined["counts"]["pairs"] > 0

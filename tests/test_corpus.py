@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilex import corpus
+from bilex import cli, corpus, evaluation, features, retrieval
 from bilex.corpus import (
     DataFormatError,
+    TranslationDictionary,
     Vocabulary,
     frequency_table_from_counts,
     load_dictionary,
@@ -23,7 +24,7 @@ from bilex.corpus import (
     normalize_rows,
     write_embeddings,
 )
-from conftest import space_from, write
+from conftest import grid, space_from, write
 
 
 def vocab(*words):
@@ -419,3 +420,86 @@ def test_zipf_floor_at_zero(tmp_path):
     assert table.zipf[0] == 0.0
     assert table.zipf[1] > 0.0
     assert math.isfinite(table.zipf[0])
+
+
+
+class Midway(Exception):
+    """Raised by a row source partway through a writer's rows."""
+
+
+def rows_then_fail(rows):
+    yield from rows
+    raise Midway
+
+
+class MidwayList(list):
+    """Iterates over its first item, then raises."""
+
+    def __iter__(self):
+        return rows_then_fail([self[0]])
+
+
+class MidwayVocab:
+    """Names the first word asked for, then raises."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def word(self, i):
+        self.calls += 1
+        if self.calls > 1:
+            raise Midway
+        return f"w{i}"
+
+
+class MidwayDict(dict):
+    """Serves its first row, then raises at the next row or lookup."""
+
+    def items(self):
+        return rows_then_fail(list(super().items())[:1])
+
+    def __getitem__(self, key):
+        if key != next(iter(self)):
+            raise Midway
+        return super().__getitem__(key)
+
+
+def space_failing_after_row_0():
+    space = space_from(np.eye(2), ["a", "b"])
+    space.vocab.words = MidwayList(space.vocab.words)
+    return space
+
+
+EXPLANATION = dict(src="a", pred="b", rank_src=1, rank_pred=2, pos_src="X", pos_pred="X", score=0.5, correct=1)
+
+# each writer, fed a row source that raises after its first row
+ATOMIC_WRITERS = {
+    "write_embeddings": lambda path: write_embeddings(space_failing_after_row_0(), path),
+    "write_dictionary": lambda path: corpus.write_dictionary(
+        TranslationDictionary(entries={0: (0,), 1: (1,)}), vocab("s0", "s1"), MidwayVocab(), path
+    ),
+    "write_frequency_counts": lambda path: corpus.write_frequency_counts(MidwayDict(a=3, b=2), path),
+    "write_pos_tags": lambda path: corpus.write_pos_tags(MidwayDict(a="NOUN", b="VERB"), path),
+    "write_labeled_pairs": lambda path: retrieval.write_labeled_pairs(
+        rows_then_fail([(0, 0, 1)]), vocab("s0"), vocab("t0"), path
+    ),
+    "cli._write_kv": lambda path: cli._write_kv(path, rows_then_fail([("round", "train_map"), (0, "0.500000")])),
+    "write_per_pos": lambda path: evaluation.write_per_pos(MidwayDict(NOUN=(3, 0.5), VERB=(2, 1.0)), path),
+    "write_correlation_grid": lambda path: evaluation.write_correlation_grid(
+        MidwayDict(NOUN=(12, 0.5), VERB=(11, None)), "src-tgt", path
+    ),
+    "write_explanations": lambda path: evaluation.write_explanations(rows_then_fail([EXPLANATION]), path),
+    "write_pca_coordinates": lambda path: evaluation.write_pca_coordinates(
+        rows_then_fail([("a", "source", 0.0, 1.0)]), path
+    ),
+    "write_feature_matrix": lambda path: features.write_feature_matrix(
+        grid([[1, 0]]), vocab("s0"), MidwayVocab(), path
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_writer_failing_midway_leaves_no_file(tmp_path, writer):
+    with pytest.raises(Midway):
+        ATOMIC_WRITERS[writer](tmp_path / "out.tsv")
+    assert list(tmp_path.iterdir()) == []  # neither out.tsv nor a .out.tsv.<pid>.tmp

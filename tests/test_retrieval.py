@@ -48,6 +48,18 @@ def rank_desc_with_id_ties(row):
     return sorted(range(len(row)), key=lambda j: (-row[j], j))
 
 
+def mutual_pairs(src, tgt, k_csls, n_threads=1):
+    """mutual_nn_pairs over the top-1 retrieval and means that semi train passes it."""
+    best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=k_csls, top_k=1), n_threads=n_threads)
+    return mutual_nn_pairs(src, tgt, best, means, n_threads)
+
+
+def skew(src, tgt, k, metric="csls"):
+    """hubness_skew over a top-k retrieval at the default neighborhood size of 10 (capped by the target count)."""
+    cands, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=min(10, len(tgt)), top_k=k), metric)
+    return hubness_skew(cands, k, len(tgt))
+
+
 class TestCslsScore:
     def test_saturated_hub(self):
         e = np.array([1.0, 0.0])
@@ -272,7 +284,7 @@ class TestExactScreen:
         assert three_means.r_src.tobytes() == one_means.r_src.tobytes()
         assert three_means.r_tgt.tobytes() == one_means.r_tgt.tobytes()
         assert 0 < stats.buffer_bytes <= 3 * 32 * 400 * 8
-        assert mutual_nn_pairs(src, tgt, params, n_threads=3) == mutual_nn_pairs(src, tgt, params)
+        assert mutual_pairs(src, tgt, 5, n_threads=3) == mutual_pairs(src, tgt, 5)
 
     def test_workers_never_share_a_buffer_or_lose_a_count(self, monkeypatch):
         # more workers than cores and a short switch interval, to interleave the pool and the lock
@@ -323,10 +335,7 @@ class TestScopedRetrieval:
         params = SimilarityParams(k_csls=min(k_csls, n_tgt), top_k=min(top_k, n_tgt))
         rows = np.array(data.draw(st.lists(st.integers(0, n_src - 1), unique=True, max_size=n_src)), dtype=np.int64)
         full, full_means = retrieve_topk(src, tgt, params)
-        means = retrieval.neighborhood_means(src, tgt, params)
-        assert means.r_src.tobytes() == full_means.r_src.tobytes()
-        assert means.r_tgt.tobytes() == full_means.r_tgt.tobytes()
-        for given_means in (None, means):  # retrieve --source-words and analyze --words; the semi extension
+        for given_means in (None, full_means):  # retrieve --source-words and analyze --words; the semi extension
             scoped, scoped_means = retrieve_topk(src, tgt, params, rows=rows, means=given_means)
             assert scoped.src_ids.tolist() == rows.tolist()
             assert scoped.cand_ids.tolist() == full.cand_ids[rows].tolist()
@@ -334,15 +343,31 @@ class TestScopedRetrieval:
             assert scoped_means.r_tgt.tobytes() == full_means.r_tgt.tobytes()
             np.testing.assert_allclose(scoped_means.r_src, full_means.r_src[rows], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_rows", [1, 2, 50])
+    def test_scoped_rows_equal_the_full_run_bitwise_at_d300(self, n_rows):
+        # at d = 300, a product of two or more rows gives each row the bits of
+        # that row in a full block; one row is multiplied as two
+        rng = np.random.default_rng(n_rows)
+        src = unit_space(rng.standard_normal((600, 300)))
+        tgt = unit_space(rng.standard_normal((2000, 300)))
+        params = SimilarityParams(k_csls=10, top_k=20)
+        full, full_means = retrieve_topk(src, tgt, params)
+        rows = rng.choice(len(src), n_rows, replace=False)
+        for given_means in (None, full_means):
+            scoped, scoped_means = retrieve_topk(src, tgt, params, rows=rows, means=given_means)
+            assert scoped.cand_ids.tolist() == full.cand_ids[rows].tolist()
+            assert scoped.scores.tobytes() == full.scores[rows].tobytes()
+            assert scoped_means.r_src.tobytes() == full_means.r_src[rows].tobytes()
+
     def test_reused_means_skip_the_neighborhood_pass(self, rng):
         src = unit_space(rng.standard_normal((30, 8)))
         tgt = unit_space(rng.standard_normal((40, 8)))
         params = SimilarityParams(k_csls=5, top_k=6)
-        means = retrieval.neighborhood_means(src, tgt, params)
+        best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=5, top_k=1))
         with mock.patch.object(retrieval, "knn_mean_similarity", side_effect=AssertionError("recomputed")):
-            pairs = mutual_nn_pairs(src, tgt, params, means=means)
+            pairs = mutual_nn_pairs(src, tgt, best, means)
             retrieve_topk(src, tgt, params, rows=np.array([3, 1]), means=means)
-        assert pairs == mutual_nn_pairs(src, tgt, params)
+        assert pairs == mutual_pairs(src, tgt, 5)
 
 
 def test_r_tgt_shift_leaves_ordering_invariant(rng):
@@ -421,10 +446,28 @@ class TestProcrustes:
         np.testing.assert_allclose(np.linalg.norm(rotated.matrix, axis=1), 1.0, atol=1e-12)
 
 
+@st.composite
+def tied_spaces(draw):
+    """Two spaces of rows ±1/4 over 16 dimensions, drawn from small pools so rows repeat.
+
+    Every row has unit norm, every cosine is a multiple of 1/8 and every
+    neighborhood mean at k in {1, 2, 4} a multiple of 1/32, so all CSLS
+    arithmetic is exact and equal scores are real ties, within rows and
+    within columns.
+    """
+    signs = st.lists(st.sampled_from((-0.25, 0.25)), min_size=16, max_size=16)
+    spaces = []
+    for _ in range(2):
+        pool = draw(st.lists(signs, min_size=1, max_size=6))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=4, max_size=30))
+        spaces.append(unit_space([pool[i] for i in picks]))
+    return spaces
+
+
 class TestMutualNN:
     def test_identity_spaces_all_self_pairs(self, rng):
         space = unit_space(rng.standard_normal((10, 6)))
-        pairs = mutual_nn_pairs(space, space, SimilarityParams(k_csls=3, top_k=3))
+        pairs = mutual_pairs(space, space, 3)
         assert sorted((s, t) for s, t, _ in pairs) == [(i, i) for i in range(10)]
 
     def test_broken_argmax_chain_excluded(self):
@@ -433,31 +476,51 @@ class TestMutualNN:
         a = np.deg2rad(25.0)
         src = unit_space([[np.cos(a), np.sin(a), 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         tgt = unit_space(np.eye(3))
-        params = SimilarityParams(k_csls=1, top_k=1)
         sims = src.matrix @ tgt.matrix.T
         r_src = np.sort(sims, axis=1)[:, -1:].mean(axis=1)
         r_tgt = np.sort(sims.T, axis=1)[:, -1:].mean(axis=1)
         full = 2 * sims - r_src[:, None] - r_tgt[None, :]
         assert full[0].argmax() == 0  # s0 -> t0
         assert full[:, 0].argmax() == 1  # t0 -> s1, chain broken
-        pairs = mutual_nn_pairs(src, tgt, params)
+        pairs = mutual_pairs(src, tgt, 1)
         assert all(s != 0 for s, _, _ in pairs)
         assert (1, 0) in {(s, t) for s, t, _ in pairs}
 
     def test_scores_sorted_descending(self, rng):
         src = unit_space(rng.standard_normal((20, 8)))
         tgt = unit_space(rng.standard_normal((20, 8)))
-        pairs = mutual_nn_pairs(src, tgt, SimilarityParams(k_csls=5, top_k=5))
+        pairs = mutual_pairs(src, tgt, 5)
         scores = [p[2] for p in pairs]
         assert scores == sorted(scores, reverse=True)
 
     def test_symmetric_under_role_swap(self, rng):
         src = unit_space(rng.standard_normal((25, 8)))
         tgt = unit_space(rng.standard_normal((30, 8)))
-        params = SimilarityParams(k_csls=4, top_k=4)
-        fwd = {(s, t) for s, t, _ in mutual_nn_pairs(src, tgt, params)}
-        rev = {(s, t) for t, s, _ in mutual_nn_pairs(tgt, src, params)}
+        fwd = {(s, t) for s, t, _ in mutual_pairs(src, tgt, 4)}
+        rev = {(s, t) for t, s, _ in mutual_pairs(tgt, src, 4)}
         assert fwd == rev
+
+    @settings(max_examples=60, deadline=None)
+    @given(spaces=tied_spaces(), k_csls=st.sampled_from((1, 2, 4)), n_threads=st.sampled_from((1, 2)))
+    def test_pairs_are_the_brute_force_row_and_column_argmax(self, spaces, k_csls, n_threads):
+        src, tgt = spaces
+        full, _, _ = brute_force_csls(src, tgt, k_csls)
+        best_t = full.argmax(axis=1)  # np.argmax keeps the lowest id of tied maxima
+        best_s = full.argmax(axis=0)
+        want = sorted(
+            ((s, int(best_t[s]), full[s, best_t[s]]) for s in range(len(src)) if best_s[best_t[s]] == s),
+            key=lambda p: (-p[2], p[0]),
+        )
+        got = mutual_pairs(src, tgt, k_csls, n_threads)
+        assert [(s, t) for s, t, _ in got] == [(s, t) for s, t, _ in want]
+        np.testing.assert_allclose([v for _, _, v in got], [v for _, _, v in want], rtol=0, atol=1e-12)
+
+    def test_scoped_candidates_refused(self, rng):
+        src = unit_space(rng.standard_normal((10, 4)))
+        tgt = unit_space(rng.standard_normal((12, 4)))
+        best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=3, top_k=1), rows=np.arange(9, -1, -1))
+        with pytest.raises(ValueError, match="every source"):
+            mutual_nn_pairs(src, tgt, best, means)
 
 
 class TestAugmentDictionary:
@@ -535,7 +598,7 @@ class TestMineHardNegatives:
 class TestHubness:
     def test_constant_k_occurrence_zero_skew(self):
         space = unit_space(np.eye(6))
-        assert hubness_skew(space, space, k=1, metric="cosine") == 0.0
+        assert skew(space, space, 1, "cosine") == 0.0
 
     def test_hub_positive_skew(self):
         # one target near every source, the rest orthogonal
@@ -545,14 +608,15 @@ class TestHubness:
         tgt_rows = np.vstack([hub, np.eye(d)[10:19]])
         src = unit_space(src_rows)
         tgt = unit_space(tgt_rows)
-        assert hubness_skew(src, tgt, k=1, metric="cosine") > 0.0
+        assert skew(src, tgt, 1, "cosine") > 0.0
 
     def test_skewness_matches_three_pass_oracle(self, rng):
         src = unit_space(rng.standard_normal((200, 16)))
         tgt = unit_space(rng.standard_normal((200, 16)))
         for metric in ("cosine", "csls"):
-            got = hubness_skew(src, tgt, k=5, metric=metric)
-            counts = k_occurrence(src, tgt, k=5, metric=metric).astype(np.float64)
+            cands, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=10, top_k=5), metric)
+            got = hubness_skew(cands, 5, len(tgt))
+            counts = k_occurrence(cands, 5, len(tgt)).astype(np.float64)
             mean = counts.sum() / counts.size
             m2 = ((counts - mean) ** 2).sum() / counts.size
             m3 = ((counts - mean) ** 3).sum() / counts.size
@@ -561,7 +625,8 @@ class TestHubness:
     def test_k_occurrence_mean(self, rng):
         src = unit_space(rng.standard_normal((40, 8)))
         tgt = unit_space(rng.standard_normal((30, 8)))
-        counts = k_occurrence(src, tgt, k=5, metric="cosine")
+        cands, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=10, top_k=5), "cosine")
+        counts = k_occurrence(cands, 5, len(tgt))
         assert counts.sum() == 40 * 5
         assert counts.mean() == pytest.approx(5 * 40 / 30)
 
@@ -573,14 +638,16 @@ class TestHubness:
             SynthConfig(vocab_n=1000, dim=48, noise_sigma=0.25, hub_count=15, mean_offset=1.0, seed=3)
         )
         src = apply_alignment(world.src, world.rotation)
-        s_cos = hubness_skew(src, world.tgt, k=10, metric="cosine")
-        s_csls = hubness_skew(src, world.tgt, k=10, metric="csls")
+        s_cos = skew(src, world.tgt, 10, "cosine")
+        s_csls = skew(src, world.tgt, 10, "csls")
         assert s_csls < s_cos
 
     def test_invalid_k(self):
         space = unit_space(np.eye(3))
-        with pytest.raises(ValueError):
-            hubness_skew(space, space, k=0)
+        cands, _ = retrieve_topk(space, space, SimilarityParams(k_csls=1, top_k=2))
+        for k in (0, 3):  # k counts the first columns of the lists, which hold 2
+            with pytest.raises(ValueError):
+                hubness_skew(cands, k, len(space))
 
     def test_skewness_degenerate(self):
         assert skewness(np.array([2.0, 2.0, 2.0])) == 0.0

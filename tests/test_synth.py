@@ -67,8 +67,11 @@ class TestGeometry:
         hubby = gen_bilingual_world(SynthConfig(hub_count=20, **cfg))
         aligned_free = apply_alignment(hub_free.src, hub_free.rotation)
         aligned_hub = apply_alignment(hubby.src, hubby.rotation)
-        s_free = hubness_skew(aligned_free, hub_free.tgt, k=10, metric="cosine")
-        s_hub = hubness_skew(aligned_hub, hubby.tgt, k=10, metric="cosine")
+        params = SimilarityParams(k_csls=10, top_k=10)
+        free, _ = retrieve_topk(aligned_free, hub_free.tgt, params, metric="cosine")
+        hub, _ = retrieve_topk(aligned_hub, hubby.tgt, params, metric="cosine")
+        s_free = hubness_skew(free, 10, len(hub_free.tgt))
+        s_hub = hubness_skew(hub, 10, len(hubby.tgt))
         assert s_hub > s_free
 
 

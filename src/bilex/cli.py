@@ -32,9 +32,8 @@ from . import corpus, evaluation, features, ltr, retrieval, synth
 
 log = logging.getLogger(__name__)
 
-ENV_THREADS = "BILEX_THREADS"
 # thread settings recorded in run.log as found in the environment
-LOGGED_ENV = (ENV_THREADS, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+LOGGED_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ConfigError(Exception):
@@ -78,7 +77,7 @@ OPTIONAL_INPUT = Option(is_file=True)
 K_CSLS = Option(int, 10, minimum=1)
 TOP_K = Option(int, 50, minimum=1)
 MAX_VOCAB = Option(int, minimum=1)
-THREADS = Option(int)
+THREADS = Option(int, 1, minimum=1)
 SEED = Option(int, 0)
 
 
@@ -135,24 +134,6 @@ def resolve_options(args: argparse.Namespace, schema: dict[str, Option]) -> tupl
         elif opt.minimum is not None and value < opt.minimum:
             errors.append(f"{_flag(key)} must be >= {opt.minimum}, got {value}")
     return out, errors
-
-
-def _resolve_threads(opts: argparse.Namespace, errors: list[str]) -> int:
-    """Worker count from --threads, else BILEX_THREADS, else 1; a bad value is added to errors."""
-    if opts.threads is not None:
-        source, threads = "--threads", opts.threads
-    else:
-        env = os.environ.get(ENV_THREADS)
-        if not env:
-            return 1
-        try:
-            source, threads = ENV_THREADS, int(env)
-        except ValueError:
-            errors.append(f"{ENV_THREADS} must be an integer, got {env!r}")
-            return 1
-    if threads < 1:
-        errors.append(f"{source} must be >= 1, got {threads}")
-    return threads
 
 
 def _output_dir(opts: argparse.Namespace, errors: list[str]) -> Path:
@@ -215,13 +196,15 @@ class _RunLog:
     code and the error after the stages that finished.
     """
 
-    def __init__(self, out_dir: Path, command: str):
+    def __init__(self, out_dir: Path, command: str, threads: int | None = None):
         self.out_dir = out_dir
         self.t0 = time.perf_counter()
         self.lines: list[str] = [f"command\t{command}", f"started\t{datetime.datetime.now().isoformat()}"]
         self.note("numpy", np.__version__)
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
         self.note("blas", f"{blas.get('name')} {blas.get('version')}")
+        if threads is not None:  # the worker count of a command that runs similarity passes
+            self.note("threads", threads)
         for var in LOGGED_ENV:
             self.note(var, os.environ.get(var, "unset"))
         self.warnings = _WarningCounter()
@@ -405,9 +388,8 @@ RETRIEVE_SCHEMA = {
 
 
 def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
-    threads = _resolve_threads(opts, errors)
     out = _output_dir(opts, errors)
-    with _RunLog(out, "retrieve") as runlog:
+    with _RunLog(out, "retrieve", opts.threads) as runlog:
         with runlog.stage("load", vectors_parsed=1) as counts:
             src, tgt = _load_spaces(opts, counts)
             counts["vector_rows"] = len(src) + len(tgt)
@@ -420,7 +402,7 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
         with runlog.stage("retrieve", queries=n_queries, top_k=opts.top_k) as counts:
             stats = retrieval.ScanStats()
             cands, _ = retrieval.retrieve_topk(
-                src, tgt, params, metric=opts.metric, n_threads=threads, rows=rows, stats=stats
+                src, tgt, params, metric=opts.metric, n_threads=opts.threads, rows=rows, stats=stats
             )
             counts.update(stats.fields())
         with runlog.stage("write"):
@@ -503,7 +485,6 @@ TRAIN_SCHEMA = {
     "mode": Option(str, "supervised", choices=("supervised", "semi")),
     "n_aug": Option(int, 4000, minimum=0),
     "k_csls": K_CSLS,
-    "top_k": TOP_K,
     "n_trees": Option(int, 200),
     "max_depth": Option(int, 3),
     "learning_rate": Option(float, 0.1),
@@ -529,21 +510,19 @@ def _build_schema(opts: argparse.Namespace) -> features.FeatureSchema:
     return features.FeatureSchema(disabled=tuple(disabled))
 
 
-def _extend_candidates(cands, missing: list[int], src, tgt, params, threads, means=None, stats=None):
-    """Retrieve candidate lists for sources absent from the loaded file, scored
-    against the neighborhood means of the whole spaces (those of a run over
-    every source if given, else computed)."""
+def _extend_candidates(cands, missing: list[int], src, tgt, k_csls: int, threads, means=None, stats=None):
+    """Retrieve candidate lists, as wide as the loaded file's, for sources absent
+    from it, scored against the neighborhood means of the whole spaces (those
+    of a run over every source if given, else computed)."""
+    params = retrieval.SimilarityParams(k_csls=k_csls, top_k=cands.cand_ids.shape[1])
     extra, _ = retrieval.retrieve_topk(
         src, tgt, params, n_threads=threads, rows=np.array(missing), means=means, stats=stats
     )
-    if cands.cand_ids.size and extra.cand_ids.shape[1] != cands.cand_ids.shape[1]:
-        raise corpus.DataFormatError(
-            f"candidate width mismatch: file has {cands.cand_ids.shape[1]}, retrieval produced {extra.cand_ids.shape[1]}"
-        )
-    src_ids = np.concatenate([cands.src_ids, np.array(missing, dtype=np.int64)])
-    cand_ids = np.concatenate([cands.cand_ids, extra.cand_ids]) if cands.cand_ids.size else extra.cand_ids
-    scores = np.concatenate([cands.scores, extra.scores]) if cands.scores.size else extra.scores
-    return retrieval.CandidateSet.from_arrays(src_ids, cand_ids, scores)
+    return retrieval.CandidateSet.from_arrays(
+        np.concatenate([cands.src_ids, np.array(missing, dtype=np.int64)]),
+        np.concatenate([cands.cand_ids, extra.cand_ids]),
+        np.concatenate([cands.scores, extra.scores]),
+    )
 
 
 def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
@@ -559,9 +538,8 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
         gparams.validate()
     except ValueError as e:
         errors.append(str(e))
-    threads = _resolve_threads(opts, errors)
     out = _output_dir(opts, errors)
-    with _RunLog(out, "train") as runlog:
+    with _RunLog(out, "train", opts.threads) as runlog:
         need_vectors = opts.mode == "semi" and opts.n_aug > 0
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
             if need_vectors:
@@ -571,28 +549,29 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
             dic = corpus.load_dictionary(opts.dict_train, src_vocab, tgt_vocab)
             cands = retrieval.load_candidates(opts.candidates, src_vocab, tgt_vocab)
+            if not cands.src_ids.size:  # semi mode takes its list width from the file
+                raise corpus.DataFormatError(f"{opts.candidates}: no candidate rows")
             freq_src, freq_tgt, pos_src, pos_tgt, ext = _load_side_tables(opts, src_vocab, tgt_vocab)
             counts.update(
                 vector_rows=len(src_vocab) + len(tgt_vocab),
                 candidate_rows=cands.cand_ids.size,
                 oov_pairs=dic.oov_src + dic.oov_tgt,
             )
-        params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
 
         if need_vectors:
-            with runlog.stage("augment") as counts:
+            with runlog.stage("augment", candidate_width=cands.cand_ids.shape[1]) as counts:
+                top1 = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1)
+                top1.validate(len(tgt))  # before Procrustes and the similarity passes
                 aligned_src, _ = _aligned_source(src, tgt, opts.dict_train)
-                params.validate(len(tgt))  # the top-1 pass checks k_csls only; --top-k fails before it
                 stats = retrieval.ScanStats()
-                best, means = retrieval.retrieve_topk(
-                    aligned_src, tgt, retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1),
-                    n_threads=threads, stats=stats,
-                )
-                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, best, means, threads, stats)
+                best, means = retrieval.retrieve_topk(aligned_src, tgt, top1, n_threads=opts.threads, stats=stats)
+                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, best, means, opts.threads, stats)
                 dic = retrieval.augment_dictionary(dic, mined, opts.n_aug)
                 missing = [s for s in dic.sources() if s not in cands]
                 if missing:
-                    cands = _extend_candidates(cands, missing, aligned_src, tgt, params, threads, means, stats)
+                    cands = _extend_candidates(
+                        cands, missing, aligned_src, tgt, opts.k_csls, opts.threads, means, stats
+                    )
                 counts.update(mined_pairs=len(mined), retrieved_sources=len(missing), **stats.fields())
             runlog.note("augmented_to", len(dic))
 
@@ -745,9 +724,8 @@ def _safe_name(word: str) -> str:
 
 
 def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
-    threads = _resolve_threads(opts, errors)
     out = _output_dir(opts, errors)
-    with _RunLog(out, "analyze") as runlog:
+    with _RunLog(out, "analyze", opts.threads) as runlog:
         need_vectors = opts.words is not None
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
             if need_vectors:
@@ -769,7 +747,9 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
                 word_ids = _read_word_list(opts.words, src.vocab)
                 counts["words"] = len(word_ids)
                 params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
-                cands, _ = retrieval.retrieve_topk(src_aligned, tgt, params, n_threads=threads, rows=np.array(word_ids))
+                cands, _ = retrieval.retrieve_topk(
+                    src_aligned, tgt, params, n_threads=opts.threads, rows=np.array(word_ids)
+                )
                 for row, s in enumerate(word_ids):
                     word = src.vocab.word(s)
                     if s not in dic.entries:

@@ -413,11 +413,9 @@ def load_frequency_table(path: str | Path, vocab: Vocabulary) -> FrequencyTable:
     return frequency_table_from_counts(counts, vocab)
 
 
-def pos_table_from_tags(tags: dict[str, str], vocab: Vocabulary) -> tuple[PosTable, int]:
-    """Build a PosTable from word -> tag; unknown tag strings fall back to X.
-
-    Returns the table and the number of unknown tag strings encountered.
-    """
+def pos_table_from_tags(tags: dict[str, str], vocab: Vocabulary) -> PosTable:
+    """Build a PosTable from word -> tag; unknown tag strings fall back to X
+    and are counted in its unknown_tag_count."""
     n = len(vocab)
     tag_ids = np.full(n, TAG_INDEX[UNK_TAG], dtype=np.int8)
     unknown = 0
@@ -430,8 +428,7 @@ def pos_table_from_tags(tags: dict[str, str], vocab: Vocabulary) -> tuple[PosTab
             unknown += 1
             tag = "X"
         tag_ids[vocab.id(word)] = TAG_INDEX[tag]
-    table = PosTable(tag_ids=tag_ids, unknown_tag_count=unknown, oov=oov)
-    return table, unknown
+    return PosTable(tag_ids=tag_ids, unknown_tag_count=unknown, oov=oov)
 
 
 def load_pos_table(path: str | Path, vocab: Vocabulary) -> PosTable:
@@ -445,9 +442,9 @@ def load_pos_table(path: str | Path, vocab: Vocabulary) -> PosTable:
             log.warning("%s: line %d: skipping malformed row", path, line_no)
             continue
         tags[_nfc(fields[0])] = fields[1]
-    table, unknown = pos_table_from_tags(tags, vocab)
-    if unknown:
-        log.warning("%s: %d unknown tag strings mapped to X", path, unknown)
+    table = pos_table_from_tags(tags, vocab)
+    if table.unknown_tag_count:
+        log.warning("%s: %d unknown tag strings mapped to X", path, table.unknown_tag_count)
     return table
 
 

@@ -110,19 +110,11 @@ def freq_diff_report(
 
 
 def midranks(values) -> np.ndarray:
-    """1-based ranks with ties averaged (midrank method)."""
-    a = np.asarray(values, dtype=np.float64)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=np.float64)
-    sa = a[order]
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and sa[j + 1] == sa[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties averaged (midrank method); NaNs sort last as one tie."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
+    end = np.cumsum(counts) - 1  # 0-based sorted position of each tie block's last value
+    start = end - counts + 1
+    return (0.5 * (start + end) + 1.0)[inverse]
 
 
 def spearman(x, y) -> float:

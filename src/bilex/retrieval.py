@@ -567,10 +567,11 @@ def hubness_skew(cands: CandidateSet, k: int, n_tgt: int) -> float:
 def write_candidates(cands: CandidateSet, src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:
     """Export "src<TAB>cand<TAB>score" rows, grouped by source in retrieval order; all or nothing."""
     with atomic_writer(path) as fh:
-        for row, s in enumerate(cands.src_ids):
-            sw = src_vocab.word(int(s))
-            for c, v in zip(cands.cand_ids[row], cands.scores[row]):
-                fh.write(f"{sw}\t{tgt_vocab.word(int(c))}\t{v:.6f}\n")
+        for s, cand_row, score_row in zip(cands.src_ids.tolist(), cands.cand_ids, cands.scores):
+            sw = src_vocab.word(s)
+            # tolist() gives Python ints and floats; a float formats as the float64 it came from
+            rows = zip(cand_row.tolist(), score_row.tolist())
+            fh.write("".join(f"{sw}\t{tgt_vocab.word(c)}\t{v:.6f}\n" for c, v in rows))
 
 
 # Characters per read in load_candidates, extended to the end of a line: enough

@@ -174,8 +174,8 @@ def gen_bilingual_world(cfg: SynthConfig) -> SynthWorld:
     gold = TranslationDictionary(entries={i: (i,) for i in range(n)})
     freq_src = frequency_table_from_counts(counts_src, src_vocab)
     freq_tgt = frequency_table_from_counts(counts_tgt, tgt_vocab)
-    pos_src, _ = pos_table_from_tags(tags_src, src_vocab)
-    pos_tgt, _ = pos_table_from_tags(tags_tgt, tgt_vocab)
+    pos_src = pos_table_from_tags(tags_src, src_vocab)
+    pos_tgt = pos_table_from_tags(tags_tgt, tgt_vocab)
 
     return SynthWorld(
         config=cfg,

@@ -73,7 +73,7 @@ def train_args(world_dir, retrieved_dir, out, *extra):
         "--freq-tgt", world_dir / "freq.tgt.tsv",
         "--pos-src", world_dir / "pos.src.tsv",
         "--pos-tgt", world_dir / "pos.tgt.tsv",
-        "--n-trees", 6, "--max-depth", 2, "--top-k", 10, "--k-csls", 5,
+        "--n-trees", 6, "--max-depth", 2, "--k-csls", 5,
         *extra,
     ]
 
@@ -303,14 +303,53 @@ class TestTrain:
         doc = json.loads((tmp_path / "model.json").read_text())
         assert len(doc["trees"]) == 6
 
-    @pytest.mark.parametrize("flag, value", [("--top-k", 151), ("--k-csls", 151)])
+    @pytest.mark.parametrize("flag, value", [("--k-csls", 151)])
     def test_semi_similarity_params_beyond_the_targets_exit_3(self, world_dir, retrieved_dir, tmp_path, capsys, flag, value):
-        # 150 target words; --top-k is checked before the top-1 mining pass, which uses k_csls only
+        # 150 target words; --k-csls is checked before the first similarity pass
         args = train_args(world_dir, retrieved_dir, tmp_path, "--mode", "semi", "--n-aug", 15, flag, value)
         with mock.patch.object(retrieval, "retrieve_topk", side_effect=AssertionError("a pass ran")):
             assert run(*args) == 3
         assert f"{flag[2:].replace('-', '_')} must be in [1, 150], got {value}" in capsys.readouterr().err
         assert kv(tmp_path / "run.log")["exit_code"] == "3"
+
+    def test_semi_extends_at_the_file_width(self, world_dir, retrieved_dir, tmp_path):
+        full = candidate_rows(retrieved_dir / "candidates.tsv")
+        lines = (retrieved_dir / "candidates.tsv").read_text().splitlines()
+        partial = tmp_path / "partial.tsv"
+        partial.write_text("\n".join(lines[: 60 * 10]) + "\n")  # the first 60 sources, 10 candidates each
+        args = train_args(world_dir, retrieved_dir, tmp_path / "out", "--mode", "semi", "--n-aug", 15, "--dump-features")
+        args[args.index("--candidates") + 1] = partial
+        assert run(*args) == 0
+        augment = stage_fields(kv(tmp_path / "out" / "run.log"), "augment")
+        assert augment["candidate_width"] == "10" and int(augment["retrieved_sources"]) > 0
+        listed = {}
+        for row in (tmp_path / "out" / "features.tsv").read_text().splitlines()[1:]:
+            src, cand = row.split("\t")[:2]
+            listed.setdefault(src, []).append(cand)
+        in_file = candidate_rows(partial)
+        appended = [src for src in listed if src not in in_file]
+        assert len(appended) == int(augment["retrieved_sources"])
+        for src in appended:
+            assert listed[src] == [c for c, _ in full[src]]
+
+    def test_top_k_is_not_a_train_flag(self, world_dir, retrieved_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run(*train_args(world_dir, retrieved_dir, tmp_path / "out", "--top-k", 10))
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --top-k" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_candidate_file_exit_3(self, world_dir, retrieved_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# no rows\n")
+        args = train_args(world_dir, retrieved_dir, tmp_path / "out", "--mode", "semi", "--n-aug", 15)
+        args[args.index("--candidates") + 1] = empty
+        with mock.patch.object(retrieval, "retrieve_topk", side_effect=AssertionError("a pass ran")):
+            assert run(*args) == 3
+        assert f"{empty}: no candidate rows" in capsys.readouterr().err
+        log = kv(tmp_path / "out" / "run.log")
+        assert log["exit_code"] == "3" and "stage.load" not in log
+        assert not (tmp_path / "out" / "model.json").exists()
 
     def test_ablation_flags_recorded_and_masked(self, world_dir, retrieved_dir, tmp_path):
         assert run(
@@ -493,7 +532,7 @@ class TestScopedRetrieval:
         loaded = retrieval.CandidateSet.from_arrays(full.src_ids[:100], full.cand_ids[:100], full.scores[:100])
         missing = list(range(149, 99, -1))
         for given in (None, means):
-            extended = _extend_candidates(loaded, missing, aligned, tgt, params, 1, given)
+            extended = _extend_candidates(loaded, missing, aligned, tgt, params.k_csls, 1, given)
             order = list(range(100)) + missing
             assert extended.src_ids.tolist() == order
             assert extended.cand_ids.tolist() == full.cand_ids[order].tolist()
@@ -574,27 +613,7 @@ class TestDeterminism:
 
 
 class TestThreadsEnvVar:
-    def test_env_default_used(self, world_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("BILEX_THREADS", "2")
-        assert run(
-            "retrieve", "--out-dir", tmp_path,
-            "--src-emb", world_dir / "embeddings.src.vec",
-            "--tgt-emb", world_dir / "embeddings.tgt.vec",
-            "--top-k", 5, "--k-csls", 3,
-        ) == 0
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_env_below_one_is_config_error(self, world_dir, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("BILEX_THREADS", value)
-        out = tmp_path / "out"
-        rc = run(
-            "retrieve", "--out-dir", out,
-            "--src-emb", world_dir / "embeddings.src.vec",
-            "--tgt-emb", world_dir / "embeddings.tgt.vec",
-        )
-        assert rc == 2
-        assert f"BILEX_THREADS must be >= 1, got {value}" in capsys.readouterr().err
-        assert not out.exists()
+    """The worker count comes from --threads or the threads config key, else 1."""
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_flag_below_one_is_config_error(self, world_dir, retrieved_dir, tmp_path, capsys, value):
@@ -603,15 +622,21 @@ class TestThreadsEnvVar:
         assert f"--threads must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_env_value_is_config_error(self, world_dir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BILEX_THREADS", "plenty")
-        rc = run(
-            "retrieve", "--out-dir", tmp_path,
-            "--src-emb", world_dir / "embeddings.src.vec",
-            "--tgt-emb", world_dir / "embeddings.tgt.vec",
-        )
-        assert rc == 2
-        assert "BILEX_THREADS" in capsys.readouterr().err
+    def test_config_key_below_one_is_config_error(self, world_dir, retrieved_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 0\n")
+        out = tmp_path / "out"
+        assert run(*train_args(world_dir, retrieved_dir, out), "--config", cfg) == 2
+        assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_log_records_the_worker_count(self, world_dir, retrieved_dir, model_dir, tmp_path):
+        assert kv(retrieved_dir / "run.log")["threads"] == "1"
+        assert kv(model_dir / "run.log")["threads"] == "1"
+        words = tmp_path / "words.txt"
+        words.write_text("s00003\n")
+        assert run(*analyze_args(world_dir, tmp_path / "analyze", "--words", words, "--threads", 2)) == 0
+        assert kv(tmp_path / "analyze" / "run.log")["threads"] == "2"
 
 
 class TestConfigFile:
@@ -673,7 +698,7 @@ COMMAND_FLAGS = {
     "mine": ["--config", "--out-dir", "--src-emb", "--tgt-emb", "--candidates", "--dict", "--n-neg", "--max-vocab"],
     "train": [
         "--config", "--out-dir", "--src-emb", "--tgt-emb", "--candidates", "--dict-train", "--freq-src",
-        "--freq-tgt", "--pos-src", "--pos-tgt", "--ext-scores", "--mode", "--n-aug", "--k-csls", "--top-k",
+        "--freq-tgt", "--pos-src", "--pos-tgt", "--ext-scores", "--mode", "--n-aug", "--k-csls",
         "--n-trees", "--max-depth", "--learning-rate", "--min-child-weight", "--l2-leaf-reg", "--sigma",
         "--seed", "--no-pos", "--no-freq", "--mix-search", "--dump-features", "--max-vocab", "--threads",
     ],
@@ -834,7 +859,7 @@ class TestVectorLoading:
         assert fields["vector_rows"] == "300" and fields["candidate_rows"] == str(150 * 10)
         assert fields["oov_pairs"] == "0"
         assert log["numpy"]
-        assert {"BILEX_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} <= set(log)
+        assert {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} <= set(log)
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert log["blas"] == f"{blas['name']} {blas['version']}"
         keys = list(log)
@@ -957,9 +982,10 @@ class TestRunLogStages:
         log = kv(tmp_path / "run.log")
         augment = stage_fields(log, "augment")
         assert set(augment) == {
-            "wall_s", "cpu_s", "peak_rss_mb", "mined_pairs", "retrieved_sources",
+            "wall_s", "cpu_s", "peak_rss_mb", "candidate_width", "mined_pairs", "retrieved_sources",
             "shortlist_mean", "shortlist_max", "buffer_mb",
         }
+        assert augment["candidate_width"] == "10"
         assert 0 < float(augment["shortlist_mean"]) <= int(augment["shortlist_max"]) <= 150
         assert float(augment["buffer_mb"]) > 0
         assert "src_duplicate_tokens=0" in log["stage.load"] and "tgt_zero_rows=0" in log["stage.load"]
@@ -1122,7 +1148,7 @@ class TestBenchmarkProbes:
         sides = ["--freq-src", w / "freq.src.tsv", "--freq-tgt", w / "freq.tgt.tsv", "--pos-src", w / "pos.src.tsv"]
         ranker = [*sides, "--pos-tgt", w / "pos.tgt.tsv"]
         sims = ["--top-k", 10, "--k-csls", 5]
-        train = ["train", *emb, *ranker, *sims, "--dict-train", w / "dict.train.tsv", "--n-trees", 3]
+        train = ["train", *emb, *ranker, "--k-csls", 5, "--dict-train", w / "dict.train.tsv", "--n-trees", 3]
         commands = {
             "retrieve": ["retrieve", "--out-dir", base / "retrieve", *emb, "--seed-dict", w / "dict.train.tsv", *sims],
             "retrieve_scoped": [

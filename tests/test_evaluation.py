@@ -24,6 +24,22 @@ from bilex.ltr import rank_order
 from conftest import grid
 
 
+def midranks_loop(values):
+    """Midranks by walking each tie block of the stably sorted values: the reference for midranks."""
+    a = np.asarray(values, dtype=np.float64)
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(a.size, dtype=np.float64)
+    sa = a[order]
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and sa[j + 1] == sa[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestPrecisionAt1:
     def test_perfect(self):
         groups = grid([[1, 0], [1, 0]], candidate_ids=[[0, 1], [1, 2]])
@@ -54,7 +70,7 @@ class TestPrecisionAt1:
 class TestPerPosAccuracy:
     def make(self):
         vocab = Vocabulary.from_words(["a", "b", "c", "d"])
-        pos, _ = pos_table_from_tags({"a": "NOUN", "b": "NOUN", "c": "VERB", "d": "VERB"}, vocab)
+        pos = pos_table_from_tags({"a": "NOUN", "b": "NOUN", "c": "VERB", "d": "VERB"}, vocab)
         groups = grid([[1, 0]] * 4)
         scores = np.array([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 1.0]])
         return groups, scores, pos
@@ -123,8 +139,8 @@ def test_grid_equals_per_row_reference(data, errors_only):
     tv = Vocabulary.from_words([f"t{i}" for i in range(6)])
     fs = frequency_table_from_counts({w: 10 * (i + 1) for i, w in enumerate(sv.words)}, sv)
     ft = frequency_table_from_counts({w: 7 * (i + 2) for i, w in enumerate(tv.words)}, tv)
-    ps, _ = pos_table_from_tags({w: ("NOUN", "VERB")[i % 2] for i, w in enumerate(sv.words)}, sv)
-    pt, _ = pos_table_from_tags({w: "NOUN" for w in tv.words}, tv)
+    ps = pos_table_from_tags({w: ("NOUN", "VERB")[i % 2] for i, w in enumerate(sv.words)}, sv)
+    pt = pos_table_from_tags({w: "NOUN" for w in tv.words}, tv)
     cand_ids = np.array([p[:k] for p in perms])
     dic = TranslationDictionary(entries={s: (int(cand_ids[s, 0]), 5) for s in range(m)})
     groups = grid(labels, candidate_ids=cand_ids)
@@ -165,6 +181,15 @@ class TestSpearman:
     def test_midranks_average_ties(self):
         np.testing.assert_allclose(midranks([10.0, 20.0, 20.0, 30.0]), [1.0, 2.5, 2.5, 4.0])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(min_value=-5, max_value=5), max_size=40),
+        st.lists(st.sampled_from([-0.0, 0.0, 0.5, -2.25, 1e300, -np.inf, np.inf]), max_size=40),
+        st.lists(st.floats(allow_nan=False, width=64), max_size=40),
+    ))
+    def test_midranks_equal_the_tie_block_loop(self, xs):
+        assert midranks(xs).tobytes() == midranks_loop(xs).tobytes()
+
     def test_matches_closed_form_without_ties(self, rng):
         # 1 - 6*sum(d^2)/(n(n^2-1)) is exact when no ties exist
         for _ in range(20):
@@ -201,7 +226,7 @@ class TestPosFreqCorrelation:
         fs = frequency_table_from_counts({w: n - i for i, w in enumerate(words_s)}, sv)
         order = range(n) if agree else range(n - 1, -1, -1)
         ft = frequency_table_from_counts({words_t[i]: n - r for r, i in enumerate(order)}, tv)
-        pos, _ = pos_table_from_tags({w: "NOUN" for w in words_s}, sv)
+        pos = pos_table_from_tags({w: "NOUN" for w in words_s}, sv)
         dic = TranslationDictionary(entries={i: (i,) for i in range(n)})
         return dic, fs, ft, pos
 
@@ -220,7 +245,7 @@ class TestPosFreqCorrelation:
         tv = Vocabulary.from_words([f"t{i}" for i in range(12)])
         fs = frequency_table_from_counts({w: 100 - i for i, w in enumerate(sv.words)}, sv)
         ft = frequency_table_from_counts({w: 100 - i for i, w in enumerate(tv.words)}, tv)
-        pos, _ = pos_table_from_tags({w: "NOUN" for w in sv.words}, sv)
+        pos = pos_table_from_tags({w: "NOUN" for w in sv.words}, sv)
         entries = {i: (i,) for i in range(12)}
         entries[0] = (0, 11)  # extra gold must be ignored
         out = pos_freq_correlation(TranslationDictionary(entries=entries), fs, ft, pos)
@@ -270,8 +295,8 @@ class TestExplainAndReport:
         tv = Vocabulary.from_words(["x", "y"])
         fs = frequency_table_from_counts({"a": 100, "b": 50}, sv)
         ft = frequency_table_from_counts({"x": 90, "y": 40}, tv)
-        ps, _ = pos_table_from_tags({"a": "NOUN"}, sv)
-        pt, _ = pos_table_from_tags({"x": "NOUN", "y": "VERB"}, tv)
+        ps = pos_table_from_tags({"a": "NOUN"}, sv)
+        pt = pos_table_from_tags({"x": "NOUN", "y": "VERB"}, tv)
         dic = TranslationDictionary(entries={0: (0,), 1: (1,)})
         groups = grid([[1, 0], [0, 1]])
         scores = np.array([[2.0, 1.0], [2.0, 1.0]])

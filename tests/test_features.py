@@ -35,8 +35,8 @@ def world():
     tgt_vocab = Vocabulary.from_words(["t0", "t1", "t2", "t3"])
     freq_src = frequency_table_from_counts({"s0": 1000, "s1": 100, "s2": 10}, src_vocab)
     freq_tgt = frequency_table_from_counts({"t0": 800, "t1": 80, "t2": 8, "t3": 4}, tgt_vocab)
-    pos_src, _ = pos_table_from_tags({"s0": "NOUN", "s1": "VERB", "s2": "ADJ"}, src_vocab)
-    pos_tgt, _ = pos_table_from_tags({"t0": "NOUN", "t1": "VERB", "t2": "NOUN", "t3": "ADV"}, tgt_vocab)
+    pos_src = pos_table_from_tags({"s0": "NOUN", "s1": "VERB", "s2": "ADJ"}, src_vocab)
+    pos_tgt = pos_table_from_tags({"t0": "NOUN", "t1": "VERB", "t2": "NOUN", "t3": "ADV"}, tgt_vocab)
     return src_vocab, tgt_vocab, freq_src, freq_tgt, pos_src, pos_tgt
 
 
@@ -118,7 +118,7 @@ class TestFeaturizePair:
         table = frequency_table_from_counts(counts, src_vocab)
         assert table.rank[15489] == 15490
         _, tgt_vocab, _, ft, ps, pt = world
-        pos_big, _ = pos_table_from_tags({}, src_vocab)
+        pos_big = pos_table_from_tags({}, src_vocab)
         vec = featurize_pair(15489, 0, 0.0, None, table, ft, pos_big, pt)
         assert vec[7] == pytest.approx(math.log2(15491))
         assert round(float(vec[7]), 2) == 13.92
@@ -292,7 +292,7 @@ def featurize_worlds(draw):
     for vocab in (src_vocab, tgt_vocab):
         counts = {w: draw(st.integers(1, 10**6)) for w in vocab.words if draw(st.booleans())}  # the rest rank len(vocab)
         tags = {w: tag for w in vocab.words if (tag := draw(TAGS)) is not None}
-        tables.append((frequency_table_from_counts(counts, vocab), pos_table_from_tags(tags, vocab)[0]))
+        tables.append((frequency_table_from_counts(counts, vocab), pos_table_from_tags(tags, vocab)))
     (fs, ps), (ft, pt) = tables
     k = draw(st.integers(1, n_tgt))
     listed = draw(st.permutations(range(n_src)))
@@ -337,7 +337,7 @@ class TestOneMatrix:
         src_vocab, _, fs, _, ps, _ = world
         tgt_vocab = Vocabulary.from_words([f"w{i}" for i in range(3300)])
         ft = frequency_table_from_counts({f"w{i}": 4000 - i for i in range(3300)}, tgt_vocab)
-        pt, _ = pos_table_from_tags({}, tgt_vocab)
+        pt = pos_table_from_tags({}, tgt_vocab)
         cands = CandidateSet.from_arrays(np.array([0]), np.arange(3300)[None, :], np.zeros((1, 3300)))
         col = build_groups([0], cands, fs, ft, ps, pt, src_vocab, tgt_vocab).features[:, 8]
         expected = np.array([math.log2(1 + r) for r in range(1, 3301)])
@@ -369,8 +369,8 @@ def test_train_and_predict_same_on_views_and_copies(rng):
     tgt_vocab = Vocabulary.from_words([f"t{i}" for i in range(n_tgt)])
     fs = frequency_table_from_counts({w: int(rng.integers(1, 10**5)) for w in src_vocab.words[:50]}, src_vocab)
     ft = frequency_table_from_counts({w: int(rng.integers(1, 10**5)) for w in tgt_vocab.words[:30]}, tgt_vocab)
-    ps, _ = pos_table_from_tags({w: ALL_TAGS[int(rng.integers(0, 5))] for w in src_vocab.words}, src_vocab)
-    pt, _ = pos_table_from_tags({w: ALL_TAGS[int(rng.integers(0, 5))] for w in tgt_vocab.words}, tgt_vocab)
+    ps = pos_table_from_tags({w: ALL_TAGS[int(rng.integers(0, 5))] for w in src_vocab.words}, src_vocab)
+    pt = pos_table_from_tags({w: ALL_TAGS[int(rng.integers(0, 5))] for w in tgt_vocab.words}, tgt_vocab)
     cand_ids = np.array([rng.permutation(n_tgt)[:k] for _ in range(n_src)], dtype=np.int64)
     cands = CandidateSet.from_arrays(np.arange(n_src), cand_ids, np.sort(rng.random((n_src, k)), axis=1)[:, ::-1])
     dic = TranslationDictionary(entries={s: (int(cand_ids[s, rng.integers(0, k)]),) for s in range(n_src)})

@@ -667,6 +667,21 @@ class TestCandidateFiles:
         first = path.read_text().splitlines()[0].split("\t")
         assert len(first[2].split(".")[1]) == 6
 
+    def test_rows_equal_the_per_value_format(self, tmp_path):
+        v = Vocabulary.from_words(["a", "b", "c"])
+        scores = np.array([[-0.0, 5e-7, -5e-7], [1e300, 0.1 + 0.2, -1.0]])
+        cands = CandidateSet.from_arrays(np.array([2, 0]), np.array([[0, 1, 2], [2, 1, 0]]), scores)
+        path = tmp_path / "cands.tsv"
+        write_candidates(cands, v, v, path)
+        # one f-string per numpy value, as the export was written before it joined whole rows
+        want = "".join(
+            f"{v.word(int(s))}\t{v.word(int(c))}\t{x:.6f}\n"
+            for row, s in enumerate(cands.src_ids)
+            for c, x in zip(cands.cand_ids[row], cands.scores[row])
+        )
+        assert path.read_text() == want
+        assert "\t-0.000000\n" in want and max(map(len, want.splitlines())) > 300
+
     def test_unknown_word_fatal(self, tmp_path):
         from bilex.corpus import DataFormatError
 

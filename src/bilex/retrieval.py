@@ -7,20 +7,21 @@ broken by ascending id, so output is bitwise independent of the worker count.
 
 Each worker writes its blocks' products into one block buffer, held for the
 length of a pass and freed when it returns; CSLS scores 2*S - r are formed
-in place there, so no pass allocates or copies a whole block. Top-k
-selection over wide rows first screens each row by the maxima of fixed-width
-column chunks: the chunks reaching the k-th largest chunk maximum hold every
-value at or above the row's k-th, boundary ties included, and the exact
-tie-rule selection then runs on that shortlist, SELECT_ROWS rows at a time
-to keep each worker's temporaries small. Top-k means are summed in
-descending order, so any selection route gives the same bits.
+in place there, so no pass allocates or copies a whole block. Every top-k
+selection, of candidates and of neighborhood means, takes one path,
+SELECT_ROWS rows at a time to keep each worker's temporaries small: a row is
+screened by the maxima of fixed-width column chunks (a row narrower than 16k
+is one chunk, kept whole), the chunks reaching the k-th largest chunk
+maximum hold every value at or above the row's k-th, ties included, and the
+exact selection runs on that shortlist; means are summed in descending order.
 
-retrieve_topk is the only code that forms CSLS scores. CSLS neighborhood
-means always cover the whole source and target spaces; a run over every
-source returns them, and a retrieval scoped to some source rows scores them
-against those means, as a full run does. Mutual nearest neighbors are a
-top-1 retrieval in each direction over the same means, and hubness counts
-the first columns of a retrieval's candidate lists.
+retrieve_topk is the only code that forms similarity scores; cosine is CSLS
+with zero means and a scale of 1. CSLS neighborhood means always cover the
+whole source and target spaces; a run over every source returns them, and a
+retrieval scoped to some source rows scores them against those means, as a
+full run does. Mutual nearest neighbors are a top-1 retrieval in each
+direction over the same means, and hubness counts the first columns of a
+retrieval's candidate lists.
 
 Every product of the two spaces goes through _product, which multiplies a
 single row as two (with a zero row): numpy sends a one-row product down
@@ -197,41 +198,43 @@ def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanSta
 
 
 def _chunk_width(n: int, k: int) -> int:
-    """Column-chunk width of the top-k screen over rows of n values; 0 means no screen.
+    """Column-chunk width of the top-k screen over rows of n values.
 
-    Rows narrower than 16k columns are selected in full. Wider rows get at
-    least 8k chunks of at most 64 columns, so the kept chunks are a small
-    share of the row.
+    A row narrower than 16k columns is one chunk of n columns, kept whole.
+    Wider rows get at least 8k chunks of at most 64 columns, so the kept
+    chunks are a small share of the row.
     """
-    return 0 if n < 16 * k else min(64, n // (8 * k))
+    return n if n < 16 * k else min(64, n // (8 * k))
 
 
-def _shortlist(rows: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shortlist(rows: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact screen: the columns of each row that can hold one of its k largest values.
 
-    Each row is cut into chunks of `width` columns (the last may be shorter)
-    and the k-th largest chunk maximum is taken. k distinct columns reach
-    that bound, so it is at most the row's k-th largest value: every chunk
-    holding a value at or above the k-th, boundary ties included, has a
-    maximum at or above the bound and is kept.
+    Each row is cut into chunks of _chunk_width columns (the last may be
+    shorter) and the k-th largest chunk maximum is taken, or the smallest
+    when there are fewer than k chunks. k distinct columns reach that bound,
+    so it is at most the row's k-th largest value: every chunk holding a
+    value at or above the k-th, boundary ties included, has a maximum at or
+    above the bound and is kept.
 
-    Returns (values, chunks, kept): values (m, c * width) holds the kept
+    Returns (values, chunks, width): values (m, c * width) holds the kept
     chunks of each row side by side in ascending chunk order, the short last
     chunk padded with -inf; a row that keeps fewer than c chunks fills its
     last slots with chunks it did not keep, whose values are all below the
     bound and never reach its top k. chunks (m, c) is the chunk index of each
-    slot and kept (m,) the columns of the kept chunks per row. Position p of
-    a row is column chunks[row, p // width] * width + p % width, ascending
-    over the kept values, so a lowest-position tie rule on values is the
-    lowest-id rule.
+    slot. Position p of a row is column chunks[row, p // width] * width +
+    p % width, ascending over the kept values, so a lowest-position tie rule
+    on values is the lowest-id rule. stats gets the kept columns per row.
     """
     m, n = rows.shape
+    width = _chunk_width(n, k)
     # reduceat is faster here than a max over the last axis of a 3-d view
     maxima = np.maximum.reduceat(rows, np.arange(0, n, width), axis=1)
     n_chunks = maxima.shape[1]
     n_whole, tail = divmod(n, width)
     whole = rows[:, : n_whole * width].reshape(m, n_whole, width)
-    bound = np.partition(maxima, n_chunks - k, axis=1)[:, n_chunks - k]
+    kth = max(0, n_chunks - k)
+    bound = np.partition(maxima, kth, axis=1)[:, kth]
     keep = maxima >= bound[:, None]
     counts = keep.sum(axis=1)
     c = int(counts.max())
@@ -243,89 +246,68 @@ def _shortlist(rows: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.nda
         values[at_tail] = -np.inf
         values[at_tail, :tail] = rows[np.nonzero(at_tail)[0], n_whole * width :]
         kept -= (width - tail) * keep[:, -1]
-    return values.reshape(m, c * width), chunks, kept
+    if stats is not None:
+        stats.note_shortlist(kept)
+    return values.reshape(m, c * width), chunks, width
 
 
 def _topk_desc_full(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise top-k by descending score over whole rows, ties broken by
-    ascending column id; the selection rule that _topk_desc_rows applies."""
-    m, n = scores.shape
-    if k > n:
-        raise ValueError(f"k={k} exceeds row length {n}")
-    if k == n:
-        chosen = np.broadcast_to(np.arange(n), (m, n)).copy()
-    else:
-        chosen = np.argpartition(scores, n - k, axis=1)[:, n - k:]
-        rows = np.arange(m)[:, None]
-        boundary = scores[rows, chosen].min(axis=1)
-        n_greater = (scores > boundary[:, None]).sum(axis=1)
-        n_tied_all = (scores == boundary[:, None]).sum(axis=1)
-        ambiguous = np.nonzero(n_tied_all > k - n_greater)[0]
-        for i in ambiguous:
-            row = scores[i]
-            greater = np.nonzero(row > boundary[i])[0]
-            tied = np.nonzero(row == boundary[i])[0][: k - greater.size]
-            chosen[i] = np.concatenate([greater, tied])
-    # order within each row: ascending id first, then stable sort by -value
-    id_order = np.argsort(chosen, axis=1)
-    ids = np.take_along_axis(chosen, id_order, axis=1)
-    vals = np.take_along_axis(scores, ids, axis=1)
-    val_order = np.argsort(-vals, axis=1, kind="stable")
-    ids = np.take_along_axis(ids, val_order, axis=1)
-    vals = np.take_along_axis(vals, val_order, axis=1)
-    return ids, vals
+    ascending column id; the selection rule that _topk_desc_rows applies.
+
+    A row with more than k values at or above its k-th (a tie across the
+    boundary) takes those above it, then the lowest ids of those equal to
+    it; the k of each row are then ordered by value, then by id.
+    """
+    if k > scores.shape[1]:
+        raise ValueError(f"k={k} exceeds row length {scores.shape[1]}")
+    chosen = np.argpartition(scores, -k, axis=1)[:, -k:]
+    boundary = np.take_along_axis(scores, chosen, axis=1).min(axis=1)
+    over = np.flatnonzero((scores >= boundary[:, None]).sum(axis=1) > k)
+    tied, bound = scores[over], boundary[over, None]
+    # rank 0 above the boundary, 1 on it, 2 below; a stable sort keeps ids ascending within each
+    chosen[over] = np.argsort(np.add(tied <= bound, tied < bound, dtype=np.int8), axis=1, kind="stable")[:, :k]
+    vals = np.take_along_axis(scores, chosen, axis=1)
+    order = np.lexsort((chosen, -vals), axis=1)
+    return np.take_along_axis(chosen, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def _screen(rows: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """What a top-k selection runs on: (values, chunks, width) from _shortlist
-    for wide rows, (rows, None, 0) for rows narrower than 16k."""
-    m, n = rows.shape
-    width = _chunk_width(n, k)
-    if width:
-        values, chunks, kept = _shortlist(rows, k, width)
-    else:
-        values, chunks, kept = rows, None, np.full(m, n)
-    if stats is not None:
-        stats.note_shortlist(kept)
-    return values, chunks, width
+def _select(rows: np.ndarray, k: int, stats: ScanStats | None, pick) -> list:
+    """pick(values, chunks, width) on the _shortlist of each SELECT_ROWS slice of rows, in row order."""
+    return [pick(*_shortlist(rows[lo : lo + SELECT_ROWS], k, stats)) for lo in range(0, len(rows), SELECT_ROWS)]
 
 
 def _topk_desc_rows(scores: np.ndarray, k: int, stats: ScanStats | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise top-k by descending score, ties broken by ascending column id.
 
     Returns (ids, values), each (m, k). Exact even when values tie across the
-    selection boundary: wide rows are screened to their kept chunks first,
-    which hold every value at or above the k-th, and the same rule then runs
-    on that shortlist. Rows are selected SELECT_ROWS at a time.
+    selection boundary: rows are screened to their kept chunks first, which
+    hold every value at or above the k-th, and _topk_desc_full then runs on
+    that shortlist.
     """
-    parts = [_topk_desc_slice(scores[lo : lo + SELECT_ROWS], k, stats) for lo in range(0, len(scores), SELECT_ROWS)]
+
+    def pick(values, chunks, width):
+        pos, vals = _topk_desc_full(values, k)
+        return np.take_along_axis(chunks, pos // width, axis=1) * width + pos % width, vals
+
+    parts = _select(scores, k, stats, pick)
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-
-def _topk_desc_slice(scores: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.ndarray, np.ndarray]:
-    values, chunks, width = _screen(scores, k, stats)
-    ids, vals = _topk_desc_full(values, k)
-    if chunks is not None:  # shortlist positions to column ids
-        ids = np.take_along_axis(chunks, ids // width, axis=1) * width + ids % width
-    return ids, vals
 
 
 def _topk_mean_rows(sims: np.ndarray, k: int, stats: ScanStats | None = None) -> np.ndarray:
     """Mean of the k largest values per row, summed in descending order.
 
     The k values are the same whichever route selects them, and a fixed
-    summation order makes the mean the same to the bit; wide rows are
-    screened as in _topk_desc_rows, SELECT_ROWS at a time.
+    summation order makes the mean the same to the bit; rows are screened as
+    in _topk_desc_rows.
     """
-    return np.concatenate([_topk_mean_slice(sims[lo : lo + SELECT_ROWS], k, stats) for lo in range(0, len(sims), SELECT_ROWS)])
 
+    def pick(values, chunks, width):
+        top = np.sort(np.partition(values, -k, axis=1)[:, -k:], axis=1)
+        # cumsum adds strictly left to right, largest value first
+        return np.cumsum(top[:, ::-1], axis=1)[:, -1] / k
 
-def _topk_mean_slice(sims: np.ndarray, k: int, stats: ScanStats | None) -> np.ndarray:
-    values, _, _ = _screen(sims, k, stats)
-    n = values.shape[1]
-    top = np.sort(values if k == n else np.partition(values, n - k, axis=1)[:, n - k:], axis=1)
-    # cumsum adds strictly left to right, largest value first
-    return np.cumsum(top[:, ::-1], axis=1)[:, -1] / k
+    return np.concatenate(_select(sims, k, stats, pick))
 
 
 def csls_score(x: np.ndarray, y: np.ndarray, r_x: float, r_y: float) -> float:
@@ -383,35 +365,32 @@ def retrieve_topk(
     means at k_csls over the whole spaces, whatever rows holds, so a scoped
     row scores as in a full run. means, if given, must be the means that a
     run over every source of these spaces at this k_csls returned; else r_tgt
-    is computed here and r_src inside each block. metric "cosine" scores the
-    plain dot product and leaves the returned means at zero. The returned
+    is computed here and r_src inside each block. metric "cosine" is CSLS
+    with a scale of 1 and zero means, which leaves the dot product to the
+    bit; means is ignored and the returned means are zero. The returned
     r_src covers the retrieved rows only.
     """
     _check_aligned_pair(src, tgt)
     params.validate(len(tgt))
     if metric not in ("csls", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
-    csls = metric == "csls"
+    scale = 2.0
+    if metric == "cosine":
+        scale, means = 1.0, NeighborhoodMeans(r_src=np.zeros(len(src)), r_tgt=np.zeros(len(tgt)))
     src_ids = np.arange(len(src), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     X = src.matrix if rows is None else src.matrix[src_ids]
-    Y = tgt.matrix
-
-    if not csls:
-        r_tgt = np.zeros(len(tgt))
-    elif means is not None:
+    if means is not None:
         r_tgt = means.r_tgt
     else:
         r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats)
 
     def block(lo: int, hi: int, sims: np.ndarray):
-        _product(X[lo:hi], Y, sims)
-        if not csls:
-            return (*_topk_desc_rows(sims, params.top_k, stats), np.zeros(hi - lo))
+        _product(X[lo:hi], tgt.matrix, sims)
         if means is not None:
             r_src_block = means.r_src[src_ids[lo:hi]]
         else:
             r_src_block = _topk_mean_rows(sims, params.k_csls, stats)
-        sims *= 2.0
+        sims *= scale
         sims -= r_tgt[None, :]
         ids, vals = _topk_desc_rows(sims, params.top_k, stats)
         vals -= r_src_block[:, None]

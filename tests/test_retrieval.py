@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import sys
 import time
 import unicodedata
@@ -156,11 +158,22 @@ class TestRetrieveTopk:
     def test_cosine_metric(self, rng):
         src = unit_space(rng.standard_normal((10, 8)))
         tgt = unit_space(rng.standard_normal((15, 8)))
-        cands, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=3, top_k=4), metric="cosine")
+        params = SimilarityParams(k_csls=3, top_k=4)
+        cands, means = retrieve_topk(src, tgt, params, metric="cosine")
         sims = src.matrix @ tgt.matrix.T
         for i in range(10):
             want = rank_desc_with_id_ties(sims[i])[:4]
             assert cands.cand_ids[i].tolist() == want
+            # the zero-mean CSLS block leaves the dot products as they are
+            assert cands.scores[i].tobytes() == sims[i, want].tobytes()
+        assert not means.r_src.any() and not means.r_tgt.any()
+        assert (means.r_src.shape, means.r_tgt.shape) == ((10,), (15,))
+        for rows in ([7, 2, 5], [4]):
+            scoped, scoped_means = retrieve_topk(src, tgt, params, metric="cosine", rows=np.array(rows))
+            assert scoped.src_ids.tolist() == rows
+            assert scoped.cand_ids.tolist() == cands.cand_ids[rows].tolist()
+            assert scoped.scores.tobytes() == cands.scores[rows].tobytes()
+            assert not scoped_means.r_src.any() and scoped_means.r_src.shape == (len(rows),)
 
     def test_tie_breaking_by_ascending_id(self):
         # two identical target vectors force an exact tie
@@ -209,10 +222,14 @@ class TestRetrieveTopk:
 
 @st.composite
 def wide_rows(draw):
-    """Rows wide enough for the chunk screen (n >= 16k), often with a short
-    last chunk, with continuous, coarsely rounded or constant values."""
+    """Rows of n >= k values: half narrower than 16k (one chunk, kept whole),
+    half wide enough for the chunk screen, often with a short last chunk;
+    with continuous, coarsely rounded or constant values."""
     k = draw(st.integers(1, 24))
-    n = 16 * k + draw(st.integers(0, 150))
+    if draw(st.booleans()):
+        n = draw(st.integers(k, 16 * k - 1))
+    else:
+        n = 16 * k + draw(st.integers(0, 150))
     m = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     S = rng.standard_normal((m, n))
@@ -227,10 +244,17 @@ def wide_rows(draw):
 
 
 def kept_columns(row, k, width):
-    """Columns in the chunks whose maximum reaches the k-th largest chunk maximum."""
+    """Columns in the chunks whose maximum reaches the k-th largest chunk
+    maximum, or the smallest when there are fewer than k chunks."""
     chunks = [row[lo:lo + width] for lo in range(0, row.size, width)]
-    bound = sorted((chunk.max() for chunk in chunks), reverse=True)[k - 1]
+    bound = sorted((chunk.max() for chunk in chunks), reverse=True)[min(k, len(chunks)) - 1]
     return sum(chunk.size for chunk in chunks if chunk.max() >= bound)
+
+
+def descending_mean(row, k):
+    """Mean of the k largest values, added one at a time from the largest;
+    sum() would start from +0.0 and turn a lone -0.0 into 0.0."""
+    return functools.reduce(operator.add, sorted(row.tolist(), reverse=True)[:k]) / k
 
 
 class TestExactScreen:
@@ -238,7 +262,8 @@ class TestExactScreen:
         k, n = 5, 16 * 5 + 7
         width = retrieval._chunk_width(n, k)
         assert width and n % width
-        assert retrieval._chunk_width(16 * k - 1, k) == 0
+        # a narrower row is one chunk, kept whole
+        assert retrieval._chunk_width(16 * k - 1, k) == 16 * k - 1
 
     @settings(max_examples=300, deadline=None)
     @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
@@ -261,13 +286,13 @@ class TestExactScreen:
         S, k = case
         with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
             got = retrieval._topk_mean_rows(S, k)
-        want = np.array([sum(sorted(row.tolist(), reverse=True)[:k]) / k for row in S])
+        want = np.array([descending_mean(row, k) for row in S])
         assert got.tobytes() == want.tobytes()
 
     def test_narrow_rows_take_the_same_sum(self, rng):
         S = np.round(rng.standard_normal((6, 40)) * 20) / 20
         for k in (1, 3, 10, 40):
-            want = np.array([sum(sorted(row.tolist(), reverse=True)[:k]) / k for row in S])
+            want = np.array([descending_mean(row, k) for row in S])
             assert retrieval._topk_mean_rows(S, k).tobytes() == want.tobytes()
 
     def test_block_buffers_leave_results_independent_of_workers(self, rng, monkeypatch):

@@ -393,7 +393,7 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
         with runlog.stage("load", vectors_parsed=1) as counts:
             src, tgt = _load_spaces(opts, counts)
             counts["vector_rows"] = len(src) + len(tgt)
-        with runlog.stage("align"):
+        with runlog.stage("align", blas_threads=retrieval.procrustes_blas_threads()):
             src, seed = _aligned_source(src, tgt, opts.seed_dict)
         rows = None if opts.source_words is None else np.array(_read_word_list(opts.source_words, src.vocab))
 

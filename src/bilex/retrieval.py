@@ -5,28 +5,53 @@ All similarity work is exact brute force over blocked matrix products. Blocks
 have a fixed size, results are reduced in block order, and every tie is
 broken by ascending id, so output is bitwise independent of the worker count.
 
-Each worker writes its blocks' products into one block buffer, held for the
-length of a pass and freed when it returns; CSLS scores 2*S - r are formed
-in place there, so no pass allocates or copies a whole block. Every top-k
-selection, of candidates and of neighborhood means, takes one path,
-SELECT_ROWS rows at a time to keep each worker's temporaries small: a row is
-screened by the maxima of fixed-width column chunks (a row narrower than 16k
-is one chunk, kept whole), the chunks reaching the k-th largest chunk
-maximum hold every value at or above the row's k-th, ties included, and the
-exact selection runs on that shortlist; means are summed in descending order.
+Each worker writes its blocks' products into one float32 block buffer, held
+for the length of a pass and freed when it returns; CSLS screen values
+2*S - r are formed in place there, so no pass allocates or copies a whole
+block. The float32 values only screen: every top-k selection, of candidates
+and of neighborhood means, takes one path, SELECT_ROWS rows at a time to keep
+each worker's temporaries small. A row is screened by the maxima of
+fixed-width column chunks (a row narrower than 16k is one chunk, kept whole),
+the chunks whose maximum comes within the screen margin of the k-th largest
+chunk maximum are kept, the columns whose float32 value comes within the
+margin of the row's k-th are rescored in float64 by one per-pair routine,
+_pair_dots, and the exact selection, value descending and ties by ascending
+id, runs on the rescored values; means are summed in that order. The result
+is that of the same selection over whole rows of rescored values.
+_pair_dots gives a pair's value from its two vectors alone, whatever the
+block shape, row offset or alignment, so a retrieval scoped to some rows
+equals those rows of a full run bit for bit.
 
-retrieve_topk is the only code that forms similarity scores; cosine is CSLS
-with zero means and a scale of 1. CSLS neighborhood means always cover the
-whole source and target spaces; a run over every source returns them, and a
-retrieval scoped to some source rows scores them against those means, as a
-full run does. Mutual nearest neighbors are a top-1 retrieval in each
-direction over the same means, and hubness counts the first columns of a
-retrieval's candidate lists.
+The margin (_screen_margin) is certified. With u = 2**-24, u' = 2**-53,
+gamma_n = n*u / (1 - n*u) (gamma'_n with u'), and A the product of the two
+spaces' largest row norms, every term of a dot product of length d picks up
+at most d roundings in any summation order, with or without fused
+multiply-adds, and two more when the inputs are cast to float32; by
+Cauchy-Schwarz the float32 screen dot lies within gamma_{d+2} * A of the
+exact one and the float64 rescore within gamma'_d * A (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 3). A CSLS screen value
+fl32(2 * S - fl32(r)) doubles those and adds the rounding of r to float32
+and of the subtraction in each precision, at most
+(u + u') * (4 * A + 3 * R) with R = max |r|. Gradual underflow adds a tiny
+absolute term. The sum e
+bounds |screen - rescored| per pair; at least k columns have screen values
+at or above the row's float32 k-th value T, so the float64 k-th is at least
+T - e, and every column whose rescored value reaches the float64 k-th has a
+screen value of at least T - 2e. The margin is 2e. The slack in the
+constants covers the float64 rounding of the norms.
 
-Every product of the two spaces goes through _product, which multiplies a
-single row as two (with a zero row): numpy sends a one-row product down
-another BLAS route, so one scoped row would otherwise differ from its row in
-a full run.
+retrieve_topk is the only code that forms similarity scores; a cosine score
+is the dot product itself, so its blocks skip the CSLS steps. CSLS
+neighborhood means always cover the whole source and target spaces; a run
+over every source returns them, and a retrieval scoped to some source rows
+scores them against those means, as a full run does. Mutual nearest
+neighbors are a top-1 retrieval in each direction over the same means, and
+hubness counts the first columns of a retrieval's candidate lists.
+
+align_procrustes computes its map under one OpenBLAS thread when it can
+reach numpy's OpenBLAS thread controls and OPENBLAS_NUM_THREADS is unset:
+with two threads the 300 x 300 SVD sometimes took about a second instead of
+a few hundredths, and the map's last bits depended on the thread count.
 
 Candidate files are read back in chunks of text: fields are split, words
 looked up and scores parsed a chunk at a time, and a chunk that fails a check
@@ -36,8 +61,12 @@ for one source is an error.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import logging
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -72,6 +101,12 @@ def _block_rows(n_cols: int) -> int:
 # 26-45 MB higher on a 5k x 20k retrieval, from temporaries left in the
 # worker threads' heaps.
 SELECT_ROWS = 128
+
+# vector cells per float64 rescoring call: bounds each of its two (pairs x d)
+# gathers to 512 KB, also for a row whose whole width lies inside the margin.
+# 4 MB gathers made the top-50 selection of a 400 x 20k block 2-3x slower
+# and the peak RSS of a 5k x 20k retrieval 15 MB higher.
+RESCORE_CELLS = 1 << 16
 
 
 @dataclass
@@ -119,7 +154,7 @@ class CandidateSet:
 
 
 class ScanStats:
-    """Shortlist widths and block-buffer sizes of the similarity passes, for run.log.
+    """Shortlist widths, rescored pairs and block-buffer sizes of the similarity passes, for run.log.
 
     Workers add to it concurrently, under a lock.
     """
@@ -129,14 +164,16 @@ class ScanStats:
         self.rows = 0
         self.columns = 0
         self.widest = 0
+        self.rescored = 0
         self.buffer_bytes = 0
 
-    def note_shortlist(self, kept: np.ndarray) -> None:
-        """Record the columns kept per row by one top-k selection."""
+    def note_shortlist(self, kept: np.ndarray, rescored: int) -> None:
+        """Record the columns kept per row by one top-k selection's screen, and the pairs it rescored."""
         with self._lock:
             self.rows += kept.size
             self.columns += int(kept.sum())
             self.widest = max(self.widest, int(kept.max(initial=0)))
+            self.rescored += rescored
 
     def note_buffers(self, nbytes: int) -> None:
         """Record the block buffers one pass held."""
@@ -144,11 +181,13 @@ class ScanStats:
             self.buffer_bytes = max(self.buffer_bytes, nbytes)
 
     def fields(self) -> dict[str, str]:
-        """Mean and widest shortlist in columns per row, and the largest buffer total of one pass in MB."""
-        mean = self.columns / self.rows if self.rows else 0.0
+        """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, and the
+        largest buffer total of one pass in MB."""
+        rows = max(self.rows, 1)
         return {
-            "shortlist_mean": f"{mean:.1f}",
+            "shortlist_mean": f"{self.columns / rows:.1f}",
             "shortlist_max": str(self.widest),
+            "rescored_mean": f"{self.rescored / rows:.1f}",
             "buffer_mb": f"{self.buffer_bytes / 2**20:.1f}",
         }
 
@@ -163,7 +202,7 @@ def _check_aligned_pair(src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
 def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanStats | None = None) -> list:
     """Apply fn(lo, hi, out) to fixed-size row blocks, preserving block order.
 
-    out is an (hi - lo, n_cols) float64 block buffer that fn may overwrite.
+    out is an (hi - lo, n_cols) float32 block buffer that fn may overwrite.
     A buffer is taken from a pool when a block starts and returned when it
     ends, so there are at most as many buffers as workers; they are freed
     when this call returns. Block boundaries depend only on the problem
@@ -180,7 +219,7 @@ def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanSta
         try:
             buf = free.pop()
         except IndexError:
-            buf = np.empty((min(block, n_rows), n_cols))
+            buf = np.empty((min(block, n_rows), n_cols), dtype=np.float32)
             made.append(buf.nbytes)
         try:
             return fn(lo, hi, buf[: hi - lo])
@@ -207,24 +246,24 @@ def _chunk_width(n: int, k: int) -> int:
     return n if n < 16 * k else min(64, n // (8 * k))
 
 
-def _shortlist(rows: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact screen: the columns of each row that can hold one of its k largest values.
+def _shortlist(rows: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Screen: the columns of each row that can hold a value within slack of its k-th largest.
 
     Each row is cut into chunks of _chunk_width columns (the last may be
-    shorter) and the k-th largest chunk maximum is taken, or the smallest
-    when there are fewer than k chunks. k distinct columns reach that bound,
-    so it is at most the row's k-th largest value: every chunk holding a
-    value at or above the k-th, boundary ties included, has a maximum at or
-    above the bound and is kept.
+    shorter) and the k-th largest chunk maximum is taken as the bound, or the
+    smallest when there are fewer than k chunks. k distinct columns reach
+    that bound, so it is at most the row's k-th largest value: every chunk
+    holding a value at or above the k-th minus slack, boundary ties
+    included, has a maximum at or above bound - slack and is kept.
 
-    Returns (values, chunks, width): values (m, c * width) holds the kept
-    chunks of each row side by side in ascending chunk order, the short last
-    chunk padded with -inf; a row that keeps fewer than c chunks fills its
-    last slots with chunks it did not keep, whose values are all below the
-    bound and never reach its top k. chunks (m, c) is the chunk index of each
-    slot. Position p of a row is column chunks[row, p // width] * width +
-    p % width, ascending over the kept values, so a lowest-position tie rule
-    on values is the lowest-id rule. stats gets the kept columns per row.
+    Returns (values, chunks, width, kept): values (m, c * width) holds the
+    kept chunks of each row side by side in ascending chunk order, the short
+    last chunk padded with -inf; a row that keeps fewer than c chunks fills
+    its last slots with chunks it did not keep, whose values are all below
+    bound - slack. chunks (m, c) is the chunk index of each slot. Position p
+    of a row is column chunks[row, p // width] * width + p % width, ascending
+    over the kept values, so a lowest-position tie rule on values is the
+    lowest-id rule. kept (m,) counts the columns each row kept.
     """
     m, n = rows.shape
     width = _chunk_width(n, k)
@@ -234,8 +273,9 @@ def _shortlist(rows: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.nd
     n_whole, tail = divmod(n, width)
     whole = rows[:, : n_whole * width].reshape(m, n_whole, width)
     kth = max(0, n_chunks - k)
-    bound = np.partition(maxima, kth, axis=1)[:, kth]
-    keep = maxima >= bound[:, None]
+    # in float64: float32 arithmetic would round the slack away
+    floor = np.partition(maxima, kth, axis=1)[:, kth].astype(np.float64) - slack
+    keep = maxima >= floor[:, None]
     counts = keep.sum(axis=1)
     c = int(counts.max())
     chunks = np.argsort(~keep, axis=1, kind="stable")[:, :c]  # kept chunks first, each part ascending
@@ -246,9 +286,7 @@ def _shortlist(rows: np.ndarray, k: int, stats: ScanStats | None) -> tuple[np.nd
         values[at_tail] = -np.inf
         values[at_tail, :tail] = rows[np.nonzero(at_tail)[0], n_whole * width :]
         kept -= (width - tail) * keep[:, -1]
-    if stats is not None:
-        stats.note_shortlist(kept)
-    return values.reshape(m, c * width), chunks, width
+    return values.reshape(m, c * width), chunks, width, kept
 
 
 def _topk_desc_full(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,55 +310,99 @@ def _topk_desc_full(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return np.take_along_axis(chosen, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def _select(rows: np.ndarray, k: int, stats: ScanStats | None, pick) -> list:
-    """pick(values, chunks, width) on the _shortlist of each SELECT_ROWS slice of rows, in row order."""
-    return [pick(*_shortlist(rows[lo : lo + SELECT_ROWS], k, stats)) for lo in range(0, len(rows), SELECT_ROWS)]
+def _pair_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the same row of B: the one per-pair routine of the rescoring.
 
-
-def _topk_desc_rows(scores: np.ndarray, k: int, stats: ScanStats | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise top-k by descending score, ties broken by ascending column id.
-
-    Returns (ids, values), each (m, k). Exact even when values tie across the
-    selection boundary: rows are screened to their kept chunks first, which
-    hold every value at or above the k-th, and _topk_desc_full then runs on
-    that shortlist.
+    A pair's bits depend only on its two vectors, not on how many rows the
+    arrays hold, where the pair sits in them or how they are aligned.
     """
-
-    def pick(values, chunks, width):
-        pos, vals = _topk_desc_full(values, k)
-        return np.take_along_axis(chunks, pos // width, axis=1) * width + pos % width, vals
-
-    parts = _select(scores, k, stats, pick)
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    return np.einsum("md,md->m", A, B)
 
 
-def _topk_mean_rows(sims: np.ndarray, k: int, stats: ScanStats | None = None) -> np.ndarray:
-    """Mean of the k largest values per row, summed in descending order.
+def _rescorer(Q: np.ndarray, I: np.ndarray, r: np.ndarray | None = None):
+    """rescore(rows, cols): each pair's float64 cosine Q[row] . I[col], or its CSLS screen value
+    2 * cosine - r[col] given r; pairs go through _pair_dots RESCORE_CELLS vector cells at a time."""
+    step = max(1, RESCORE_CELLS // Q.shape[1])
 
-    The k values are the same whichever route selects them, and a fixed
-    summation order makes the mean the same to the bit; rows are screened as
-    in _topk_desc_rows.
+    def rescore(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out = np.empty(rows.size)
+        for lo in range(0, rows.size, step):
+            out[lo : lo + step] = _pair_dots(Q[rows[lo : lo + step]], I[cols[lo : lo + step]])
+        if r is not None:
+            out *= 2.0
+            out -= r[cols]
+        return out
+
+    return rescore
+
+
+def _max_norm(M: np.ndarray) -> float:
+    return float(np.sqrt(np.einsum("ij,ij->i", M, M).max(initial=0.0)))
+
+
+def _screen_margin(Q: np.ndarray, I: np.ndarray, r: np.ndarray | None = None) -> float:
+    """Certified margin of the float32 screen of Q's rows against I's: cosine, or CSLS 2 * cosine - r given r.
+
+    Twice the bound e on |screen value - rescored value| of one pair that
+    the module docstring derives.
     """
+    d = Q.shape[1]
+    u, u64 = 2.0**-24, 2.0**-53
+    q, i = _max_norm(Q), _max_norm(I)
+    dots = ((d + 2) * u / (1 - (d + 2) * u) + d * u64 / (1 - d * u64)) * q * i
+    underflow = d * (1 + q + i) * 2.0**-140
+    if r is None:
+        return 2 * (dots + underflow)
+    steps = (u + u64) * (4 * q * i + 3 * float(np.abs(r).max(initial=0.0)))
+    return 2 * (2 * dots + steps + underflow)
 
-    def pick(values, chunks, width):
-        top = np.sort(np.partition(values, -k, axis=1)[:, -k:], axis=1)
-        # cumsum adds strictly left to right, largest value first
-        return np.cumsum(top[:, ::-1], axis=1)[:, -1] / k
 
-    return np.concatenate(_select(sims, k, stats, pick))
+def _topk_desc_rows(
+    screen: np.ndarray, k: int, margin: float, rescore, stats: ScanStats | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise exact top-k of rescored values, by descending value, ties broken by ascending column id.
+
+    screen (m, n) holds every pair's value to within margin / 2, in any
+    float precision; rescore(rows, cols) gives the float64 values of pairs,
+    rows counted from the first of screen. SELECT_ROWS rows at a time,
+    _shortlist keeps the chunks that can hold a screen value within margin
+    of the row's k-th, the kept columns whose screen values come within
+    margin of that k-th are rescored in ascending column order, and
+    _topk_desc_full selects on the rescored values. The result is that of
+    _topk_desc_full over whole rows of rescored values. Returns (ids,
+    values), each (m, k); stats gets the kept columns and rescored pairs.
+    """
+    id_parts, value_parts = [], []
+    for lo in range(0, len(screen), SELECT_ROWS):
+        values, chunks, width, kept = _shortlist(screen[lo : lo + SELECT_ROWS], k, margin)
+        kth = np.partition(values, -k, axis=1)[:, -k].astype(np.float64)
+        rows, pos = np.nonzero(values >= (kth - margin)[:, None])  # row by row, positions ascending
+        cols = chunks[rows, pos // width] * width + pos % width
+        counts = np.bincount(rows, minlength=len(values))
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rescored = np.full((len(values), counts.max()), -np.inf)  # -inf pads rows with fewer pairs
+        rescored[rows, slot] = rescore(rows + lo, cols)
+        ids = np.zeros(rescored.shape, dtype=np.int64)
+        ids[rows, slot] = cols
+        at, top = _topk_desc_full(rescored, k)
+        id_parts.append(np.take_along_axis(ids, at, axis=1))
+        value_parts.append(top)
+        if stats is not None:
+            stats.note_shortlist(kept, rows.size)
+    return np.concatenate(id_parts), np.concatenate(value_parts)
+
+
+def _topk_mean_rows(screen: np.ndarray, k: int, margin: float, rescore, stats: ScanStats | None = None) -> np.ndarray:
+    """Mean of the k largest rescored values per row, summed in _topk_desc_rows' order:
+    value descending, ties by ascending id, so the mean is the same to the bit whatever the route."""
+    _, top = _topk_desc_rows(screen, k, margin, rescore, stats)
+    # cumsum adds strictly left to right, largest value first
+    return np.cumsum(top, axis=1)[:, -1] / k
 
 
 def csls_score(x: np.ndarray, y: np.ndarray, r_x: float, r_y: float) -> float:
     """Hub-corrected similarity of two unit vectors: 2*cos(x, y) - r_x - r_y."""
     return 2.0 * float(x.dot(y)) - r_x - r_y
-
-
-def _product(rows: np.ndarray, other: np.ndarray, out: np.ndarray) -> None:
-    """out = rows @ other.T, with a single row multiplied below a zero row."""
-    if len(rows) == 1:
-        out[:] = np.matmul(np.vstack([rows, np.zeros_like(rows)]), other.T)[:1]
-    else:
-        np.matmul(rows, other.T, out=out)
 
 
 def knn_mean_similarity(
@@ -339,10 +421,12 @@ def knn_mean_similarity(
     if k < 1 or k > len(index):
         raise ValueError(f"k must be in [1, {len(index)}], got {k}")
     Q, I = queries.matrix, index.matrix
+    Q32, I32 = Q.astype(np.float32), I.astype(np.float32)
+    margin = _screen_margin(Q, I)
 
     def block(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        _product(Q[lo:hi], I, out)
-        return _topk_mean_rows(out, k, stats)
+        np.matmul(Q32[lo:hi], I32.T, out=out)
+        return _topk_mean_rows(out, k, margin, _rescorer(Q[lo:hi], I), stats)
 
     parts = _map_row_blocks(block, len(queries), len(index), n_threads, stats)
     return np.concatenate(parts) if parts else np.zeros(0)
@@ -365,35 +449,42 @@ def retrieve_topk(
     means at k_csls over the whole spaces, whatever rows holds, so a scoped
     row scores as in a full run. means, if given, must be the means that a
     run over every source of these spaces at this k_csls returned; else r_tgt
-    is computed here and r_src inside each block. metric "cosine" is CSLS
-    with a scale of 1 and zero means, which leaves the dot product to the
-    bit; means is ignored and the returned means are zero. The returned
-    r_src covers the retrieved rows only.
+    is computed here and r_src inside each block. metric "cosine" scores the
+    cosine itself: means is ignored and the returned means are zero. Each
+    cosine is the _pair_dots value of its two vectors. The returned r_src
+    covers the retrieved rows only.
     """
     _check_aligned_pair(src, tgt)
     params.validate(len(tgt))
     if metric not in ("csls", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
-    scale = 2.0
-    if metric == "cosine":
-        scale, means = 1.0, NeighborhoodMeans(r_src=np.zeros(len(src)), r_tgt=np.zeros(len(tgt)))
+    csls = metric == "csls"
+    if not csls:
+        means = NeighborhoodMeans(r_src=np.zeros(len(src)), r_tgt=np.zeros(len(tgt)))
     src_ids = np.arange(len(src), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     X = src.matrix if rows is None else src.matrix[src_ids]
+    Y = tgt.matrix
     if means is not None:
         r_tgt = means.r_tgt
     else:
         r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats)
+    X32, Y32, r_tgt32 = X.astype(np.float32), Y.astype(np.float32), r_tgt.astype(np.float32)
+    cosine_margin = _screen_margin(X, Y)
+    margin = _screen_margin(X, Y, r_tgt) if csls else cosine_margin
 
     def block(lo: int, hi: int, sims: np.ndarray):
-        _product(X[lo:hi], tgt.matrix, sims)
+        np.matmul(X32[lo:hi], Y32.T, out=sims)
         if means is not None:
             r_src_block = means.r_src[src_ids[lo:hi]]
         else:
-            r_src_block = _topk_mean_rows(sims, params.k_csls, stats)
-        sims *= scale
-        sims -= r_tgt[None, :]
-        ids, vals = _topk_desc_rows(sims, params.top_k, stats)
-        vals -= r_src_block[:, None]
+            r_src_block = _topk_mean_rows(sims, params.k_csls, cosine_margin, _rescorer(X[lo:hi], Y), stats)
+        if csls:
+            sims *= 2.0
+            sims -= r_tgt32
+        rescore = _rescorer(X[lo:hi], Y, r_tgt if csls else None)
+        ids, vals = _topk_desc_rows(sims, params.top_k, margin, rescore, stats)
+        if csls:
+            vals -= r_src_block[:, None]
         return ids, vals, r_src_block
 
     parts = _map_row_blocks(block, len(src_ids), len(tgt), n_threads, stats)
@@ -405,10 +496,54 @@ def retrieve_topk(
     return cands, NeighborhoodMeans(r_src=r_src, r_tgt=r_tgt)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, through ctypes; None if not found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded: dlopen returns the loaded object
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block under one OpenBLAS thread and restore the previous count after it, also on error.
+
+    BLAS is left alone when OPENBLAS_NUM_THREADS is set or the controls are not found.
+    """
+    controls = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def procrustes_blas_threads() -> str:
+    """The OpenBLAS thread count align_procrustes computes W under, for run.log; "unknown" without the controls."""
+    controls = _openblas_threads()
+    if controls is None:
+        return "unknown"
+    return str(controls[0]()) if "OPENBLAS_NUM_THREADS" in os.environ else "1"
+
+
 def align_procrustes(src: EmbeddingSpace, tgt: EmbeddingSpace, seed: TranslationDictionary) -> np.ndarray:
     """Orthogonal map W minimizing ||XW - Y||_F over seed pairs, via SVD of X^T Y.
 
-    Pairs with multiple targets contribute one row per target.
+    Pairs with multiple targets contribute one row per target. W is computed
+    under one OpenBLAS thread (_one_blas_thread): the last bits of the SVD and
+    of the products around it depend on the thread count.
     """
     _check_aligned_pair(src, tgt)
     if not seed.entries:
@@ -421,8 +556,9 @@ def align_procrustes(src: EmbeddingSpace, tgt: EmbeddingSpace, seed: Translation
             tgt_rows.append(t)
     X = src.matrix[src_rows]
     Y = tgt.matrix[tgt_rows]
-    U, _, Vt = np.linalg.svd(X.T @ Y)
-    W = U @ Vt
+    with _one_blas_thread():
+        U, _, Vt = np.linalg.svd(X.T @ Y)
+        W = U @ Vt
     err = np.abs(W.T @ W - np.eye(src.dim)).max()
     if err >= 1e-5:
         raise ArithmeticError(f"alignment matrix not orthogonal: max |W'W - I| = {err:.2e}")

@@ -983,10 +983,12 @@ class TestRunLogStages:
         augment = stage_fields(log, "augment")
         assert set(augment) == {
             "wall_s", "cpu_s", "peak_rss_mb", "candidate_width", "mined_pairs", "retrieved_sources",
-            "shortlist_mean", "shortlist_max", "buffer_mb",
+            "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
         }
         assert augment["candidate_width"] == "10"
         assert 0 < float(augment["shortlist_mean"]) <= int(augment["shortlist_max"]) <= 150
+        # every selection rescores at least its k pairs per row (k = 1 for the mining passes)
+        assert 1 <= float(augment["rescored_mean"]) <= float(augment["shortlist_mean"])
         assert float(augment["buffer_mb"]) > 0
         assert "src_duplicate_tokens=0" in log["stage.load"] and "tgt_zero_rows=0" in log["stage.load"]
 
@@ -1047,11 +1049,17 @@ class TestRunLogStages:
         stages = [key for key in log if key.startswith("stage.")]
         assert stages == ["stage.load", "stage.align", "stage.retrieve", "stage.write", "stage.report"]
         retrieve = stage_fields(log, "retrieve")
-        assert set(retrieve) == timing | {"queries", "top_k", "shortlist_mean", "shortlist_max", "buffer_mb"}
+        assert set(retrieve) == timing | {
+            "queries", "top_k", "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
+        }
         assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
         assert 0 < float(retrieve["shortlist_mean"]) <= int(retrieve["shortlist_max"]) <= 150
+        # the means at k_csls = 5 and the candidates at top_k = 10 rescore at least k pairs per row
+        assert 5 <= float(retrieve["rescored_mean"]) <= float(retrieve["shortlist_mean"])
         assert float(retrieve["buffer_mb"]) > 0
-        for name in ("align", "write", "report"):
+        assert set(stage_fields(log, "align")) == timing | {"blas_threads"}
+        assert stage_fields(log, "align")["blas_threads"] == retrieval.procrustes_blas_threads()
+        for name in ("write", "report"):
             assert set(stage_fields(log, name)) == timing
 
         assert run(

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilex import retrieval
@@ -48,6 +48,11 @@ def brute_force_csls(src, tgt, k_csls):
 
 def rank_desc_with_id_ties(row):
     return sorted(range(len(row)), key=lambda j: (-row[j], j))
+
+
+def pair_row(x, Y):
+    """The per-pair routine's float64 dot products of x with every row of Y."""
+    return retrieval._pair_dots(np.tile(x, (len(Y), 1)), Y)
 
 
 def mutual_pairs(src, tgt, k_csls, n_threads=1):
@@ -160,12 +165,12 @@ class TestRetrieveTopk:
         tgt = unit_space(rng.standard_normal((15, 8)))
         params = SimilarityParams(k_csls=3, top_k=4)
         cands, means = retrieve_topk(src, tgt, params, metric="cosine")
-        sims = src.matrix @ tgt.matrix.T
         for i in range(10):
-            want = rank_desc_with_id_ties(sims[i])[:4]
+            row = pair_row(src.matrix[i], tgt.matrix)
+            want = rank_desc_with_id_ties(row)[:4]
             assert cands.cand_ids[i].tolist() == want
-            # the zero-mean CSLS block leaves the dot products as they are
-            assert cands.scores[i].tobytes() == sims[i, want].tobytes()
+            # a cosine score is the per-pair routine's dot product, with no scale or mean step
+            assert cands.scores[i].tobytes() == row[want].tobytes()
         assert not means.r_src.any() and not means.r_tgt.any()
         assert (means.r_src.shape, means.r_tgt.shape) == ((10,), (15,))
         for rows in ([7, 2, 5], [4]):
@@ -252,9 +257,37 @@ def kept_columns(row, k, width):
 
 
 def descending_mean(row, k):
-    """Mean of the k largest values, added one at a time from the largest;
-    sum() would start from +0.0 and turn a lone -0.0 into 0.0."""
+    """Mean of the k largest values, added one at a time from the largest,
+    equal values in id order (sorted is stable also in reverse); sum() would
+    start from +0.0 and turn a lone -0.0 into 0.0."""
     return functools.reduce(operator.add, sorted(row.tolist(), reverse=True)[:k]) / k
+
+
+def values_of(S):
+    """A rescore function that reads the values of S itself."""
+    return lambda rows, cols: S[rows, cols]
+
+
+@st.composite
+def screened_rows(draw):
+    """wide_rows with a screen off by up to e per value, often by exactly +e or -e, and the margin 2e."""
+    S, k = draw(wide_rows())
+    e = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    err = np.where(rng.random(S.shape) < 0.5, rng.choice([-e, e], S.shape), rng.uniform(-e, e, S.shape))
+    screen = (S + err).astype(draw(st.sampled_from([np.float32, np.float64])))
+    # the screen's rounding moves it a little further from S than e
+    return S, screen, k, 2 * float(np.abs(screen - S).max()) * (1 + 2**-40)
+
+
+def adversarial_rows(d, rng):
+    """Positive rows whose float32 casts all round down (not normalized, which would move
+    them off their float32 midpoints), then random unit rows."""
+    base = np.abs(rng.standard_normal((30, d))).astype(np.float32)
+    up = np.nextafter(base, np.float32(np.inf))
+    below_midpoints = base + (up.astype(np.float64) - base) * 0.499
+    unit = rng.standard_normal((30, d))
+    return np.vstack([below_midpoints, unit / np.linalg.norm(unit, axis=1, keepdims=True)])
 
 
 class TestExactScreen:
@@ -268,10 +301,11 @@ class TestExactScreen:
     @settings(max_examples=300, deadline=None)
     @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
     def test_top_k_equals_the_full_row_routine(self, case, select_rows):
+        # the values as their own screen, with no margin
         S, k = case
         stats = retrieval.ScanStats()
         with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
-            ids, vals = retrieval._topk_desc_rows(S, k, stats)
+            ids, vals = retrieval._topk_desc_rows(S, k, 0.0, values_of(S), stats)
         full_ids, full_vals = retrieval._topk_desc_full(S, k)
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
@@ -279,13 +313,16 @@ class TestExactScreen:
             assert got.tolist() == np.lexsort((np.arange(row.size), -row))[:k].tolist()
         kept = [kept_columns(row, k, retrieval._chunk_width(S.shape[1], k)) for row in S]
         assert (stats.rows, stats.columns, stats.widest) == (len(S), sum(kept), max(kept))
+        # the rescored pairs: every value at or above the row's k-th
+        assert stats.rescored == sum(int((row >= np.sort(row)[-k]).sum()) for row in S)
 
     @settings(max_examples=300, deadline=None)
     @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
+    @example(case=(np.array([[-0.0, -1.0, -0.0, -0.0, -0.0, -0.0, 0.0]]), 1), select_rows=1)
     def test_top_k_mean_is_the_descending_sum(self, case, select_rows):
         S, k = case
         with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
-            got = retrieval._topk_mean_rows(S, k)
+            got = retrieval._topk_mean_rows(S, k, 0.0, values_of(S))
         want = np.array([descending_mean(row, k) for row in S])
         assert got.tobytes() == want.tobytes()
 
@@ -293,7 +330,38 @@ class TestExactScreen:
         S = np.round(rng.standard_normal((6, 40)) * 20) / 20
         for k in (1, 3, 10, 40):
             want = np.array([descending_mean(row, k) for row in S])
-            assert retrieval._topk_mean_rows(S, k).tobytes() == want.tobytes()
+            assert retrieval._topk_mean_rows(S, k, 0.0, values_of(S)).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=screened_rows(), select_rows=st.sampled_from([1, 2, 128]))
+    def test_a_screen_within_half_the_margin_selects_exactly(self, case, select_rows):
+        # any screen within margin / 2 of the rescored values, ties and reorderings included
+        S, screen, k, margin = case
+        with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
+            ids, vals = retrieval._topk_desc_rows(screen, k, margin, values_of(S))
+            means = retrieval._topk_mean_rows(screen, k, margin, values_of(S))
+        full_ids, full_vals = retrieval._topk_desc_full(S, k)
+        assert ids.tolist() == full_ids.tolist()
+        assert vals.tobytes() == full_vals.tobytes()
+        assert means.tobytes() == np.array([descending_mean(row, k) for row in S]).tobytes()
+
+    @pytest.mark.parametrize("d", [8, 64, 300])
+    def test_margin_bounds_the_observed_screen_error(self, d):
+        rng = np.random.default_rng(d)
+        X, Y = adversarial_rows(d, rng), adversarial_rows(d, rng)
+        r = rng.uniform(-1, 1, len(Y))
+        rows, cols = np.repeat(np.arange(len(X)), len(Y)), np.tile(np.arange(len(Y)), len(X))
+        screen = np.matmul(X.astype(np.float32), Y.astype(np.float32).T)
+        cosine = retrieval._rescorer(X, Y)(rows, cols).reshape(screen.shape)
+        csls = retrieval._rescorer(X, Y, r)(rows, cols).reshape(screen.shape)
+        cosine_margin, csls_margin = retrieval._screen_margin(X, Y), retrieval._screen_margin(X, Y, r)
+        cosine_error = np.abs(screen.astype(np.float64) - cosine).max()
+        csls_error = np.abs((screen * np.float32(2) - r.astype(np.float32)).astype(np.float64) - csls).max()
+        # the rows that all round down give the screen a real error to bound
+        assert 0 < cosine_error <= cosine_margin / 2 and 0 < csls_error <= csls_margin / 2
+        # at least twice the worst case of the float32 cast and dot product alone
+        norms = np.linalg.norm(X, axis=1).max() * np.linalg.norm(Y, axis=1).max()
+        assert cosine_margin >= 2 * (d + 2) * 2.0**-24 * norms and csls_margin >= 2 * cosine_margin
 
     def test_block_buffers_leave_results_independent_of_workers(self, rng, monkeypatch):
         # 32-row blocks: several blocks share each worker's buffer
@@ -308,7 +376,7 @@ class TestExactScreen:
         assert three.scores.tobytes() == one.scores.tobytes()
         assert three_means.r_src.tobytes() == one_means.r_src.tobytes()
         assert three_means.r_tgt.tobytes() == one_means.r_tgt.tobytes()
-        assert 0 < stats.buffer_bytes <= 3 * 32 * 400 * 8
+        assert 0 < stats.buffer_bytes <= 3 * 32 * 400 * 4  # float32 buffers
         assert mutual_pairs(src, tgt, 5, n_threads=3) == mutual_pairs(src, tgt, 5)
 
     def test_workers_never_share_a_buffer_or_lose_a_count(self, monkeypatch):
@@ -321,7 +389,7 @@ class TestExactScreen:
             out[:] = lo
             for _ in range(40):
                 time.sleep(0)  # lets another worker run while this one holds its buffer
-                stats.note_shortlist(kept)
+                stats.note_shortlist(kept, 3)
             assert (out == lo).all()
             return lo
 
@@ -333,14 +401,93 @@ class TestExactScreen:
             sys.setswitchinterval(interval)
         assert got == list(range(0, 32 * 400, 32))
         assert (stats.rows, stats.columns, stats.widest) == (400 * 40 * 4, 400 * 40 * 8, 2)
-        assert 0 < stats.buffer_bytes <= 6 * 32 * 50 * 8
+        assert stats.rescored == 400 * 40 * 3
+        assert 0 < stats.buffer_bytes <= 6 * 32 * 50 * 4
 
     def test_matmul_into_a_buffer_equals_the_operator(self, rng):
-        a = rng.standard_normal((37, 300))
-        b = rng.standard_normal((611, 300))
-        out = np.empty((64, 611))[:37]
+        a = rng.standard_normal((37, 300)).astype(np.float32)
+        b = rng.standard_normal((611, 300)).astype(np.float32)
+        out = np.empty((64, 611), dtype=np.float32)[:37]
         np.matmul(a, b.T, out=out)
         assert out.tobytes() == (a @ b.T).tobytes()
+
+    @pytest.mark.parametrize("d", [8, 31, 64, 300])
+    def test_pair_dots_bits_do_not_depend_on_shape_offset_or_alignment(self, rng, d):
+        A, B = rng.standard_normal((40, d)), rng.standard_normal((40, d))
+        alone = np.concatenate([retrieval._pair_dots(A[i : i + 1], B[i : i + 1]) for i in range(40)])
+        for lo, shift in ((0, 0), (3, 1), (17, 3)):
+            # copies of rows lo.. that start one to three float64s off the buffer's alignment
+            a = np.empty((40 - lo) * d + shift)[shift:].reshape(40 - lo, d)
+            b = np.empty((40 - lo) * d + 3 - shift)[3 - shift :].reshape(40 - lo, d)
+            a[:], b[:] = A[lo:], B[lo:]
+            assert retrieval._pair_dots(a, b).tobytes() == alone[lo:].tobytes()
+
+
+@st.composite
+def near_tie_spaces(draw):
+    """Spaces whose float32 screen cannot order what float64 can: targets
+    normalize(base + j * 1e-9 * noise_j), some of them exact copies (ties that
+    may fall on the selection boundary) and maybe a zero row; sources near
+    base, random, or zero."""
+    d = draw(st.sampled_from([8, 31, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_tgt, n_src = draw(st.integers(2, 120)), draw(st.integers(1, 30))
+    base = rng.standard_normal(d)
+    tgt = base + np.arange(n_tgt)[:, None] * 1e-9 * rng.standard_normal((n_tgt, d))
+    copies = draw(st.integers(0, n_tgt // 2))
+    tgt[rng.integers(0, n_tgt, copies)] = tgt[rng.integers(0, n_tgt, copies)]
+    near = rng.random((n_src, 1)) < 0.5
+    src = np.where(near, base + 1e-6 * rng.standard_normal((n_src, d)), rng.standard_normal((n_src, d)))
+    for rows in (tgt, src):
+        if draw(st.booleans()):
+            rows[rng.integers(0, len(rows))] = 0.0
+    return unit_space(src), unit_space(tgt)
+
+
+def oracle_retrieval(src, tgt, params, metric):
+    """Full rows of per-pair float64 values, the lowest-id rule, and means summed from the largest."""
+    X, Y = src.matrix, tgt.matrix
+    scores = np.array([pair_row(x, Y) for x in X])
+    r_src, r_tgt = np.zeros(len(X)), np.zeros(len(Y))
+    if metric == "csls":
+        r_src = np.array([descending_mean(row, params.k_csls) for row in scores])
+        r_tgt = np.array([descending_mean(pair_row(y, X), min(params.k_csls, len(X))) for y in Y])
+        scores = 2.0 * scores - r_tgt
+    ids = np.array([np.lexsort((np.arange(len(Y)), -row))[: params.top_k] for row in scores])
+    vals = np.take_along_axis(scores, ids, axis=1)
+    if metric == "csls":
+        vals = vals - r_src[:, None]
+    return ids, vals, r_src, r_tgt
+
+
+class TestCertifiedScreen:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spaces=near_tie_spaces(),
+        k_csls=st.integers(1, 6),
+        top_k=st.integers(1, 12),
+        metric=st.sampled_from(["csls", "cosine"]),
+        n_threads=st.sampled_from([1, 2]),
+    )
+    def test_retrieval_equals_the_float64_oracle(self, spaces, k_csls, top_k, metric, n_threads):
+        src, tgt = spaces
+        params = SimilarityParams(k_csls=min(k_csls, len(tgt)), top_k=min(top_k, len(tgt)))
+        cands, means = retrieve_topk(src, tgt, params, metric, n_threads=n_threads)
+        ids, vals, r_src, r_tgt = oracle_retrieval(src, tgt, params, metric)
+        assert cands.cand_ids.tolist() == ids.tolist()
+        assert cands.scores.tobytes() == vals.tobytes()
+        assert means.r_src.tobytes() == r_src.tobytes()
+        assert means.r_tgt.tobytes() == r_tgt.tobytes()
+
+    def test_the_float32_screen_reorders_these_spaces(self):
+        # the case the margin exists for: float32 ties or reverses what float64 orders
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal(64)
+        Y = unit_space(base + np.arange(50)[:, None] * 1e-9 * rng.standard_normal((50, 64))).matrix
+        x = unit_space(rng.standard_normal((1, 64))).matrix[0]
+        exact = pair_row(x, Y)
+        screen = Y.astype(np.float32) @ x.astype(np.float32)
+        assert np.argsort(-exact, kind="stable").tolist() != np.argsort(-screen, kind="stable").tolist()
 
 
 class TestScopedRetrieval:
@@ -364,14 +511,13 @@ class TestScopedRetrieval:
             scoped, scoped_means = retrieve_topk(src, tgt, params, rows=rows, means=given_means)
             assert scoped.src_ids.tolist() == rows.tolist()
             assert scoped.cand_ids.tolist() == full.cand_ids[rows].tolist()
-            np.testing.assert_allclose(scoped.scores, full.scores[rows], rtol=0, atol=1e-12)
+            assert scoped.scores.tobytes() == full.scores[rows].tobytes()
             assert scoped_means.r_tgt.tobytes() == full_means.r_tgt.tobytes()
-            np.testing.assert_allclose(scoped_means.r_src, full_means.r_src[rows], rtol=0, atol=1e-12)
+            assert scoped_means.r_src.tobytes() == full_means.r_src[rows].tobytes()
 
     @pytest.mark.parametrize("n_rows", [1, 2, 50])
     def test_scoped_rows_equal_the_full_run_bitwise_at_d300(self, n_rows):
-        # at d = 300, a product of two or more rows gives each row the bits of
-        # that row in a full block; one row is multiplied as two
+        # every score and mean comes from the per-pair routine, whatever the block shape
         rng = np.random.default_rng(n_rows)
         src = unit_space(rng.standard_normal((600, 300)))
         tgt = unit_space(rng.standard_normal((2000, 300)))
@@ -463,6 +609,44 @@ class TestProcrustes:
         b = unit_space(rng.standard_normal((4, 4)))
         with pytest.raises(ValueError, match="dimension"):
             align_procrustes(a, b, TranslationDictionary(entries={0: (0,)}))
+
+    @pytest.mark.skipif(retrieval._openblas_threads() is None, reason="numpy's OpenBLAS thread controls not found")
+    def test_w_does_not_depend_on_the_blas_thread_count(self, rng, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        src = unit_space(rng.standard_normal((1500, 300)))
+        tgt = unit_space(src.matrix @ random_orthogonal(300, rng) + 0.1 * rng.standard_normal((1500, 300)))
+        seed = TranslationDictionary(entries={i: (i,) for i in range(1500)})
+        get, set_ = retrieval._openblas_threads()
+        before = get()
+        try:
+            runs = []
+            for threads in (1, 2):
+                set_(threads)
+                runs.append(align_procrustes(src, tgt, seed))
+                assert get() == threads
+            # a set variable leaves BLAS alone: the SVD runs on 2 threads, and its last bits depend on that
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+            assert retrieval.procrustes_blas_threads() == "2"
+            left_alone = align_procrustes(src, tgt, seed)
+        finally:
+            set_(before)
+        assert runs[0].tobytes() == runs[1].tobytes()
+        np.testing.assert_allclose(left_alone, runs[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.skipif(retrieval._openblas_threads() is None, reason="numpy's OpenBLAS thread controls not found")
+    def test_blas_thread_count_is_restored_after_an_error(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        get, set_ = retrieval._openblas_threads()
+        before = get()
+        try:
+            set_(2)
+            with pytest.raises(ZeroDivisionError):
+                with retrieval._one_blas_thread():
+                    assert get() == 1 and retrieval.procrustes_blas_threads() == "1"
+                    1 / 0
+            assert get() == 2
+        finally:
+            set_(before)
 
     def test_apply_alignment_preserves_norms(self, rng):
         Q = random_orthogonal(6, rng)

@@ -393,13 +393,15 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
         with runlog.stage("load", vectors_parsed=1) as counts:
             src, tgt = _load_spaces(opts, counts)
             counts["vector_rows"] = len(src) + len(tgt)
-        with runlog.stage("align", blas_threads=retrieval.procrustes_blas_threads()):
+        with runlog.stage("align", blas_threads=retrieval.blas_threads(one_thread=True)):
             src, seed = _aligned_source(src, tgt, opts.seed_dict)
         rows = None if opts.source_words is None else np.array(_read_word_list(opts.source_words, src.vocab))
 
         params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
         n_queries = len(src) if rows is None else len(rows)
-        with runlog.stage("retrieve", queries=n_queries, top_k=opts.top_k) as counts:
+        with runlog.stage(
+            "retrieve", queries=n_queries, top_k=opts.top_k, blas_threads=retrieval.blas_threads(opts.threads > 1)
+        ) as counts:
             stats = retrieval.ScanStats()
             cands, _ = retrieval.retrieve_topk(
                 src, tgt, params, metric=opts.metric, n_threads=opts.threads, rows=rows, stats=stats
@@ -559,7 +561,11 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             )
 
         if need_vectors:
-            with runlog.stage("augment", candidate_width=cands.cand_ids.shape[1]) as counts:
+            with runlog.stage(
+                "augment",
+                candidate_width=cands.cand_ids.shape[1],
+                blas_threads=retrieval.blas_threads(opts.threads > 1),
+            ) as counts:
                 top1 = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1)
                 top1.validate(len(tgt))  # before Procrustes and the similarity passes
                 aligned_src, _ = _aligned_source(src, tgt, opts.dict_train)
@@ -742,7 +748,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
             evaluation.write_correlation_grid(grid, opts.pair_label, out / "pos_correlation.tsv")
 
         if need_vectors:
-            with runlog.stage("pca") as counts:
+            with runlog.stage("pca", blas_threads=retrieval.blas_threads(opts.threads > 1)) as counts:
                 src_aligned, _ = _aligned_source(src, tgt, opts.seed_dict)
                 word_ids = _read_word_list(opts.words, src.vocab)
                 counts["words"] = len(word_ids)

@@ -48,10 +48,21 @@ scores them against those means, as a full run does. Mutual nearest
 neighbors are a top-1 retrieval in each direction over the same means, and
 hubness counts the first columns of a retrieval's candidate lists.
 
-align_procrustes computes its map under one OpenBLAS thread when it can
-reach numpy's OpenBLAS thread controls and OPENBLAS_NUM_THREADS is unset:
-with two threads the 300 x 300 SVD sometimes took about a second instead of
-a few hundredths, and the map's last bits depended on the thread count.
+One rule sets the OpenBLAS thread count, through numpy's OpenBLAS thread
+controls (_one_blas_thread) when they can be reached and
+OPENBLAS_NUM_THREADS is unset; the previous count is back when the work
+ends. A pass that runs more than one worker (_map_row_blocks with n_threads
+above 1 and more than one block) runs its pool under one OpenBLAS thread.
+On a 2-CPU machine, two workers each on OpenBLAS's default two threads put
+four threads on two cores; stage.retrieve of a 5k x 20k x 300 retrieval
+with two workers took 1.46-1.90 s (CPU 2.9-3.7 s) that way against
+1.39-1.46 s (CPU 2.3-2.6 s) under one OpenBLAS thread, three runs each.
+A single-worker pass leaves the count alone, so its products use every
+CPU. align_procrustes computes its map under one thread too: with two
+threads the 300 x 300 SVD sometimes took about a second instead of a few
+hundredths, and the map's last bits depended on the thread count. The
+float32 screen's margin holds in any summation order, so no result
+depends on the thread count.
 
 Candidate files are read back in chunks of text: fields are split, words
 looked up and scores parsed a chunk at a time, and a chunk that fails a check
@@ -207,7 +218,8 @@ def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanSta
     ends, so there are at most as many buffers as workers; they are freed
     when this call returns. Block boundaries depend only on the problem
     shape, not on n_threads, so the concatenated result is identical for any
-    worker count.
+    worker count. A pool of more than one worker runs under one OpenBLAS
+    thread (_one_blas_thread); one worker leaves the count alone.
     """
     block = _block_rows(n_cols)
     spans = [(lo, min(lo + block, n_rows)) for lo in range(0, n_rows, block)]
@@ -229,7 +241,7 @@ def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanSta
     if n_threads <= 1 or len(spans) <= 1:
         parts = [run(span) for span in spans]
     else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=n_threads) as pool:
             parts = list(pool.map(run, spans))
     if stats is not None:
         stats.note_buffers(sum(made))
@@ -240,10 +252,18 @@ def _chunk_width(n: int, k: int) -> int:
     """Column-chunk width of the top-k screen over rows of n values.
 
     A row narrower than 16k columns is one chunk of n columns, kept whole.
-    Wider rows get at least 8k chunks of at most 64 columns, so the kept
-    chunks are a small share of the row.
+    Wider rows get at least 8k chunks of at most 65 columns, so the kept
+    chunks are a small share of the row. A width above 16 is rounded down
+    to the form 16j + 1: np.maximum.reduceat runs the maximum loop over the
+    width - 1 values after each chunk's first, and numpy's SIMD loop takes
+    16 float32 values a step and the rest one at a time. Best of 20 per
+    128 x 20k float32 slice on a 2-CPU Xeon VM: widths 33, 49 and 65 took
+    1.3-1.8 ms, widths 32, 48 and 64 took 4.2-6.0 ms.
     """
-    return n if n < 16 * k else min(64, n // (8 * k))
+    if n < 16 * k:
+        return n
+    width = min(65, n // (8 * k))
+    return width if width <= 16 else width - (width - 1) % 16
 
 
 def _shortlist(rows: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
@@ -267,7 +287,8 @@ def _shortlist(rows: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.n
     """
     m, n = rows.shape
     width = _chunk_width(n, k)
-    # reduceat is faster here than a max over the last axis of a 3-d view
+    # reduceat is faster here than a max over the last axis of a 3-d view; _chunk_width picks widths
+    # whose maximum loop has no scalar tail
     maxima = np.maximum.reduceat(rows, np.arange(0, n, width), axis=1)
     n_chunks = maxima.shape[1]
     n_whole, tail = divmod(n, width)
@@ -530,12 +551,16 @@ def _one_blas_thread():
         set_(before)
 
 
-def procrustes_blas_threads() -> str:
-    """The OpenBLAS thread count align_procrustes computes W under, for run.log; "unknown" without the controls."""
+def blas_threads(one_thread: bool) -> str:
+    """The OpenBLAS thread count of work run under _one_blas_thread (one_thread) or outside it, for run.log.
+
+    "1" under it, unless OPENBLAS_NUM_THREADS is set; else the library's
+    count; "unknown" without the controls.
+    """
     controls = _openblas_threads()
     if controls is None:
         return "unknown"
-    return str(controls[0]()) if "OPENBLAS_NUM_THREADS" in os.environ else "1"
+    return "1" if one_thread and "OPENBLAS_NUM_THREADS" not in os.environ else str(controls[0]())
 
 
 def align_procrustes(src: EmbeddingSpace, tgt: EmbeddingSpace, seed: TranslationDictionary) -> np.ndarray:

@@ -636,7 +636,10 @@ class TestThreadsEnvVar:
         words = tmp_path / "words.txt"
         words.write_text("s00003\n")
         assert run(*analyze_args(world_dir, tmp_path / "analyze", "--words", words, "--threads", 2)) == 0
-        assert kv(tmp_path / "analyze" / "run.log")["threads"] == "2"
+        log = kv(tmp_path / "analyze" / "run.log")
+        assert log["threads"] == "2"
+        # two workers: their passes run under one OpenBLAS thread
+        assert stage_fields(log, "pca")["blas_threads"] == retrieval.blas_threads(one_thread=True)
 
 
 class TestConfigFile:
@@ -982,10 +985,11 @@ class TestRunLogStages:
         log = kv(tmp_path / "run.log")
         augment = stage_fields(log, "augment")
         assert set(augment) == {
-            "wall_s", "cpu_s", "peak_rss_mb", "candidate_width", "mined_pairs", "retrieved_sources",
+            "wall_s", "cpu_s", "peak_rss_mb", "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources",
             "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
         }
         assert augment["candidate_width"] == "10"
+        assert augment["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert 0 < float(augment["shortlist_mean"]) <= int(augment["shortlist_max"]) <= 150
         # every selection rescores at least its k pairs per row (k = 1 for the mining passes)
         assert 1 <= float(augment["rescored_mean"]) <= float(augment["shortlist_mean"])
@@ -1050,15 +1054,17 @@ class TestRunLogStages:
         assert stages == ["stage.load", "stage.align", "stage.retrieve", "stage.write", "stage.report"]
         retrieve = stage_fields(log, "retrieve")
         assert set(retrieve) == timing | {
-            "queries", "top_k", "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
+            "queries", "top_k", "blas_threads", "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
         }
         assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
+        # one worker: its passes run on the library's own count
+        assert retrieve["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert 0 < float(retrieve["shortlist_mean"]) <= int(retrieve["shortlist_max"]) <= 150
         # the means at k_csls = 5 and the candidates at top_k = 10 rescore at least k pairs per row
         assert 5 <= float(retrieve["rescored_mean"]) <= float(retrieve["shortlist_mean"])
         assert float(retrieve["buffer_mb"]) > 0
         assert set(stage_fields(log, "align")) == timing | {"blas_threads"}
-        assert stage_fields(log, "align")["blas_threads"] == retrieval.procrustes_blas_threads()
+        assert stage_fields(log, "align")["blas_threads"] == retrieval.blas_threads(one_thread=True)
         for name in ("write", "report"):
             assert set(stage_fields(log, name)) == timing
 
@@ -1083,7 +1089,8 @@ class TestRunLogStages:
         assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.grid", "stage.pca"]
         assert set(stage_fields(log, "grid")) == timing
         pca = stage_fields(log, "pca")
-        assert set(pca) == timing | {"words"} and pca["words"] == "2"
+        assert set(pca) == timing | {"words", "blas_threads"} and pca["words"] == "2"
+        assert pca["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert run(*analyze_args(world_dir, tmp_path / "grid")) == 0
         log = kv(tmp_path / "grid" / "run.log")
         assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.grid"]

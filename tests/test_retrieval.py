@@ -298,6 +298,19 @@ class TestExactScreen:
         # a narrower row is one chunk, kept whole
         assert retrieval._chunk_width(16 * k - 1, k) == 16 * k - 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 24, 50, 100])
+    def test_chunk_widths_leave_no_scalar_tail(self, k):
+        # above 16 a width is 16j + 1: reduceat's maximum loop then runs over whole 16-value steps
+        for n in range(16 * k, 8 * k * 70):  # every cap of the width, up to past 65
+            width = retrieval._chunk_width(n, k)
+            widest = min(65, n // (8 * k))  # the widest width that leaves 8k whole chunks, capped
+            assert 2 <= width <= widest and n // width >= 8 * k
+            if widest <= 16:
+                assert width == widest
+            else:  # the widest of the form 16j + 1
+                assert width % 16 == 1 and widest < width + 16
+        assert retrieval._chunk_width(20_000, 10) == 65 and retrieval._chunk_width(20_000, 50) == 49
+
     @settings(max_examples=300, deadline=None)
     @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
     def test_top_k_equals_the_full_row_routine(self, case, select_rows):
@@ -364,20 +377,33 @@ class TestExactScreen:
         assert cosine_margin >= 2 * (d + 2) * 2.0**-24 * norms and csls_margin >= 2 * cosine_margin
 
     def test_block_buffers_leave_results_independent_of_workers(self, rng, monkeypatch):
-        # 32-row blocks: several blocks share each worker's buffer
-        src = unit_space(rng.standard_normal((200, 12)))
-        tgt = unit_space(rng.standard_normal((400, 12)))
+        # 32-row blocks: several blocks share each worker's buffer; at d = 48 a
+        # block's 32 x 400 x 48 product is large enough for OpenBLAS to split
+        src = unit_space(rng.standard_normal((200, 48)))
+        tgt = unit_space(rng.standard_normal((400, 48)))
         monkeypatch.setattr(retrieval, "BLOCK_CELLS", 32 * 400)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         params = SimilarityParams(k_csls=5, top_k=10)
         one, one_means = retrieve_topk(src, tgt, params, n_threads=1)
         stats = retrieval.ScanStats()
         three, three_means = retrieve_topk(src, tgt, params, n_threads=3, stats=stats)
-        assert three.cand_ids.tolist() == one.cand_ids.tolist()
-        assert three.scores.tobytes() == one.scores.tobytes()
-        assert three_means.r_src.tobytes() == one_means.r_src.tobytes()
-        assert three_means.r_tgt.tobytes() == one_means.r_tgt.tobytes()
         assert 0 < stats.buffer_bytes <= 3 * 32 * 400 * 4  # float32 buffers
         assert mutual_pairs(src, tgt, 5, n_threads=3) == mutual_pairs(src, tgt, 5)
+        runs = [(three, three_means)]
+        # workers {1, 2} x process BLAS threads {1, 2}, where the controls are found
+        get, set_ = retrieval._openblas_threads() or (lambda: None, lambda n: None)
+        before = get()
+        try:
+            for blas in (1, 2):
+                set_(blas)
+                runs += [retrieve_topk(src, tgt, params, n_threads=workers) for workers in (1, 2)]
+        finally:
+            set_(before)
+        for cands, means in runs:
+            assert cands.cand_ids.tolist() == one.cand_ids.tolist()
+            assert cands.scores.tobytes() == one.scores.tobytes()
+            assert means.r_src.tobytes() == one_means.r_src.tobytes()
+            assert means.r_tgt.tobytes() == one_means.r_tgt.tobytes()
 
     def test_workers_never_share_a_buffer_or_lose_a_count(self, monkeypatch):
         # more workers than cores and a short switch interval, to interleave the pool and the lock
@@ -626,7 +652,7 @@ class TestProcrustes:
                 assert get() == threads
             # a set variable leaves BLAS alone: the SVD runs on 2 threads, and its last bits depend on that
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-            assert retrieval.procrustes_blas_threads() == "2"
+            assert retrieval.blas_threads(one_thread=True) == "2"
             left_alone = align_procrustes(src, tgt, seed)
         finally:
             set_(before)
@@ -642,7 +668,7 @@ class TestProcrustes:
             set_(2)
             with pytest.raises(ZeroDivisionError):
                 with retrieval._one_blas_thread():
-                    assert get() == 1 and retrieval.procrustes_blas_threads() == "1"
+                    assert get() == 1 and retrieval.blas_threads(one_thread=True) == "1"
                     1 / 0
             assert get() == 2
         finally:
@@ -653,6 +679,52 @@ class TestProcrustes:
         src = unit_space(rng.standard_normal((10, 6)))
         rotated = apply_alignment(src, Q)
         np.testing.assert_allclose(np.linalg.norm(rotated.matrix, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.skipif(retrieval._openblas_threads() is None, reason="numpy's OpenBLAS thread controls not found")
+class TestPoolBlasThreads:
+    """A pool of more than one worker runs under one OpenBLAS thread; one worker leaves the count alone."""
+
+    @pytest.fixture
+    def get(self, monkeypatch):
+        """OpenBLAS's count getter, the process at 2 threads and OPENBLAS_NUM_THREADS unset; the count is put back."""
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        get, set_ = retrieval._openblas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def seen(get, n_rows, n_threads):
+        """The OpenBLAS count each block of a 50-column pass sees, in block order (32-row blocks)."""
+        with mock.patch.object(retrieval, "BLOCK_CELLS", 32 * 50):
+            return retrieval._map_row_blocks(lambda lo, hi, out: get(), n_rows, 50, n_threads)
+
+    def test_workers_run_under_one_thread_and_the_count_comes_back(self, get):
+        assert self.seen(get, 32 * 6, 2) == [1] * 6
+        assert get() == 2
+        assert retrieval.blas_threads(one_thread=True) == "1" and retrieval.blas_threads(one_thread=False) == "2"
+
+    def test_the_count_comes_back_when_a_block_raises(self, get):
+        def fail(lo, hi, out):
+            assert get() == 1
+            raise ZeroDivisionError
+
+        with mock.patch.object(retrieval, "BLOCK_CELLS", 32 * 50), pytest.raises(ZeroDivisionError):
+            retrieval._map_row_blocks(fail, 32 * 6, 50, 2)
+        assert get() == 2
+
+    def test_one_worker_leaves_the_count_alone(self, get):
+        with mock.patch.object(retrieval, "_one_blas_thread", side_effect=AssertionError("count changed")):
+            assert self.seen(get, 32 * 6, 1) == [2] * 6  # one worker, several blocks
+            assert self.seen(get, 20, 2) == [2]  # two workers, one block: no pool starts
+        assert get() == 2
+
+    def test_a_set_variable_wins(self, get, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert self.seen(get, 32 * 6, 2) == [2] * 6
+        assert retrieval.blas_threads(one_thread=True) == "2"
 
 
 @st.composite

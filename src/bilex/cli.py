@@ -145,20 +145,18 @@ def _output_dir(opts: argparse.Namespace, errors: list[str]) -> Path:
     return out
 
 
-def _peak_rss_mb() -> float:
-    """Peak resident set size of this process so far.
+def _rss_mb() -> tuple[float, float | None]:
+    """Peak and current resident set size of this process in MB, from one read of /proc/self/status.
 
-    VmHWM where /proc has it: ru_maxrss keeps the high-water mark of the
-    launching process across fork and exec. Otherwise ru_maxrss, which is KiB
-    on Linux and bytes on macOS.
+    The peak is VmHWM, since ru_maxrss keeps the launching process's high-water mark across fork and exec, and
+    the current size VmRSS. Without /proc the peak is ru_maxrss (KiB on Linux, bytes on macOS), the current None.
     """
-    with contextlib.suppress(OSError):
+    with contextlib.suppress(OSError, KeyError):
         with open("/proc/self/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 2**10  # kB
+            status = {key: value for key, _, value in (line.partition(":") for line in fh)}
+        return int(status["VmHWM"].split()[0]) / 2**10, int(status["VmRSS"].split()[0]) / 2**10  # kB
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10, None
 
 
 # exceptions that main() reports, with their exit code and message prefix
@@ -214,17 +212,17 @@ class _RunLog:
 
     @contextlib.contextmanager
     def stage(self, name: str, **counts):
-        """Log a stage's wall and CPU seconds, peak RSS so far and counts as one "stage.<name>" line.
+        """Log a stage as one "stage.<name>" line: wall and CPU seconds, peak RSS so far, RSS at its end, counts.
 
         The counts dict is yielded, so the stage can add counts it learns while running.
         """
         wall0, cpu0 = time.perf_counter(), time.process_time()
         yield counts
-        fields = [
-            f"wall_s={time.perf_counter() - wall0:.3f}",
-            f"cpu_s={time.process_time() - cpu0:.3f}",
-            f"peak_rss_mb={_peak_rss_mb():.1f}",
-        ]
+        wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+        peak, current = _rss_mb()
+        fields = [f"wall_s={wall:.3f}", f"cpu_s={cpu:.3f}", f"peak_rss_mb={peak:.1f}"]
+        if current is not None:
+            fields.append(f"rss_mb={current:.1f}")
         fields += [f"{key}={value}" for key, value in counts.items()]
         self.note(f"stage.{name}", " ".join(fields))
 
@@ -258,8 +256,8 @@ def _load_spaces(opts: argparse.Namespace, counts: dict):
 
     Adds each side's duplicate tokens and zero rows to the load stage's counts.
     """
-    src = corpus.normalize_rows(corpus.load_embeddings(opts.src_emb, opts.max_vocab))
-    tgt = corpus.normalize_rows(corpus.load_embeddings(opts.tgt_emb, opts.max_vocab))
+    src = corpus.load_embeddings(opts.src_emb, opts.max_vocab)
+    tgt = corpus.load_embeddings(opts.tgt_emb, opts.max_vocab)
     for side, space in (("src", src), ("tgt", tgt)):
         counts[f"{side}_duplicate_tokens"] = space.duplicate_count
         counts[f"{side}_zero_rows"] = space.zero_row_count

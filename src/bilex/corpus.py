@@ -218,7 +218,8 @@ def load_vocabulary(path: str | Path, max_vocab: int | None = None) -> Vocabular
 
     Words, ids and format checks are those of load_embeddings(path,
     max_vocab).vocab. Value fields are counted but not parsed, so a
-    non-numeric or non-finite value is not detected here.
+    non-numeric or non-finite value, or a row whose norm overflows, is not
+    detected here: only the commands that read vector values catch these.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -259,30 +260,49 @@ def _parse_values(texts: list[str], width: int, delimiter: str, fault: Callable[
     return parsed
 
 
-def _store_chunk(path: Path, chunk: list[tuple], matrix: np.ndarray) -> None:
-    """Parse a chunk and write its rows to matrix at their word ids; duplicates are checked, then dropped."""
+def _store_chunk(path: Path, chunk: list[tuple], matrix: np.ndarray) -> int:
+    """Parse a chunk, check every row (duplicates too) and write the kept rows, scaled to unit length, to matrix.
+
+    Returns the number of zero rows written; they stay zero.
+    """
     if not chunk:
-        return
-    parsed = _parse_values(
-        [values for _, _, values, _ in chunk],
-        matrix.shape[1],
-        " ",
-        lambda i, kind: f"{path}: line {chunk[i][0]}: {kind} value in row for {chunk[i][1]!r}",
-    )
+        return 0
+    faulty: list[int] = []
+
+    def fault(i: int, kind: str) -> str:
+        faulty.append(i)
+        return f"{path}: line {chunk[i][0]}: {kind} value in row for {chunk[i][1]!r}"
+
+    try:
+        parsed = _parse_values([values for _, _, values, _ in chunk], matrix.shape[1], " ", fault)
+    except DataFormatError:
+        _store_chunk(path, chunk[: faulty[0]], matrix)  # an overflow above the bad value comes first
+        raise
+    # a row's norm has the same bits in any chunk of rows as in the whole matrix
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(parsed, axis=1)
+    for i in np.flatnonzero(~np.isfinite(norms))[:1]:
+        raise DataFormatError(f"{path}: line {chunk[i][0]}: norm of the row for {chunk[i][1]!r} overflows")
+    nonzero = norms > 0.0
+    np.divide(parsed, norms[:, None], out=parsed, where=nonzero[:, None])
     ids = np.fromiter((word_id for _, _, _, word_id in chunk), dtype=np.int64, count=len(chunk))
     kept = ids >= 0
     matrix[ids[kept]] = parsed[kept]
+    return int((kept & ~nonzero).sum())
 
 
 def load_embeddings(path: str | Path, max_vocab: int | None = None) -> EmbeddingSpace:
-    """Load text-format word vectors: header "<count> <dim>", then one word per line.
+    """Load text-format word vectors as unit rows: header "<count> <dim>", then one word per line.
 
     Duplicate tokens keep their first occurrence (warned and counted). If
     max_vocab is given only the first max_vocab rows are read. Values are
     parsed PARSE_CHUNK_ROWS rows at a time into a matrix sized from the
-    header; a non-numeric or non-finite value is an error naming its line.
+    header, and each row is divided by its norm as it is stored; zero rows
+    stay zero and are counted. A non-numeric or non-finite value, or a row
+    whose norm overflows, is an error naming its line.
     """
     path = Path(path)
+    zero_rows = 0
     with open(path, encoding="utf-8") as fh:
         rows = _VectorRows(fh, path, max_vocab)
         capacity = rows.expected
@@ -297,42 +317,20 @@ def load_embeddings(path: str | Path, max_vocab: int | None = None) -> Embedding
                 chunk.append(row)
                 if len(chunk) == PARSE_CHUNK_ROWS:
                     full, chunk = chunk, []
-                    _store_chunk(path, full, matrix)
+                    zero_rows += _store_chunk(path, full, matrix)
         except DataFormatError:
             # a bad value above the faulty row is the file's first fault
             _store_chunk(path, chunk, matrix)
             raise
-        _store_chunk(path, chunk, matrix)
+        zero_rows += _store_chunk(path, chunk, matrix)
+    if zero_rows:
+        log.warning("%s: %d zero rows left unnormalized", path, zero_rows)
     return EmbeddingSpace(
         vocab=rows.vocab,
         matrix=matrix[: len(rows.vocab)],
         dim=rows.dim,
-        normalized=False,
-        duplicate_count=rows.duplicates,
-    )
-
-
-def normalize_rows(space: EmbeddingSpace) -> EmbeddingSpace:
-    """Return a unit-row copy of the space; zero rows stay zero and are counted.
-
-    A space already flagged normalized is returned unchanged, which makes
-    normalization an exact fixed point.
-    """
-    if space.normalized:
-        return space
-    norms = np.linalg.norm(space.matrix, axis=1)
-    nonzero = norms > 0.0
-    out = space.matrix.copy()
-    out[nonzero] /= norms[nonzero, None]
-    zero_rows = int((~nonzero).sum())
-    if zero_rows:
-        log.warning("normalize_rows: %d zero rows left unnormalized", zero_rows)
-    return EmbeddingSpace(
-        vocab=space.vocab,
-        matrix=out,
-        dim=space.dim,
         normalized=True,
-        duplicate_count=space.duplicate_count,
+        duplicate_count=rows.duplicates,
         zero_row_count=zero_rows,
     )
 

@@ -40,11 +40,12 @@ T - e, and every column whose rescored value reaches the float64 k-th has a
 screen value of at least T - 2e. The margin is 2e. The slack in the
 constants covers the float64 rounding of the norms.
 
-retrieve_topk is the only code that forms similarity scores; a cosine score
-is the dot product itself, so its blocks skip the CSLS steps. CSLS
-neighborhood means always cover the whole source and target spaces; a run
-over every source returns them, and a retrieval scoped to some source rows
-scores them against those means, as a full run does. Mutual nearest
+retrieve_topk is the only code that forms candidate scores; a cosine score
+is the dot product itself, so its blocks skip the CSLS steps.
+knn_mean_similarity runs its own float32 block products for the means r_T.
+CSLS neighborhood means always cover the whole source and target spaces; a
+run over every source returns them, and a retrieval scoped to some source
+rows scores them against those means, as a full run does. Mutual nearest
 neighbors are a top-1 retrieval in each direction over the same means, and
 hubness counts the first columns of a retrieval's candidate lists.
 

@@ -18,7 +18,8 @@ from bilex.cli import (
     _aligned_source,
     _as_bool,
     _extend_candidates,
-    _peak_rss_mb,
+    _rss_mb,
+    _RunLog,
     build_parser,
     main,
     resolve_options,
@@ -35,6 +36,11 @@ def kv(path):
         key, _, value = line.partition("\t")
         out[key] = value
     return out
+
+
+HAS_PROC = Path("/proc/self/status").is_file()
+# the fields every stage line starts with; rss_mb is read from /proc
+TIMING = {"wall_s", "cpu_s", "peak_rss_mb"} | ({"rss_mb"} if HAS_PROC else set())
 
 
 @pytest.fixture(scope="module")
@@ -524,8 +530,8 @@ class TestScopedRetrieval:
             assert pca == [c for c, _ in full[word]]
 
     def test_semi_extension_rows_match_the_full_run(self, world_dir):
-        src = corpus.normalize_rows(corpus.load_embeddings(world_dir / "embeddings.src.vec"))
-        tgt = corpus.normalize_rows(corpus.load_embeddings(world_dir / "embeddings.tgt.vec"))
+        src = corpus.load_embeddings(world_dir / "embeddings.src.vec")
+        tgt = corpus.load_embeddings(world_dir / "embeddings.tgt.vec")
         aligned, _ = _aligned_source(src, tgt, world_dir / "dict.train.tsv")
         params = retrieval.SimilarityParams(k_csls=5, top_k=10)
         full, means = retrieval.retrieve_topk(aligned, tgt, params)
@@ -804,6 +810,17 @@ def analyze_args(world_dir, out, *extra):
     ]
 
 
+def src_vectors_with_value(world_dir, tmp_path, value):
+    """A copy of the world's source vectors whose second value on line 5 is replaced by value."""
+    lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
+    fields = lines[4].split(" ")
+    fields[2] = value
+    lines[4] = " ".join(fields)
+    bad = tmp_path / "bad.vec"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
 class TestVectorLoading:
     @pytest.fixture
     def parsed(self, monkeypatch):
@@ -855,10 +872,10 @@ class TestVectorLoading:
     def test_run_log_records_load_stage_and_settings(self, model_dir):
         log = kv(model_dir / "run.log")
         fields = dict(f.split("=") for f in log["stage.load"].split(" "))
-        assert set(fields) == {
-            "wall_s", "cpu_s", "peak_rss_mb", "vectors_parsed", "vector_rows", "candidate_rows", "oov_pairs",
-        }
+        assert set(fields) == TIMING | {"vectors_parsed", "vector_rows", "candidate_rows", "oov_pairs"}
         assert float(fields["peak_rss_mb"]) > 0
+        if HAS_PROC:
+            assert float(fields["rss_mb"]) > 0
         assert fields["vector_rows"] == "300" and fields["candidate_rows"] == str(150 * 10)
         assert fields["oov_pairs"] == "0"
         assert log["numpy"]
@@ -883,12 +900,7 @@ class TestVectorLoading:
         assert kv(tmp_path / "mine" / "run.log")["warnings"] == "1"
 
     def test_retrieve_non_finite_vector_exit_3(self, world_dir, tmp_path, capsys):
-        lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
-        fields = lines[4].split(" ")
-        fields[2] = "nan"
-        lines[4] = " ".join(fields)
-        bad = tmp_path / "bad.vec"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = src_vectors_with_value(world_dir, tmp_path, "nan")
         out = tmp_path / "out"
         assert run(
             "retrieve", "--out-dir", out,
@@ -928,18 +940,18 @@ def gold_and_candidates(dict_path, candidates_path):
 VMHWM_CHILD = """
 import resource
 from pathlib import Path
-from bilex.cli import _peak_rss_mb
+from bilex.cli import _rss_mb
 
 def vmhwm_mb():
     line = next(x for x in Path("/proc/self/status").read_text().splitlines() if x.startswith("VmHWM:"))
     return int(line.split()[1]) / 1024
 
 before = vmhwm_mb()
-print(before, _peak_rss_mb(), vmhwm_mb(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+print(before, _rss_mb()[0], vmhwm_mb(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="VmHWM is read from /proc")
+@pytest.mark.skipif(not HAS_PROC, reason="VmHWM is read from /proc")
 def test_peak_rss_is_the_vmhwm_of_this_process():
     # a child's ru_maxrss carries over the high-water mark of the process that launched it
     ballast = np.ones(48 * 2**20 // 8)  # 48 MB more in the launching process than the child ever holds
@@ -948,6 +960,19 @@ def test_peak_rss_is_the_vmhwm_of_this_process():
     del ballast
     before, peak, after, ru_maxrss = map(float, proc.stdout.split())
     assert before <= peak <= after < ru_maxrss
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="VmRSS is read from /proc")
+def test_stage_rss_is_the_size_at_its_end(tmp_path):
+    with _RunLog(tmp_path, "test") as run_log:
+        with run_log.stage("hold"):
+            ballast = np.ones(64 * 2**20 // 8)  # 64 MB, mapped on its own and unmapped when freed
+        del ballast
+        with run_log.stage("freed"):
+            pass
+    log = kv(tmp_path / "run.log")
+    hold, freed = stage_fields(log, "hold"), stage_fields(log, "freed")
+    assert float(freed["rss_mb"]) < float(hold["rss_mb"]) - 48
 
 
 class TestRunLogStages:
@@ -984,8 +1009,8 @@ class TestRunLogStages:
         assert run(*train_args(world_dir, retrieved_dir, tmp_path, "--mode", "semi", "--n-aug", 15)) == 0
         log = kv(tmp_path / "run.log")
         augment = stage_fields(log, "augment")
-        assert set(augment) == {
-            "wall_s", "cpu_s", "peak_rss_mb", "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources",
+        assert set(augment) == TIMING | {
+            "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources",
             "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
         }
         assert augment["candidate_width"] == "10"
@@ -1013,13 +1038,12 @@ class TestRunLogStages:
 
     def test_train_and_eval_stage_lines(self, world_dir, retrieved_dir, model_dir, tmp_path):
         log = kv(model_dir / "run.log")
-        timing = {"wall_s", "cpu_s", "peak_rss_mb"}
         featurize = stage_fields(log, "featurize")
-        assert set(featurize) == timing | {"groups", "rows", "gold_missed"}
+        assert set(featurize) == TIMING | {"groups", "rows", "gold_missed"}
         n_groups = len({line.split("\t")[0] for line in (world_dir / "dict.train.tsv").read_text().splitlines()})
         assert featurize["groups"] == str(n_groups) and featurize["rows"] == str(n_groups * 10)
         fit = stage_fields(log, "fit")
-        assert set(fit) == timing | {
+        assert set(fit) == TIMING | {
             "trees", "rows", "trainable_groups", "multi_positive_groups",
             "histogram_columns", "bundled_columns", "split_s",
         }
@@ -1031,29 +1055,28 @@ class TestRunLogStages:
         trainable = sum(bool(gold[s] & set(cands[s])) for s in gold)  # one target each, ten candidates
         assert fit["trainable_groups"] == str(trainable) and fit["multi_positive_groups"] == "0"
         assert featurize["gold_missed"] == str(n_groups - trainable)
-        assert set(stage_fields(log, "write")) == timing
+        assert set(stage_fields(log, "write")) == TIMING
         assert log["exit_code"] == "0" and "error" not in log
 
         assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path)) == 0
         log = kv(tmp_path / "run.log")
         featurize = stage_fields(log, "featurize")
-        assert set(featurize) == timing | {"groups", "rows", "gold_missed"}
+        assert set(featurize) == TIMING | {"groups", "rows", "gold_missed"}
         assert featurize["groups"] == kv(tmp_path / "eval_report.txt")["n_eval"]
         assert featurize["gold_missed"] == kv(tmp_path / "eval_report.txt")["gold_missed"]
         predict = stage_fields(log, "predict")
-        assert set(predict) == timing | {"rows", "trees"}
+        assert set(predict) == TIMING | {"rows", "trees"}
         assert predict["rows"] == featurize["rows"] and predict["trees"] == "6"
-        assert set(stage_fields(log, "report")) == timing
+        assert set(stage_fields(log, "report")) == TIMING
         stages = [key for key in log if key.startswith("stage.")]
         assert stages == ["stage.load", "stage.featurize", "stage.predict", "stage.report"]
 
     def test_retrieve_mine_analyze_stage_lines(self, world_dir, retrieved_dir, tmp_path):
-        timing = {"wall_s", "cpu_s", "peak_rss_mb"}
         log = kv(retrieved_dir / "run.log")
         stages = [key for key in log if key.startswith("stage.")]
         assert stages == ["stage.load", "stage.align", "stage.retrieve", "stage.write", "stage.report"]
         retrieve = stage_fields(log, "retrieve")
-        assert set(retrieve) == timing | {
+        assert set(retrieve) == TIMING | {
             "queries", "top_k", "blas_threads", "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
         }
         assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
@@ -1063,10 +1086,10 @@ class TestRunLogStages:
         # the means at k_csls = 5 and the candidates at top_k = 10 rescore at least k pairs per row
         assert 5 <= float(retrieve["rescored_mean"]) <= float(retrieve["shortlist_mean"])
         assert float(retrieve["buffer_mb"]) > 0
-        assert set(stage_fields(log, "align")) == timing | {"blas_threads"}
+        assert set(stage_fields(log, "align")) == TIMING | {"blas_threads"}
         assert stage_fields(log, "align")["blas_threads"] == retrieval.blas_threads(one_thread=True)
         for name in ("write", "report"):
-            assert set(stage_fields(log, name)) == timing
+            assert set(stage_fields(log, name)) == TIMING
 
         assert run(
             "mine", "--out-dir", tmp_path / "mine",
@@ -1078,18 +1101,18 @@ class TestRunLogStages:
         log = kv(tmp_path / "mine" / "run.log")
         assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.mine", "stage.write"]
         mine = stage_fields(log, "mine")
-        assert set(mine) == timing | {"rows"}
+        assert set(mine) == TIMING | {"rows"}
         assert mine["rows"] == str(len((tmp_path / "mine" / "hard_negatives.tsv").read_text().splitlines()))
-        assert set(stage_fields(log, "write")) == timing
+        assert set(stage_fields(log, "write")) == TIMING
 
         words = tmp_path / "words.txt"
         words.write_text("s00003\ns00007\n")
         assert run(*analyze_args(world_dir, tmp_path / "pca", "--words", words, "--top-k", 5, "--k-csls", 3)) == 0
         log = kv(tmp_path / "pca" / "run.log")
         assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.grid", "stage.pca"]
-        assert set(stage_fields(log, "grid")) == timing
+        assert set(stage_fields(log, "grid")) == TIMING
         pca = stage_fields(log, "pca")
-        assert set(pca) == timing | {"words", "blas_threads"} and pca["words"] == "2"
+        assert set(pca) == TIMING | {"words", "blas_threads"} and pca["words"] == "2"
         assert pca["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert run(*analyze_args(world_dir, tmp_path / "grid")) == 0
         log = kv(tmp_path / "grid" / "run.log")
@@ -1098,12 +1121,7 @@ class TestRunLogStages:
 
 class TestFailedRunLog:
     def test_retrieve_non_finite_vector_writes_only_run_log(self, world_dir, tmp_path, capsys):
-        lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
-        fields = lines[4].split(" ")
-        fields[2] = "nan"
-        lines[4] = " ".join(fields)
-        bad = tmp_path / "bad.vec"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = src_vectors_with_value(world_dir, tmp_path, "nan")
         out = tmp_path / "out"
         assert run(
             "retrieve", "--out-dir", out,
@@ -1115,6 +1133,18 @@ class TestFailedRunLog:
         assert log["exit_code"] == "3"
         assert f"{bad}: line 5: non-finite value" in log["error"]
         assert not any(key.startswith("stage.") for key in log)  # loading did not finish
+
+    def test_retrieve_overflowing_vector_norm_writes_only_run_log(self, world_dir, tmp_path, capsys):
+        # a finite value whose square overflows the row's norm
+        bad = src_vectors_with_value(world_dir, tmp_path, "1e200")
+        out = tmp_path / "out"
+        assert run(
+            "retrieve", "--out-dir", out,
+            "--src-emb", bad, "--tgt-emb", world_dir / "embeddings.tgt.vec",
+        ) == 3
+        assert f"{bad}: line 5: norm of the row for" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["run.log"]
+        assert kv(out / "run.log")["exit_code"] == "3"
 
     def test_failure_after_finished_stages_logs_them(self, world_dir, retrieved_dir, model_dir, tmp_path):
         tampered = tmp_path / "tampered.json"

@@ -21,14 +21,18 @@ from bilex.corpus import (
     load_frequency_table,
     load_pos_table,
     load_vocabulary,
-    normalize_rows,
     write_embeddings,
 )
-from conftest import grid, space_from, write
+from conftest import grid, space_from, unit_space, write
 
 
 def vocab(*words):
     return Vocabulary.from_words(list(words))
+
+
+def unit_rows(rows):
+    """The rows divided by their norms over the whole matrix; zero rows stay zero."""
+    return unit_space(rows).matrix
 
 
 class TestVocabulary:
@@ -49,8 +53,44 @@ class TestLoadEmbeddings:
         space = load_embeddings(p)
         assert len(space) == 3 and space.dim == 4
         assert space.vocab.words == ["a", "b", "c"]
-        np.testing.assert_array_equal(space.matrix[1], [5, 6, 7, 8])
-        assert not space.normalized
+        assert space.matrix.tobytes() == unit_rows([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]).tobytes()
+        assert space.normalized and space.zero_row_count == 0
+
+    def test_three_four_five(self, tmp_path):
+        space = load_embeddings(write(tmp_path / "e.vec", "1 2\na 3 4\n"))
+        np.testing.assert_array_equal(space.matrix[0], [0.6, 0.8])
+
+    def test_zero_rows_left_and_counted_once_per_file(self, tmp_path, caplog):
+        # the duplicate zero row is dropped, so it is not counted
+        p = write(tmp_path / "e.vec", "4 2\na 0 0\nb 1 0\nc 0 -0\na 0 0\n")
+        with mock.patch.object(corpus, "PARSE_CHUNK_ROWS", 1), caplog.at_level(logging.WARNING):
+            space = load_embeddings(p)
+        np.testing.assert_array_equal(space.matrix, [[0, 0], [1, 0], [0, 0]])
+        assert space.zero_row_count == 2 and space.duplicate_count == 1
+        assert [r.getMessage() for r in caplog.records if "zero rows" in r.getMessage()] == [
+            f"{p}: 2 zero rows left unnormalized"
+        ]
+
+    def test_unit_norms(self, tmp_path, rng):
+        p = tmp_path / "e.vec"
+        write_embeddings(space_from(rng.standard_normal((20, 6))), p)
+        np.testing.assert_allclose(np.linalg.norm(load_embeddings(p).matrix, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("text, line", [
+        ("2 4\na 1e200 1e200 1 1\nb 1 2 3 4\n", 2),
+        ("2 2\na 1 0\na 1e200 1e200\n", 3),  # a duplicate row is checked too
+        ("3 2\na 1 0\nb -1e155 1e155\nc 1 x\n", 3),  # before a later bad value in its chunk
+        ("2 2\na 1e155 1e155\nb 1\n", 2),  # before a later row-shape fault
+    ])
+    def test_overflowing_norm_names_line(self, tmp_path, text, line):
+        p = write(tmp_path / "e.vec", text)
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}: line {line}: norm of the row for")):
+            load_embeddings(p)
+
+    def test_bad_value_before_overflowing_norm(self, tmp_path):
+        p = write(tmp_path / "e.vec", "2 2\na 1 x\nb 1e200 1e200\n")
+        with pytest.raises(DataFormatError, match="line 2: non-numeric"):
+            load_embeddings(p)
 
     def test_row_count_mismatch_names_counts(self, tmp_path):
         p = write(tmp_path / "e.vec", "5 4\na 1 2 3 4\nb 5 6 7 8\nc 9 10 11 12\n")
@@ -92,13 +132,13 @@ class TestLoadEmbeddings:
         write_embeddings(space, p)
         back = load_embeddings(p)
         assert back.vocab.words == space.vocab.words
-        np.testing.assert_array_equal(back.matrix, space.matrix)
+        assert back.matrix.tobytes() == unit_rows(space.matrix).tobytes()
 
     def test_trailing_space_and_blank_lines(self, tmp_path):
         p = write(tmp_path / "e.vec", "2 2\na 1 2 \n\nb 3 4\n")
         space = load_embeddings(p)
         assert space.vocab.words == ["a", "b"]
-        np.testing.assert_array_equal(space.matrix, [[1, 2], [3, 4]])
+        assert space.matrix.tobytes() == unit_rows([[1, 2], [3, 4]]).tobytes()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_value_names_line(self, tmp_path, value):
@@ -110,7 +150,7 @@ class TestLoadEmbeddings:
         # np.loadtxt rejects these; the chunk falls back to float()
         p = write(tmp_path / "e.vec", "2 2\na 1_0 0.5\nb ١٢ -2\n")
         space = load_embeddings(p)
-        np.testing.assert_array_equal(space.matrix, [[10.0, 0.5], [12.0, -2.0]])
+        assert space.matrix.tobytes() == unit_rows([[10.0, 0.5], [12.0, -2.0]]).tobytes()
 
     @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_around_number_refused_as_float_does(self, tmp_path, sep):
@@ -142,11 +182,14 @@ class TestLoadEmbeddings:
             load_embeddings(p)
 
     def test_matrix_spans_chunks(self, tmp_path, rng):
-        space = space_from(rng.standard_normal((2 * corpus.PARSE_CHUNK_ROWS + 3, 3)))
-        p = tmp_path / "big.vec"
-        write_embeddings(space, p)
-        back = load_embeddings(p)
-        assert back.matrix.tobytes() == space.matrix.tobytes()
+        # each row's norm has the same bits in a chunk as over the whole matrix
+        for dim, chunk_rows in ((3, corpus.PARSE_CHUNK_ROWS), (300, 7)):
+            space = space_from(rng.standard_normal((2 * chunk_rows + 3, dim)))
+            p = tmp_path / f"big{dim}.vec"
+            write_embeddings(space, p)
+            with mock.patch.object(corpus, "PARSE_CHUNK_ROWS", chunk_rows):
+                back = load_embeddings(p)
+            assert back.matrix.tobytes() == unit_rows(space.matrix).tobytes()
 
 
 class TestLoadVocabulary:
@@ -167,7 +210,10 @@ class TestLoadVocabulary:
 
 
 def reference_load(path, max_vocab=None):
-    """The one-value-at-a-time loader that load_embeddings must match bit for bit."""
+    """The one-value-at-a-time loader that load_embeddings must match bit for bit.
+
+    Its rows are normalized over the whole matrix, which checks load_embeddings' chunk-by-chunk normalization.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = list(fh)
     header = lines[0].split()
@@ -200,6 +246,8 @@ def reference_load(path, max_vocab=None):
             raise DataFormatError(f"{path}: line {line_no}: non-numeric value in row for {token!r}") from None
         if not all(math.isfinite(v) for v in vec):
             raise DataFormatError(f"{path}: line {line_no}: non-finite value in row for {token!r}")
+        if not math.isfinite(sum(v * v for v in vec)):
+            raise DataFormatError(f"{path}: line {line_no}: norm of the row for {token!r} overflows")
         if token in index:
             duplicates += 1
             continue
@@ -210,7 +258,13 @@ def reference_load(path, max_vocab=None):
         raise DataFormatError(f"{path}: header declares {count} rows, found {read}")
     if max_vocab is not None and read < expected:
         raise DataFormatError(f"{path}: expected at least {expected} rows, found {read}")
-    return words, np.array(rows, dtype=np.float64).reshape(len(rows), dim), duplicates
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    zero_rows = int((np.linalg.norm(matrix, axis=1) == 0.0).sum())
+    return words, unit_rows(matrix), duplicates, zero_rows
+
+
+# the faults that only a loader reading the values finds
+VALUE_FAULT = "non-numeric|non-finite|overflows"
 
 
 def outcome(load, *args):
@@ -273,43 +327,22 @@ class TestLoaderEquivalence:
         if isinstance(expected, str):
             assert space == expected
         else:
-            words, matrix, duplicates = expected
+            words, matrix, duplicates, zero_rows = expected
             assert space.vocab.words == words
             assert space.vocab.index == {w: i for i, w in enumerate(words)}
             assert space.matrix.tobytes() == matrix.tobytes() and space.matrix.shape == matrix.shape
-            assert space.duplicate_count == duplicates
+            assert space.duplicate_count == duplicates and space.zero_row_count == zero_rows
 
         if isinstance(vocab_only, str):
             # a header, row-count or row-shape fault: load_embeddings names the same
             # fault, unless a bad value on an earlier line came first
             assert space == vocab_only or (
-                re.search("non-numeric|non-finite", space) and fault_line(space) < fault_line(vocab_only)
+                re.search(VALUE_FAULT, space) and fault_line(space) < fault_line(vocab_only)
             )
         elif isinstance(space, str):
-            assert re.search("non-numeric|non-finite", space)
+            assert re.search(VALUE_FAULT, space)
         else:
             assert vocab_only.words == space.vocab.words and vocab_only.index == space.vocab.index
-
-
-class TestNormalizeRows:
-    def test_three_four_five(self):
-        space = normalize_rows(space_from([[3.0, 4.0]]))
-        np.testing.assert_allclose(space.matrix[0], [0.6, 0.8])
-        assert space.normalized
-
-    def test_zero_row_left_and_counted(self):
-        space = normalize_rows(space_from([[0.0, 0.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(space.matrix[0], [0.0, 0.0])
-        assert space.zero_row_count == 1
-
-    def test_idempotent_exactly(self, rng):
-        once = normalize_rows(space_from(rng.standard_normal((5, 3))))
-        twice = normalize_rows(once)
-        assert twice is once
-
-    def test_unit_norms(self, rng):
-        space = normalize_rows(space_from(rng.standard_normal((20, 6))))
-        np.testing.assert_allclose(np.linalg.norm(space.matrix, axis=1), 1.0, atol=1e-12)
 
 
 class TestLoadDictionary:

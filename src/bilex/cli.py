@@ -566,16 +566,17 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             ) as counts:
                 top1 = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1)
                 top1.validate(len(tgt))  # before Procrustes and the similarity passes
-                aligned_src, _ = _aligned_source(src, tgt, opts.dict_train)
+                # aligned in place: the unaligned matrix is freed before the similarity passes
+                src, _ = _aligned_source(src, tgt, opts.dict_train)
                 stats = retrieval.ScanStats()
-                best, means = retrieval.retrieve_topk(aligned_src, tgt, top1, n_threads=opts.threads, stats=stats)
-                mined = retrieval.mutual_nn_pairs(aligned_src, tgt, best, means, opts.threads, stats)
+                best, means = retrieval.retrieve_topk(src, tgt, top1, n_threads=opts.threads, stats=stats)
+                mined = retrieval.mutual_nn_pairs(src, tgt, best, means, opts.threads, stats)
                 dic = retrieval.augment_dictionary(dic, mined, opts.n_aug)
                 missing = [s for s in dic.sources() if s not in cands]
                 if missing:
-                    cands = _extend_candidates(
-                        cands, missing, aligned_src, tgt, opts.k_csls, opts.threads, means, stats
-                    )
+                    cands = _extend_candidates(cands, missing, src, tgt, opts.k_csls, opts.threads, means, stats)
+                # featurize and fit need only the vocabularies, the dictionary and the candidates
+                del src, tgt, best, means
                 counts.update(mined_pairs=len(mined), retrieved_sources=len(missing), **stats.fields())
             runlog.note("augmented_to", len(dic))
 

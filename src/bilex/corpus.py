@@ -283,6 +283,13 @@ def _store_chunk(path: Path, chunk: list[tuple], matrix: np.ndarray) -> int:
         norms = np.linalg.norm(parsed, axis=1)
     for i in np.flatnonzero(~np.isfinite(norms))[:1]:
         raise DataFormatError(f"{path}: line {chunk[i][0]}: norm of the row for {chunk[i][1]!r} overflows")
+    # below 2**-511 the sum of squares has left the normal range and lost bits, or all of them: such a row is
+    # first scaled by an exact power of two, its largest |value| into [0.5, 1); an all-zero row stays as it is
+    tiny = np.flatnonzero(norms < 2.0**-511)
+    if tiny.size:
+        _, exponents = np.frexp(np.abs(parsed[tiny]).max(axis=1))
+        parsed[tiny] = np.ldexp(parsed[tiny], -exponents[:, None])
+        norms[tiny] = np.linalg.norm(parsed[tiny], axis=1)
     nonzero = norms > 0.0
     np.divide(parsed, norms[:, None], out=parsed, where=nonzero[:, None])
     ids = np.fromiter((word_id for _, _, _, word_id in chunk), dtype=np.int64, count=len(chunk))

@@ -80,6 +80,7 @@ import logging
 import math
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,9 +100,13 @@ from .corpus import (
 
 log = logging.getLogger(__name__)
 
-# similarity blocks are sized so one block holds ~8M matrix cells; the size
-# depends only on the problem shape, never on the worker count
-BLOCK_CELLS = 8_000_000
+# similarity blocks are sized so one block holds ~4M matrix cells, a float32
+# buffer of up to 16 MB per worker; the size depends only on the problem shape,
+# never on the worker count. No bit depends on it either, since every selected
+# pair is rescored by _pair_dots. On a two-worker 5k x 20k x 300 retrieval, 8M
+# cells held 30.5 MB more buffer, and 2M cells made stage.retrieve 2.03-2.33 s
+# against 1.87-2.00 s.
+BLOCK_CELLS = 4_000_000
 
 
 def _block_rows(n_cols: int) -> int:
@@ -166,7 +171,7 @@ class CandidateSet:
 
 
 class ScanStats:
-    """Shortlist widths, rescored pairs and block-buffer sizes of the similarity passes, for run.log.
+    """Shortlist widths, rescored pairs, block-buffer sizes and block times of the similarity passes, for run.log.
 
     Workers add to it concurrently, under a lock.
     """
@@ -178,6 +183,8 @@ class ScanStats:
         self.widest = 0
         self.rescored = 0
         self.buffer_bytes = 0
+        self.gemm_s = 0.0
+        self.select_s = 0.0
 
     def note_shortlist(self, kept: np.ndarray, rescored: int) -> None:
         """Record the columns kept per row by one top-k selection's screen, and the pairs it rescored."""
@@ -192,15 +199,24 @@ class ScanStats:
         with self._lock:
             self.buffer_bytes = max(self.buffer_bytes, nbytes)
 
+    def note_block(self, gemm_s: float, select_s: float) -> None:
+        """Record one block's seconds in its float32 product and in the rest of its work."""
+        with self._lock:
+            self.gemm_s += gemm_s
+            self.select_s += select_s
+
     def fields(self) -> dict[str, str]:
-        """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, and the
-        largest buffer total of one pass in MB."""
+        """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, the
+        largest buffer total of one pass in MB, and the blocks' product and selection seconds summed
+        over the workers."""
         rows = max(self.rows, 1)
         return {
             "shortlist_mean": f"{self.columns / rows:.1f}",
             "shortlist_max": str(self.widest),
             "rescored_mean": f"{self.rescored / rows:.1f}",
             "buffer_mb": f"{self.buffer_bytes / 2**20:.1f}",
+            "gemm_s": f"{self.gemm_s:.3f}",
+            "select_s": f"{self.select_s:.3f}",
         }
 
 
@@ -211,17 +227,20 @@ def _check_aligned_pair(src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
         raise ValueError("both spaces must be row-normalized")
 
 
-def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanStats | None = None) -> list:
-    """Apply fn(lo, hi, out) to fixed-size row blocks, preserving block order.
+def _map_row_blocks(fn, A32: np.ndarray, B32: np.ndarray, n_threads: int, stats: ScanStats | None = None) -> list:
+    """Apply fn(lo, hi, sims) to fixed-size row blocks of the float32 product A32 @ B32.T, preserving block order.
 
-    out is an (hi - lo, n_cols) float32 block buffer that fn may overwrite.
-    A buffer is taken from a pool when a block starts and returned when it
-    ends, so there are at most as many buffers as workers; they are freed
-    when this call returns. Block boundaries depend only on the problem
-    shape, not on n_threads, so the concatenated result is identical for any
-    worker count. A pool of more than one worker runs under one OpenBLAS
-    thread (_one_blas_thread); one worker leaves the count alone.
+    sims is the (hi - lo, len(B32)) product of rows lo:hi, written into a
+    float32 block buffer that fn may overwrite. A buffer is taken from a
+    pool when a block starts and returned when it ends, so there are at
+    most as many buffers as workers; they are freed when this call returns.
+    Block boundaries depend only on the problem shape, not on n_threads, so
+    the concatenated result is identical for any worker count. A pool of
+    more than one worker runs under one OpenBLAS thread (_one_blas_thread);
+    one worker leaves the count alone. stats gets each block's seconds in
+    the product and in fn.
     """
+    n_rows, n_cols = len(A32), len(B32)
     block = _block_rows(n_cols)
     spans = [(lo, min(lo + block, n_rows)) for lo in range(0, n_rows, block)]
     free: list[np.ndarray] = []  # list.pop and list.append are atomic
@@ -235,7 +254,13 @@ def _map_row_blocks(fn, n_rows: int, n_cols: int, n_threads: int, stats: ScanSta
             buf = np.empty((min(block, n_rows), n_cols), dtype=np.float32)
             made.append(buf.nbytes)
         try:
-            return fn(lo, hi, buf[: hi - lo])
+            t0 = time.perf_counter()
+            sims = np.matmul(A32[lo:hi], B32.T, out=buf[: hi - lo])
+            t1 = time.perf_counter()
+            result = fn(lo, hi, sims)
+            if stats is not None:
+                stats.note_block(t1 - t0, time.perf_counter() - t1)
+            return result
         finally:
             free.append(buf)
 
@@ -259,12 +284,19 @@ def _chunk_width(n: int, k: int) -> int:
     width - 1 values after each chunk's first, and numpy's SIMD loop takes
     16 float32 values a step and the rest one at a time. Best of 20 per
     128 x 20k float32 slice on a 2-CPU Xeon VM: widths 33, 49 and 65 took
-    1.3-1.8 ms, widths 32, 48 and 64 took 4.2-6.0 ms.
+    1.3-1.8 ms, widths 32, 48 and 64 took 4.2-6.0 ms. Widths of 16 and
+    below run the scalar loop over the whole row (width 16 took 4.04 ms per
+    128 x 6k slice against 1.38 ms at 17), so such a row takes width 17
+    whenever that still leaves at least 4k whole chunks. An 800-row top-50
+    over 6k targets keeps 851 columns per row at width 17 against 751 at
+    15, and took 0.199 s of CPU against 0.232 s (median of 7).
     """
     if n < 16 * k:
         return n
     width = min(65, n // (8 * k))
-    return width if width <= 16 else width - (width - 1) % 16
+    if width <= 16:
+        return 17 if n // 17 >= 4 * k else width
+    return width - (width - 1) % 16
 
 
 def _shortlist(rows: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
@@ -443,14 +475,12 @@ def knn_mean_similarity(
     if k < 1 or k > len(index):
         raise ValueError(f"k must be in [1, {len(index)}], got {k}")
     Q, I = queries.matrix, index.matrix
-    Q32, I32 = Q.astype(np.float32), I.astype(np.float32)
     margin = _screen_margin(Q, I)
 
-    def block(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        np.matmul(Q32[lo:hi], I32.T, out=out)
-        return _topk_mean_rows(out, k, margin, _rescorer(Q[lo:hi], I), stats)
+    def block(lo: int, hi: int, sims: np.ndarray) -> np.ndarray:
+        return _topk_mean_rows(sims, k, margin, _rescorer(Q[lo:hi], I), stats)
 
-    parts = _map_row_blocks(block, len(queries), len(index), n_threads, stats)
+    parts = _map_row_blocks(block, Q.astype(np.float32), I.astype(np.float32), n_threads, stats)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -490,12 +520,11 @@ def retrieve_topk(
         r_tgt = means.r_tgt
     else:
         r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats)
-    X32, Y32, r_tgt32 = X.astype(np.float32), Y.astype(np.float32), r_tgt.astype(np.float32)
+    r_tgt32 = r_tgt.astype(np.float32)
     cosine_margin = _screen_margin(X, Y)
     margin = _screen_margin(X, Y, r_tgt) if csls else cosine_margin
 
     def block(lo: int, hi: int, sims: np.ndarray):
-        np.matmul(X32[lo:hi], Y32.T, out=sims)
         if means is not None:
             r_src_block = means.r_src[src_ids[lo:hi]]
         else:
@@ -509,7 +538,7 @@ def retrieve_topk(
             vals -= r_src_block[:, None]
         return ids, vals, r_src_block
 
-    parts = _map_row_blocks(block, len(src_ids), len(tgt), n_threads, stats)
+    parts = _map_row_blocks(block, X.astype(np.float32), Y.astype(np.float32), n_threads, stats)
     cand_ids = np.concatenate([p[0] for p in parts]) if parts else np.zeros((0, params.top_k), dtype=np.int64)
     scores = np.concatenate([p[1] for p in parts]) if parts else np.zeros((0, params.top_k))
     r_src = np.concatenate([p[2] for p in parts]) if parts else np.zeros(0)

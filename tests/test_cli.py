@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import bilex
-from bilex import corpus, retrieval
+from bilex import corpus, ltr, retrieval
 from bilex.cli import (
     COMMANDS,
     _aligned_source,
@@ -308,6 +309,41 @@ class TestTrain:
         assert run(*train_args(world_dir, retrieved_dir, tmp_path, "--mode", "semi", "--n-aug", 15)) == 0
         doc = json.loads((tmp_path / "model.json").read_text())
         assert len(doc["trees"]) == 6
+
+    def test_semi_holds_no_vector_space_past_augment(self, world_dir, retrieved_dir, tmp_path, monkeypatch):
+        # live objects rather than RSS: the same on every run. The spaces alive before are kept in
+        # `before`, so no new space can take the id of one of them.
+        before = [o for o in gc.get_objects() if isinstance(o, corpus.EmbeddingSpace)]
+        known = {id(o) for o in before}
+
+        def new_spaces():
+            return [o for o in gc.get_objects() if isinstance(o, corpus.EmbeddingSpace) and id(o) not in known]
+
+        seen = {"passes": [], "fit": []}
+        retrieve_topk, train = retrieval.retrieve_topk, ltr.train
+
+        def watched_retrieve(src, tgt, *args, **kwargs):
+            alive = {id(o) for o in new_spaces()}
+            seen["passes"].append((len(alive), alive == {id(src), id(tgt)}))
+            return retrieve_topk(src, tgt, *args, **kwargs)
+
+        def watched_train(*args, **kwargs):
+            seen["fit"].append(len(new_spaces()))
+            return train(*args, **kwargs)
+
+        # a file with the first 60 sources' lists, so the mined sources' lists are retrieved too
+        partial = tmp_path / "partial.tsv"
+        partial.write_text("\n".join((retrieved_dir / "candidates.tsv").read_text().splitlines()[: 60 * 10]) + "\n")
+        args = train_args(world_dir, retrieved_dir, tmp_path / "out", "--mode", "semi", "--n-aug", 15)
+        args[args.index("--candidates") + 1] = partial
+        monkeypatch.setattr(retrieval, "retrieve_topk", watched_retrieve)
+        monkeypatch.setattr(ltr, "train", watched_train)
+        assert run(*args) == 0
+        assert int(stage_fields(kv(tmp_path / "out" / "run.log"), "augment")["retrieved_sources"]) > 0
+        # the forward top-1, the top-1 from the target side, the extension: each sees the aligned source
+        # and the target alone, so the unaligned source is gone
+        assert seen["passes"] == [(2, True)] * 3
+        assert seen["fit"] == [0]
 
     @pytest.mark.parametrize("flag, value", [("--k-csls", 151)])
     def test_semi_similarity_params_beyond_the_targets_exit_3(self, world_dir, retrieved_dir, tmp_path, capsys, flag, value):
@@ -1011,7 +1047,7 @@ class TestRunLogStages:
         augment = stage_fields(log, "augment")
         assert set(augment) == TIMING | {
             "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources",
-            "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
+            "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb", "gemm_s", "select_s",
         }
         assert augment["candidate_width"] == "10"
         assert augment["blas_threads"] == retrieval.blas_threads(one_thread=False)
@@ -1019,6 +1055,8 @@ class TestRunLogStages:
         # every selection rescores at least its k pairs per row (k = 1 for the mining passes)
         assert 1 <= float(augment["rescored_mean"]) <= float(augment["shortlist_mean"])
         assert float(augment["buffer_mb"]) > 0
+        # one worker's seconds in the blocks' products and selections, each field rounded to 1 ms
+        assert 0 < float(augment["gemm_s"]) + float(augment["select_s"]) <= float(augment["wall_s"]) + 0.002
         assert "src_duplicate_tokens=0" in log["stage.load"] and "tgt_zero_rows=0" in log["stage.load"]
 
     def test_load_counts_oov_pairs(self, world_dir, retrieved_dir, tmp_path):
@@ -1078,6 +1116,7 @@ class TestRunLogStages:
         retrieve = stage_fields(log, "retrieve")
         assert set(retrieve) == TIMING | {
             "queries", "top_k", "blas_threads", "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
+            "gemm_s", "select_s",
         }
         assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
         # one worker: its passes run on the library's own count
@@ -1086,6 +1125,7 @@ class TestRunLogStages:
         # the means at k_csls = 5 and the candidates at top_k = 10 rescore at least k pairs per row
         assert 5 <= float(retrieve["rescored_mean"]) <= float(retrieve["shortlist_mean"])
         assert float(retrieve["buffer_mb"]) > 0
+        assert 0 < float(retrieve["gemm_s"]) + float(retrieve["select_s"]) <= float(retrieve["wall_s"]) + 0.002
         assert set(stage_fields(log, "align")) == TIMING | {"blas_threads"}
         assert stage_fields(log, "align")["blas_threads"] == retrieval.blas_threads(one_thread=True)
         for name in ("write", "report"):

@@ -71,6 +71,24 @@ class TestLoadEmbeddings:
             f"{p}: 2 zero rows left unnormalized"
         ]
 
+    def test_tiny_rows_become_unit_rows(self, tmp_path):
+        # squares below the normal range: a 1e-160 square is subnormal, a 1e-200 square is 0
+        space = load_embeddings(write(tmp_path / "e.vec", "3 2\na 1e-160 0\nb 1e-200 1e-200\nc 3 4\n"))
+        assert space.zero_row_count == 0
+        assert space.matrix.tolist() == [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.6, 0.8]]
+
+    def test_rows_above_the_tiny_bound_keep_their_bits(self, tmp_path, rng):
+        # a norm of 2**-511 or more takes the plain division, beside a tiny row in the same chunk. Each row's
+        # largest |value| is 2**-510 and the others down to 1e-12 of it, so some squares are subnormal: about
+        # one row in ten then differs from the same row scaled first
+        raw = rng.standard_normal((100, 5)) * 10.0 ** -rng.uniform(0, 12, (100, 5))
+        raw *= 2.0**-510 / np.abs(raw).max(axis=1, keepdims=True)
+        lines = [f"w{i} " + " ".join(map(repr, row)) for i, row in enumerate(raw.tolist())] + ["t 1e-170 0 0 0 0"]
+        space = load_embeddings(write(tmp_path / "e.vec", f"{len(lines)} 5\n" + "\n".join(lines) + "\n"))
+        plain = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert space.matrix[:100].tobytes() == plain.tobytes()
+        assert space.matrix[100].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
     def test_unit_norms(self, tmp_path, rng):
         p = tmp_path / "e.vec"
         write_embeddings(space_from(rng.standard_normal((20, 6))), p)
@@ -259,6 +277,10 @@ def reference_load(path, max_vocab=None):
     if max_vocab is not None and read < expected:
         raise DataFormatError(f"{path}: expected at least {expected} rows, found {read}")
     matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    # a row whose sum of squares leaves the normal range is scaled first, its largest |value| into [0.5, 1)
+    for i in np.flatnonzero((np.linalg.norm(matrix, axis=1) < 2.0**-511) & (matrix != 0).any(axis=1)):
+        exponent = math.frexp(max(abs(v) for v in matrix[i]))[1]
+        matrix[i] = [math.ldexp(v, -exponent) for v in matrix[i]]
     zero_rows = int((np.linalg.norm(matrix, axis=1) == 0.0).sum())
     return words, unit_rows(matrix), duplicates, zero_rows
 

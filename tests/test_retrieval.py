@@ -55,6 +55,11 @@ def pair_row(x, Y):
     return retrieval._pair_dots(np.tile(x, (len(Y), 1)), Y)
 
 
+def operands(n_rows, n_cols):
+    """Float32 operands whose product is an (n_rows, n_cols) block of zeros, for _map_row_blocks."""
+    return np.zeros((n_rows, 1), dtype=np.float32), np.zeros((n_cols, 1), dtype=np.float32)
+
+
 def mutual_pairs(src, tgt, k_csls, n_threads=1):
     """mutual_nn_pairs over the top-1 retrieval and means that semi train passes it."""
     best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=k_csls, top_k=1), n_threads=n_threads)
@@ -304,12 +309,16 @@ class TestExactScreen:
         for n in range(16 * k, 8 * k * 70):  # every cap of the width, up to past 65
             width = retrieval._chunk_width(n, k)
             widest = min(65, n // (8 * k))  # the widest width that leaves 8k whole chunks, capped
-            assert 2 <= width <= widest and n // width >= 8 * k
-            if widest <= 16:
-                assert width == widest
+            if widest <= 16 and n // 17 >= 4 * k:  # width 17 while it leaves 4k whole chunks
+                assert width == 17
+            elif widest <= 16:  # fewer: the scalar loop, at the widest width that leaves 8k
+                assert width == widest and 2 <= width <= 8 and n // width >= 8 * k
             else:  # the widest of the form 16j + 1
-                assert width % 16 == 1 and widest < width + 16
+                assert 17 <= width <= widest < width + 16 and width % 16 == 1 and n // width >= 8 * k
         assert retrieval._chunk_width(20_000, 10) == 65 and retrieval._chunk_width(20_000, 50) == 49
+        # a top-50 over 6k targets, and the narrowest row that takes width 17 against the widest that does not
+        assert retrieval._chunk_width(6_000, 50) == 17
+        assert retrieval._chunk_width(68 * k, k) == 17 and retrieval._chunk_width(68 * k - 1, k) == 8
 
     @settings(max_examples=300, deadline=None)
     @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
@@ -422,13 +431,14 @@ class TestExactScreen:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = retrieval._map_row_blocks(fill, 32 * 400, 50, 6, stats)
+            got = retrieval._map_row_blocks(fill, *operands(32 * 400, 50), 6, stats)
         finally:
             sys.setswitchinterval(interval)
         assert got == list(range(0, 32 * 400, 32))
         assert (stats.rows, stats.columns, stats.widest) == (400 * 40 * 4, 400 * 40 * 8, 2)
         assert stats.rescored == 400 * 40 * 3
         assert 0 < stats.buffer_bytes <= 6 * 32 * 50 * 4
+        assert stats.gemm_s > 0 and stats.select_s > 0
 
     def test_matmul_into_a_buffer_equals_the_operator(self, rng):
         a = rng.standard_normal((37, 300)).astype(np.float32)
@@ -699,7 +709,7 @@ class TestPoolBlasThreads:
     def seen(get, n_rows, n_threads):
         """The OpenBLAS count each block of a 50-column pass sees, in block order (32-row blocks)."""
         with mock.patch.object(retrieval, "BLOCK_CELLS", 32 * 50):
-            return retrieval._map_row_blocks(lambda lo, hi, out: get(), n_rows, 50, n_threads)
+            return retrieval._map_row_blocks(lambda lo, hi, out: get(), *operands(n_rows, 50), n_threads)
 
     def test_workers_run_under_one_thread_and_the_count_comes_back(self, get):
         assert self.seen(get, 32 * 6, 2) == [1] * 6
@@ -712,7 +722,7 @@ class TestPoolBlasThreads:
             raise ZeroDivisionError
 
         with mock.patch.object(retrieval, "BLOCK_CELLS", 32 * 50), pytest.raises(ZeroDivisionError):
-            retrieval._map_row_blocks(fail, 32 * 6, 50, 2)
+            retrieval._map_row_blocks(fail, *operands(32 * 6, 50), 2)
         assert get() == 2
 
     def test_one_worker_leaves_the_count_alone(self, get):
@@ -725,6 +735,38 @@ class TestPoolBlasThreads:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         assert self.seen(get, 32 * 6, 2) == [2] * 6
         assert retrieval.blas_threads(one_thread=True) == "2"
+
+
+class TestBlockShape:
+    @staticmethod
+    def outputs(src, tgt, n_threads):
+        """Every similarity pass's output, as lists and bytes: the means, the mutual pairs, and retrieve_topk's
+        ids, scores and means, CSLS and cosine, full and scoped."""
+        params, rows = SimilarityParams(k_csls=4, top_k=6), np.array([299, 7, 64, 3, 150])
+        out = [knn_mean_similarity(src, tgt, 4, n_threads).tobytes(), mutual_pairs(src, tgt, 4, n_threads)]
+        for metric in ("csls", "cosine"):
+            for scope in (None, rows):
+                cands, means = retrieve_topk(src, tgt, params, metric, n_threads, rows=scope)
+                out.append((
+                    cands.src_ids.tolist(), cands.cand_ids.tolist(), cands.scores.tobytes(),
+                    means.r_src.tobytes(), means.r_tgt.tobytes(),
+                ))
+        return out
+
+    def test_no_bit_depends_on_the_block_shape(self, rng, monkeypatch):
+        # 500 targets are over 16k columns at k = 4 and 6, so every selection goes through the chunk screen
+        src = unit_space(rng.standard_normal((300, 24)))
+        tgt = unit_space(rng.standard_normal((500, 24)))
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 10**9)  # one block per pass
+        reference = self.outputs(src, tgt, 1)
+        assert len(reference[1]) > 0
+        # one block; 32-row blocks; 70-row blocks of 500 columns and 116-row blocks of 300, each pass ending
+        # in a short block
+        for cells in (10**9, 1, 70 * 500):
+            monkeypatch.setattr(retrieval, "BLOCK_CELLS", cells)
+            for n_threads in (1, 2):
+                assert self.outputs(src, tgt, n_threads) == reference, (cells, n_threads)
+        assert (retrieval._block_rows(500), retrieval._block_rows(300)) == (70, 116)
 
 
 @st.composite

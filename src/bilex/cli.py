@@ -155,15 +155,26 @@ def _rss_mb() -> tuple[float, float | None]:
         with open("/proc/self/status", encoding="ascii") as fh:
             status = {key: value for key, _, value in (line.partition(":") for line in fh)}
         return int(status["VmHWM"].split()[0]) / 2**10, int(status["VmRSS"].split()[0]) / 2**10  # kB
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10, None
+    return _maxrss_mb(resource.RUSAGE_SELF), None
+
+
+def _maxrss_mb(who: int) -> float:
+    """ru_maxrss in MB: KiB on Linux, bytes on macOS."""
+    peak = resource.getrusage(who).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
+def _cpu_s() -> float:
+    """CPU seconds of this process plus those of its children reaped so far, such as vector-parsing processes."""
+    times = os.times()
+    return time.process_time() + times.children_user + times.children_system
 
 
 # exceptions that main() reports, with their exit code and message prefix
 FAILURES = (
     (ConfigError, 2, "config error"),
     ((corpus.DataFormatError, ValueError, OSError), 3, "data error"),
-    ((AssertionError, ArithmeticError), 4, "internal error"),
+    ((AssertionError, ArithmeticError, corpus.ParseWorkerError), 4, "internal error"),
 )
 
 
@@ -214,11 +225,12 @@ class _RunLog:
     def stage(self, name: str, **counts):
         """Log a stage as one "stage.<name>" line: wall and CPU seconds, peak RSS so far, RSS at its end, counts.
 
-        The counts dict is yielded, so the stage can add counts it learns while running.
+        The CPU seconds include those of the child processes reaped during the stage. The counts dict is
+        yielded, so the stage can add counts it learns while running.
         """
-        wall0, cpu0 = time.perf_counter(), time.process_time()
+        wall0, cpu0 = time.perf_counter(), _cpu_s()
         yield counts
-        wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+        wall, cpu = time.perf_counter() - wall0, _cpu_s() - cpu0
         peak, current = _rss_mb()
         fields = [f"wall_s={wall:.3f}", f"cpu_s={cpu:.3f}", f"peak_rss_mb={peak:.1f}"]
         if current is not None:
@@ -254,13 +266,16 @@ def _write_kv(path: Path, items: list[tuple[object, object]]) -> None:
 def _load_spaces(opts: argparse.Namespace, counts: dict):
     """Both embedding spaces, unit-normalized, for the commands that compute with vectors.
 
-    Adds each side's duplicate tokens and zero rows to the load stage's counts.
+    Each file is parsed by up to --threads processes. Adds each side's duplicate tokens and zero rows to the
+    load stage's counts, the most processes one file took and the peak RSS of the largest child.
     """
-    src = corpus.load_embeddings(opts.src_emb, opts.max_vocab)
-    tgt = corpus.load_embeddings(opts.tgt_emb, opts.max_vocab)
+    src = corpus.load_embeddings(opts.src_emb, opts.max_vocab, opts.threads)
+    tgt = corpus.load_embeddings(opts.tgt_emb, opts.max_vocab, opts.threads)
     for side, space in (("src", src), ("tgt", tgt)):
         counts[f"{side}_duplicate_tokens"] = space.duplicate_count
         counts[f"{side}_zero_rows"] = space.zero_row_count
+    counts["parse_workers"] = max(src.parse_workers, tgt.parse_workers)
+    counts["children_peak_rss_mb"] = f"{_maxrss_mb(resource.RUSAGE_CHILDREN):.1f}"
     return src, tgt
 
 

@@ -2,18 +2,37 @@
 
 All loaders NFC-normalize tokens and never lowercase. Loaded structures are
 treated as immutable after construction and are safe to share across threads.
+
+A vector file is read in parts. Its body, the rows after the "<count> <dim>"
+header, is cut at line starts into up to `workers` byte ranges of at least
+MIN_PART_BYTES, one per usable CPU at most. The first part is parsed in this
+process straight into the final matrix, and each other one in a forked child
+that writes its unit rows into a shared anonymous mapping and sends back, down
+a pipe, its tokens, row, line and zero-row counts and its first fault. The
+rules for a row live in _parse_part and _store_chunk, which read one part, in
+this process or in a child alike. One merge pass (_merge, also run by load_vocabulary on
+its single part) then numbers the words in file order, keeping the first
+occurrence of a duplicate and warning once per duplicate, raises the first
+fault in file order, copies the kept rows into place and checks the row count
+against the header. So ids, bits, messages and warnings do not depend on the
+number of parts. When max_vocab is below the header count, the file is read
+in one part, so that the rows past max_vocab are counted but never parsed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import logging
 import math
+import mmap
 import os
+import pickle
+import signal
 import stat
 import unicodedata
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -75,6 +94,7 @@ class EmbeddingSpace:
     normalized: bool = False
     duplicate_count: int = 0
     zero_row_count: int = 0
+    parse_workers: int = 1  # processes that parsed the vector file
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -141,53 +161,108 @@ def _data_lines(path: Path):
 # few enough that a chunk's text stays a few megabytes.
 PARSE_CHUNK_ROWS = 2048
 
+# Smallest share of a vector file's body worth a process of its own: about 80 ms of parsing, against a few
+# milliseconds to fork, send the tokens back and copy the rows.
+MIN_PART_BYTES = 4 << 20
+
 # np.loadtxt strips these separators around a number; float() refuses them.
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
-class _VectorRows:
-    """Row reader of the text vector format, the one home of its tokenizing rules.
+class ParseWorkerError(RuntimeError):
+    """A process parsing part of a vector file died or sent no result."""
 
-    Construction checks the header "<count> <dim>". Iteration yields
-    (line_no, token, values, word_id) for each non-blank row within
-    max_vocab. token is NFC-normalized. values is the text after the token,
-    less one trailing space (common in fastText exports), and holds exactly
-    dim space-separated fields. word_id is the token's id in self.vocab, or
-    -1 for a duplicate token, which keeps its first occurrence (warned and
-    counted). Rows past max_vocab are counted but not read; after the last
-    row the count is checked against the header.
+
+def _read_header(fh, path: Path) -> tuple[int, int]:
+    """(count, dim) of the "<count> <dim>" line of a vector file."""
+    header = fh.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise DataFormatError(f"{path}: line 1: malformed header {header.strip()!r}, expected '<count> <dim>'")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise DataFormatError(f"{path}: line 1: non-integer header fields {header.strip()!r}") from None
+    if count < 0 or dim <= 0:
+        raise DataFormatError(f"{path}: line 1: invalid header values count={count} dim={dim}")
+    return count, dim
+
+
+def _body_start(path: Path) -> int:
+    """The byte offset of a vector file's first row: the length of its header line, line ending included."""
+    with open(path, encoding="utf-8", newline="") as fh:  # newline="" keeps the line ending as written
+        return len(fh.readline().encode("utf-8"))
+
+
+class _ByteRange(io.RawIOBase):
+    """The bytes [start, end) of an open file, read with pread, so that processes can share the descriptor."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self.fd, self.pos, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
+        buffer[: len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _range_lines(fd: int, start: int, end: int):
+    """The lines of the bytes [start, end) of a file, as iterating over the text file would give them."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end), 1 << 20), encoding="utf-8")
+
+
+@dataclass
+class _Part:
+    """What parsing one part of a vector file's body found. Rows and lines are numbered within the part.
+
+    The fault is (row, line, message after "line N: ") of the first faulty row; rows after it are counted but
+    not read. An exception that stopped the reading itself, such as a decoding error, is kept as error.
     """
 
-    def __init__(self, fh, path: Path, max_vocab: int | None):
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}: line 1: malformed header {header.strip()!r}, expected '<count> <dim>'")
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataFormatError(f"{path}: line 1: non-integer header fields {header.strip()!r}") from None
-        if count < 0 or dim <= 0:
-            raise DataFormatError(f"{path}: line 1: invalid header values count={count} dim={dim}")
-        self.fh = fh
-        self.path = path
-        self.count = count
-        self.dim = dim
-        self.max_vocab = max_vocab
-        self.expected = count if max_vocab is None else min(count, max_vocab)
-        self.vocab = Vocabulary(words=[], index={})
-        self.duplicates = 0
+    tokens: list[str] = field(default_factory=list)  # NFC tokens of the rows read, in file order
+    line_nos: list[int] = field(default_factory=list)  # their line numbers, from 1
+    zero_rows: list[int] = field(default_factory=list)  # rows whose values are all zero
+    rows: int = 0  # non-blank lines, also those not read
+    lines: int = 0
+    fault: tuple[int, int, str] | None = None
+    error: Exception | None = None
 
-    def __iter__(self):
-        path, dim = self.path, self.dim
-        words, index = self.vocab.words, self.vocab.index
-        read = 0
-        for line_no, raw in enumerate(self.fh, start=2):
+
+class _RowFault(Exception):
+    """(row, line, message after "line N: ") of a faulty row, numbered within its part."""
+
+
+def _parse_part(lines, dim: int, limit: int, out: np.ndarray | None) -> _Part:
+    """Read the rows of one part of a vector file's body: the one home of the format's row rules.
+
+    A row is a non-blank line: a token, NFC-normalized, then exactly dim space-separated values, less one
+    trailing space (common in fastText exports). Rows past limit are counted, not read. If out is given, row i's
+    values go to out[i] as a unit row (see _store_chunk), else they are counted but not parsed.
+    """
+    part = _Part()
+    tokens, line_nos = part.tokens, part.line_nos
+    chunk: list[tuple[int, str, str]] = []  # (line, token, values) of the rows read but not stored
+
+    def store() -> None:
+        if out is not None and chunk and part.fault is None:
+            try:
+                _store_chunk(chunk, out, len(tokens) - len(chunk), part.zero_rows)
+            except _RowFault as fault:
+                part.fault = fault.args
+        chunk.clear()
+
+    rows = line_no = 0
+    try:
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
                 continue
-            read += 1
-            if read > self.expected:
+            rows += 1
+            if part.fault is not None or rows > limit:
                 continue
             token, _, values = line.partition(" ")
             token = _nfc(token)
@@ -197,36 +272,21 @@ class _VectorRows:
             else:
                 found = values.count(" ") + 1 if values else 0
             if found != dim:
-                raise DataFormatError(f"{path}: line {line_no}: expected {dim} values for {token!r}, found {found}")
-            if token in index:
-                self.duplicates += 1
-                log.warning("%s: line %d: duplicate token %r, keeping first occurrence", path, line_no, token)
-                word_id = -1
-            else:
-                word_id = index[token] = len(words)
-                words.append(token)
-            yield line_no, token, values, word_id
-
-        if self.max_vocab is None and read != self.count:
-            raise DataFormatError(f"{path}: header declares {self.count} rows, found {read}")
-        if self.max_vocab is not None and read < self.expected:
-            raise DataFormatError(f"{path}: expected at least {self.expected} rows, found {read}")
-
-
-def load_vocabulary(path: str | Path, max_vocab: int | None = None) -> Vocabulary:
-    """Read only the words of a text vector file; no value is converted.
-
-    Words, ids and format checks are those of load_embeddings(path,
-    max_vocab).vocab. Value fields are counted but not parsed, so a
-    non-numeric or non-finite value, or a row whose norm overflows, is not
-    detected here: only the commands that read vector values catch these.
-    """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        rows = _VectorRows(fh, path, max_vocab)
-        for _ in rows:
-            pass
-    return rows.vocab
+                store()  # a bad value above this row is the first fault
+                if part.fault is None:
+                    part.fault = (rows - 1, line_no, f"expected {dim} values for {token!r}, found {found}")
+                continue
+            tokens.append(token)
+            line_nos.append(line_no)
+            if out is not None:
+                chunk.append((line_no, token, values))
+                if len(chunk) == PARSE_CHUNK_ROWS:
+                    store()
+        store()
+    except Exception as e:  # ordered against the faults of earlier parts by _merge
+        part.error = e
+    part.rows, part.lines = rows, line_no
+    return part
 
 
 def _parse_values(texts: list[str], width: int, delimiter: str, fault: Callable[[int, str], str]) -> np.ndarray:
@@ -260,29 +320,31 @@ def _parse_values(texts: list[str], width: int, delimiter: str, fault: Callable[
     return parsed
 
 
-def _store_chunk(path: Path, chunk: list[tuple], matrix: np.ndarray) -> int:
-    """Parse a chunk, check every row (duplicates too) and write the kept rows, scaled to unit length, to matrix.
+def _store_chunk(chunk: list[tuple[int, str, str]], out: np.ndarray, first: int, zero_rows: list[int]) -> None:
+    """Parse and check the rows first, first + 1, ... of a part and write them, scaled to unit length, to out.
 
-    Returns the number of zero rows written; they stay zero.
+    Zero rows stay zero and are added to zero_rows. A faulty row raises _RowFault once the rows above it are
+    stored, since an overflow among them comes first.
     """
     if not chunk:
-        return 0
+        return
     faulty: list[int] = []
 
     def fault(i: int, kind: str) -> str:
         faulty.append(i)
-        return f"{path}: line {chunk[i][0]}: {kind} value in row for {chunk[i][1]!r}"
+        return f"{kind} value in row for {chunk[i][1]!r}"
 
     try:
-        parsed = _parse_values([values for _, _, values, _ in chunk], matrix.shape[1], " ", fault)
-    except DataFormatError:
-        _store_chunk(path, chunk[: faulty[0]], matrix)  # an overflow above the bad value comes first
-        raise
+        parsed = _parse_values([values for _, _, values in chunk], out.shape[1], " ", fault)
+    except DataFormatError as e:
+        i = faulty[0]
+        _store_chunk(chunk[:i], out, first, zero_rows)
+        raise _RowFault(first + i, chunk[i][0], str(e)) from None
     # a row's norm has the same bits in any chunk of rows as in the whole matrix
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(parsed, axis=1)
-    for i in np.flatnonzero(~np.isfinite(norms))[:1]:
-        raise DataFormatError(f"{path}: line {chunk[i][0]}: norm of the row for {chunk[i][1]!r} overflows")
+    for i in np.flatnonzero(~np.isfinite(norms))[:1].tolist():
+        raise _RowFault(first + i, chunk[i][0], f"norm of the row for {chunk[i][1]!r} overflows")
     # below 2**-511 the sum of squares has left the normal range and lost bits, or all of them: such a row is
     # first scaled by an exact power of two, its largest |value| into [0.5, 1); an all-zero row stays as it is
     tiny = np.flatnonzero(norms < 2.0**-511)
@@ -292,13 +354,206 @@ def _store_chunk(path: Path, chunk: list[tuple], matrix: np.ndarray) -> int:
         norms[tiny] = np.linalg.norm(parsed[tiny], axis=1)
     nonzero = norms > 0.0
     np.divide(parsed, norms[:, None], out=parsed, where=nonzero[:, None])
-    ids = np.fromiter((word_id for _, _, _, word_id in chunk), dtype=np.int64, count=len(chunk))
-    kept = ids >= 0
-    matrix[ids[kept]] = parsed[kept]
-    return int((kept & ~nonzero).sum())
+    out[first : first + len(chunk)] = parsed
+    zero_rows.extend((first + np.flatnonzero(~nonzero)).tolist())
 
 
-def load_embeddings(path: str | Path, max_vocab: int | None = None) -> EmbeddingSpace:
+def _merge(path: Path, count: int, max_vocab: int | None, parts: list[tuple[_Part, np.ndarray | None]],
+           matrix: np.ndarray | None) -> tuple[Vocabulary, int, int]:
+    """Vocabulary, duplicate count and zero-row count of a vector file from its parts, in file order.
+
+    Each part comes with the array its rows were stored in. Word ids follow file order; a duplicate token keeps
+    its first occurrence (warned and counted). Only the first min(count, max_vocab) rows are kept, and only
+    faults among them count: the first in file order is raised. The kept rows are copied to their ids in matrix
+    (the rows of a part stored in matrix itself move only past a duplicate). Then the row count is checked
+    against the header.
+    """
+    expected = count if max_vocab is None else min(count, max_vocab)
+    words: list[str] = []
+    index: dict[str, int] = {}
+    duplicates = zero_rows = 0
+    rows_before, lines_before = 0, 1  # the header is line 1
+    for part, stored in parts:
+        take = min(len(part.tokens), max(0, expected - rows_before))
+        fault = part.fault if part.fault is not None and rows_before + part.fault[0] < expected else None
+        if fault is not None:
+            take = min(take, fault[0])
+        ids = []
+        for r, token in enumerate(part.tokens[:take]):
+            if token in index:
+                duplicates += 1
+                log.warning("%s: line %d: duplicate token %r, keeping first occurrence",
+                            path, lines_before + part.line_nos[r], token)
+                ids.append(-1)
+            else:
+                ids.append(len(words))
+                index[token] = len(words)
+                words.append(token)
+        if fault is not None:
+            raise DataFormatError(f"{path}: line {lines_before + fault[1]}: {fault[2]}")
+        if part.error is not None:
+            raise part.error
+        ids = np.array(ids, dtype=np.int64)
+        kept = np.flatnonzero(ids >= 0)
+        if matrix is not None and kept.size:
+            first = ids[kept[0]]  # kept rows take consecutive ids
+            if kept.size < take:
+                matrix[first : first + kept.size] = stored[kept]
+            elif stored is not matrix or first != 0:
+                matrix[first : first + take] = stored[:take]
+        zero_rows += sum(1 for r in part.zero_rows if r < take and ids[r] >= 0)
+        rows_before += part.rows
+        lines_before += part.lines
+    if max_vocab is None and rows_before != count:
+        raise DataFormatError(f"{path}: header declares {count} rows, found {rows_before}")
+    if max_vocab is not None and rows_before < expected:
+        raise DataFormatError(f"{path}: expected at least {expected} rows, found {rows_before}")
+    return Vocabulary(words=words, index=index), duplicates, zero_rows
+
+
+def load_vocabulary(path: str | Path, max_vocab: int | None = None) -> Vocabulary:
+    """Read only the words of a text vector file; no value is converted.
+
+    Words, ids and format checks are those of load_embeddings(path,
+    max_vocab).vocab. Value fields are counted but not parsed, so a
+    non-numeric or non-finite value, or a row whose norm overflows, is not
+    detected here: only the commands that read vector values catch these.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        count, dim = _read_header(fh, path)
+        part = _parse_part(fh, dim, count if max_vocab is None else min(count, max_vocab), None)
+    return _merge(path, count, max_vocab, [(part, None)], None)[0]
+
+
+def _part_count(workers: int, body_bytes: int) -> int:
+    """Processes to parse a body of body_bytes with: at most workers, one per usable CPU and MIN_PART_BYTES each."""
+    if workers <= 1 or not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(workers, cpus, body_bytes // MIN_PART_BYTES))
+
+
+def _next_line_start(fd: int, at: int, end: int) -> int:
+    """The position after the first newline byte in [at, end), else end."""
+    while at < end:
+        block = os.pread(fd, min(1 << 16, end - at), at)
+        if not block:
+            break
+        newline = block.find(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        at += len(block)
+    return end
+
+
+def _cut_points(fd: int, start: int, end: int, n: int) -> list[int]:
+    """start, up to n - 1 line starts near n equal shares of the bytes [start, end), then end.
+
+    A cut follows a newline byte, so it starts a line in any decoding, also after "\\r\\n". A file that ends its
+    lines with "\\r" alone is not cut.
+    """
+    cuts = [start]
+    for i in range(1, n):
+        cut = _next_line_start(fd, max(start + (end - start) * i // n, cuts[-1] + 1) - 1, end)
+        if cut < end:
+            cuts.append(cut)
+    return cuts + [end]
+
+
+def _fork_part(fd: int, start: int, end: int, dim: int, limit: int, out: np.ndarray, inherited: list[int]):
+    """(pid, read end of its pipe) of a child that parses the bytes [start, end) into out; None if fork fails.
+
+    The child sends its _Part down the pipe. Its whole body is in try/except BaseException and ends in os._exit,
+    so that it never returns into the caller, whose `finally` blocks and exit handlers (a launcher writing a
+    record file, say) are the parent's to run.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        # Python 3.12+ warns when it forks a process with threads, and OpenBLAS's idle pool threads count. The
+        # child makes no BLAS call (np.linalg.norm over axis 1 is a ufunc reduction), so it needs none of their locks.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)
+            for other in inherited:
+                os.close(other)
+            part = _parse_part(_range_lines(fd, start, end), dim, limit, out)
+            with open(w, "wb") as pipe:
+                pickle.dump(part, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _child_part(path: Path, pid: int, r: int, start: int, end: int) -> _Part:
+    """The _Part a child sends, read to the end of its pipe, once the child is reaped (also if reading fails)."""
+    try:
+        with open(r, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        why = f"was killed by signal {signal.Signals(os.WTERMSIG(status)).name}"
+    elif os.WEXITSTATUS(status):
+        why = f"exited with status {os.WEXITSTATUS(status)}"
+    elif not data:
+        why = "sent no result"
+    else:
+        return pickle.loads(data)
+    raise ParseWorkerError(f"{path}: the process parsing bytes {start}-{end} {why}")
+
+
+def _parse_parts(path: Path, fd: int, cuts: list[int], dim: int, limit: int, matrix: np.ndarray) -> list:
+    """(part, array its rows were stored in) for the bytes between consecutive cuts.
+
+    The first part is parsed here into matrix, each other one in a forked child into its own slab of one
+    MAP_SHARED anonymous mapping made before the fork (in this process if the fork fails). Every child is
+    reaped before this returns or raises.
+    """
+    # a parsable row takes at least 2 * dim bytes
+    sizes = [min(limit, (cuts[i + 1] - cuts[i]) // (2 * dim) + 1) for i in range(1, len(cuts) - 1)]
+    shared = mmap.mmap(-1, max(1, sum(sizes)) * dim * 8)
+    offsets = np.cumsum([0] + sizes)
+    slabs = [
+        np.frombuffer(shared, np.float64, size * dim, int(at) * dim * 8).reshape(size, dim)
+        for size, at in zip(sizes, offsets)
+    ]
+    children: dict[int, tuple[int, int]] = {}  # part -> (pid, read end of its pipe), until reaped
+    try:
+        for i, slab in enumerate(slabs, start=1):
+            child = _fork_part(fd, cuts[i], cuts[i + 1], dim, limit, slab, [r for _, r in children.values()])
+            if child is not None:
+                children[i] = child
+        parts = [(_parse_part(_range_lines(fd, cuts[0], cuts[1]), dim, limit, matrix), matrix)]
+        for i, slab in enumerate(slabs, start=1):
+            if i in children:
+                part = _child_part(path, *children.pop(i), cuts[i], cuts[i + 1])
+            else:
+                part = _parse_part(_range_lines(fd, cuts[i], cuts[i + 1]), dim, limit, slab)
+            parts.append((part, slab))
+        return parts
+    finally:
+        for pid, r in children.values():  # only when raising: stop and reap the children not yet collected
+            with contextlib.suppress(OSError):
+                os.close(r)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def load_embeddings(path: str | Path, max_vocab: int | None = None, workers: int = 1) -> EmbeddingSpace:
     """Load text-format word vectors as unit rows: header "<count> <dim>", then one word per line.
 
     Duplicate tokens keep their first occurrence (warned and counted). If
@@ -307,38 +562,43 @@ def load_embeddings(path: str | Path, max_vocab: int | None = None) -> Embedding
     header, and each row is divided by its norm as it is stored; zero rows
     stay zero and are counted. A non-numeric or non-finite value, or a row
     whose norm overflows, is an error naming its line.
+
+    Up to `workers` processes parse a regular file, each a part of its body
+    (see the module docstring); one part is used when max_vocab is below the
+    header count, so that the rows past it are never read. Every result, error
+    message and warning is the same for any number of parts.
     """
     path = Path(path)
-    zero_rows = 0
     with open(path, encoding="utf-8") as fh:
-        rows = _VectorRows(fh, path, max_vocab)
-        capacity = rows.expected
+        count, dim = _read_header(fh, path)
+        limit = count if max_vocab is None else min(count, max_vocab)
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
+            body = _body_start(path)
             # a parsable row takes at least 2 * dim bytes, so an overstated count cannot over-allocate
-            capacity = min(capacity, st.st_size // (2 * rows.dim) + 1)
-        matrix = np.empty((capacity, rows.dim), dtype=np.float64)
-        chunk: list[tuple] = []
-        try:
-            for row in rows:
-                chunk.append(row)
-                if len(chunk) == PARSE_CHUNK_ROWS:
-                    full, chunk = chunk, []
-                    zero_rows += _store_chunk(path, full, matrix)
-        except DataFormatError:
-            # a bad value above the faulty row is the file's first fault
-            _store_chunk(path, chunk, matrix)
-            raise
-        zero_rows += _store_chunk(path, chunk, matrix)
+            capacity = min(limit, (st.st_size - body) // (2 * dim) + 1)
+            n = 1 if limit < count else _part_count(workers, st.st_size - body)
+            cuts = _cut_points(fh.fileno(), body, st.st_size, n)
+        else:
+            capacity, cuts = limit, []
+        matrix = np.empty((capacity, dim), dtype=np.float64)
+        if len(cuts) > 2:
+            parts = _parse_parts(path, fh.fileno(), cuts, dim, limit, matrix)
+        else:  # one part: the rest of this file
+            parts = [(_parse_part(fh, dim, limit, matrix), matrix)]
+    vocab, duplicates, zero_rows = _merge(path, count, max_vocab, parts, matrix)
+    workers = len(parts)
+    del parts  # the children's rows are copied: let their shared mapping go
     if zero_rows:
         log.warning("%s: %d zero rows left unnormalized", path, zero_rows)
     return EmbeddingSpace(
-        vocab=rows.vocab,
-        matrix=matrix[: len(rows.vocab)],
-        dim=rows.dim,
+        vocab=vocab,
+        matrix=matrix[: len(vocab)],
+        dim=dim,
         normalized=True,
-        duplicate_count=rows.duplicates,
+        duplicate_count=duplicates,
         zero_row_count=zero_rows,
+        parse_workers=workers,
     )
 
 

@@ -5,9 +5,7 @@ a POS-match bit, and two 18-way one-hot POS blocks. Ablations zero columns
 out in place; the schema length never changes.
 
 build_groups returns one sources x k grid, RankingGroups, whose (m * k, 46)
-feature matrix it fills column by column through id arrays. featurize_pair
-and label_candidates compute one pair at a time and are the reference the
-matrix is tested against.
+feature matrix it fills column by column through id arrays.
 """
 
 from __future__ import annotations
@@ -79,14 +77,6 @@ class FeatureSchema:
         for group in sorted(self.disabled):
             cols.extend(FEATURE_GROUPS[group])
         return cols
-
-    def apply_mask(self, features: np.ndarray) -> np.ndarray:
-        cols = self.masked_columns()
-        if not cols:
-            return features
-        out = features.copy()
-        out[:, cols] = 0.0
-        return out
 
 
 @dataclass
@@ -177,46 +167,6 @@ class RankingGroups:
         )
 
 
-def label_candidates(src: int, cands: list[int] | np.ndarray, dic: TranslationDictionary) -> np.ndarray:
-    """1 for candidates in the gold set of src, else 0; the per-pair reference of build_groups' labels."""
-    if len(cands) == 0:
-        raise ValueError(f"empty candidate list for source id {src}")
-    gold = set(dic.entries[src])
-    return np.array([1 if int(c) in gold else 0 for c in cands], dtype=np.int8)
-
-
-def featurize_pair(
-    src: int,
-    cand: int,
-    csls: float,
-    ext: float | None,
-    freq_src: FrequencyTable,
-    freq_tgt: FrequencyTable,
-    pos_src: PosTable,
-    pos_tgt: PosTable,
-) -> np.ndarray:
-    """One 46-dim feature row for a (source, candidate) pair; the per-pair reference of build_groups' rows."""
-    vec = np.zeros(N_FEATURES, dtype=np.float64)
-    vec[0] = csls
-    if ext is not None:
-        vec[1] = ext
-        vec[2] = 1.0
-    zs = float(freq_src.zipf[src])
-    zc = float(freq_tgt.zipf[cand])
-    vec[3] = zs
-    vec[4] = zc
-    vec[5] = zs - zc
-    vec[6] = abs(zs - zc)
-    vec[7] = math.log2(1 + int(freq_src.rank[src]))
-    vec[8] = math.log2(1 + int(freq_tgt.rank[cand]))
-    ts = int(pos_src.tag_ids[src])
-    tc = int(pos_tgt.tag_ids[cand])
-    vec[9] = 1.0 if ts == tc else 0.0
-    vec[10 + ts] = 1.0
-    vec[28 + tc] = 1.0
-    return vec
-
-
 def _log2_1p(ranks: np.ndarray) -> np.ndarray:
     """math.log2(1 + r) per rank, through a table over the distinct ranks; np.log2 may differ in the last bit."""
     distinct, inverse = np.unique(ranks, return_inverse=True)
@@ -265,8 +215,7 @@ def build_groups(
     are fatal.
 
     All rows go into one contiguous (m * k, 46) matrix, filled column by
-    column through the source and candidate id arrays (featurize_pair and
-    label_candidates compute the same values one pair at a time).
+    column through the source and candidate id arrays.
     """
     schema = schema or FeatureSchema()
     for s in sources:

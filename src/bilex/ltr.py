@@ -104,25 +104,12 @@ def rank_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
 
 
-def average_precision(labels) -> float:
-    """AP of binary labels already in ranked order; 0.0 when no positives."""
-    y = np.asarray(labels, dtype=np.float64)
-    if y.size == 0:
-        raise ValueError("empty label list")
-    positives = y.sum()
-    if positives == 0:
-        return 0.0
-    hits = np.cumsum(y)
-    ks = np.arange(1, y.size + 1, dtype=np.float64)
-    return float((hits[y == 1] / ks[y == 1]).sum() / positives)
-
-
 def mean_ap(groups: RankingGroups, scores: np.ndarray) -> float:
     """Mean AP over the sources that have a positive, each ranked by its row of scores (m, k).
 
     One row-wise stable sort ranks every source. Each AP is the last entry of
-    a running sum of the precisions at the positive ranks, added in rank order
-    as average_precision does.
+    a running sum of the precisions at the positive ranks, added in rank order,
+    divided by the source's positives.
     """
     y = groups.labels.astype(np.float64)
     positives = y.sum(axis=1)

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from bilex import corpus
 from bilex.corpus import EmbeddingSpace, Vocabulary
 from bilex.features import N_FEATURES, RankingGroups
 
@@ -46,3 +49,24 @@ def grid(labels, features=None, src=None, candidate_ids=None, has_gold=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def split_small(monkeypatch):
+    """Files of any size split into as many parts as asked, with eight usable CPUs; yields the pids forked."""
+    monkeypatch.setattr(corpus, "MIN_PART_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield forked
+    for pid in forked:  # every child is reaped by the loader, whatever happened
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -647,11 +648,81 @@ class TestDeterminism:
         assert run(*eval_args(world, ret, model, ev)) == 0
         return base
 
-    def test_pipeline_byte_identical_and_thread_invariant(self, tmp_path):
+    def test_pipeline_byte_identical_and_thread_invariant(self, tmp_path, split_small):
         a = self.run_pipeline(tmp_path / "a", threads=1)
         b = self.run_pipeline(tmp_path / "b", threads=2)
+        # at two workers each vector file is parsed in two processes
+        assert stage_fields(kv(a / "ret" / "run.log"), "load")["parse_workers"] == "1"
+        assert stage_fields(kv(b / "ret" / "run.log"), "load")["parse_workers"] == "2"
         for sub in ("world", "ret", "model", "eval"):
             self.compare_trees(a / sub, b / sub)
+
+
+class TestParallelLoad:
+    """retrieve, semi train and analyze --words parse each vector file in up to --threads processes."""
+
+    def retrieve(self, world_dir, out, src, threads):
+        return run(
+            "retrieve", "--out-dir", out, "--src-emb", src, "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--top-k", 5, "--k-csls", 3, "--threads", threads,
+        )
+
+    def test_fault_in_the_second_part_exits_3_as_one_part_does(self, world_dir, tmp_path, capsys, split_small):
+        lines = (world_dir / "embeddings.src.vec").read_text().splitlines()
+        row = len(lines) * 3 // 4  # 0-based line index, in the second half of the file
+        fields = lines[row].split(" ")
+        fields[3] = "1.0x"
+        lines[row] = " ".join(fields)
+        bad = tmp_path / "bad.vec"
+        bad.write_text("\n".join(lines) + "\n")
+        errors = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert self.retrieve(world_dir, out, bad, threads) == 3
+            errors.append([line for line in capsys.readouterr().err.splitlines() if line.startswith("data error")])
+            assert kv(out / "run.log")["exit_code"] == "3" and not (out / "candidates.tsv").exists()
+        assert errors[0] == errors[1] == [f"data error: {bad}: line {row + 1}: non-numeric value in row for {fields[0]!r}"]
+        assert len(split_small) == 1  # the source file's second part; the target file is never read
+
+    def test_child_killed_is_an_internal_error(self, world_dir, tmp_path, capsys, monkeypatch, split_small):
+        parent, real = os.getpid(), corpus._parse_part
+
+        def killed_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(corpus, "_parse_part", killed_in_child)
+        src = world_dir / "embeddings.src.vec"
+        out = tmp_path / "out"
+        assert self.retrieve(world_dir, out, src, 2) == 4
+        err = capsys.readouterr().err
+        assert re.search(
+            rf"internal error: {re.escape(str(src))}: the process parsing bytes \d+-\d+ was killed by signal SIGKILL", err
+        )
+        assert kv(out / "run.log")["exit_code"] == "4" and not (out / "candidates.tsv").exists()
+        assert len(split_small) == 1
+
+    def test_load_stage_logs_the_parsing_processes(self, world_dir, tmp_path, split_small):
+        assert self.retrieve(world_dir, tmp_path, world_dir / "embeddings.src.vec", 2) == 0
+        load = stage_fields(kv(tmp_path / "run.log"), "load")
+        assert load["parse_workers"] == "2" and float(load["children_peak_rss_mb"]) > 0
+        assert len(split_small) == 2
+
+    def test_stage_cpu_adds_reaped_children(self, tmp_path, monkeypatch):
+        children_user = iter([1.0, 3.5])
+        real_times = os.times
+
+        def times():
+            t = real_times()
+            return os.times_result((t.user, t.system, next(children_user), 0.0, t.elapsed))
+
+        runlog = _RunLog(tmp_path, "test")
+        monkeypatch.setattr(os, "times", times)
+        with runlog.stage("x"):
+            pass
+        cpu = float(stage_fields(dict(line.split("\t") for line in runlog.lines), "x")["cpu_s"])
+        assert 2.5 <= cpu < 3.0
 
 
 class TestThreadsEnvVar:
@@ -864,9 +935,9 @@ class TestVectorLoading:
         paths = []
         real = corpus.load_embeddings
 
-        def counting(path, max_vocab=None):
+        def counting(path, *args):
             paths.append(Path(path).name)
-            return real(path, max_vocab)
+            return real(path, *args)
 
         monkeypatch.setattr(corpus, "load_embeddings", counting)
         return paths

@@ -1,7 +1,9 @@
 import logging
 import math
+import os
 import random
 import re
+import signal
 import unicodedata
 from unittest import mock
 
@@ -365,6 +367,136 @@ class TestLoaderEquivalence:
             assert re.search(VALUE_FAULT, space)
         else:
             assert vocab_only.words == space.vocab.words and vocab_only.index == space.vocab.index
+
+
+def parts_outcome(path, max_vocab, parts, caplog):
+    """What load_embeddings(path, max_vocab, parts) returns, or its error message, and the warnings it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="bilex"):
+        try:
+            space = load_embeddings(path, max_vocab, parts)
+        except DataFormatError as e:
+            result = str(e)
+        else:
+            m = space.matrix
+            result = (space.vocab.words, m.tobytes(), m.shape, space.duplicate_count, space.zero_row_count)
+    return result, [r.getMessage() for r in caplog.records]
+
+
+# equal-length rows, so that 2 parts cut after the third row and 3 parts after the second and fourth
+SIX_ROWS = "a 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 1\nf 2 3\n"
+PART_CASES = {
+    "duplicate_each_side_of_a_cut": ("6 2\na 1 2\nb 3 4\nc 5 6\na 7 8\nb 9 1\nc 2 3\n", None),
+    "blank_lines": ("4 2\n\na 1 2\n\n\nb 3 4\n\nc 5 6\n \nd 7 8\n\n", None),
+    "crlf": ("6 2\r\n" + SIX_ROWS.replace("\n", "\r\n"), None),
+    "lone_cr": ("6 2\ra 1 2\rb 3 4\nc 5 6\rd 7 8\ne 9 1\rf 2 3\r", None),
+    "trailing_spaces": ("6 2\n" + SIX_ROWS.replace("\n", " \n"), None),
+    "no_final_newline": ("6 2\n" + SIX_ROWS.rstrip("\n"), None),
+    "zero_and_tiny_rows": ("6 2\na 0 0\nb 1e-200 1e-200\nc 0 -0\nd 3 4\na 0 0\ne 1e-170 0\n", None),
+    "value_faults_in_two_parts": ("6 2\na 1 2\nb 3 4\nc 5 x\nd 7 8\ne 9 y\nf 2 3\n", None),
+    "shape_fault_before_value_fault": ("6 2\na 1 2\nb 3 4\nc 5 6\nd 7\ne 9 y\nf 2 3\n", None),
+    "value_fault_before_shape_fault": ("6 2\na 1 2\nb 3 x\nc 5 6\nd 7 8\ne 9\nf 2 3\n", None),
+    "overflow_in_a_later_part": ("6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 1e200 1e200\nf 2 3\n", None),
+    "duplicates_before_a_fault": ("6 2\na 1 2\nb 3 4\na 5 6\nb 7 8\nc 9 z\na 2 3\n", None),
+    "header_overstates": ("8 2\n" + SIX_ROWS, None),
+    "header_understates": ("4 2\n" + SIX_ROWS, None),
+    "faults_past_an_understated_count": ("4 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 x\nf 2\n", None),
+    "max_vocab_below_count": ("6 2\na 1 2\nb 3 4\nc 5 6\nd 7 x\ne 9\nf 2 3\n", 3),
+    "max_vocab_above_count": ("4 2\na 1 2\nb 3 4\nc 5 6\na 7 8\ne 9 x\nf 2\n", 9),
+    "max_vocab_below_count_above_rows": ("8 2\n" + SIX_ROWS, 7),
+    "max_vocab_above_count_and_rows": ("6 2\n" + SIX_ROWS[:-6], 9),
+}
+
+
+class TestParallelParse:
+    """load_embeddings gives the same result, error message and warnings for any number of parts."""
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("case", sorted(PART_CASES))
+    def test_parts_agree_with_one_part(self, tmp_path, caplog, split_small, case, parts):
+        text, max_vocab = PART_CASES[case]
+        p = tmp_path / "e.vec"
+        p.write_bytes(text.encode("utf-8"))
+        one = parts_outcome(p, max_vocab, 1, caplog)
+        assert split_small == []
+        assert parts_outcome(p, max_vocab, parts, caplog) == one
+        # the rows past a max_vocab below the header count are never read, so such a file is not split
+        below = max_vocab is not None and max_vocab < int(text.split()[0])
+        assert len(split_small) == (0 if below else parts - 1)
+
+    def test_cuts_fall_where_the_cases_expect(self, tmp_path):
+        p = write(tmp_path / "e.vec", "6 2\n" + SIX_ROWS)
+        with open(p, "rb") as fh:
+            assert corpus._cut_points(fh.fileno(), 4, 40, 2) == [4, 22, 40]
+            assert corpus._cut_points(fh.fileno(), 4, 40, 3) == [4, 16, 28, 40]
+
+    def test_parts_agree_on_a_large_file(self, tmp_path, rng, split_small):
+        p = tmp_path / "e.vec"
+        write_embeddings(space_from(rng.standard_normal((3 * corpus.PARSE_CHUNK_ROWS, 4))), p)
+        one = load_embeddings(p)
+        three = load_embeddings(p, None, 3)
+        assert three.parse_workers == 3 and len(split_small) == 2
+        assert three.vocab.words == one.vocab.words and three.matrix.tobytes() == one.matrix.tobytes()
+
+    def test_no_more_parts_than_usable_cpus(self, tmp_path, monkeypatch):
+        # a fork that fails leaves its part to this process, so counting attempts starts no process
+        monkeypatch.setattr(corpus, "MIN_PART_BYTES", 1)
+        attempts = []
+
+        def no_fork():
+            attempts.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        p = write(tmp_path / "e.vec", "200 1\n" + "".join(f"w{i} {i + 1}\n" for i in range(200)))
+        one = load_embeddings(p)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        space = load_embeddings(p, None, 4096)
+        assert len(attempts) == cpus - 1
+        assert space.parse_workers == cpus and space.matrix.tobytes() == one.matrix.tobytes()
+        attempts.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        space = load_embeddings(p, None, 4096)
+        assert len(attempts) == 63
+        assert space.vocab.words == one.vocab.words and space.matrix.tobytes() == one.matrix.tobytes()
+
+    def test_one_part_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "MIN_PART_BYTES", 1)
+        monkeypatch.delattr(os, "fork", raising=False)
+        p = write(tmp_path / "e.vec", "6 2\n" + SIX_ROWS)
+        assert load_embeddings(p, None, 4).parse_workers == 1
+
+    def test_large_parts_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        p = write(tmp_path / "e.vec", "6 2\n" + SIX_ROWS)  # 36 bytes of rows
+        monkeypatch.setattr(corpus, "MIN_PART_BYTES", 13)
+        assert load_embeddings(p, None, 8).parse_workers == 2
+        monkeypatch.setattr(corpus, "MIN_PART_BYTES", 37)
+        assert load_embeddings(p, None, 8).parse_workers == 1
+
+    def test_decoding_error_in_a_later_part(self, tmp_path, split_small):
+        # past the first 8 KB, which reading the header decodes
+        p = tmp_path / "e.vec"
+        rows = "".join(f"w{i} 1 2\n" for i in range(2000)).encode("utf-8").replace(b"w1990 ", b"\xff ")
+        p.write_bytes(b"2000 2\n" + rows)
+        for parts in (1, 2):
+            with pytest.raises(UnicodeDecodeError):
+                load_embeddings(p, None, parts)
+        assert len(split_small) == 1
+
+    def test_child_killed_is_an_internal_error(self, tmp_path, monkeypatch, split_small):
+        parent, real = os.getpid(), corpus._parse_part
+
+        def killed_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(corpus, "_parse_part", killed_in_child)
+        p = write(tmp_path / "e.vec", "6 2\n" + SIX_ROWS)
+        with pytest.raises(corpus.ParseWorkerError, match=re.escape(f"{p}: the process parsing bytes 22-40 was killed by signal SIGKILL")):
+            load_embeddings(p, None, 2)
+        assert len(split_small) == 1
 
 
 class TestLoadDictionary:

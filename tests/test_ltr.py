@@ -12,7 +12,6 @@ from bilex.ltr import (
     GbdtParams,
     _BinnedColumns,
     _pair_sigmoid,
-    average_precision,
     combine_with_retriever,
     compute_lambdas,
     delta_ap,
@@ -26,6 +25,7 @@ from bilex.ltr import (
     train,
 )
 from conftest import grid
+from reference import average_precision
 
 
 def pad_features(cols, n_rows):

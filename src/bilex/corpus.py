@@ -7,16 +7,18 @@ A vector file is read in parts. Its body, the rows after the "<count> <dim>"
 header, is cut at line starts into up to `workers` byte ranges of at least
 MIN_PART_BYTES, one per usable CPU at most. The first part is parsed in this
 process straight into the final matrix, and each other one in a forked child
-that writes its unit rows into a shared anonymous mapping and sends back, down
-a pipe, its tokens, row, line and zero-row counts and its first fault. The
-rules for a row live in _parse_part and _store_chunk, which read one part, in
-this process or in a child alike. One merge pass (_merge, also run by load_vocabulary on
-its single part) then numbers the words in file order, keeping the first
-occurrence of a duplicate and warning once per duplicate, raises the first
-fault in file order, copies the kept rows into place and checks the row count
-against the header. So ids, bits, messages and warnings do not depend on the
-number of parts. When max_vocab is below the header count, the file is read
-in one part, so that the rows past max_vocab are counted but never parsed.
+that writes its unit rows into a shared anonymous mapping of its own (_Slab)
+and sends back, down a pipe, its tokens, row, line and zero-row counts and
+its first fault. The rules for a row live in _parse_part and _store_chunk,
+which read one part, in this process or in a child alike. One merge pass
+(_merge, also run by load_vocabulary on its single part) then numbers the
+words in file order, keeping the first occurrence of a duplicate and warning
+once per duplicate, raises the first fault in file order, copies the kept
+rows into place, giving each child's pages back as they are copied, and
+checks the row count against the header.
+So ids, bits, messages and warnings do not depend on the number of parts.
+When max_vocab is below the header count, the file is read in one part, so
+that the rows past max_vocab are counted but never parsed.
 """
 
 from __future__ import annotations
@@ -358,15 +360,54 @@ def _store_chunk(chunk: list[tuple[int, str, str]], out: np.ndarray, first: int,
     zero_rows.extend((first + np.flatnonzero(~nonzero)).tolist())
 
 
-def _merge(path: Path, count: int, max_vocab: int | None, parts: list[tuple[_Part, np.ndarray | None]],
+class _Slab:
+    """The rows of one part parsed outside the final matrix, in a MAP_SHARED anonymous mapping of its own, so
+    that a forked child can write them and the parent can give each page back as soon as it is copied."""
+
+    def __init__(self, rows: int, dim: int):
+        self.mapping = mmap.mmap(-1, max(1, rows) * dim * 8)
+        self.rows = np.frombuffer(self.mapping, np.float64, rows * dim).reshape(rows, dim)
+        self.released = 0  # bytes from the start already given back
+
+    def copy_out(self, matrix: np.ndarray, first: int, rows: np.ndarray) -> None:
+        """matrix[first + j] = row rows[j] for ascending rows, PARSE_CHUNK_ROWS at a time, each chunk's whole
+        pages given back once copied (MADV_REMOVE), so the parent never holds the part twice; then the slab is
+        closed."""
+        for lo in range(0, len(rows), PARSE_CHUNK_ROWS):
+            chunk = rows[lo : lo + PARSE_CHUNK_ROWS]
+            at, end = int(chunk[0]), int(chunk[-1]) + 1
+            # a run without duplicates is copied by slice, without a gathered temporary
+            matrix[first + lo : first + lo + len(chunk)] = (
+                self.rows[at:end] if end - at == len(chunk) else self.rows[chunk]
+            )
+            self._release(end * self.rows.shape[1] * 8 // mmap.PAGESIZE * mmap.PAGESIZE)
+        self.close()
+
+    def close(self) -> None:
+        """Let the mapping go, whether or not its rows were copied; closing again does nothing."""
+        self.rows = None
+        with contextlib.suppress(BufferError):  # a view still held, by a traceback: the mapping goes with it
+            self.mapping.close()
+
+    def _release(self, end: int) -> None:
+        if end > self.released and hasattr(mmap, "MADV_REMOVE"):
+            try:
+                self.mapping.madvise(mmap.MADV_REMOVE, self.released, end - self.released)
+            except OSError:  # a kernel without it: the pages go when the mapping is closed
+                return
+            self.released = end
+
+
+def _merge(path: Path, count: int, max_vocab: int | None, parts: list[tuple[_Part, np.ndarray | _Slab | None]],
            matrix: np.ndarray | None) -> tuple[Vocabulary, int, int]:
     """Vocabulary, duplicate count and zero-row count of a vector file from its parts, in file order.
 
-    Each part comes with the array its rows were stored in. Word ids follow file order; a duplicate token keeps
-    its first occurrence (warned and counted). Only the first min(count, max_vocab) rows are kept, and only
-    faults among them count: the first in file order is raised. The kept rows are copied to their ids in matrix
-    (the rows of a part stored in matrix itself move only past a duplicate). Then the row count is checked
-    against the header.
+    Each part comes with the matrix or the _Slab its rows were stored in. Word ids follow file order; a
+    duplicate token keeps its first occurrence (warned and counted). Only the first min(count, max_vocab) rows
+    are kept, and only faults among them count: the first in file order is raised. The kept rows are copied to
+    their ids in matrix (the rows of a part stored in matrix itself move only past a duplicate), and a slab is
+    closed once its rows are copied. Then the row count is checked against the header. The caller closes the
+    slabs this leaves open, those of a part that keeps no rows or comes after a fault.
     """
     expected = count if max_vocab is None else min(count, max_vocab)
     words: list[str] = []
@@ -397,9 +438,11 @@ def _merge(path: Path, count: int, max_vocab: int | None, parts: list[tuple[_Par
         kept = np.flatnonzero(ids >= 0)
         if matrix is not None and kept.size:
             first = ids[kept[0]]  # kept rows take consecutive ids
-            if kept.size < take:
+            if isinstance(stored, _Slab):
+                stored.copy_out(matrix, first, kept)
+            elif kept.size < take:
                 matrix[first : first + kept.size] = stored[kept]
-            elif stored is not matrix or first != 0:
+            elif first != 0:
                 matrix[first : first + take] = stored[:take]
         zero_rows += sum(1 for r in part.zero_rows if r < take and ids[r] >= 0)
         rows_before += part.rows
@@ -516,24 +559,18 @@ def _child_part(path: Path, pid: int, r: int, start: int, end: int) -> _Part:
 
 
 def _parse_parts(path: Path, fd: int, cuts: list[int], dim: int, limit: int, matrix: np.ndarray) -> list:
-    """(part, array its rows were stored in) for the bytes between consecutive cuts.
+    """(part, where its rows were stored) for the bytes between consecutive cuts.
 
-    The first part is parsed here into matrix, each other one in a forked child into its own slab of one
-    MAP_SHARED anonymous mapping made before the fork (in this process if the fork fails). Every child is
-    reaped before this returns or raises.
+    The first part is parsed here into matrix, each other one in a forked child into a _Slab of its own, made
+    before the fork (in this process if the fork fails). Every child is reaped before this returns or raises;
+    when it raises, every slab is closed.
     """
     # a parsable row takes at least 2 * dim bytes
-    sizes = [min(limit, (cuts[i + 1] - cuts[i]) // (2 * dim) + 1) for i in range(1, len(cuts) - 1)]
-    shared = mmap.mmap(-1, max(1, sum(sizes)) * dim * 8)
-    offsets = np.cumsum([0] + sizes)
-    slabs = [
-        np.frombuffer(shared, np.float64, size * dim, int(at) * dim * 8).reshape(size, dim)
-        for size, at in zip(sizes, offsets)
-    ]
+    slabs = [_Slab(min(limit, (cuts[i + 1] - cuts[i]) // (2 * dim) + 1), dim) for i in range(1, len(cuts) - 1)]
     children: dict[int, tuple[int, int]] = {}  # part -> (pid, read end of its pipe), until reaped
     try:
         for i, slab in enumerate(slabs, start=1):
-            child = _fork_part(fd, cuts[i], cuts[i + 1], dim, limit, slab, [r for _, r in children.values()])
+            child = _fork_part(fd, cuts[i], cuts[i + 1], dim, limit, slab.rows, [r for _, r in children.values()])
             if child is not None:
                 children[i] = child
         parts = [(_parse_part(_range_lines(fd, cuts[0], cuts[1]), dim, limit, matrix), matrix)]
@@ -541,9 +578,13 @@ def _parse_parts(path: Path, fd: int, cuts: list[int], dim: int, limit: int, mat
             if i in children:
                 part = _child_part(path, *children.pop(i), cuts[i], cuts[i + 1])
             else:
-                part = _parse_part(_range_lines(fd, cuts[i], cuts[i + 1]), dim, limit, slab)
+                part = _parse_part(_range_lines(fd, cuts[i], cuts[i + 1]), dim, limit, slab.rows)
             parts.append((part, slab))
         return parts
+    except BaseException:
+        for slab in slabs:
+            slab.close()
+        raise
     finally:
         for pid, r in children.values():  # only when raising: stop and reap the children not yet collected
             with contextlib.suppress(OSError):
@@ -586,9 +627,13 @@ def load_embeddings(path: str | Path, max_vocab: int | None = None, workers: int
             parts = _parse_parts(path, fh.fileno(), cuts, dim, limit, matrix)
         else:  # one part: the rest of this file
             parts = [(_parse_part(fh, dim, limit, matrix), matrix)]
-    vocab, duplicates, zero_rows = _merge(path, count, max_vocab, parts, matrix)
+    try:
+        vocab, duplicates, zero_rows = _merge(path, count, max_vocab, parts, matrix)
+    finally:
+        for _, stored in parts:
+            if isinstance(stored, _Slab):
+                stored.close()
     workers = len(parts)
-    del parts  # the children's rows are copied: let their shared mapping go
     if zero_rows:
         log.warning("%s: %d zero rows left unnormalized", path, zero_rows)
     return EmbeddingSpace(

@@ -218,10 +218,10 @@ def build_groups(
     column through the source and candidate id arrays.
     """
     schema = schema or FeatureSchema()
-    for s in sources:
-        if s not in cands:
-            raise DataFormatError(f"source {src_vocab.word(s)!r} has no candidate list")
-    rows = np.array([cands.row_of[s] for s in sources], dtype=np.int64)
+    rows = cands.rows_for(sources)
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        raise DataFormatError(f"source {src_vocab.word(sources[missing[0]])!r} has no candidate list")
     m, k = len(sources), cands.cand_ids.shape[1]
     src = np.repeat(np.array(sources, dtype=np.int64), k)
     cand = cands.cand_ids[rows].astype(np.int64).ravel()

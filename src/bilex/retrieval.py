@@ -5,15 +5,17 @@ All similarity work is exact brute force over blocked matrix products. Blocks
 have a fixed size, results are reduced in block order, and every tie is
 broken by ascending id, so output is bitwise independent of the worker count.
 
-Each worker writes its blocks' products into one float32 block buffer, held
-for the length of a pass and freed when it returns; CSLS screen values
-2*S - r are formed in place there, so no pass allocates or copies a whole
-block. The float32 values only screen: every top-k selection, of candidates
-and of neighborhood means, takes one path, SELECT_ROWS rows at a time to keep
-each worker's temporaries small. A row is screened by the maxima of
-fixed-width column chunks (a row narrower than 16k is one chunk, kept whole),
-the chunks whose maximum comes within the screen margin of the k-th largest
-chunk maximum are kept, the columns whose float32 value comes within the
+Each worker writes its blocks' products into one float32 block buffer, made
+in the calling thread before the pass starts and freed when it returns;
+CSLS screen values 2*S - r are formed in place there, so no pass allocates
+or copies a whole block. Only a pass's index side is cast to float32
+whole: each block casts its own query rows, so no pass holds a float32
+copy of its queries. The float32 values only screen: every top-k
+selection, of candidates and of neighborhood means, takes one path,
+SELECT_ROWS rows at a time to keep each worker's temporaries small. A row
+is screened by the maxima of fixed-width column chunks (a row narrower than
+16k is one chunk, kept whole), the chunks whose maximum comes within the
+screen margin of the k-th largest chunk maximum are kept, the columns whose float32 value comes within the
 margin of the row's k-th are rescored in float64 by one per-pair routine,
 _pair_dots, and the exact selection, value descending and ties by ascending
 id, runs on the rescored values; means are summed in that order. The result
@@ -155,23 +157,35 @@ class CandidateSet:
     src_ids: np.ndarray      # (m,)
     cand_ids: np.ndarray     # (m, k)
     scores: np.ndarray       # (m, k)
-    row_of: dict[int, int]
+    row_at: np.ndarray       # (max source id + 1,): the row of each source id, -1 if it has none
 
     @classmethod
     def from_arrays(cls, src_ids: np.ndarray, cand_ids: np.ndarray, scores: np.ndarray) -> "CandidateSet":
-        row_of = {int(s): i for i, s in enumerate(src_ids)}
-        return cls(src_ids=src_ids, cand_ids=cand_ids, scores=scores, row_of=row_of)
+        row_at = np.full(int(src_ids.max(initial=-1)) + 1, -1, dtype=np.int64)
+        row_at[src_ids] = np.arange(len(src_ids))
+        return cls(src_ids=src_ids, cand_ids=cand_ids, scores=scores, row_at=row_at)
+
+    def rows_for(self, src_ids: list[int]) -> np.ndarray:
+        """The row of each source id, -1 for an id without one."""
+        ids = np.asarray(src_ids, dtype=np.int64)
+        inside = (ids >= 0) & (ids < len(self.row_at))
+        rows = np.full(ids.shape, -1, dtype=np.int64)
+        rows[inside] = self.row_at[ids[inside]]
+        return rows
 
     def __contains__(self, src_id: int) -> bool:
-        return src_id in self.row_of
+        return 0 <= src_id < len(self.row_at) and self.row_at[src_id] >= 0
 
     def for_source(self, src_id: int) -> tuple[np.ndarray, np.ndarray]:
-        row = self.row_of[src_id]
+        if src_id not in self:
+            raise KeyError(src_id)
+        row = self.row_at[src_id]
         return self.cand_ids[row], self.scores[row]
 
 
 class ScanStats:
-    """Shortlist widths, rescored pairs, block-buffer sizes and block times of the similarity passes, for run.log.
+    """Shortlist widths, rescored pairs, block-buffer sizes, product cells and block times of the similarity
+    passes, for run.log.
 
     Workers add to it concurrently, under a lock.
     """
@@ -183,6 +197,7 @@ class ScanStats:
         self.widest = 0
         self.rescored = 0
         self.buffer_bytes = 0
+        self.product_cells = 0
         self.gemm_s = 0.0
         self.select_s = 0.0
 
@@ -194,10 +209,11 @@ class ScanStats:
             self.widest = max(self.widest, int(kept.max(initial=0)))
             self.rescored += rescored
 
-    def note_buffers(self, nbytes: int) -> None:
-        """Record the block buffers one pass held."""
+    def note_pass(self, buffer_bytes: int, cells: int) -> None:
+        """Record the block buffers one pass held and the cells of its float32 product."""
         with self._lock:
-            self.buffer_bytes = max(self.buffer_bytes, nbytes)
+            self.buffer_bytes = max(self.buffer_bytes, buffer_bytes)
+            self.product_cells += cells
 
     def note_block(self, gemm_s: float, select_s: float) -> None:
         """Record one block's seconds in its float32 product and in the rest of its work."""
@@ -207,14 +223,15 @@ class ScanStats:
 
     def fields(self) -> dict[str, str]:
         """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, the
-        largest buffer total of one pass in MB, and the blocks' product and selection seconds summed
-        over the workers."""
+        largest buffer total of one pass in MB, the product cells of all passes in millions, and the
+        blocks' product and selection seconds summed over the workers."""
         rows = max(self.rows, 1)
         return {
             "shortlist_mean": f"{self.columns / rows:.1f}",
             "shortlist_max": str(self.widest),
             "rescored_mean": f"{self.rescored / rows:.1f}",
             "buffer_mb": f"{self.buffer_bytes / 2**20:.1f}",
+            "product_mcells": f"{self.product_cells / 1e6:.3f}",
             "gemm_s": f"{self.gemm_s:.3f}",
             "select_s": f"{self.select_s:.3f}",
         }
@@ -227,35 +244,37 @@ def _check_aligned_pair(src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
         raise ValueError("both spaces must be row-normalized")
 
 
-def _map_row_blocks(fn, A32: np.ndarray, B32: np.ndarray, n_threads: int, stats: ScanStats | None = None) -> list:
-    """Apply fn(lo, hi, sims) to fixed-size row blocks of the float32 product A32 @ B32.T, preserving block order.
+def _map_row_blocks(fn, A: np.ndarray, B32: np.ndarray, n_threads: int, stats: ScanStats | None = None) -> list:
+    """Apply fn(lo, hi, sims) to fixed-size row blocks of the float32 product A @ B32.T, preserving block order.
 
     sims is the (hi - lo, len(B32)) product of rows lo:hi, written into a
-    float32 block buffer that fn may overwrite. A buffer is taken from a
-    pool when a block starts and returned when it ends, so there are at
-    most as many buffers as workers; they are freed when this call returns.
-    Block boundaries depend only on the problem shape, not on n_threads, so
-    the concatenated result is identical for any worker count. A pool of
-    more than one worker runs under one OpenBLAS thread (_one_blas_thread);
-    one worker leaves the count alone. stats gets each block's seconds in
-    the product and in fn.
+    float32 block buffer that fn may overwrite. A's rows may be of any
+    float type: each block casts its own rows to float32, so no float32
+    copy of A is made. One buffer per worker, at most one per block, is
+    made here before any block starts, taken from a pool when a block
+    starts and put back when it ends; all are freed when this call
+    returns. Block boundaries depend only on the problem shape, not on
+    n_threads, so the concatenated result is identical for any worker
+    count. A pool of more than one worker runs under one OpenBLAS thread
+    (_one_blas_thread); one worker leaves the count alone. stats gets each
+    block's seconds in the product and in fn, the buffers' bytes and the
+    product's cells.
     """
-    n_rows, n_cols = len(A32), len(B32)
+    n_rows, n_cols = len(A), len(B32)
     block = _block_rows(n_cols)
     spans = [(lo, min(lo + block, n_rows)) for lo in range(0, n_rows, block)]
-    free: list[np.ndarray] = []  # list.pop and list.append are atomic
-    made: list[int] = []
+    workers = 1 if n_threads <= 1 else min(n_threads, len(spans))
+    # list.pop and list.append are atomic; at most `workers` blocks run at once
+    free = [np.empty((min(block, n_rows), n_cols), dtype=np.float32) for _ in spans[:workers]]
+    if stats is not None:
+        stats.note_pass(sum(buf.nbytes for buf in free), n_rows * n_cols)
 
     def run(span: tuple[int, int]):
         lo, hi = span
-        try:
-            buf = free.pop()
-        except IndexError:
-            buf = np.empty((min(block, n_rows), n_cols), dtype=np.float32)
-            made.append(buf.nbytes)
+        buf = free.pop()
         try:
             t0 = time.perf_counter()
-            sims = np.matmul(A32[lo:hi], B32.T, out=buf[: hi - lo])
+            sims = np.matmul(A[lo:hi].astype(np.float32), B32.T, out=buf[: hi - lo])
             t1 = time.perf_counter()
             result = fn(lo, hi, sims)
             if stats is not None:
@@ -264,14 +283,10 @@ def _map_row_blocks(fn, A32: np.ndarray, B32: np.ndarray, n_threads: int, stats:
         finally:
             free.append(buf)
 
-    if n_threads <= 1 or len(spans) <= 1:
-        parts = [run(span) for span in spans]
-    else:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(run, spans))
-    if stats is not None:
-        stats.note_buffers(sum(made))
-    return parts
+    if workers <= 1:
+        return [run(span) for span in spans]
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, spans))
 
 
 def _chunk_width(n: int, k: int) -> int:
@@ -480,7 +495,7 @@ def knn_mean_similarity(
     def block(lo: int, hi: int, sims: np.ndarray) -> np.ndarray:
         return _topk_mean_rows(sims, k, margin, _rescorer(Q[lo:hi], I), stats)
 
-    parts = _map_row_blocks(block, Q.astype(np.float32), I.astype(np.float32), n_threads, stats)
+    parts = _map_row_blocks(block, Q, I.astype(np.float32), n_threads, stats)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -538,7 +553,7 @@ def retrieve_topk(
             vals -= r_src_block[:, None]
         return ids, vals, r_src_block
 
-    parts = _map_row_blocks(block, X.astype(np.float32), Y.astype(np.float32), n_threads, stats)
+    parts = _map_row_blocks(block, X, Y.astype(np.float32), n_threads, stats)
     cand_ids = np.concatenate([p[0] for p in parts]) if parts else np.zeros((0, params.top_k), dtype=np.int64)
     scores = np.concatenate([p[1] for p in parts]) if parts else np.zeros((0, params.top_k))
     r_src = np.concatenate([p[2] for p in parts]) if parts else np.zeros(0)

@@ -1118,9 +1118,11 @@ class TestRunLogStages:
         augment = stage_fields(log, "augment")
         assert set(augment) == TIMING | {
             "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources",
-            "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb", "gemm_s", "select_s",
+            "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb", "product_mcells", "gemm_s", "select_s",
         }
         assert augment["candidate_width"] == "10"
+        # 150 x 150 spaces: the means r_T, the top-1 in each direction, and the extension
+        assert augment["product_mcells"] == f"{(3 * 150 + int(augment['retrieved_sources'])) * 150 / 1e6:.3f}"
         assert augment["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert 0 < float(augment["shortlist_mean"]) <= int(augment["shortlist_max"]) <= 150
         # every selection rescores at least its k pairs per row (k = 1 for the mining passes)
@@ -1187,9 +1189,10 @@ class TestRunLogStages:
         retrieve = stage_fields(log, "retrieve")
         assert set(retrieve) == TIMING | {
             "queries", "top_k", "blas_threads", "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
-            "gemm_s", "select_s",
+            "product_mcells", "gemm_s", "select_s",
         }
         assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
+        assert retrieve["product_mcells"] == f"{2 * 150 * 150 / 1e6:.3f}"  # the means r_T and the top-k pass
         # one worker: its passes run on the library's own count
         assert retrieve["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert 0 < float(retrieve["shortlist_mean"]) <= int(retrieve["shortlist_max"]) <= 150

@@ -1,5 +1,7 @@
+import contextlib
 import logging
 import math
+import mmap
 import os
 import random
 import re
@@ -437,6 +439,51 @@ class TestParallelParse:
         three = load_embeddings(p, None, 3)
         assert three.parse_workers == 3 and len(split_small) == 2
         assert three.vocab.words == one.vocab.words and three.matrix.tobytes() == one.matrix.tobytes()
+
+    def test_each_child_part_is_given_back_as_it_is_copied(self, tmp_path, rng, split_small, monkeypatch):
+        # 100-row copy chunks over parts of about 1,000 rows of 64 values; a duplicate in the last part turns
+        # its copy into a gather of the rows kept
+        monkeypatch.setattr(corpus, "PARSE_CHUNK_ROWS", 100)
+        slabs = []
+
+        class Recorded(corpus._Slab):
+            def __init__(self, *args):
+                super().__init__(*args)
+                slabs.append(self)
+
+        monkeypatch.setattr(corpus, "_Slab", Recorded)
+        values = rng.standard_normal((3000, 64))
+        words = [f"w{i}" for i in range(3000)]
+        words[2990] = "w10"
+        p = write(tmp_path / "e.vec", "3000 64\n" + "".join(
+            f"{w} {' '.join(map(repr, row.tolist()))}\n" for w, row in zip(words, values)
+        ))
+        one = load_embeddings(p)
+        assert slabs == []
+        three = load_embeddings(p, None, 3)
+        assert three.parse_workers == 3 and three.duplicate_count == one.duplicate_count == 1
+        assert three.vocab.words == one.vocab.words and three.matrix.tobytes() == one.matrix.tobytes()
+        assert len(slabs) == 2 and all(slab.mapping.closed and slab.rows is None for slab in slabs)
+        if hasattr(mmap, "MADV_REMOVE"):  # every whole page below the last row copied was given back early
+            assert all(slab.released >= 900 * 64 * 8 // mmap.PAGESIZE * mmap.PAGESIZE for slab in slabs)
+
+    @pytest.mark.parametrize("case, parts", [("duplicate_each_side_of_a_cut", 2), ("value_faults_in_two_parts", 3)])
+    def test_every_slab_is_closed_copied_or_not(self, tmp_path, split_small, monkeypatch, case, parts):
+        # a second part made of duplicates keeps no rows; a fault in the second part stops the merge before
+        # the third part's rows are copied
+        slabs = []
+
+        class Recorded(corpus._Slab):
+            def __init__(self, *args):
+                super().__init__(*args)
+                slabs.append(self)
+
+        monkeypatch.setattr(corpus, "_Slab", Recorded)
+        p = tmp_path / "e.vec"
+        p.write_bytes(PART_CASES[case][0].encode("utf-8"))
+        with contextlib.suppress(DataFormatError):
+            load_embeddings(p, None, parts)
+        assert len(slabs) == parts - 1 and all(slab.mapping.closed and slab.rows is None for slab in slabs)
 
     def test_no_more_parts_than_usable_cpus(self, tmp_path, monkeypatch):
         # a fork that fails leaves its part to this process, so counting attempts starts no process

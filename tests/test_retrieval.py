@@ -3,6 +3,7 @@ import math
 import operator
 import sys
 import time
+import tracemalloc
 import unicodedata
 from unittest import mock
 
@@ -769,6 +770,35 @@ class TestBlockShape:
         assert (retrieval._block_rows(500), retrieval._block_rows(300)) == (70, 116)
 
 
+class TestPassFootprint:
+    def test_no_pass_holds_a_float32_copy_of_its_queries(self, rng):
+        # 16k queries x 128: their float32 copy (7.8 MB) exceeds the slack. Each worker holds one block buffer
+        # of 4,000 x 1,000 products and casts its block's 4,000 query rows; the index is cast whole.
+        queries = unit_space(rng.standard_normal((16_000, 128)))
+        index = unit_space(rng.standard_normal((1_000, 128)))
+        params = SimilarityParams(k_csls=10, top_k=5)
+        _, means = retrieve_topk(queries, index, params)
+        rows = retrieval._block_rows(len(index))
+        slack = 4 << 20
+        assert 16_000 * 128 * 4 > slack and rows == 4_000
+        for n_threads in (1, 2):
+            passes = {
+                "knn_mean_similarity": lambda: knn_mean_similarity(queries, index, 10, n_threads),
+                "retrieve_topk": lambda: retrieve_topk(queries, index, params, n_threads=n_threads, means=means),
+            }
+            for name, run_pass in passes.items():
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    out = run_pass()
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                del out
+                buffers = n_threads * rows * (len(index) + 128) * 4
+                assert peak <= len(index) * 128 * 4 + buffers + slack, (name, n_threads, peak)
+
+
 @st.composite
 def tied_spaces(draw):
     """Two spaces of rows ±1/4 over 16 dimensions, drawn from small pools so rows repeat.
@@ -1254,4 +1284,8 @@ class TestCandidateLoaderEquivalence:
         assert got.cand_ids.tolist() == cand_ids.tolist()
         assert got.scores.dtype == np.float64 and got.scores.shape == scores.shape
         assert got.scores.tobytes() == scores.tobytes()
-        assert got.row_of == {int(s): i for i, s in enumerate(src_ids)}
+        assert got.rows_for(src_ids).tolist() == list(range(len(src_ids)))
+        assert all(int(s) in got and got.for_source(int(s))[0].tolist() == cand_ids[i].tolist()
+                   for i, s in enumerate(src_ids))
+        absent = [s for s in range(-1, len(CAND_SRC) + 1) if s not in src_ids.tolist()]
+        assert not any(s in got for s in absent) and (got.rows_for(absent) == -1).all()

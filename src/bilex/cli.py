@@ -137,7 +137,9 @@ def resolve_options(args: argparse.Namespace, schema: dict[str, Option]) -> tupl
 
 
 def _output_dir(opts: argparse.Namespace, errors: list[str]) -> Path:
-    """Raise every config problem found so far; else create --out-dir and return it."""
+    """Raise every config problem found so far, an existing --out-dir that is no directory too; else create it."""
+    if opts.out_dir is not None and os.path.exists(opts.out_dir) and not os.path.isdir(opts.out_dir):
+        errors.append(f"--out-dir: not a directory: {opts.out_dir}")
     if errors:
         raise ConfigError(errors)
     out = Path(opts.out_dir)
@@ -296,13 +298,9 @@ def _load_side_tables(opts: argparse.Namespace, src_vocab, tgt_vocab):
     )
 
 
-def _aligned_source(src, tgt, seed_dict_path):
-    """Procrustes-align the source space when a seed dictionary is given."""
-    if seed_dict_path is None:
-        return src, None
-    seed = corpus.load_dictionary(seed_dict_path, src.vocab, tgt.vocab)
-    W = retrieval.align_procrustes(src, tgt, seed)
-    return retrieval.apply_alignment(src, W), seed
+def _aligned_source(src, tgt, seed):
+    """The source space Procrustes-aligned on a seed dictionary; src itself without one."""
+    return src if seed is None else retrieval.apply_alignment(src, retrieval.align_procrustes(src, tgt, seed))
 
 
 def _read_word_list(path: str | Path, vocab: corpus.Vocabulary) -> list[int]:
@@ -406,9 +404,10 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
         with runlog.stage("load", vectors_parsed=1) as counts:
             src, tgt = _load_spaces(opts, counts)
             counts["vector_rows"] = len(src) + len(tgt)
+            seed = corpus.load_dictionary(opts.seed_dict, src.vocab, tgt.vocab) if opts.seed_dict else None
+            rows = None if opts.source_words is None else np.array(_read_word_list(opts.source_words, src.vocab))
         with runlog.stage("align", blas_threads=retrieval.blas_threads(one_thread=True)):
-            src, seed = _aligned_source(src, tgt, opts.seed_dict)
-        rows = None if opts.source_words is None else np.array(_read_word_list(opts.source_words, src.vocab))
+            src = _aligned_source(src, tgt, seed)
 
         params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
         n_queries = len(src) if rows is None else len(rows)
@@ -582,7 +581,7 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
                 top1 = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1)
                 top1.validate(len(tgt))  # before Procrustes and the similarity passes
                 # aligned in place: the unaligned matrix is freed before the similarity passes
-                src, _ = _aligned_source(src, tgt, opts.dict_train)
+                src = _aligned_source(src, tgt, dic)
                 stats = retrieval.ScanStats()
                 best, means = retrieval.retrieve_topk(src, tgt, top1, n_threads=opts.threads, stats=stats)
                 mined = retrieval.mutual_nn_pairs(src, tgt, best, means, opts.threads, stats)
@@ -751,6 +750,8 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
             if need_vectors:
                 src, tgt = _load_spaces(opts, counts)
                 src_vocab, tgt_vocab = src.vocab, tgt.vocab
+                seed = corpus.load_dictionary(opts.seed_dict, src_vocab, tgt_vocab) if opts.seed_dict else None
+                word_ids = _read_word_list(opts.words, src_vocab)
             else:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
             dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
@@ -763,8 +764,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
 
         if need_vectors:
             with runlog.stage("pca", blas_threads=retrieval.blas_threads(opts.threads > 1)) as counts:
-                src_aligned, _ = _aligned_source(src, tgt, opts.seed_dict)
-                word_ids = _read_word_list(opts.words, src.vocab)
+                src_aligned = _aligned_source(src, tgt, seed)
                 counts["words"] = len(word_ids)
                 params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
                 cands, _ = retrieval.retrieve_topk(

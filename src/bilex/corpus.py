@@ -1,7 +1,10 @@
 """Lexical resource loading: embeddings, dictionaries, frequency and POS tables.
 
-All loaders NFC-normalize tokens and never lowercase. Loaded structures are
-treated as immutable after construction and are safe to share across threads.
+All loaders read text through one reader, _text_lines, which decodes blocks of
+whole lines as UTF-8, lines ending at "\\n", "\\r\\n" or a lone "\\r"; a byte that
+is not UTF-8 is a fault at its line, raised after the lines above it. They
+NFC-normalize tokens and never lowercase. Loaded structures are treated as
+immutable after construction and are safe to share across threads.
 
 A vector file is read in parts. Its body, the rows after the "<count> <dim>"
 header, is cut at line starts into up to `workers` byte ranges of at least
@@ -24,7 +27,6 @@ that the rows past max_vocab are counted but never parsed.
 from __future__ import annotations
 
 import contextlib
-import io
 import logging
 import math
 import mmap
@@ -36,7 +38,7 @@ import unicodedata
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -149,15 +151,9 @@ class PosTable:
         return ALL_TAGS[self.tag_ids[word_id]]
 
 
-def _data_lines(path: Path):
-    """Yield (1-based line number, stripped line), skipping blanks and # comments."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, line
-
+# Bytes per read of a text input, extended to the end of a line: enough to amortize the per-block calls, few
+# enough that a block's strings stay near a megabyte (larger candidate chunks raised the peak RSS of a later stage).
+READ_BLOCK_BYTES = 1 << 16
 
 # Rows per np.loadtxt call in load_embeddings: enough to amortize the call,
 # few enough that a chunk's text stays a few megabytes.
@@ -175,9 +171,96 @@ class ParseWorkerError(RuntimeError):
     """A process parsing part of a vector file died or sent no result."""
 
 
-def _read_header(fh, path: Path) -> tuple[int, int]:
-    """(count, dim) of the "<count> <dim>" line of a vector file."""
-    header = fh.readline()
+class _Undecodable(Exception):
+    """args[0]: the line, counted from 1 at the start of the bytes read, that holds the first byte not UTF-8."""
+
+
+@contextlib.contextmanager
+def _opened(path: Path):
+    """(descriptor, size) of a regular file opened for reading; any other file is a DataFormatError."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))  # so that opening a FIFO does not wait
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise DataFormatError(f"{path}: not a regular file")
+        yield fd, st.st_size
+    finally:
+        os.close(fd)
+
+
+def _next_line_start(fd: int, at: int, end: int) -> int:
+    """The position after the first newline byte in [at, end), else end."""
+    while at < end:
+        block = os.pread(fd, min(1 << 12, end - at), at)
+        if not block:
+            break
+        newline = block.find(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        at += len(block)
+    return end
+
+
+def _text_lines(fd: int, start: int, end: int) -> Iterator[tuple[int, list[str], bytes]]:
+    """(number of the first line, the lines, their UTF-8 bytes) per block of whole lines of the bytes [start, end).
+
+    The one decoding rule of every text input. A block, READ_BLOCK_BYTES on to a line end, is read with pread, so
+    that processes can share the descriptor, and decoded at once. Lines end at "\\n", "\\r\\n" or a lone "\\r", as in
+    text mode, and are given without it; in the bytes each ends in "\\n" (str.splitlines would also break at
+    "\\x85"). Past a byte that is not UTF-8, only the lines above its line are given; then _Undecodable names it.
+    """
+    line = 1
+    while start < end:
+        cut = _next_line_start(fd, min(start + READ_BLOCK_BYTES, end) - 1, end)
+        data, start = os.pread(fd, cut - start, start), cut
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not data.endswith(b"\n"):  # the last line of a file without a final newline
+            data += b"\n"
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            data = data[: data.rfind(b"\n", 0, e.start) + 1]  # the lines above the bad byte's line
+            if data:
+                yield line, data.decode("utf-8").split("\n")[:-1], data
+            raise _Undecodable(line + data.count(b"\n")) from None
+        lines = text.split("\n")[:-1]  # not the empty string after the last line break
+        yield line, lines, data
+        line += len(lines)
+
+
+def _data_blocks(path: Path) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """Yield (lines, their UTF-8 bytes, each line ending in "\\n", their 1-based numbers) per block of a table's
+    lines, less blank lines and # comments. In UTF-8 no other character holds a \\n, \\t or # byte."""
+    with _opened(path) as (fd, size):
+        try:
+            for first, lines, data in _text_lines(fd, 0, size):
+                raw = np.frombuffer(data, dtype=np.uint8)
+                heads = raw[np.concatenate(([0], np.flatnonzero(raw == 10)[:-1] + 1))]  # first byte of each line
+                kept = np.flatnonzero((heads != 10) & (heads != 35))
+                if kept.size < len(lines):
+                    lines = [lines[i] for i in kept.tolist()]
+                    raw = np.frombuffer("".join([line + "\n" for line in lines]).encode("utf-8"), dtype=np.uint8)
+                if lines:
+                    yield lines, raw, first + kept
+        except _Undecodable as e:
+            raise DataFormatError(f"{path}: line {e.args[0]}: invalid UTF-8") from None
+
+
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) of a table's data lines, skipping blanks and # comments."""
+    for lines, _, numbers in _data_blocks(path):
+        yield from zip(numbers.tolist(), lines)
+
+
+def _read_header(fd: int, path: Path, size: int) -> tuple[int, int, int]:
+    """(count, dim, byte offset of the first row) of a vector file, from its "<count> <dim>" line."""
+    try:
+        _, lines, data = next(_text_lines(fd, 0, size), (1, [""], b"\n"))
+    except _Undecodable:
+        raise DataFormatError(f"{path}: line 1: invalid UTF-8") from None
+    header, length = lines[0], data.index(b"\n")
+    body = min(size, length + (2 if os.pread(fd, 2, length) == b"\r\n" else 1))  # the line ending as written
     parts = header.split()
     if len(parts) != 2:
         raise DataFormatError(f"{path}: line 1: malformed header {header.strip()!r}, expected '<count> <dim>'")
@@ -187,34 +270,7 @@ def _read_header(fh, path: Path) -> tuple[int, int]:
         raise DataFormatError(f"{path}: line 1: non-integer header fields {header.strip()!r}") from None
     if count < 0 or dim <= 0:
         raise DataFormatError(f"{path}: line 1: invalid header values count={count} dim={dim}")
-    return count, dim
-
-
-def _body_start(path: Path) -> int:
-    """The byte offset of a vector file's first row: the length of its header line, line ending included."""
-    with open(path, encoding="utf-8", newline="") as fh:  # newline="" keeps the line ending as written
-        return len(fh.readline().encode("utf-8"))
-
-
-class _ByteRange(io.RawIOBase):
-    """The bytes [start, end) of an open file, read with pread, so that processes can share the descriptor."""
-
-    def __init__(self, fd: int, start: int, end: int):
-        self.fd, self.pos, self.end = fd, start, end
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
-        buffer[: len(data)] = data
-        self.pos += len(data)
-        return len(data)
-
-
-def _range_lines(fd: int, start: int, end: int):
-    """The lines of the bytes [start, end) of a file, as iterating over the text file would give them."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end), 1 << 20), encoding="utf-8")
+    return count, dim, body
 
 
 @dataclass
@@ -222,7 +278,7 @@ class _Part:
     """What parsing one part of a vector file's body found. Rows and lines are numbered within the part.
 
     The fault is (row, line, message after "line N: ") of the first faulty row; rows after it are counted but
-    not read. An exception that stopped the reading itself, such as a decoding error, is kept as error.
+    not read. A byte that is not UTF-8 stops the reading: undecodable is its line, a fault whatever the row.
     """
 
     tokens: list[str] = field(default_factory=list)  # NFC tokens of the rows read, in file order
@@ -231,15 +287,16 @@ class _Part:
     rows: int = 0  # non-blank lines, also those not read
     lines: int = 0
     fault: tuple[int, int, str] | None = None
-    error: Exception | None = None
+    undecodable: int = 0  # 0 if every byte read is UTF-8
 
 
 class _RowFault(Exception):
     """(row, line, message after "line N: ") of a faulty row, numbered within its part."""
 
 
-def _parse_part(lines, dim: int, limit: int, out: np.ndarray | None) -> _Part:
-    """Read the rows of one part of a vector file's body: the one home of the format's row rules.
+def _parse_part(fd: int, start: int, end: int, dim: int, limit: int, out: np.ndarray | None) -> _Part:
+    """Read the rows of the bytes [start, end) of a vector file's body, one part: the one home of the format's row
+    rules.
 
     A row is a non-blank line: a token, NFC-normalized, then exactly dim space-separated values, less one
     trailing space (common in fastText exports). Rows past limit are counted, not read. If out is given, row i's
@@ -259,34 +316,34 @@ def _parse_part(lines, dim: int, limit: int, out: np.ndarray | None) -> _Part:
 
     rows = line_no = 0
     try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            rows += 1
-            if part.fault is not None or rows > limit:
-                continue
-            token, _, values = line.partition(" ")
-            token = _nfc(token)
-            if values.endswith(" "):  # trailing space, common in fastText exports
-                values = values[:-1]
-                found = values.count(" ") + 1
-            else:
-                found = values.count(" ") + 1 if values else 0
-            if found != dim:
-                store()  # a bad value above this row is the first fault
-                if part.fault is None:
-                    part.fault = (rows - 1, line_no, f"expected {dim} values for {token!r}, found {found}")
-                continue
-            tokens.append(token)
-            line_nos.append(line_no)
-            if out is not None:
-                chunk.append((line_no, token, values))
-                if len(chunk) == PARSE_CHUNK_ROWS:
-                    store()
-        store()
-    except Exception as e:  # ordered against the faults of earlier parts by _merge
-        part.error = e
+        for first, lines, _ in _text_lines(fd, start, end):
+            for line_no, line in enumerate(lines, start=first):
+                if not line:
+                    continue
+                rows += 1
+                if part.fault is not None or rows > limit:
+                    continue
+                token, _, values = line.partition(" ")
+                token = _nfc(token)
+                if values.endswith(" "):  # trailing space, common in fastText exports
+                    values = values[:-1]
+                    found = values.count(" ") + 1
+                else:
+                    found = values.count(" ") + 1 if values else 0
+                if found != dim:
+                    store()  # a bad value above this row is the first fault
+                    if part.fault is None:
+                        part.fault = (rows - 1, line_no, f"expected {dim} values for {token!r}, found {found}")
+                    continue
+                tokens.append(token)
+                line_nos.append(line_no)
+                if out is not None:
+                    chunk.append((line_no, token, values))
+                    if len(chunk) == PARSE_CHUNK_ROWS:
+                        store()
+    except _Undecodable as e:  # ordered against the faults above it by _merge
+        part.undecodable = e.args[0]
+    store()
     part.rows, part.lines = rows, line_no
     return part
 
@@ -404,10 +461,11 @@ def _merge(path: Path, count: int, max_vocab: int | None, parts: list[tuple[_Par
 
     Each part comes with the matrix or the _Slab its rows were stored in. Word ids follow file order; a
     duplicate token keeps its first occurrence (warned and counted). Only the first min(count, max_vocab) rows
-    are kept, and only faults among them count: the first in file order is raised. The kept rows are copied to
-    their ids in matrix (the rows of a part stored in matrix itself move only past a duplicate), and a slab is
-    closed once its rows are copied. Then the row count is checked against the header. The caller closes the
-    slabs this leaves open, those of a part that keeps no rows or comes after a fault.
+    are kept, and only faults among them count, but a byte that is not UTF-8 counts anywhere: the first in file
+    order is raised. The kept rows are copied to their ids in matrix (the rows of a part stored in matrix itself
+    move only past a duplicate), and a slab is closed once its rows are copied. Then the row count is checked
+    against the header. The caller closes the slabs this leaves open, those of a part that keeps no rows or
+    comes after a fault.
     """
     expected = count if max_vocab is None else min(count, max_vocab)
     words: list[str] = []
@@ -432,8 +490,8 @@ def _merge(path: Path, count: int, max_vocab: int | None, parts: list[tuple[_Par
                 words.append(token)
         if fault is not None:
             raise DataFormatError(f"{path}: line {lines_before + fault[1]}: {fault[2]}")
-        if part.error is not None:
-            raise part.error
+        if part.undecodable:
+            raise DataFormatError(f"{path}: line {lines_before + part.undecodable}: invalid UTF-8")
         ids = np.array(ids, dtype=np.int64)
         kept = np.flatnonzero(ids >= 0)
         if matrix is not None and kept.size:
@@ -463,9 +521,9 @@ def load_vocabulary(path: str | Path, max_vocab: int | None = None) -> Vocabular
     detected here: only the commands that read vector values catch these.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        count, dim = _read_header(fh, path)
-        part = _parse_part(fh, dim, count if max_vocab is None else min(count, max_vocab), None)
+    with _opened(path) as (fd, size):
+        count, dim, body = _read_header(fd, path, size)
+        part = _parse_part(fd, body, size, dim, count if max_vocab is None else min(count, max_vocab), None)
     return _merge(path, count, max_vocab, [(part, None)], None)[0]
 
 
@@ -475,19 +533,6 @@ def _part_count(workers: int, body_bytes: int) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(workers, cpus, body_bytes // MIN_PART_BYTES))
-
-
-def _next_line_start(fd: int, at: int, end: int) -> int:
-    """The position after the first newline byte in [at, end), else end."""
-    while at < end:
-        block = os.pread(fd, min(1 << 16, end - at), at)
-        if not block:
-            break
-        newline = block.find(b"\n")
-        if newline >= 0:
-            return at + newline + 1
-        at += len(block)
-    return end
 
 
 def _cut_points(fd: int, start: int, end: int, n: int) -> list[int]:
@@ -530,7 +575,7 @@ def _fork_part(fd: int, start: int, end: int, dim: int, limit: int, out: np.ndar
             os.close(r)
             for other in inherited:
                 os.close(other)
-            part = _parse_part(_range_lines(fd, start, end), dim, limit, out)
+            part = _parse_part(fd, start, end, dim, limit, out)
             with open(w, "wb") as pipe:
                 pickle.dump(part, pipe, protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException:
@@ -573,12 +618,12 @@ def _parse_parts(path: Path, fd: int, cuts: list[int], dim: int, limit: int, mat
             child = _fork_part(fd, cuts[i], cuts[i + 1], dim, limit, slab.rows, [r for _, r in children.values()])
             if child is not None:
                 children[i] = child
-        parts = [(_parse_part(_range_lines(fd, cuts[0], cuts[1]), dim, limit, matrix), matrix)]
+        parts = [(_parse_part(fd, cuts[0], cuts[1], dim, limit, matrix), matrix)]
         for i, slab in enumerate(slabs, start=1):
             if i in children:
                 part = _child_part(path, *children.pop(i), cuts[i], cuts[i + 1])
             else:
-                part = _parse_part(_range_lines(fd, cuts[i], cuts[i + 1]), dim, limit, slab.rows)
+                part = _parse_part(fd, cuts[i], cuts[i + 1], dim, limit, slab.rows)
             parts.append((part, slab))
         return parts
     except BaseException:
@@ -601,39 +646,29 @@ def load_embeddings(path: str | Path, max_vocab: int | None = None, workers: int
     max_vocab is given only the first max_vocab rows are read. Values are
     parsed PARSE_CHUNK_ROWS rows at a time into a matrix sized from the
     header, and each row is divided by its norm as it is stored; zero rows
-    stay zero and are counted. A non-numeric or non-finite value, or a row
-    whose norm overflows, is an error naming its line.
+    stay zero and are counted. A byte that is not UTF-8, a non-numeric or
+    non-finite value, or a row whose norm overflows, is an error naming its
+    line.
 
-    Up to `workers` processes parse a regular file, each a part of its body
-    (see the module docstring); one part is used when max_vocab is below the
+    Up to `workers` processes parse the file, each a part of its body (see
+    the module docstring); one part is used when max_vocab is below the
     header count, so that the rows past it are never read. Every result, error
     message and warning is the same for any number of parts.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        count, dim = _read_header(fh, path)
+    with _opened(path) as (fd, size):
+        count, dim, body = _read_header(fd, path, size)
         limit = count if max_vocab is None else min(count, max_vocab)
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            body = _body_start(path)
-            # a parsable row takes at least 2 * dim bytes, so an overstated count cannot over-allocate
-            capacity = min(limit, (st.st_size - body) // (2 * dim) + 1)
-            n = 1 if limit < count else _part_count(workers, st.st_size - body)
-            cuts = _cut_points(fh.fileno(), body, st.st_size, n)
-        else:
-            capacity, cuts = limit, []
-        matrix = np.empty((capacity, dim), dtype=np.float64)
-        if len(cuts) > 2:
-            parts = _parse_parts(path, fh.fileno(), cuts, dim, limit, matrix)
-        else:  # one part: the rest of this file
-            parts = [(_parse_part(fh, dim, limit, matrix), matrix)]
+        # a parsable row takes at least 2 * dim bytes, so an overstated count cannot over-allocate
+        matrix = np.empty((min(limit, (size - body) // (2 * dim) + 1), dim), dtype=np.float64)
+        n = 1 if limit < count else _part_count(workers, size - body)
+        parts = _parse_parts(path, fd, _cut_points(fd, body, size, n), dim, limit, matrix)
     try:
         vocab, duplicates, zero_rows = _merge(path, count, max_vocab, parts, matrix)
     finally:
         for _, stored in parts:
             if isinstance(stored, _Slab):
                 stored.close()
-    workers = len(parts)
     if zero_rows:
         log.warning("%s: %d zero rows left unnormalized", path, zero_rows)
     return EmbeddingSpace(
@@ -643,7 +678,7 @@ def load_embeddings(path: str | Path, max_vocab: int | None = None, workers: int
         normalized=True,
         duplicate_count=duplicates,
         zero_row_count=zero_rows,
-        parse_workers=workers,
+        parse_workers=len(parts),
     )
 
 
@@ -690,7 +725,7 @@ def frequency_table_from_counts(counts: dict[str, int], vocab: Vocabulary) -> Fr
             oov += 1
     if total > 0:
         for wid, c in listed:
-            zipf[wid] = max(0.0, math.log10(c / total * 1e9))
+            zipf[wid] = math.log10(max(1.0, c / total * 1e9))  # a share that underflows to 0 gets 0 too
     # descending count, ties by vocabulary order
     listed.sort(key=lambda wc: (-wc[1], wc[0]))
     for r, (wid, _) in enumerate(listed, start=1):

@@ -542,9 +542,10 @@ def _check_tree(tree: RegressionTree, n_features: int, where: str) -> None:
 
 def load_model(path: str | Path) -> GbdtModel:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 at byte offset {e.start}") from None
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path}: malformed model document at byte offset {e.pos}: {e.msg}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:

@@ -67,10 +67,10 @@ hundredths, and the map's last bits depended on the thread count. The
 float32 screen's margin holds in any summation order, so no result
 depends on the thread count.
 
-Candidate files are read back in chunks of text: fields are split, words
-looked up and scores parsed a chunk at a time, and a chunk that fails a check
-is re-read row by row to name its first faulty line. A candidate listed twice
-for one source is an error.
+Candidate files are read back a block of lines at a time (corpus._data_blocks):
+fields are split, words looked up and scores parsed a block at a time, and a
+block that fails a check is re-read row by row to name its first faulty line.
+A candidate listed twice for one source is an error.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -95,6 +94,7 @@ from .corpus import (
     EmbeddingSpace,
     TranslationDictionary,
     Vocabulary,
+    _data_blocks,
     _nfc,
     _parse_values,
     atomic_writer,
@@ -759,43 +759,6 @@ def write_candidates(cands: CandidateSet, src_vocab: Vocabulary, tgt_vocab: Voca
             fh.write("".join(f"{sw}\t{tgt_vocab.word(c)}\t{v:.6f}\n" for c, v in rows))
 
 
-# Characters per read in load_candidates, extended to the end of a line: enough
-# to amortize the per-chunk calls, few enough that a chunk's field strings stay
-# near a megabyte (larger chunks raised the peak RSS of a later stage).
-CANDIDATE_CHUNK_CHARS = 1 << 16
-
-
-def _data_chunks(fh) -> Iterator[tuple[str, np.ndarray, np.ndarray]]:
-    """Yield (text, UTF-8 bytes of text, line numbers) per chunk of whole data lines.
-
-    Each line of text ends in \n; blank lines and # comments are dropped and
-    the line numbers (1-based, in the file) are those of the lines kept.
-    Universal newlines have already turned \r and \r\n into \n, the only
-    line break here (str.splitlines would also break at \x85 and others),
-    and in UTF-8 no other character holds a \n, \t or # byte.
-    """
-    line_base = 0
-    while text := fh.read(CANDIDATE_CHUNK_CHARS):
-        if not text.endswith("\n"):
-            text += fh.readline()
-        if not text.endswith("\n"):  # the last line of a file without a final newline
-            text += "\n"
-        raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        ends = np.flatnonzero(raw == 10)
-        numbers = np.arange(line_base + 1, line_base + 1 + ends.size)
-        line_base += ends.size
-        heads = raw[np.concatenate(([0], ends[:-1] + 1))]
-        skipped = (heads == 10) | (heads == 35)
-        if skipped.any():
-            lines = text.split("\n")
-            kept = np.flatnonzero(~skipped)
-            text = "".join([lines[i] + "\n" for i in kept.tolist()])
-            raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-            numbers = numbers[kept]
-        if numbers.size:
-            yield text, raw, numbers
-
-
 def _word_ids(words: list[str], vocab: Vocabulary, cache: dict[str, int]) -> np.ndarray:
     """Vocabulary id of each raw word, -1 if unknown; each distinct word is normalized and looked up once."""
     try:
@@ -854,11 +817,11 @@ def load_candidates(path: str | Path, src_vocab: Vocabulary, tgt_vocab: Vocabula
     error, then a candidate repeated within one source's list (naming the
     second occurrence).
 
-    The file is parsed CANDIDATE_CHUNK_CHARS characters at a time, extended
-    to a line end: a chunk's fields are split at once, each distinct word is
-    normalized and looked up once, and its scores are parsed by one
-    corpus._parse_values call. A chunk that fails one of these whole-chunk
-    checks is checked again row by row, to name its first fault.
+    The file is parsed a block of lines from corpus._data_blocks at a time: a
+    block's fields are split at once, each distinct word is normalized and
+    looked up once, and its scores are parsed by one corpus._parse_values
+    call. A block that fails one of these whole-block checks is checked again
+    row by row, to name its first fault.
     """
     path = Path(path)
     src_cache: dict[str, int] = {}
@@ -866,32 +829,30 @@ def load_candidates(path: str | Path, src_vocab: Vocabulary, tgt_vocab: Vocabula
     seen = np.zeros(len(src_vocab), dtype=bool)
     current = -1
     src_parts, cand_parts, score_parts, line_parts = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for text, raw, numbers in _data_chunks(fh):
-            n = numbers.size
-            # each row holds exactly two tabs: tabs 2i and 2i + 1 lie between the ends of rows i - 1 and i
-            tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
-            ok = tabs.size == 2 * n and (tabs[1::2] < ends).all() and (tabs[2::2] > ends[:-1]).all()
-            if ok:
-                fields = text.replace("\n", "\t").split("\t")
-                src = _word_ids(fields[0:-1:3], src_vocab, src_cache)
-                cand = _word_ids(fields[1::3], tgt_vocab, tgt_cache)
-                starts = src[src != np.concatenate(([current], src[:-1]))]
-                ok = (src >= 0).all() and (cand >= 0).all()
-                ok = ok and not seen[starts].any() and np.unique(starts).size == starts.size
-            if not ok:
-                numbered = list(zip(numbers.tolist(), text.split("\n")))
-                _raise_first_fault(path, numbered, src_vocab, tgt_vocab, seen, current)
-            texts = fields[2::3]
-            scores = _parse_values(
-                texts, 1, "\t", lambda i, kind: f"{path}: line {numbers[i]}: {kind} score {texts[i]!r}"
-            )
-            seen[starts] = True
-            current = int(src[-1])
-            src_parts.append(src)
-            cand_parts.append(cand)
-            score_parts.append(scores[:, 0])
-            line_parts.append(numbers)
+    for lines, raw, numbers in _data_blocks(path):
+        n = numbers.size
+        # each row holds exactly two tabs: tabs 2i and 2i + 1 lie between the ends of rows i - 1 and i
+        tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
+        ok = tabs.size == 2 * n and (tabs[1::2] < ends).all() and (tabs[2::2] > ends[:-1]).all()
+        if ok:
+            fields = "\t".join(lines).split("\t")
+            src = _word_ids(fields[0::3], src_vocab, src_cache)
+            cand = _word_ids(fields[1::3], tgt_vocab, tgt_cache)
+            starts = src[src != np.concatenate(([current], src[:-1]))]
+            ok = (src >= 0).all() and (cand >= 0).all()
+            ok = ok and not seen[starts].any() and np.unique(starts).size == starts.size
+        if not ok:
+            _raise_first_fault(path, list(zip(numbers.tolist(), lines)), src_vocab, tgt_vocab, seen, current)
+        texts = fields[2::3]
+        scores = _parse_values(
+            texts, 1, "\t", lambda i, kind: f"{path}: line {numbers[i]}: {kind} score {texts[i]!r}"
+        )
+        seen[starts] = True
+        current = int(src[-1])
+        src_parts.append(src)
+        cand_parts.append(cand)
+        score_parts.append(scores[:, 0])
+        line_parts.append(numbers)
     if not src_parts:
         return CandidateSet.from_arrays(np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0)))
 

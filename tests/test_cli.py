@@ -569,7 +569,7 @@ class TestScopedRetrieval:
     def test_semi_extension_rows_match_the_full_run(self, world_dir):
         src = corpus.load_embeddings(world_dir / "embeddings.src.vec")
         tgt = corpus.load_embeddings(world_dir / "embeddings.tgt.vec")
-        aligned, _ = _aligned_source(src, tgt, world_dir / "dict.train.tsv")
+        aligned = _aligned_source(src, tgt, corpus.load_dictionary(world_dir / "dict.train.tsv", src.vocab, tgt.vocab))
         params = retrieval.SimilarityParams(k_csls=5, top_k=10)
         full, means = retrieval.retrieve_topk(aligned, tgt, params)
         loaded = retrieval.CandidateSet.from_arrays(full.src_ids[:100], full.cand_ids[:100], full.scores[:100])
@@ -902,6 +902,13 @@ class TestOptionTables:
         assert run(*args) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_dir_naming_a_file_exit_2_before_writing(self, world_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run(*analyze_args(world_dir, afile)) == 2
+        assert f"config error: --out-dir: not a directory: {afile}" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def analyze_args(world_dir, out, *extra):
@@ -1284,6 +1291,104 @@ def load_launch():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# the text inputs each command reads, by option, and their kinds; "vec" vector files have their values parsed,
+# in up to --threads processes, while "vocab" ones are read for their words only
+TEXT_INPUTS = {
+    "retrieve": {"src_emb": "vec", "tgt_emb": "vec", "seed_dict": "dict", "source_words": "words"},
+    "mine": {"src_emb": "vocab", "tgt_emb": "vocab", "candidates": "cands", "dict": "dict"},
+    "train": {"src_emb": "vocab", "tgt_emb": "vocab", "candidates": "cands", "dict_train": "dict",
+              "freq_src": "freq", "freq_tgt": "freq", "pos_src": "pos", "pos_tgt": "pos", "ext_scores": "ext"},
+    "eval": {"src_emb": "vocab", "tgt_emb": "vocab", "candidates": "cands", "dict_test": "dict",
+             "freq_src": "freq", "freq_tgt": "freq", "pos_src": "pos", "pos_tgt": "pos", "ext_scores": "ext"},
+    "analyze": {"src_emb": "vec", "tgt_emb": "vec", "dict": "dict", "freq_src": "freq", "freq_tgt": "freq",
+                "pos_src": "pos", "seed_dict": "dict", "words": "words"},
+}
+# the faults an input of each kind can hold besides a byte that is not UTF-8 (a POS row of the wrong shape is
+# skipped, a word list has one field)
+KIND_FAULTS = {
+    "vec": ("fields", "non-finite", "fields above a bad byte"),
+    "vocab": ("fields", "fields above a bad byte"),
+    "dict": ("fields", "fields above a bad byte"),
+    "freq": ("fields", "fields above a bad byte"),
+    "cands": ("fields", "non-finite", "fields above a bad byte"),
+    "ext": ("fields", "non-finite", "fields above a bad byte"),
+    "pos": (),
+    "words": (),
+}
+FAULT_CASES = [
+    (command, key, fault)
+    for command, inputs in TEXT_INPUTS.items()
+    for key, kind in inputs.items()
+    for fault in ("bad byte",) + KIND_FAULTS[kind]
+]
+
+
+def with_fault(data, fault, sep):
+    """data with fault on the line three quarters through it, the line the error names, and the start of what
+    follows "line N: "."""
+    lines = data.splitlines(keepends=True)
+    at = len(lines) * 3 // 4
+    fields = lines[at].rstrip(b"\n").split(sep)
+    if fault == "bad byte":
+        lines[at] = b"\xff" + lines[at]
+        expected = "invalid UTF-8"
+    elif fault == "non-finite":
+        lines[at] = sep.join(fields[:-1] + [b"inf"]) + b"\n"
+        expected = "non-finite"
+    else:
+        lines[at] = sep.join(fields[:-1]) + b"\n"
+        expected = "expected"
+        if fault == "fields above a bad byte":
+            lines[at + 2] = b"\xff" + lines[at + 2]
+    return b"".join(lines), at + 1, expected
+
+
+class TestInputFaults:
+    """A fault in any text input exits 3 naming its file and line, before any output but run.log is written."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, world_dir, retrieved_dir, model_dir, tmp_path_factory):
+        extra = tmp_path_factory.mktemp("inputs")
+        words = [line.split(" ")[0] for line in (world_dir / "embeddings.src.vec").read_text().splitlines()[1:21]]
+        (extra / "words.txt").write_text("".join(f"{w}\n" for w in words))
+        rows = (retrieved_dir / "candidates.tsv").read_text().splitlines()
+        (extra / "ext.tsv").write_text("".join(f"{row.rsplit(chr(9), 1)[0]}\t0.5\n" for row in rows))
+        return {
+            "src_emb": world_dir / "embeddings.src.vec", "tgt_emb": world_dir / "embeddings.tgt.vec",
+            "seed_dict": world_dir / "dict.train.tsv", "dict": world_dir / "dict.train.tsv",
+            "dict_train": world_dir / "dict.train.tsv", "dict_test": world_dir / "dict.test.tsv",
+            "freq_src": world_dir / "freq.src.tsv", "freq_tgt": world_dir / "freq.tgt.tsv",
+            "pos_src": world_dir / "pos.src.tsv", "pos_tgt": world_dir / "pos.tgt.tsv",
+            "candidates": retrieved_dir / "candidates.tsv", "ext_scores": extra / "ext.tsv",
+            "source_words": extra / "words.txt", "words": extra / "words.txt", "model": model_dir / "model.json",
+        }
+
+    @pytest.mark.parametrize("command, key, fault", FAULT_CASES)
+    def test_fault_names_file_and_line(self, inputs, tmp_path, capsys, split_small, command, key, fault):
+        kind = TEXT_INPUTS[command][key]
+        data, line, expected = with_fault(inputs[key].read_bytes(), fault, b" " if kind in ("vec", "vocab") else b"\t")
+        bad = tmp_path / inputs[key].name
+        bad.write_bytes(data)
+        paths = {**inputs, key: bad}
+        errors = []
+        for parts in (1, 2, 3) if kind == "vec" else (1,):
+            out = tmp_path / f"out{parts}"
+            argv = [command, "--out-dir", out]
+            for option in TEXT_INPUTS[command]:
+                argv += [f"--{option.replace('_', '-')}", paths[option]]
+            if command == "eval":
+                argv += ["--model", paths["model"]]
+            if kind == "vec":
+                argv += ["--threads", parts, "--top-k", 5, "--k-csls", 3]
+            assert run(*argv) == 3
+            errors.append([e for e in capsys.readouterr().err.splitlines() if e.startswith("data error")])
+            assert [p.name for p in out.iterdir()] == ["run.log"]
+            assert kv(out / "run.log")["exit_code"] == "3"
+        assert errors[0][0].startswith(f"data error: {bad}: line {line}: {expected}")
+        assert all(e == errors[0] and len(e) == 1 for e in errors)
+        assert (len(split_small) > 0) == (kind == "vec")  # two and three parts did fork
 
 
 class TestBenchmarkProbes:

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import logging
 import math
 import mmap
@@ -522,14 +523,21 @@ class TestParallelParse:
         assert load_embeddings(p, None, 8).parse_workers == 1
 
     def test_decoding_error_in_a_later_part(self, tmp_path, split_small):
-        # past the first 8 KB, which reading the header decodes
+        # a byte that is not UTF-8 is a fault at its line, after a row fault a few lines above it in the same block
         p = tmp_path / "e.vec"
         rows = "".join(f"w{i} 1 2\n" for i in range(2000)).encode("utf-8").replace(b"w1990 ", b"\xff ")
-        p.write_bytes(b"2000 2\n" + rows)
-        for parts in (1, 2):
-            with pytest.raises(UnicodeDecodeError):
-                load_embeddings(p, None, parts)
-        assert len(split_small) == 1
+        cases = [
+            (rows.replace(b"w1985 1 2\n", b"w1985 1\n"), "line 1987: expected 2 values for 'w1985', found 1"),
+            (rows, "line 1992: invalid UTF-8"),
+        ]
+        for body, message in cases:
+            p.write_bytes(b"2000 2\n" + body)
+            for parts in (1, 2, 3):
+                with pytest.raises(DataFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+                    load_embeddings(p, None, parts)
+            with pytest.raises(DataFormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+                load_vocabulary(p)
+        assert len(split_small) == 2 * (1 + 2)
 
     def test_child_killed_is_an_internal_error(self, tmp_path, monkeypatch, split_small):
         parent, real = os.getpid(), corpus._parse_part
@@ -544,6 +552,68 @@ class TestParallelParse:
         with pytest.raises(corpus.ParseWorkerError, match=re.escape(f"{p}: the process parsing bytes 22-40 was killed by signal SIGKILL")):
             load_embeddings(p, None, 2)
         assert len(split_small) == 1
+
+
+def reference_lines(data):
+    """The lines of data as a file opened in text mode gives them, each ending in "\\n", and the 1-based line
+    holding the first byte that is not UTF-8 (None if every byte is); only the lines above that one are given."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape").read()
+    lines = [line + "\n" for line in text.split("\n")]
+    if lines[-1] == "\n":  # after a final line break, or of an empty file
+        lines.pop()
+    for i, line in enumerate(lines):
+        if any("\udc80" <= c <= "\udcff" for c in line):
+            return lines[:i], i + 1
+    return lines, None
+
+
+def reader_lines(path):
+    """What _text_lines gives over the whole of path, in the shape of reference_lines."""
+    lines = []
+    with corpus._opened(path) as (fd, size):
+        try:
+            for first, block, data in corpus._text_lines(fd, 0, size):
+                assert first == len(lines) + 1 and data == "".join(line + "\n" for line in block).encode("utf-8")
+                lines += [line + "\n" for line in block]
+        except corpus._Undecodable as e:
+            return lines, e.args[0]
+    return lines, None
+
+
+# line breaks, characters that break lines only for str.splitlines, and bytes that are not UTF-8 (a lone
+# continuation byte, a lead byte without its continuation, an encoded surrogate)
+TEXT_PIECES = st.sampled_from([
+    b"a", b" ", b"\t", b"#", b"\n", b"\r", b"\r\n", "\u00e9".encode(), "\u20ac".encode(), "\x85".encode(),
+    "\u2028".encode(), b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff",
+])
+
+
+class TestTextReader:
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(TEXT_PIECES, max_size=40), block_bytes=st.sampled_from([1, 2, 3, 5, 1 << 16]))
+    def test_lines_as_text_mode_reads_them(self, tmp_path_factory, pieces, block_bytes):
+        data = b"".join(pieces)
+        p = tmp_path_factory.mktemp("text") / "t.txt"
+        p.write_bytes(data)
+        with mock.patch.object(corpus, "READ_BLOCK_BYTES", block_bytes):
+            assert reader_lines(p) == reference_lines(data)
+
+    def test_bad_byte_in_the_header(self, tmp_path):
+        p = tmp_path / "e.vec"
+        p.write_bytes(b"1 2\xff\na 1 2\n")
+        for load in (load_embeddings, load_vocabulary):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}: line 1: invalid UTF-8$"):
+                load(p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_path_that_is_not_a_regular_file(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        loaders = (load_embeddings, load_vocabulary, lambda p: load_dictionary(p, vocab("a"), vocab("b")))
+        for path in (tmp_path, fifo):  # a directory; a FIFO, which no process writes to
+            for load in loaders:
+                with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a regular file$"):
+                    load(path)
 
 
 class TestLoadDictionary:
@@ -654,6 +724,14 @@ def test_zipf_floor_at_zero(tmp_path):
     assert table.zipf[0] == 0.0
     assert table.zipf[1] > 0.0
     assert math.isfinite(table.zipf[0])
+
+
+def test_zipf_when_a_huge_count_underflows_the_other_shares(tmp_path):
+    # next to a 401-digit count every other share of the total underflows to 0, whose log10 does not exist
+    p = write(tmp_path / "f.tsv", f"huge\t{10**400}\nrare\t1\n")
+    table = load_frequency_table(p, vocab("huge", "rare"))
+    assert table.zipf.tolist() == [9.0, 0.0]
+    assert table.rank.tolist() == [1, 2]
 
 
 

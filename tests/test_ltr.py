@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,17 @@ class TestPredictAndPersistence:
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(DataFormatError, match="byte offset"):
+            load_model(path)
+
+    def test_bad_byte_names_offset(self, tmp_path, rng):
+        groups = separable_groups(rng, n_groups=4)
+        model, _ = train(groups, GbdtParams(n_trees=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        data = path.read_bytes()
+        at = data.index(b'"format"') + 2  # inside the key
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not UTF-8 at byte offset {at}$"):
             load_model(path)
 
     def test_tampered_fingerprint_refuses_predict(self, tmp_path, rng):

@@ -1262,9 +1262,9 @@ def candidate_files(draw):
 
 class TestCandidateLoaderEquivalence:
     @settings(max_examples=300, deadline=None)
-    @given(text=candidate_files(), chunk_chars=st.sampled_from([1, 2, 7, 30, 100, 1 << 20]))
-    def test_matches_line_by_line_reference(self, tmp_path_factory, text, chunk_chars):
-        from bilex import retrieval
+    @given(text=candidate_files(), block_bytes=st.sampled_from([1, 2, 7, 30, 100, 1 << 20]))
+    def test_matches_line_by_line_reference(self, tmp_path_factory, text, block_bytes):
+        from bilex import corpus
         from bilex.corpus import DataFormatError
 
         path = tmp_path_factory.mktemp("cands") / "cands.tsv"
@@ -1273,7 +1273,7 @@ class TestCandidateLoaderEquivalence:
             expected = reference_load_candidates(path, CAND_SRC, CAND_TGT)
         except DataFormatError as e:
             expected = str(e)
-        with mock.patch.object(retrieval, "CANDIDATE_CHUNK_CHARS", chunk_chars):
+        with mock.patch.object(corpus, "READ_BLOCK_BYTES", block_bytes):
             if isinstance(expected, str):
                 assert load_error(path, CAND_SRC, CAND_TGT) == expected
                 return

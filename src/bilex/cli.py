@@ -86,18 +86,22 @@ def _flag(key: str) -> str:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Values by key; a malformed line or a key that no command declares is a config error."""
+    """Values by key; a malformed line, a key that no command declares or a byte that is not UTF-8 is a config
+    error."""
     values: dict[str, str] = {}
     errors = []
-    for line_no, line in corpus._data_lines(Path(path)):
-        if "=" not in line:
-            errors.append(f"{path}: line {line_no}: expected 'key = value'")
-            continue
-        name, _, raw = line.partition("=")
-        key = name.strip().replace("-", "_")
-        if key not in CONFIG_KEYS:
-            errors.append(f"{path}: line {line_no}: unknown key {name.strip()!r}")
-        values[key] = raw.strip()
+    try:
+        for line_no, line in corpus._data_lines(Path(path)):
+            if "=" not in line:
+                errors.append(f"{path}: line {line_no}: expected 'key = value'")
+                continue
+            name, _, raw = line.partition("=")
+            key = name.strip().replace("-", "_")
+            if key not in CONFIG_KEYS:
+                errors.append(f"{path}: line {line_no}: unknown key {name.strip()!r}")
+            values[key] = raw.strip()
+    except corpus.DataFormatError as e:  # after the lines above it: a byte that is not UTF-8, or no regular file
+        errors.append(str(e))
     if errors:
         raise ConfigError(errors)
     return values
@@ -137,9 +141,13 @@ def resolve_options(args: argparse.Namespace, schema: dict[str, Option]) -> tupl
 
 
 def _output_dir(opts: argparse.Namespace, errors: list[str]) -> Path:
-    """Raise every config problem found so far, an existing --out-dir that is no directory too; else create it."""
-    if opts.out_dir is not None and os.path.exists(opts.out_dir) and not os.path.isdir(opts.out_dir):
-        errors.append(f"--out-dir: not a directory: {opts.out_dir}")
+    """Raise every config problem found so far, an --out-dir that is, or would be under, no directory too; else
+    create it."""
+    if opts.out_dir is not None:
+        out = Path(opts.out_dir)
+        nearest = next(p for p in (out, *out.parents) if os.path.exists(p))  # "." or "/" at the latest
+        if not os.path.isdir(nearest):
+            errors.append(f"--out-dir: not a directory: {opts.out_dir}")
     if errors:
         raise ConfigError(errors)
     out = Path(opts.out_dir)

@@ -189,14 +189,18 @@ def _opened(path: Path):
 
 
 def _next_line_start(fd: int, at: int, end: int) -> int:
-    """The position after the first newline byte in [at, end), else end."""
+    """The position after the first line end in [at, end), else end: after a "\\n", or after a "\\r" that no
+    "\\n" follows, so that "\\r\\n" stays one line end (the byte after a "\\r" is read even past a 4 KB probe)."""
     while at < end:
         block = os.pread(fd, min(1 << 12, end - at), at)
         if not block:
             break
-        newline = block.find(b"\n")
-        if newline >= 0:
-            return at + newline + 1
+        ends = [i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0]
+        if ends:
+            i = at + min(ends)
+            if block[i - at] == 0x0D and i + 1 < end and os.pread(fd, 1, i + 1) == b"\n":
+                return i + 2
+            return i + 1
         at += len(block)
     return end
 
@@ -538,8 +542,7 @@ def _part_count(workers: int, body_bytes: int) -> int:
 def _cut_points(fd: int, start: int, end: int, n: int) -> list[int]:
     """start, up to n - 1 line starts near n equal shares of the bytes [start, end), then end.
 
-    A cut follows a newline byte, so it starts a line in any decoding, also after "\\r\\n". A file that ends its
-    lines with "\\r" alone is not cut.
+    A cut follows a line end ("\\n", "\\r\\n" or a lone "\\r"), so it starts a line in any decoding.
     """
     cuts = [start]
     for i in range(1, n):

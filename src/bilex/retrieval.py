@@ -5,24 +5,37 @@ All similarity work is exact brute force over blocked matrix products. Blocks
 have a fixed size, results are reduced in block order, and every tie is
 broken by ascending id, so output is bitwise independent of the worker count.
 
-Each worker writes its blocks' products into one float32 block buffer, made
-in the calling thread before the pass starts and freed when it returns;
-CSLS screen values 2*S - r are formed in place there, so no pass allocates
-or copies a whole block. Only a pass's index side is cast to float32
-whole: each block casts its own query rows, so no pass holds a float32
-copy of its queries. The float32 values only screen: every top-k
-selection, of candidates and of neighborhood means, takes one path,
-SELECT_ROWS rows at a time to keep each worker's temporaries small. A row
-is screened by the maxima of fixed-width column chunks (a row narrower than
-16k is one chunk, kept whole), the chunks whose maximum comes within the
-screen margin of the k-th largest chunk maximum are kept, the columns whose float32 value comes within the
-margin of the row's k-th are rescored in float64 by one per-pair routine,
-_pair_dots, and the exact selection, value descending and ties by ascending
-id, runs on the rescored values; means are summed in that order. The result
-is that of the same selection over whole rows of rescored values.
-_pair_dots gives a pair's value from its two vectors alone, whatever the
-block shape, row offset or alignment, so a retrieval scoped to some rows
-equals those rows of a full run bit for bit.
+Each worker writes its blocks' products into one float32 block buffer and
+rescores into one float64 buffer, both made in the calling thread before
+the pass starts and freed when it returns, so no pass allocates or copies
+a whole block. Only a pass's index side is cast to float32 whole: each
+block casts its own query rows, so no pass holds a float32 copy of its
+queries. The float32 values only screen. Every top-k selection, of
+candidates and of neighborhood means, takes one path, SELECT_ROWS rows at a
+time, and no step of it runs over a whole row but one elementwise chunk
+maximum per row:
+- the index rows are laid out as product columns so that chunk j of a row
+  is every count-th column from column j (_Chunks); its maxima are then
+  elementwise maxima of contiguous runs, which numpy vectorizes and which
+  scale with the workers (np.maximum.reduceat holds the GIL). Chunk j holds
+  the j-th run of ids in ascending order of the r that a CSLS screen
+  subtracts, so the screen values fl32(2 * S - fl32(r)) of a chunk lie
+  between two values computed from its cosine maximum and the chunk's
+  largest and smallest r. Both selections of a retrieval slice, r_src and
+  the candidates, share the slice's maxima, and no CSLS screen is formed
+  over a whole row;
+- the k-th largest low chunk value bounds the row's k-th screen value from
+  below, and only the chunks whose high value comes within the screen
+  margin of it are read; every column in them whose screen value comes
+  within the margin of the bound is rescored in float64 by one per-pair
+  routine, _pair_dots, a grid of rows by id slots per call, each row's
+  query vector repeated across its slots by a zero stride (_rescorer);
+- the exact selection, value descending and ties by ascending id, runs on
+  the rescored values (_topk_desc_full); means are summed in that order.
+The result is that of the same selection over whole rows of rescored
+values. _pair_dots gives a pair's value from its two vectors alone,
+whatever the grid shape, slot, row offset or alignment, so a retrieval
+scoped to some rows equals those rows of a full run bit for bit.
 
 The margin (_screen_margin) is certified. With u = 2**-24, u' = 2**-53,
 gamma_n = n*u / (1 - n*u) (gamma'_n with u'), and A the product of the two
@@ -116,15 +129,15 @@ def _block_rows(n_cols: int) -> int:
 
 
 # rows per top-k selection call. Rows are selected independently, so slicing
-# changes no result; selecting whole blocks (400 x 20k, 1,600 x 5k) peaked
-# 26-45 MB higher on a 5k x 20k retrieval, from temporaries left in the
-# worker threads' heaps.
+# changes no result. On a two-worker 5k x 20k retrieval, 400-row slices
+# raised stage.retrieve's peak RSS by 7 MB over 128-row ones, from
+# temporaries left in the worker threads' heaps.
 SELECT_ROWS = 128
 
-# vector cells per float64 rescoring call: bounds each of its two (pairs x d)
-# gathers to 512 KB, also for a row whose whole width lies inside the margin.
-# 4 MB gathers made the top-50 selection of a 400 x 20k block 2-3x slower
-# and the peak RSS of a 5k x 20k retrieval 15 MB higher.
+# float64 values in each worker's rescoring buffer (512 KB): the index
+# vectors of one _pair_dots call, also for a row whose whole width lies
+# inside the margin. 4 MB gathers made the top-50 selection of a 400 x 20k
+# block 2-3x slower and the peak RSS of a 5k x 20k retrieval 15 MB higher.
 RESCORE_CELLS = 1 << 16
 
 
@@ -224,7 +237,12 @@ class ScanStats:
     def fields(self) -> dict[str, str]:
         """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, the
         largest buffer total of one pass in MB, the product cells of all passes in millions, and the
-        blocks' product and selection seconds summed over the workers."""
+        blocks' product and selection seconds summed over the workers.
+
+        gemm_s sums wall seconds, not CPU: one worker's products run on all of OpenBLAS's threads,
+        so its gemm_s is their wall time, while a pool runs each product on one thread (see
+        _one_blas_thread). On a 2-CPU VM the same 5k x 20k retrieval read gemm_s 0.55-0.72 s at one
+        worker (two BLAS threads) and 1.2-1.5 s summed at two workers: the same CPU work."""
         rows = max(self.rows, 1)
         return {
             "shortlist_mean": f"{self.columns / rows:.1f}",
@@ -244,44 +262,55 @@ def _check_aligned_pair(src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
         raise ValueError("both spaces must be row-normalized")
 
 
-def _map_row_blocks(fn, A: np.ndarray, B32: np.ndarray, n_threads: int, stats: ScanStats | None = None) -> list:
-    """Apply fn(lo, hi, sims) to fixed-size row blocks of the float32 product A @ B32.T, preserving block order.
+def _map_row_blocks(
+    fn, A: np.ndarray, B32: np.ndarray, n_threads: int, stats: ScanStats | None = None, width: int | None = None
+) -> list:
+    """Apply fn(lo, hi, sims, pairs) to fixed-size row blocks of the float32 product A @ B32.T, preserving block order.
 
-    sims is the (hi - lo, len(B32)) product of rows lo:hi, written into a
-    float32 block buffer that fn may overwrite. A's rows may be of any
-    float type: each block casts its own rows to float32, so no float32
-    copy of A is made. One buffer per worker, at most one per block, is
-    made here before any block starts, taken from a pool when a block
-    starts and put back when it ends; all are freed when this call
-    returns. Block boundaries depend only on the problem shape, not on
-    n_threads, so the concatenated result is identical for any worker
-    count. A pool of more than one worker runs under one OpenBLAS thread
-    (_one_blas_thread); one worker leaves the count alone. stats gets each
-    block's seconds in the product and in fn, the buffers' bytes and the
-    product's cells.
+    sims (hi - lo, c * width) holds the product of rows lo:hi in its first
+    len(B32) columns and -inf in the rest: rows padded to whole chunks of
+    width columns (default: one chunk, no padding). It is a float32 block
+    buffer that fn may overwrite, as long as the padding stays -inf. pairs
+    is a float64 buffer of RESCORE_CELLS values for the rescoring
+    (_rescorer). A's rows may be of any float type: each block casts its
+    own rows to float32, so no float32 copy of A is made. One pair of
+    buffers per worker, at most one per block, is made here before any
+    block starts, taken from a pool when a block starts and put back when
+    it ends; all are freed when this call returns. Block boundaries depend
+    only on the problem shape, not on n_threads, so the concatenated result
+    is identical for any worker count. A pool of more than one worker runs
+    under one OpenBLAS thread (_one_blas_thread); one worker leaves the
+    count alone. stats gets each block's seconds in the product and in fn,
+    the buffers' bytes and the product's cells.
     """
     n_rows, n_cols = len(A), len(B32)
+    width = width or max(n_cols, 1)
+    padded = -(-n_cols // width) * width
     block = _block_rows(n_cols)
     spans = [(lo, min(lo + block, n_rows)) for lo in range(0, n_rows, block)]
     workers = 1 if n_threads <= 1 else min(n_threads, len(spans))
     # list.pop and list.append are atomic; at most `workers` blocks run at once
-    free = [np.empty((min(block, n_rows), n_cols), dtype=np.float32) for _ in spans[:workers]]
+    free = []
+    for _ in spans[:workers]:
+        sims = np.empty((min(block, n_rows), padded), dtype=np.float32)
+        sims[:, n_cols:] = -np.inf
+        free.append((sims, np.empty(RESCORE_CELLS)))
     if stats is not None:
-        stats.note_pass(sum(buf.nbytes for buf in free), n_rows * n_cols)
+        stats.note_pass(sum(sims.nbytes + pairs.nbytes for sims, pairs in free), n_rows * n_cols)
 
     def run(span: tuple[int, int]):
         lo, hi = span
-        buf = free.pop()
+        sims, pairs = free.pop()
         try:
             t0 = time.perf_counter()
-            sims = np.matmul(A[lo:hi].astype(np.float32), B32.T, out=buf[: hi - lo])
+            np.matmul(A[lo:hi].astype(np.float32), B32.T, out=sims[: hi - lo, :n_cols])
             t1 = time.perf_counter()
-            result = fn(lo, hi, sims)
+            result = fn(lo, hi, sims[: hi - lo], pairs)
             if stats is not None:
                 stats.note_block(t1 - t0, time.perf_counter() - t1)
             return result
         finally:
-            free.append(buf)
+            free.append((sims, pairs))
 
     if workers <= 1:
         return [run(span) for span in spans]
@@ -290,81 +319,130 @@ def _map_row_blocks(fn, A: np.ndarray, B32: np.ndarray, n_threads: int, stats: S
 
 
 def _chunk_width(n: int, k: int) -> int:
-    """Column-chunk width of the top-k screen over rows of n values.
+    """Width of the chunks a top-k screen cuts rows of n >= k values into: the integer nearest sqrt(n / k).
 
-    A row narrower than 16k columns is one chunk of n columns, kept whole.
-    Wider rows get at least 8k chunks of at most 65 columns, so the kept
-    chunks are a small share of the row. A width above 16 is rounded down
-    to the form 16j + 1: np.maximum.reduceat runs the maximum loop over the
-    width - 1 values after each chunk's first, and numpy's SIMD loop takes
-    16 float32 values a step and the rest one at a time. Best of 20 per
-    128 x 20k float32 slice on a 2-CPU Xeon VM: widths 33, 49 and 65 took
-    1.3-1.8 ms, widths 32, 48 and 64 took 4.2-6.0 ms. Widths of 16 and
-    below run the scalar loop over the whole row (width 16 took 4.04 ms per
-    128 x 6k slice against 1.38 ms at 17), so such a row takes width 17
-    whenever that still leaves at least 4k whole chunks. An 800-row top-50
-    over 6k targets keeps 851 columns per row at width 17 against 751 at
-    15, and took 0.199 s of CPU against 0.232 s (median of 7).
+    A row's n / width chunk maxima and the about k * width values of its
+    kept chunks are then of one size, sqrt(n * k), and there are at least
+    k chunks. In a 5k x 20k retrieval (top 50, means over 10) on a 2-CPU
+    Xeon VM, width 20 took the pass 1.32 s at two workers against 1.43 s
+    with chunks of up to 65 columns, medians of 6 alternated runs.
     """
-    if n < 16 * k:
-        return n
-    width = min(65, n // (8 * k))
-    if width <= 16:
-        return 17 if n // 17 >= 4 * k else width
-    return width - (width - 1) % 16
+    return max(1, round(math.sqrt(n / k)))
 
 
-def _shortlist(rows: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Screen: the columns of each row that can hold a value within slack of its k-th largest.
+@dataclass
+class _Chunks:
+    """How one similarity pass lays out its index rows as product columns, and screens rows chunk by chunk.
 
-    Each row is cut into chunks of _chunk_width columns (the last may be
-    shorter) and the k-th largest chunk maximum is taken as the bound, or the
-    smallest when there are fewer than k chunks. k distinct columns reach
-    that bound, so it is at most the row's k-th largest value: every chunk
-    holding a value at or above the k-th minus slack, boundary ties
-    included, has a maximum at or above bound - slack and is kept.
-
-    Returns (values, chunks, width, kept): values (m, c * width) holds the
-    kept chunks of each row side by side in ascending chunk order, the short
-    last chunk padded with -inf; a row that keeps fewer than c chunks fills
-    its last slots with chunks it did not keep, whose values are all below
-    bound - slack. chunks (m, c) is the chunk index of each slot. Position p
-    of a row is column chunks[row, p // width] * width + p % width, ascending
-    over the kept values, so a lowest-position tie rule on values is the
-    lowest-id rule. kept (m,) counts the columns each row kept.
+    A row of the float32 product has count * width columns: the first n
+    hold the index rows in the order of ids, the rest -inf. Chunk j is the
+    columns j, j + count, j + 2 * count, ..., so the maxima of all chunks
+    are elementwise maxima of a row's width contiguous runs of count
+    values, which numpy vectorizes across the run (a maximum over each
+    chunk of contiguous columns runs a short loop per chunk, and
+    np.maximum.reduceat holds the GIL, so two workers run it one at a
+    time). Chunk j holds the j-th run of ids in ascending order of r, the
+    neighborhood means a CSLS screen subtracts (ascending id for a cosine
+    pass): all chunks hold width ids but the last few, which hold width - 1
+    and one padding column. So the CSLS screen values
+    fl32(2 * S - fl32(r)) of a chunk lie between those of its cosine
+    maximum with the chunk's largest and smallest r (rounding is
+    monotone), and no pass forms the screen of a whole block.
     """
-    m, n = rows.shape
-    width = _chunk_width(n, k)
-    # reduceat is faster here than a max over the last axis of a 3-d view; _chunk_width picks widths
-    # whose maximum loop has no scalar tail
-    maxima = np.maximum.reduceat(rows, np.arange(0, n, width), axis=1)
-    n_chunks = maxima.shape[1]
-    n_whole, tail = divmod(n, width)
-    whole = rows[:, : n_whole * width].reshape(m, n_whole, width)
-    kth = max(0, n_chunks - k)
-    # in float64: float32 arithmetic would round the slack away
-    floor = np.partition(maxima, kth, axis=1)[:, kth].astype(np.float64) - slack
-    keep = maxima >= floor[:, None]
-    counts = keep.sum(axis=1)
-    c = int(counts.max())
-    chunks = np.argsort(~keep, axis=1, kind="stable")[:, :c]  # kept chunks first, each part ascending
-    values = whole[np.arange(m)[:, None], np.minimum(chunks, n_whole - 1)]  # (m, c, width)
-    kept = counts * width
-    if tail:  # the short last chunk: its columns, then -inf
-        at_tail = chunks == n_whole
-        values[at_tail] = -np.inf
-        values[at_tail, :tail] = rows[np.nonzero(at_tail)[0], n_whole * width :]
-        kept -= (width - tail) * keep[:, -1]
-    return values.reshape(m, c * width), chunks, width, kept
+
+    width: int
+    count: int
+    ids: np.ndarray  # (n,) the index id of each product column
+    r_slots: np.ndarray | None  # (count, width) float32 r of the id in each chunk slot, 0 on padding
+    r_low: np.ndarray | None  # (count,) float32 smallest r of each chunk
+    r_high: np.ndarray | None  # (count,) float32 largest r of each chunk
+
+    @classmethod
+    def build(cls, n: int, k: int, r: np.ndarray | None = None) -> "_Chunks":
+        """The layout of a pass over n index rows whose widest selection is a top-k, chunks sorted by r if given."""
+        width = _chunk_width(n, k)
+        count = -(-n // width)
+        order = np.arange(n) if r is None else np.argsort(r, kind="stable")
+        sizes = np.full(count, width)
+        sizes[count - (count * width - n) :] -= 1  # the chunks that end in padding
+        starts = np.cumsum(sizes) - sizes
+        slot, chunk = np.divmod(np.arange(n), count)
+        ids = order[starts[chunk] + slot]
+        if r is None:
+            return cls(width, count, ids, None, None, None)
+        r32 = r.astype(np.float32)
+        r_slots = np.zeros((count, width), dtype=np.float32)
+        r_slots[chunk, slot] = r32[ids]
+        return cls(width, count, ids, r_slots, r32[order[starts]], r32[order[starts + sizes - 1]])
+
+    def cast(self, M: np.ndarray) -> np.ndarray:
+        """The index rows M[ids] in float32, the operand of the product; 256 rows at a time, so that their
+        float64 gather stays small (4,096 at a time raised semi train's peak RSS by 7 MB)."""
+        out = np.empty((len(self.ids), M.shape[1]), dtype=np.float32)
+        for lo in range(0, len(out), 256):
+            out[lo : lo + 256] = M[self.ids[lo : lo + 256]]
+        return out
+
+    def maxima(self, sims: np.ndarray) -> np.ndarray:
+        """(m, count) float32 maximum of each chunk of each row."""
+        return sims.reshape(len(sims), self.width, self.count).max(axis=1)
+
+    def shortlist(
+        self, rows: np.ndarray, maxima: np.ndarray, k: int, slack: float, csls: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Screen: the pairs of rows whose screen value can lie within slack of the row's k-th largest.
+
+        rows are product rows, maxima their chunk maxima; the screen value is
+        the product itself, or fl32(2 * S - fl32(r)) given csls. Each chunk
+        has a low value, which one of its columns reaches, and a high value
+        that none exceeds: its maximum twice (cosine: as is), less its
+        largest and smallest r. The bound is the k-th largest low value
+        (_chunk_width leaves at least k chunks): k distinct columns reach
+        it, so it is at most the row's k-th largest screen value. Every
+        value at or above that k-th minus slack, boundary ties included, is
+        at or above bound - slack, and so is the high value of its chunk:
+        only those chunks are read. Returns (row, id, kept): every pair
+        whose screen value reaches bound - slack, row by row, and (m,) the
+        columns of the chunks each row read, padding included.
+        """
+        m = len(rows)
+        strided = rows.reshape(m, self.width, self.count)
+        # one (m, count) temporary in the screen's precision: the low values, partitioned in place, then the high
+        chunk_values = maxima * (2.0 if csls else 1.0)
+        if csls:
+            chunk_values -= self.r_high
+        chunk_values.partition(self.count - k, axis=1)
+        bound = chunk_values[:, self.count - k].astype(np.float64)
+        if csls:
+            np.multiply(maxima, 2.0, out=chunk_values)
+            chunk_values -= self.r_low
+        else:
+            chunk_values = maxima
+        # the floor bound - slack, in float64 (float32 arithmetic would round the slack away), then rounded down to
+        # the screen's precision: a screen value reaches it if it reaches bound - slack, or equals it
+        floor = bound - slack
+        floor_screen = floor.astype(rows.dtype)
+        above = floor_screen > floor
+        floor_screen[above] = np.nextafter(floor_screen[above], -np.inf)
+        kept_rows, kept_chunks = np.nonzero(chunk_values >= floor_screen[:, None])
+        values = strided[kept_rows, :, kept_chunks]  # (kept chunks, width)
+        if csls:
+            values *= 2.0
+            values -= self.r_slots[kept_chunks]
+        at, slot = np.nonzero(values >= floor_screen[kept_rows, None])
+        kept = np.bincount(kept_rows, minlength=m) * self.width
+        return kept_rows[at], self.ids[slot * self.count + kept_chunks[at]], kept
 
 
-def _topk_desc_full(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _topk_desc_full(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise top-k by descending score over whole rows, ties broken by
-    ascending column id; the selection rule that _topk_desc_rows applies.
+    ascending id; the selection rule that _topk_desc_rows applies. ids
+    gives each score's id (default: its column).
 
     A row with more than k values at or above its k-th (a tie across the
     boundary) takes those above it, then the lowest ids of those equal to
-    it; the k of each row are then ordered by value, then by id.
+    it; the k of each row are then ordered by value, then by id. Returns
+    the columns of the k and their scores.
     """
     if k > scores.shape[1]:
         raise ValueError(f"k={k} exceeds row length {scores.shape[1]}")
@@ -372,34 +450,63 @@ def _topk_desc_full(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     boundary = np.take_along_axis(scores, chosen, axis=1).min(axis=1)
     over = np.flatnonzero((scores >= boundary[:, None]).sum(axis=1) > k)
     tied, bound = scores[over], boundary[over, None]
-    # rank 0 above the boundary, 1 on it, 2 below; a stable sort keeps ids ascending within each
-    chosen[over] = np.argsort(np.add(tied <= bound, tied < bound, dtype=np.int8), axis=1, kind="stable")[:, :k]
+    # rank 0 above the boundary, 1 on it, 2 below; ids ascending within each
+    rank = np.add(tied <= bound, tied < bound, dtype=np.int8)
+    if ids is None:  # a stable sort keeps columns ascending
+        chosen[over] = np.argsort(rank, axis=1, kind="stable")[:, :k]
+    else:
+        chosen[over] = np.lexsort((ids[over], rank), axis=1)[:, :k]
     vals = np.take_along_axis(scores, chosen, axis=1)
-    order = np.lexsort((chosen, -vals), axis=1)
+    order = np.lexsort((chosen if ids is None else np.take_along_axis(ids, chosen, axis=1), -vals), axis=1)
     return np.take_along_axis(chosen, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
 def _pair_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dot product of each row of A with the same row of B: the one per-pair routine of the rescoring.
+    """Dot product of each vector of A with the same vector of B, over the last axis: the one per-pair routine
+    of the rescoring.
 
-    A pair's bits depend only on its two vectors, not on how many rows the
-    arrays hold, where the pair sits in them or how they are aligned.
+    A pair's bits depend only on its two vectors, not on how many pairs the
+    arrays hold, how they are shaped, where the pair sits in them, how they
+    are aligned, or whether A repeats one vector along an axis by a zero
+    stride (np.broadcast_to, or a length-1 axis that einsum broadcasts).
     """
-    return np.einsum("md,md->m", A, B)
+    return np.einsum("...d,...d->...", A, B)
 
 
-def _rescorer(Q: np.ndarray, I: np.ndarray, r: np.ndarray | None = None):
-    """rescore(rows, cols): each pair's float64 cosine Q[row] . I[col], or its CSLS screen value
-    2 * cosine - r[col] given r; pairs go through _pair_dots RESCORE_CELLS vector cells at a time."""
-    step = max(1, RESCORE_CELLS // Q.shape[1])
+def _rescorer(Q: np.ndarray, I: np.ndarray, pairs: np.ndarray, r: np.ndarray | None = None):
+    """rescore(lo, ids, counts): the float64 cosine Q[lo + i] . I[ids[i, j]] of the first counts[i] ids of each
+    row i of ids, or its CSLS screen value 2 * cosine - r[ids[i, j]] given r; -inf past a row's count.
 
-    def rescore(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        out = np.empty(rows.size)
-        for lo in range(0, rows.size, step):
-            out[lo : lo + step] = _pair_dots(Q[rows[lo : lo + step]], I[cols[lo : lo + step]])
+    Each call of _pair_dots takes a grid of rows by id slots: the index
+    vectors are gathered into pairs, a float64 buffer made before the pass
+    (np.take with out=), and each row's query vector is broadcast across
+    its slots, never copied. Slots go in rounds of the rows'
+    mean count, each round over the rows that have ids left, so a row with
+    many ids costs its own slots only.
+    """
+    d = Q.shape[1]
+
+    def rescore(lo: int, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        m, c = ids.shape
+        queries = Q[lo : lo + m]
+        out = np.full((m, c), -np.inf)
+        step = min(-(-int(counts.sum()) // max(m, 1)), max(1, len(pairs) // d))
+        for c0 in range(0, c, step):
+            live = np.flatnonzero(counts > c0)
+            c1 = min(c0 + step, c)
+            per_call = max(1, len(pairs) // ((c1 - c0) * d))
+            for i in range(0, live.size, per_call):
+                rows = live[i : i + per_call]
+                if rows[-1] - rows[0] == len(rows) - 1:  # consecutive rows, as in a first round: views
+                    rows = slice(rows[0], rows[-1] + 1)
+                cols = ids[rows, c0:c1]
+                index = pairs[: cols.size * d].reshape(*cols.shape, d)
+                np.take(I, cols, axis=0, out=index, mode="clip")
+                out[rows, c0:c1] = _pair_dots(queries[rows, None], index)
         if r is not None:
             out *= 2.0
-            out -= r[cols]
+            out -= r[ids]
+        out[np.arange(c) >= counts[:, None]] = -np.inf
         return out
 
     return rescore
@@ -427,33 +534,39 @@ def _screen_margin(Q: np.ndarray, I: np.ndarray, r: np.ndarray | None = None) ->
 
 
 def _topk_desc_rows(
-    screen: np.ndarray, k: int, margin: float, rescore, stats: ScanStats | None = None
+    screen: np.ndarray,
+    chunks: _Chunks,
+    k: int,
+    margin: float,
+    rescore,
+    stats: ScanStats | None = None,
+    maxima: np.ndarray | None = None,
+    csls: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise exact top-k of rescored values, by descending value, ties broken by ascending column id.
+    """Row-wise exact top-k of rescored values, by descending value, ties broken by ascending id.
 
-    screen (m, n) holds every pair's value to within margin / 2, in any
-    float precision; rescore(rows, cols) gives the float64 values of pairs,
-    rows counted from the first of screen. SELECT_ROWS rows at a time,
-    _shortlist keeps the chunks that can hold a screen value within margin
-    of the row's k-th, the kept columns whose screen values come within
-    margin of that k-th are rescored in ascending column order, and
-    _topk_desc_full selects on the rescored values. The result is that of
-    _topk_desc_full over whole rows of rescored values. Returns (ids,
-    values), each (m, k); stats gets the kept columns and rescored pairs.
+    screen holds product rows laid out by chunks (_Chunks), and maxima
+    their chunk maxima (computed here a slice at a time if not given);
+    every pair's screen value, the product itself or fl32(2 * S - fl32(r))
+    given csls, lies within margin / 2 of its rescored value. rescore(lo, ids, counts) gives
+    the float64 values of the first counts[i] ids of each row i, rows
+    counted from lo (_rescorer). SELECT_ROWS rows at a time,
+    _Chunks.shortlist finds the ids whose screen value can come within
+    margin of the row's k-th, they are rescored, and _topk_desc_full
+    selects on the rescored values. The result is that of _topk_desc_full
+    over whole rows of rescored values in id order. Returns (ids, values),
+    each (m, k); stats gets the columns read and the pairs rescored.
     """
     id_parts, value_parts = [], []
     for lo in range(0, len(screen), SELECT_ROWS):
-        values, chunks, width, kept = _shortlist(screen[lo : lo + SELECT_ROWS], k, margin)
-        kth = np.partition(values, -k, axis=1)[:, -k].astype(np.float64)
-        rows, pos = np.nonzero(values >= (kth - margin)[:, None])  # row by row, positions ascending
-        cols = chunks[rows, pos // width] * width + pos % width
-        counts = np.bincount(rows, minlength=len(values))
+        hi = lo + SELECT_ROWS
+        slice_maxima = chunks.maxima(screen[lo:hi]) if maxima is None else maxima[lo:hi]
+        rows, cols, kept = chunks.shortlist(screen[lo:hi], slice_maxima, k, margin, csls)
+        counts = np.bincount(rows, minlength=len(kept))
         slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        rescored = np.full((len(values), counts.max()), -np.inf)  # -inf pads rows with fewer pairs
-        rescored[rows, slot] = rescore(rows + lo, cols)
-        ids = np.zeros(rescored.shape, dtype=np.int64)
+        ids = np.zeros((len(kept), counts.max()), dtype=np.int64)  # id 0 in the slots past a row's count
         ids[rows, slot] = cols
-        at, top = _topk_desc_full(rescored, k)
+        at, top = _topk_desc_full(rescore(lo, ids, counts), k, ids)
         id_parts.append(np.take_along_axis(ids, at, axis=1))
         value_parts.append(top)
         if stats is not None:
@@ -461,10 +574,18 @@ def _topk_desc_rows(
     return np.concatenate(id_parts), np.concatenate(value_parts)
 
 
-def _topk_mean_rows(screen: np.ndarray, k: int, margin: float, rescore, stats: ScanStats | None = None) -> np.ndarray:
+def _topk_mean_rows(
+    screen: np.ndarray,
+    chunks: _Chunks,
+    k: int,
+    margin: float,
+    rescore,
+    stats: ScanStats | None = None,
+    maxima: np.ndarray | None = None,
+) -> np.ndarray:
     """Mean of the k largest rescored values per row, summed in _topk_desc_rows' order:
     value descending, ties by ascending id, so the mean is the same to the bit whatever the route."""
-    _, top = _topk_desc_rows(screen, k, margin, rescore, stats)
+    _, top = _topk_desc_rows(screen, chunks, k, margin, rescore, stats, maxima)
     # cumsum adds strictly left to right, largest value first
     return np.cumsum(top, axis=1)[:, -1] / k
 
@@ -491,11 +612,12 @@ def knn_mean_similarity(
         raise ValueError(f"k must be in [1, {len(index)}], got {k}")
     Q, I = queries.matrix, index.matrix
     margin = _screen_margin(Q, I)
+    chunks = _Chunks.build(len(I), k)
 
-    def block(lo: int, hi: int, sims: np.ndarray) -> np.ndarray:
-        return _topk_mean_rows(sims, k, margin, _rescorer(Q[lo:hi], I), stats)
+    def block(lo: int, hi: int, sims: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        return _topk_mean_rows(sims, chunks, k, margin, _rescorer(Q[lo:hi], I, pairs), stats)
 
-    parts = _map_row_blocks(block, Q, I.astype(np.float32), n_threads, stats)
+    parts = _map_row_blocks(block, Q, chunks.cast(I), n_threads, stats, chunks.width)
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -535,25 +657,30 @@ def retrieve_topk(
         r_tgt = means.r_tgt
     else:
         r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats)
-    r_tgt32 = r_tgt.astype(np.float32)
     cosine_margin = _screen_margin(X, Y)
     margin = _screen_margin(X, Y, r_tgt) if csls else cosine_margin
+    # one layout for both selections of a block, chunked for the larger k
+    chunks = _Chunks.build(len(Y), max(params.top_k, params.k_csls if means is None else 1), r_tgt if csls else None)
 
-    def block(lo: int, hi: int, sims: np.ndarray):
-        if means is not None:
-            r_src_block = means.r_src[src_ids[lo:hi]]
-        else:
-            r_src_block = _topk_mean_rows(sims, params.k_csls, cosine_margin, _rescorer(X[lo:hi], Y), stats)
-        if csls:
-            sims *= 2.0
-            sims -= r_tgt32
-        rescore = _rescorer(X[lo:hi], Y, r_tgt if csls else None)
-        ids, vals = _topk_desc_rows(sims, params.top_k, margin, rescore, stats)
-        if csls:
-            vals -= r_src_block[:, None]
-        return ids, vals, r_src_block
+    def block(lo: int, hi: int, sims: np.ndarray, pairs: np.ndarray):
+        parts = []
+        for s0 in range(lo, hi, SELECT_ROWS):  # both selections of a slice share its chunk maxima
+            s1 = min(s0 + SELECT_ROWS, hi)
+            rows = sims[s0 - lo : s1 - lo]
+            maxima = chunks.maxima(rows)
+            if means is not None:
+                r_src = means.r_src[src_ids[s0:s1]]
+            else:
+                cosine = _rescorer(X[s0:s1], Y, pairs)
+                r_src = _topk_mean_rows(rows, chunks, params.k_csls, cosine_margin, cosine, stats, maxima)
+            rescore = _rescorer(X[s0:s1], Y, pairs, r_tgt if csls else None)
+            ids, vals = _topk_desc_rows(rows, chunks, params.top_k, margin, rescore, stats, maxima, csls)
+            if csls:
+                vals -= r_src[:, None]
+            parts.append((ids, vals, r_src))
+        return [np.concatenate(part) for part in zip(*parts)]
 
-    parts = _map_row_blocks(block, X, Y.astype(np.float32), n_threads, stats)
+    parts = _map_row_blocks(block, X, chunks.cast(Y), n_threads, stats, chunks.width)
     cand_ids = np.concatenate([p[0] for p in parts]) if parts else np.zeros((0, params.top_k), dtype=np.int64)
     scores = np.concatenate([p[1] for p in parts]) if parts else np.zeros((0, params.top_k))
     r_src = np.concatenate([p[2] for p in parts]) if parts else np.zeros(0)

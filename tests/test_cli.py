@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -658,6 +659,118 @@ class TestDeterminism:
             self.compare_trees(a / sub, b / sub)
 
 
+def build_key() -> str:
+    """numpy version, BLAS name and version, and the SIMD targets numpy dispatches to: what output bits depend on.
+
+    The LAPACK SVD kernel moves the alignment's last bits, and numpy's
+    dispatch picks the einsum and reduction loops.
+    """
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return " ".join([
+        f"numpy={np.__version__}", f"blas={blas['name']}-{blas['version']}",
+        "simd=" + ",".join(simd["baseline"] + simd["found"]),
+    ])
+
+
+# sha256 of each deterministic output of TestPinnedOutputs' pipeline, per build (build_key). A change that moves
+# an output on purpose updates its pin here and says why in CHANGES.md.
+PINNED_OUTPUTS = {
+    'numpy=2.4.6 blas=scipy-openblas-0.3.31.188.0 simd=X86_V2,X86_V3,X86_V4,AVX512_ICL,AVX512_SPR': {
+        'analyze/pca_s00001.tsv': 'cb8adeb6ed5acf30f5b4cc545f660a14db78f2e782b558c581aec18faa1721c7',
+        'analyze/pca_s00017.tsv': 'f4ab309f52ff90b1cb888602c981732cacb46816faa4c8fe948d5a869facdceb',
+        'analyze/pca_s00026.tsv': '101ae17162703b5cb6f03c89d88a3350e763d6b42808ed79d9bc952cf43f9795',
+        'analyze/pca_s00042.tsv': '221cedc2c0bdec783a9b11f2171283af51ec88479106a3ae681b2e48c25bd7a5',
+        'analyze/pca_s00054.tsv': '0972a297a6659c0a975970b0d70f308e196c14e0b94745f60c475d7745f34224',
+        'analyze/pca_s00069.tsv': 'd9ae9effff5c21e6a4d0ced6e81436045d1cc845dff5fd42c479e03d8a15f153',
+        'analyze/pca_s00090.tsv': '00cc5ac9f1fa508aadfe93d5e3bd8cfacae78a497a0aae4401c6811a0e7fae2b',
+        'analyze/pca_s00102.tsv': 'ba1f2b967c9b01d6d91c2d25dddfaf25d0cc10453c8b52179ce9c3c80397a05d',
+        'analyze/pca_s00112.tsv': 'd0e0de7de26c7f15f8e8125492b2eb63ec5f43fa3f11a2e1ccf722923e22de2c',
+        'analyze/pca_s00125.tsv': '209d33e45ce6763f72061c0f4f4497b8cdb3c9239d34387769f780713ddd6563',
+        'analyze/pos_correlation.tsv': '0239d20b382d3b3e95d98bface2a30649ee3c60f5ec68ed4e197d82eff4c7e9e',
+        'eval/eval_report.txt': 'bfb0282ae47756d90a276b2cbc078cfe6876ac153fd50af40448ab0b768029f2',
+        'eval/explanations.tsv': '1a2817bf3f64efda22578591e59db3b60f4bc06d9a2f45776c91a60e8735ec4c',
+        'eval/per_pos.tsv': '8a15caeff983098ce4c2700547df4ebb5245856d7a4e5bb0bba6863322e01384',
+        'retrieve/candidates.tsv': 'd00a0bc7329949377426a4341ebf21f2f7bb1ac7a699f298426d32f52d5ed5de',
+        'retrieve/retrieval_report.txt': 'efce9d4de5284e15646da42272af47074f3c05bb79885d579c7e95ce675c33d7',
+        'scoped/candidates.tsv': '4118b96a164ff2a21b01b4dbd10b660a6d7bb64a7dafa7a6f346a48d4361611b',
+        'scoped/retrieval_report.txt': 'ce58bb7cf913b099a3c84da3e4ba5de1511113933f27936e758dc98a3b92b821',
+        'semi/model.json': '9eb487d8106d90174fc14a4abe669c079234a073f46f733a033f3360825846e7',
+        'semi/train_trace.tsv': 'ddf8ed492c7dab23c965f19210f6f84ef8bf723c7f00562c0f112f6d29f01b8c',
+        'train/model.json': 'd0533ba706bb44b1499870457ac6a18524c26327dc0077a5425aecf658b975d7',
+        'train/train_trace.tsv': '36a6a0232847028b6edf41b467825e2017c04e62b95eb8e75b6793f2012f2409',
+        'world/dict.full.tsv': '64102459cc99886e0be9e723f0c9098a05573c8953ba2c37263c68b076f2e891',
+        'world/dict.test.tsv': 'bfe6a53fca7bef815339a5ff2aa53db042c5a9d395ba88bc8796d305342bb4cf',
+        'world/dict.train.tsv': '08064169cd0fe622c9ef92c5c19590f87bfd4a8ad2afaf6a49daaa7aff4c00e1',
+        'world/embeddings.src.vec': '1828e97c1dbbb4a07d7e653b1c756279bc9ecd3a7154570ae2e1819473d5433a',
+        'world/embeddings.tgt.vec': '5d29f67a1b2dcb8c3c73537023861050115b520d7e9b7df62e990cf0e8e72e12',
+        'world/freq.src.tsv': '537f4731f297e4fe39b8c26ab22b02e4d457b70624f1497213b9710010de0841',
+        'world/freq.tgt.tsv': '54c9ebf46e7549904af5bfb3ef27f39c694faf2a2b793f06600716b2857f3c99',
+        'world/pos.src.tsv': 'e91330611ff6d1647c638799b5b4644565bef1d02a194b8ed5a73ec76cd875d5',
+        'world/pos.tgt.tsv': '7239513fdae758c05b63c00f1f647d49d9b66583a87b2a45923f11c3284ded0c',
+        'world/world.meta': '73680a227137eb27d3b3943755eb821f41ecf6a37a57d75c38ba0c2a54c2081c',
+        'arrays/csls': '8f38705f5ff16dec328fa47927bc4d383fd066f2c5500c6fbec78fac6ee7fe84',
+        'arrays/cosine': '811be53dccf86bce54f3e38795119338b1c9d6ede2bd14ce73143c313bbffd88',
+        'arrays/mutual': 'fd30adb4eca25b643480b2037d057d1b1f0232afcd3925fbbc9e434fe7f75054',
+    },
+}
+
+
+class TestPinnedOutputs:
+    """Every deterministic output of a small pipeline keeps its bytes across commits, not only across runs."""
+
+    def test_outputs_match_the_pins_of_this_build(self, tmp_path, capsys):
+        world = tmp_path / "world"
+        assert run("synth", "--out-dir", world, "--n", 400, "--dim", 32, "--noise-sigma", "0.2", "--seed", 5) == 0
+        vecs = ["--src-emb", world / "embeddings.src.vec", "--tgt-emb", world / "embeddings.tgt.vec"]
+        train_sources, test_sources = (
+            list(dict.fromkeys(line.split("\t")[0] for line in (world / name).read_text().splitlines()))
+            for name in ("dict.train.tsv", "dict.test.tsv")
+        )
+        (tmp_path / "lists").mkdir()
+        scope, words = tmp_path / "lists" / "scope.txt", tmp_path / "lists" / "words.txt"
+        scope.write_text("".join(w + "\n" for w in train_sources))  # semi retrieves the mined sources itself
+        words.write_text("".join(w + "\n" for w in test_sources[:40:4]))
+        seed, side = ["--seed-dict", world / "dict.train.tsv"], ["--k-csls", 5, "--threads", 2]
+        ret, scoped = tmp_path / "retrieve", tmp_path / "scoped"
+        assert run("retrieve", "--out-dir", ret, *vecs, *seed, "--top-k", 20, *side) == 0
+        assert run("retrieve", "--out-dir", scoped, *vecs, *seed, "--source-words", scope, *side) == 0
+        assert run(*train_args(world, ret, tmp_path / "train")) == 0
+        assert run(*train_args(world, scoped, tmp_path / "semi", "--mode", "semi", "--n-aug", 40, "--threads", 2)) == 0
+        assert run(*eval_args(world, ret, tmp_path / "semi", tmp_path / "eval")) == 0
+        assert run(
+            "analyze", "--out-dir", tmp_path / "analyze", *vecs, *seed, "--words", words,
+            "--dict", world / "dict.full.tsv", "--freq-src", world / "freq.src.tsv",
+            "--freq-tgt", world / "freq.tgt.tsv", "--pos-src", world / "pos.src.tsv", "--min-n", 3, *side,
+        ) == 0
+        semi = stage_fields(kv(tmp_path / "semi" / "run.log"), "augment")
+        assert int(semi["mined_pairs"]) > 0 and int(semi["retrieved_sources"]) > 0
+        digests = {
+            f"{out.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for out in sorted(tmp_path.iterdir()) for path in sorted(out.iterdir())
+            if path.name != "run.log" and out.name != "lists"
+        }
+        # the files print scores to six decimals; the arrays behind them hold every bit
+        src, tgt = (corpus.load_embeddings(world / f"embeddings.{side}.vec") for side in ("src", "tgt"))
+        src = _aligned_source(src, tgt, corpus.load_dictionary(world / "dict.train.tsv", src.vocab, tgt.vocab))
+        arrays = {}
+        for metric in ("csls", "cosine"):
+            cands, means = retrieval.retrieve_topk(src, tgt, retrieval.SimilarityParams(5, 20), metric, n_threads=2)
+            arrays[metric] = [cands.cand_ids, cands.scores, means.r_src, means.r_tgt]
+        best, means = retrieval.retrieve_topk(src, tgt, retrieval.SimilarityParams(5, 1))
+        arrays["mutual"] = [np.array(retrieval.mutual_nn_pairs(src, tgt, best, means))]
+        for name, values in arrays.items():
+            digests[f"arrays/{name}"] = hashlib.sha256(b"".join(a.tobytes() for a in values)).hexdigest()
+        key = build_key()
+        if key not in PINNED_OUTPUTS:
+            with capsys.disabled():
+                pins = "".join(f"        {name!r}: {digest!r},\n" for name, digest in digests.items())
+                print(f"\nno pins for this build; its digests:\n    {key!r}: {{\n{pins}    }},")
+            pytest.skip(f"no pinned digests for {key}")
+        assert digests == PINNED_OUTPUTS[key]
+
+
 class TestParallelLoad:
     """retrieve, semi train and analyze --words parse each vector file in up to --threads processes."""
 
@@ -773,6 +886,18 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert run("synth", "--config", cfg, "--out-dir", out) == 2
         assert f"{cfg}: line 2: unknown key 'noise_sigmaa'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_with_a_bad_byte_is_a_config_error(self, world_dir, tmp_path, capsys):
+        # the lines above the bad byte are checked first; nothing is written
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"top-k = 5\nmetric = cos\xffine\nbogus = 1\n")
+        out = tmp_path / "out"
+        args = ["retrieve", "--out-dir", out, "--src-emb", world_dir / "embeddings.src.vec",
+                "--tgt-emb", world_dir / "embeddings.tgt.vec", "--config", cfg]
+        assert run(*args) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: line 2: invalid UTF-8" in err and "data error" not in err
         assert not out.exists()
 
     def test_key_of_another_command_allowed(self, tmp_path):
@@ -908,6 +1033,16 @@ class TestOptionTables:
         afile.write_text("kept\n")
         assert run(*analyze_args(world_dir, afile)) == 2
         assert f"config error: --out-dir: not a directory: {afile}" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+    def test_out_dir_under_a_file_exit_2_before_writing(self, world_dir, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" / "deeper"
+        args = ["retrieve", "--out-dir", out, "--src-emb", world_dir / "embeddings.src.vec",
+                "--tgt-emb", world_dir / "embeddings.tgt.vec"]
+        assert run(*args) == 2
+        assert f"config error: --out-dir: not a directory: {out}" in capsys.readouterr().err
         assert afile.read_text() == "kept\n" and [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 

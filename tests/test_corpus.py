@@ -7,6 +7,7 @@ import os
 import random
 import re
 import signal
+import tracemalloc
 import unicodedata
 from unittest import mock
 
@@ -432,6 +433,39 @@ class TestParallelParse:
         with open(p, "rb") as fh:
             assert corpus._cut_points(fh.fileno(), 4, 40, 2) == [4, 22, 40]
             assert corpus._cut_points(fh.fileno(), 4, 40, 3) == [4, 16, 28, 40]
+
+    def test_lone_cr_lines_are_cut_into_parts_and_blocks(self, tmp_path, rng, split_small):
+        # lines that end in a lone "\r" only: cut into three parts, and read a block at a time, as "\n" lines are
+        lf, cr = tmp_path / "lf.vec", tmp_path / "cr.vec"
+        write_embeddings(space_from(rng.standard_normal((3 * corpus.PARSE_CHUNK_ROWS, 40))), lf)
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        assert b"\n" not in cr.read_bytes() and cr.stat().st_size > 40 * corpus.READ_BLOCK_BYTES
+        one = load_embeddings(lf)
+        three = load_embeddings(cr, None, 3)
+        assert three.parse_workers == 3 and len(split_small) == 2
+        assert three.vocab.words == one.vocab.words and three.matrix.tobytes() == one.matrix.tobytes()
+        peaks = []
+        for path in (lf, cr):
+            tracemalloc.start()
+            try:
+                assert load_vocabulary(path).words == one.vocab.words
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the same blocks as "\n" lines, not one block of the whole file
+        assert peaks[1] <= peaks[0] + 4 * corpus.READ_BLOCK_BYTES and peaks[1] < cr.stat().st_size / 2, peaks
+
+    def test_a_cut_never_splits_crlf(self, tmp_path):
+        # "\r\n" across the 4 KB probe's end, and a lone "\r" as the last byte of a range
+        p = tmp_path / "e.txt"
+        p.write_bytes(b"x" * 4095 + b"\r\nab\rcd\r")
+        with open(p, "rb") as fh:
+            fd = fh.fileno()
+            assert corpus._next_line_start(fd, 0, 4104) == 4097
+            assert corpus._next_line_start(fd, 4097, 4104) == 4100
+            assert corpus._next_line_start(fd, 4100, 4104) == 4103
+            assert corpus._next_line_start(fd, 4100, 4102) == 4102  # no line end inside the range
+            assert corpus._next_line_start(fd, 4103, 4104) == 4104
 
     def test_parts_agree_on_a_large_file(self, tmp_path, rng, split_small):
         p = tmp_path / "e.vec"

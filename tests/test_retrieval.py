@@ -254,12 +254,30 @@ def wide_rows(draw):
     return S, k
 
 
-def kept_columns(row, k, width):
-    """Columns in the chunks whose maximum reaches the k-th largest chunk
-    maximum, or the smallest when there are fewer than k chunks."""
-    chunks = [row[lo:lo + width] for lo in range(0, row.size, width)]
-    bound = sorted((chunk.max() for chunk in chunks), reverse=True)[min(k, len(chunks)) - 1]
-    return sum(chunk.size for chunk in chunks if chunk.max() >= bound)
+def laid_out(S, k, r=None):
+    """S's rows as product rows of the layout of a top-k pass over its columns (chunks sorted by r if given)."""
+    chunks = retrieval._Chunks.build(S.shape[1], k, r)
+    screen = np.full((len(S), chunks.count * chunks.width), -np.inf, dtype=S.dtype)
+    screen[:, : S.shape[1]] = S[:, chunks.ids]
+    return screen, chunks
+
+
+def chunk_members(n, k):
+    """The column ids of each chunk of a top-k pass over n columns (cosine order), by a loop over columns."""
+    chunks = retrieval._Chunks.build(n, k)
+    members = [[] for _ in range(chunks.count)]
+    for position, i in enumerate(chunks.ids.tolist()):
+        members[position % chunks.count].append(i)
+    return members
+
+
+def kept_and_screened(row, k):
+    """Columns of the chunks whose maximum reaches the k-th largest chunk maximum, padding included, and the
+    values at or above that maximum."""
+    members = chunk_members(row.size, k)
+    width = retrieval._chunk_width(row.size, k)
+    bound = sorted((row[m].max() for m in members), reverse=True)[k - 1]
+    return sum(width for m in members if row[m].max() >= bound), int((row >= bound).sum())
 
 
 def descending_mean(row, k):
@@ -271,7 +289,9 @@ def descending_mean(row, k):
 
 def values_of(S):
     """A rescore function that reads the values of S itself."""
-    return lambda rows, cols: S[rows, cols]
+    return lambda lo, ids, counts: np.where(
+        np.arange(ids.shape[1]) < counts[:, None], S[lo + np.arange(len(ids))[:, None], ids], -np.inf
+    )
 
 
 @st.composite
@@ -297,29 +317,33 @@ def adversarial_rows(d, rng):
 
 
 class TestExactScreen:
-    def test_wide_rows_are_screened_with_a_short_last_chunk(self):
+    def test_wide_rows_are_screened_with_a_short_last_chunk(self, rng):
+        # 87 columns in 22 chunks of 4: the last one ends in padding; each chunk holds a run of ids by r
         k, n = 5, 16 * 5 + 7
-        width = retrieval._chunk_width(n, k)
-        assert width and n % width
-        # a narrower row is one chunk, kept whole
-        assert retrieval._chunk_width(16 * k - 1, k) == 16 * k - 1
+        r = rng.uniform(-1, 1, n)
+        chunks = retrieval._Chunks.build(n, k, r)
+        assert (chunks.width, chunks.count) == (4, 22)
+        assert sorted(chunks.ids.tolist()) == list(range(n))
+        members = [chunks.ids[j :: chunks.count] for j in range(chunks.count)]
+        assert [len(m) for m in members] == [4] * 21 + [3]
+        runs = np.concatenate([np.sort(r[m]) for m in members])
+        assert runs.tobytes() == np.sort(r).tobytes()
+        for j, m in enumerate(members):
+            r32 = r[m].astype(np.float32)
+            assert chunks.r_low[j] == r32.min() and chunks.r_high[j] == r32.max()
+            assert chunks.r_slots[j, : len(m)].tobytes() == r32.tobytes() and not chunks.r_slots[j, len(m) :].any()
+        # without r, chunk j holds the j-th run of ascending ids
+        assert chunk_members(n, k)[:2] == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 24, 50, 100])
     def test_chunk_widths_leave_no_scalar_tail(self, k):
-        # above 16 a width is 16j + 1: reduceat's maximum loop then runs over whole 16-value steps
-        for n in range(16 * k, 8 * k * 70):  # every cap of the width, up to past 65
+        # the width nearest sqrt(n / k) leaves at least k chunks, and padding only ends chunks: no chunk is short
+        # by more than one column
+        for n in range(k, 8 * k * 70):
             width = retrieval._chunk_width(n, k)
-            widest = min(65, n // (8 * k))  # the widest width that leaves 8k whole chunks, capped
-            if widest <= 16 and n // 17 >= 4 * k:  # width 17 while it leaves 4k whole chunks
-                assert width == 17
-            elif widest <= 16:  # fewer: the scalar loop, at the widest width that leaves 8k
-                assert width == widest and 2 <= width <= 8 and n // width >= 8 * k
-            else:  # the widest of the form 16j + 1
-                assert 17 <= width <= widest < width + 16 and width % 16 == 1 and n // width >= 8 * k
-        assert retrieval._chunk_width(20_000, 10) == 65 and retrieval._chunk_width(20_000, 50) == 49
-        # a top-50 over 6k targets, and the narrowest row that takes width 17 against the widest that does not
-        assert retrieval._chunk_width(6_000, 50) == 17
-        assert retrieval._chunk_width(68 * k, k) == 17 and retrieval._chunk_width(68 * k - 1, k) == 8
+            count = -(-n // width)
+            assert width == max(1, round(math.sqrt(n / k))) and count >= k and count * width - n < count
+        assert retrieval._chunk_width(20_000, 50) == 20 and retrieval._chunk_width(5_000, 10) == 22
 
     @settings(max_examples=300, deadline=None)
     @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
@@ -327,17 +351,18 @@ class TestExactScreen:
         # the values as their own screen, with no margin
         S, k = case
         stats = retrieval.ScanStats()
+        screen, chunks = laid_out(S, k)
         with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
-            ids, vals = retrieval._topk_desc_rows(S, k, 0.0, values_of(S), stats)
+            ids, vals = retrieval._topk_desc_rows(screen, chunks, k, 0.0, values_of(S), stats)
         full_ids, full_vals = retrieval._topk_desc_full(S, k)
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
         for row, got in zip(S, ids):
             assert got.tolist() == np.lexsort((np.arange(row.size), -row))[:k].tolist()
-        kept = [kept_columns(row, k, retrieval._chunk_width(S.shape[1], k)) for row in S]
+        kept, screened = zip(*(kept_and_screened(row, k) for row in S))
         assert (stats.rows, stats.columns, stats.widest) == (len(S), sum(kept), max(kept))
-        # the rescored pairs: every value at or above the row's k-th
-        assert stats.rescored == sum(int((row >= np.sort(row)[-k]).sum()) for row in S)
+        # the rescored pairs: every value at or above the row's k-th largest chunk maximum
+        assert stats.rescored == sum(screened)
 
     @settings(max_examples=300, deadline=None)
     @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
@@ -345,7 +370,7 @@ class TestExactScreen:
     def test_top_k_mean_is_the_descending_sum(self, case, select_rows):
         S, k = case
         with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
-            got = retrieval._topk_mean_rows(S, k, 0.0, values_of(S))
+            got = retrieval._topk_mean_rows(*laid_out(S, k), k, 0.0, values_of(S))
         want = np.array([descending_mean(row, k) for row in S])
         assert got.tobytes() == want.tobytes()
 
@@ -353,7 +378,7 @@ class TestExactScreen:
         S = np.round(rng.standard_normal((6, 40)) * 20) / 20
         for k in (1, 3, 10, 40):
             want = np.array([descending_mean(row, k) for row in S])
-            assert retrieval._topk_mean_rows(S, k, 0.0, values_of(S)).tobytes() == want.tobytes()
+            assert retrieval._topk_mean_rows(*laid_out(S, k), k, 0.0, values_of(S)).tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(case=screened_rows(), select_rows=st.sampled_from([1, 2, 128]))
@@ -361,8 +386,8 @@ class TestExactScreen:
         # any screen within margin / 2 of the rescored values, ties and reorderings included
         S, screen, k, margin = case
         with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
-            ids, vals = retrieval._topk_desc_rows(screen, k, margin, values_of(S))
-            means = retrieval._topk_mean_rows(screen, k, margin, values_of(S))
+            ids, vals = retrieval._topk_desc_rows(*laid_out(screen, k), k, margin, values_of(S))
+            means = retrieval._topk_mean_rows(*laid_out(screen, k), k, margin, values_of(S))
         full_ids, full_vals = retrieval._topk_desc_full(S, k)
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
@@ -373,10 +398,11 @@ class TestExactScreen:
         rng = np.random.default_rng(d)
         X, Y = adversarial_rows(d, rng), adversarial_rows(d, rng)
         r = rng.uniform(-1, 1, len(Y))
-        rows, cols = np.repeat(np.arange(len(X)), len(Y)), np.tile(np.arange(len(Y)), len(X))
+        ids, counts = np.tile(np.arange(len(Y)), (len(X), 1)), np.full(len(X), len(Y))
         screen = np.matmul(X.astype(np.float32), Y.astype(np.float32).T)
-        cosine = retrieval._rescorer(X, Y)(rows, cols).reshape(screen.shape)
-        csls = retrieval._rescorer(X, Y, r)(rows, cols).reshape(screen.shape)
+        pairs = np.empty(retrieval.RESCORE_CELLS)
+        cosine = retrieval._rescorer(X, Y, pairs)(0, ids, counts)
+        csls = retrieval._rescorer(X, Y, pairs, r)(0, ids, counts)
         cosine_margin, csls_margin = retrieval._screen_margin(X, Y), retrieval._screen_margin(X, Y, r)
         cosine_error = np.abs(screen.astype(np.float64) - cosine).max()
         csls_error = np.abs((screen * np.float32(2) - r.astype(np.float32)).astype(np.float64) - csls).max()
@@ -397,7 +423,15 @@ class TestExactScreen:
         one, one_means = retrieve_topk(src, tgt, params, n_threads=1)
         stats = retrieval.ScanStats()
         three, three_means = retrieve_topk(src, tgt, params, n_threads=3, stats=stats)
-        assert 0 < stats.buffer_bytes <= 3 * 32 * 400 * 4  # float32 buffers
+
+        def pass_bytes(n_rows, n_cols, k):
+            """Three workers' float32 block buffers, rows padded to whole chunks, and float64 rescoring buffers."""
+            rows, width = retrieval._block_rows(n_cols), retrieval._chunk_width(n_cols, k)
+            workers = min(3, -(-n_rows // rows))
+            return workers * (min(rows, n_rows) * -(-n_cols // width) * width * 4 + retrieval.RESCORE_CELLS * 8)
+
+        # the neighborhood pass over the sources, then the retrieval
+        assert stats.buffer_bytes == max(pass_bytes(400, 200, 5), pass_bytes(200, 400, 10))
         assert mutual_pairs(src, tgt, 5, n_threads=3) == mutual_pairs(src, tgt, 5)
         runs = [(three, three_means)]
         # workers {1, 2} x process BLAS threads {1, 2}, where the controls are found
@@ -421,7 +455,7 @@ class TestExactScreen:
         stats = retrieval.ScanStats()
         kept = np.full(4, 2)
 
-        def fill(lo, hi, out):
+        def fill(lo, hi, out, pairs):
             out[:] = lo
             for _ in range(40):
                 time.sleep(0)  # lets another worker run while this one holds its buffer
@@ -438,7 +472,7 @@ class TestExactScreen:
         assert got == list(range(0, 32 * 400, 32))
         assert (stats.rows, stats.columns, stats.widest) == (400 * 40 * 4, 400 * 40 * 8, 2)
         assert stats.rescored == 400 * 40 * 3
-        assert 0 < stats.buffer_bytes <= 6 * 32 * 50 * 4
+        assert 0 < stats.buffer_bytes <= 6 * (32 * 50 * 4 + retrieval.RESCORE_CELLS * 8)
         assert stats.gemm_s > 0 and stats.select_s > 0
 
     def test_matmul_into_a_buffer_equals_the_operator(self, rng):
@@ -458,6 +492,75 @@ class TestExactScreen:
             b = np.empty((40 - lo) * d + 3 - shift)[3 - shift :].reshape(40 - lo, d)
             a[:], b[:] = A[lo:], B[lo:]
             assert retrieval._pair_dots(a, b).tobytes() == alone[lo:].tobytes()
+
+    @pytest.mark.parametrize("d", [8, 31, 64, 300])
+    def test_pair_dots_bits_hold_with_a_query_repeated_by_a_zero_stride(self, rng, d):
+        # the rescoring's grids: each row's query vector broadcast across its slots, the index vectors gathered
+        Q, I = rng.standard_normal((9, d)), rng.standard_normal((50, d))
+        ids = rng.integers(0, 50, (9, 13))
+        alone = np.array([[retrieval._pair_dots(Q[i : i + 1], I[j : j + 1])[0] for j in row] for i, row in enumerate(ids)])
+        for rows, slots, shift in ((slice(0, 9), slice(0, 13), 0), (slice(2, 3), slice(4, 5), 1), (slice(1, 8), slice(3, 11), 3)):
+            sub = ids[rows, slots]
+            # a gathered copy that starts `shift` float64s off the buffer's alignment, as np.take writes it
+            index = np.empty(sub.size * d + shift)[shift:].reshape(*sub.shape, d)
+            np.take(I, sub, axis=0, out=index, mode="clip")
+            query = np.broadcast_to(Q[rows][:, None, :], index.shape)
+            assert retrieval._pair_dots(query, index).tobytes() == alone[rows, slots].tobytes()
+            # a length-1 slot axis, which einsum broadcasts, as _rescorer passes it
+            assert retrieval._pair_dots(Q[rows][:, None, :], index).tobytes() == alone[rows, slots].tobytes()
+
+    @pytest.mark.parametrize("cells", [300, 3_000, retrieval.RESCORE_CELLS])
+    @pytest.mark.parametrize("d", [8, 31, 64, 300])
+    def test_rescorer_grids_equal_pairs_alone_across_its_rounds(self, rng, d, cells):
+        # counts from 0 to one row past the others: slot rounds of the mean count, rows per call from the buffer;
+        # a 300-cell buffer holds one d = 300 pair per call
+        Q, I, r = rng.standard_normal((11, d)), rng.standard_normal((40, d)), rng.uniform(-1, 1, 40)
+        counts = np.array([0, 1, 5, 5, 5, 6, 2, 40, 3, 5, 5])
+        ids = np.array([rng.permutation(40) for _ in range(11)])[:, : counts.max()]
+        for given_r in (None, r):
+            got = retrieval._rescorer(Q, I, np.empty(cells), given_r)(0, ids, counts)
+            for i, row in enumerate(ids):
+                want = retrieval._pair_dots(np.tile(Q[i], (counts[i], 1)), I[row[: counts[i]]])
+                if given_r is not None:
+                    want = 2.0 * want - given_r[row[: counts[i]]]
+                assert got[i, : counts[i]].tobytes() == want.tobytes()
+                assert np.isneginf(got[i, counts[i] :]).all()
+
+    def test_a_row_inside_the_margin_everywhere_is_rescored_whole(self, rng, monkeypatch):
+        # a zero query row: every cosine is 0, so all 600 columns lie within the margin of its k-th
+        monkeypatch.setattr(retrieval, "RESCORE_CELLS", 24 * 50)  # many rounds for that row
+        X = rng.standard_normal((40, 24))
+        X[[3, 17]] = 0.0
+        src, tgt = unit_space(X), unit_space(rng.standard_normal((600, 24)))
+        params = SimilarityParams(k_csls=4, top_k=9)
+        for metric in ("csls", "cosine"):
+            stats = retrieval.ScanStats()
+            cands, means = retrieve_topk(src, tgt, params, metric, stats=stats)
+            ids, vals, r_src, r_tgt = oracle_retrieval(src, tgt, params, metric)
+            assert cands.cand_ids.tolist() == ids.tolist() and cands.scores.tobytes() == vals.tobytes()
+            assert means.r_src.tobytes() == r_src.tobytes() and means.r_tgt.tobytes() == r_tgt.tobytes()
+            if metric == "cosine":
+                assert cands.cand_ids[3].tolist() == list(range(9))  # all tie at 0: the lowest ids
+            assert stats.rescored >= 2 * 600
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_ties_across_chunk_edges_go_to_the_lowest_id(self, k):
+        # 200 columns, chunks of runs of ids: equal values at the last id of one chunk and the first of the next,
+        # and in chunks far apart, straddle the k-th place
+        n = 200
+        members = chunk_members(n, k)
+        assert len(members) > 2 * k
+        S = np.tile(-np.arange(n, dtype=np.float64) / n - 1.0, (3, 1))
+        edges = [(m[-1], members[j + 1][0]) for j, m in enumerate(members[:-1])]
+        top = [i for pair in edges[: k] for i in pair]
+        S[0, top] = 1.0  # 2k tied columns, k of them taken: the k lowest ids
+        S[1, [members[-1][0], members[0][-1]]] = 1.0  # a tie between the first and the last chunk
+        S[2, :] = 0.5  # every column ties
+        ids, vals = retrieval._topk_desc_rows(*laid_out(S, k), k, 0.0, values_of(S))
+        assert ids[0].tolist() == sorted(top)[:k]
+        pair = [members[0][-1], members[-1][0]]
+        assert ids[1].tolist() == (pair + [i for i in range(n) if i not in pair])[:k]
+        assert ids[2].tolist() == list(range(k))
 
 
 @st.composite
@@ -553,19 +656,25 @@ class TestScopedRetrieval:
             assert scoped_means.r_src.tobytes() == full_means.r_src[rows].tobytes()
 
     @pytest.mark.parametrize("n_rows", [1, 2, 50])
-    def test_scoped_rows_equal_the_full_run_bitwise_at_d300(self, n_rows):
-        # every score and mean comes from the per-pair routine, whatever the block shape
+    def test_scoped_rows_equal_the_full_run_bitwise_at_d300(self, n_rows, monkeypatch):
+        # every score and mean comes from the per-pair routine, whatever the block shape and the worker count;
+        # 200-row blocks of 2000 targets, so the full run has three
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 200 * 2000)
         rng = np.random.default_rng(n_rows)
         src = unit_space(rng.standard_normal((600, 300)))
         tgt = unit_space(rng.standard_normal((2000, 300)))
         params = SimilarityParams(k_csls=10, top_k=20)
         full, full_means = retrieve_topk(src, tgt, params)
         rows = rng.choice(len(src), n_rows, replace=False)
-        for given_means in (None, full_means):
-            scoped, scoped_means = retrieve_topk(src, tgt, params, rows=rows, means=given_means)
-            assert scoped.cand_ids.tolist() == full.cand_ids[rows].tolist()
-            assert scoped.scores.tobytes() == full.scores[rows].tobytes()
-            assert scoped_means.r_src.tobytes() == full_means.r_src[rows].tobytes()
+        for n_threads in (1, 2, 3):
+            again, again_means = retrieve_topk(src, tgt, params, n_threads=n_threads)
+            assert again.scores.tobytes() == full.scores.tobytes() and again.cand_ids.tolist() == full.cand_ids.tolist()
+            assert again_means.r_tgt.tobytes() == full_means.r_tgt.tobytes()
+            for given_means in (None, full_means):
+                scoped, scoped_means = retrieve_topk(src, tgt, params, n_threads=n_threads, rows=rows, means=given_means)
+                assert scoped.cand_ids.tolist() == full.cand_ids[rows].tolist()
+                assert scoped.scores.tobytes() == full.scores[rows].tobytes()
+                assert scoped_means.r_src.tobytes() == full_means.r_src[rows].tobytes()
 
     def test_reused_means_skip_the_neighborhood_pass(self, rng):
         src = unit_space(rng.standard_normal((30, 8)))
@@ -710,7 +819,7 @@ class TestPoolBlasThreads:
     def seen(get, n_rows, n_threads):
         """The OpenBLAS count each block of a 50-column pass sees, in block order (32-row blocks)."""
         with mock.patch.object(retrieval, "BLOCK_CELLS", 32 * 50):
-            return retrieval._map_row_blocks(lambda lo, hi, out: get(), *operands(n_rows, 50), n_threads)
+            return retrieval._map_row_blocks(lambda lo, hi, out, pairs: get(), *operands(n_rows, 50), n_threads)
 
     def test_workers_run_under_one_thread_and_the_count_comes_back(self, get):
         assert self.seen(get, 32 * 6, 2) == [1] * 6
@@ -718,7 +827,7 @@ class TestPoolBlasThreads:
         assert retrieval.blas_threads(one_thread=True) == "1" and retrieval.blas_threads(one_thread=False) == "2"
 
     def test_the_count_comes_back_when_a_block_raises(self, get):
-        def fail(lo, hi, out):
+        def fail(lo, hi, out, pairs):
             assert get() == 1
             raise ZeroDivisionError
 
@@ -773,7 +882,8 @@ class TestBlockShape:
 class TestPassFootprint:
     def test_no_pass_holds_a_float32_copy_of_its_queries(self, rng):
         # 16k queries x 128: their float32 copy (7.8 MB) exceeds the slack. Each worker holds one block buffer
-        # of 4,000 x 1,000 products and casts its block's 4,000 query rows; the index is cast whole.
+        # of 4,000 x 1,000 products (padded to whole chunks) and a float64 rescoring buffer, and casts its block's
+        # 4,000 query rows; the index is cast whole.
         queries = unit_space(rng.standard_normal((16_000, 128)))
         index = unit_space(rng.standard_normal((1_000, 128)))
         params = SimilarityParams(k_csls=10, top_k=5)
@@ -783,10 +893,10 @@ class TestPassFootprint:
         assert 16_000 * 128 * 4 > slack and rows == 4_000
         for n_threads in (1, 2):
             passes = {
-                "knn_mean_similarity": lambda: knn_mean_similarity(queries, index, 10, n_threads),
-                "retrieve_topk": lambda: retrieve_topk(queries, index, params, n_threads=n_threads, means=means),
+                "knn_mean_similarity": (10, lambda: knn_mean_similarity(queries, index, 10, n_threads)),
+                "retrieve_topk": (5, lambda: retrieve_topk(queries, index, params, n_threads=n_threads, means=means)),
             }
-            for name, run_pass in passes.items():
+            for name, (k, run_pass) in passes.items():
                 tracemalloc.start()
                 try:
                     before = tracemalloc.get_traced_memory()[0]
@@ -795,7 +905,8 @@ class TestPassFootprint:
                 finally:
                     tracemalloc.stop()
                 del out
-                buffers = n_threads * rows * (len(index) + 128) * 4
+                padded = -(-len(index) // retrieval._chunk_width(len(index), k)) * retrieval._chunk_width(len(index), k)
+                buffers = n_threads * (rows * (padded + 128) * 4 + retrieval.RESCORE_CELLS * 8)
                 assert peak <= len(index) * 128 * 4 + buffers + slack, (name, n_threads, peak)
 
 

@@ -591,14 +591,15 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
                 # aligned in place: the unaligned matrix is freed before the similarity passes
                 src = _aligned_source(src, tgt, dic)
                 stats = retrieval.ScanStats()
-                best, means = retrieval.retrieve_topk(src, tgt, top1, n_threads=opts.threads, stats=stats)
-                mined = retrieval.mutual_nn_pairs(src, tgt, best, means, opts.threads, stats)
+                back = np.empty(len(tgt), dtype=np.int64)  # each target's CSLS argmax over sources
+                best, means = retrieval.retrieve_topk(src, tgt, top1, n_threads=opts.threads, stats=stats, back=back)
+                mined = retrieval.mutual_nn_pairs(best, back)
                 dic = retrieval.augment_dictionary(dic, mined, opts.n_aug)
                 missing = [s for s in dic.sources() if s not in cands]
                 if missing:
                     cands = _extend_candidates(cands, missing, src, tgt, opts.k_csls, opts.threads, means, stats)
                 # featurize and fit need only the vocabularies, the dictionary and the candidates
-                del src, tgt, best, means
+                del src, tgt, best, means, back
                 counts.update(mined_pairs=len(mined), retrieved_sources=len(missing), **stats.fields())
             runlog.note("augmented_to", len(dic))
 

@@ -73,17 +73,25 @@ class RegressionTree:
     value: np.ndarray      # float64, leaf outputs, 0.0 at internal nodes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        is_leaf = self.feature < 0
-        while True:
-            active = ~is_leaf[node]
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            cur = node[idx]
-            go_left = X[idx, self.feature[cur]] < self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
+        """Each row's leaf value, in as many whole-array steps as the tree is deep: a leaf routes to itself."""
+        leaf = self.feature < 0
+        itself = np.arange(self.n_nodes())
+        feature = np.where(leaf, 0, self.feature)
+        left, right = np.where(leaf, itself, self.left), np.where(leaf, itself, self.right)
+        values = np.ascontiguousarray(X).ravel()
+        starts = np.arange(X.shape[0]) * X.shape[1]
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(self.depth()):
+            go_left = values[starts + feature[node]] < self.threshold[node]
+            node = np.where(go_left, left[node], right[node])
         return self.value[node]
+
+    def depth(self) -> int:
+        """Edges on the longest root-to-leaf path; every child comes after its parent (fit_tree, _check_tree)."""
+        depth = np.zeros(self.n_nodes(), dtype=np.intp)
+        for i in np.flatnonzero(self.feature >= 0):
+            depth[[self.left[i], self.right[i]]] = depth[i] + 1
+        return int(depth.max(initial=0))
 
     def n_nodes(self) -> int:
         return len(self.feature)
@@ -129,7 +137,7 @@ def mean_ap(groups: RankingGroups, scores: np.ndarray) -> float:
 def _ap_prefixes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative positives and cumulative y_k/k over 1-based rank positions, along the last axis."""
     ks = np.arange(1, y.shape[-1] + 1, dtype=np.float64)
-    return np.cumsum(y, axis=-1).astype(np.float64), np.cumsum(y / ks, axis=-1)
+    return np.cumsum(y, axis=-1, dtype=np.float64), np.cumsum(y / ks, axis=-1)
 
 
 def delta_ap(labels, ranking, i: int, j: int) -> float:
@@ -154,13 +162,9 @@ def delta_ap(labels, ranking, i: int, j: int) -> float:
 
 
 def _pair_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable 1 / (1 + exp(x))."""
-    out = np.empty_like(x)
-    neg = x < 0
-    out[neg] = 1.0 / (1.0 + np.exp(x[neg]))
-    ex = np.exp(-x[~neg])
-    out[~neg] = ex / (1.0 + ex)
-    return out
+    """Numerically stable 1 / (1 + exp(x)): exp(-|x|) / (1 + exp(-|x|)), or 1 over that sum where x < 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x < 0, 1.0, e) / (1.0 + e)
 
 
 def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
@@ -172,46 +176,62 @@ def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0) 
     weight is |delta AP| of swapping the two in the current ranking; positives
     accumulate negative gradient. Gradients sum to zero by construction.
 
-    Pairs live in (m, P, k) arrays: each row's positives, padded to the
-    largest count P in the batch, against every candidate, with zero off the
-    pairs. A positive sums over the whole candidate axis and a negative over
-    the positive axis, so a row's result does not depend on its batch.
+    Rows go in batches of one positive count P (one batch, without a copy,
+    when all rows have the same count). Pairs live in (m, P, k) arrays: each
+    row's positives against every candidate, with zero off the pairs. A
+    positive sums over the whole candidate axis and a negative over the
+    positive axis, so a row's result does not depend on its batch.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.ndim == 1:
         g, h = compute_lambdas(s[None, :], y[None, :], sigma)
         return g[0], h[0]
-    row = np.arange(s.shape[0])[:, None]
-    pos = y == 1
-    n_pos = pos.sum(axis=1)
-    # each row's positive candidates first, ascending; slots past the row's count are padding
-    slots = np.argsort(~pos, axis=1, kind="stable")[:, : n_pos.max(initial=0)]
-    pair = (np.arange(slots.shape[1]) < n_pos[:, None])[:, :, None] & (y == 0)[:, None, :]
+    n_pos = (y == 1).sum(axis=1)
+    counts = np.unique(n_pos)
+    if counts.size <= 1:
+        return _batch_lambdas(s, y, int(counts.max(initial=0)), sigma)
+    g, h = np.empty_like(s), np.empty_like(s)
+    for count in counts.tolist():
+        rows = np.flatnonzero(n_pos == count)
+        g[rows], h[rows] = _batch_lambdas(s[rows], y[rows], count, sigma)
+    return g, h
 
-    order = np.argsort(-s, axis=1, kind="stable")
-    rank_of = np.empty_like(order)
-    rank_of[row, order] = np.arange(1, s.shape[1] + 1)
-    c, S = _ap_prefixes(y[row, order].astype(np.float64))
 
-    ra = rank_of[row, slots][:, :, None]  # positive ranks, (m, P, 1)
-    rb = rank_of[:, None, :]              # every rank, (m, 1, k)
+def _batch_lambdas(s: np.ndarray, y: np.ndarray, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """compute_lambdas over a batch of rows (m, k) that each hold count positives."""
+    m, k = s.shape
+    row = np.arange(m)[:, None]
+    slots = (np.flatnonzero(y == 1) % k).reshape(m, count)  # each row's positive candidates, ascending
+    pair = (y == 0)[:, None, :]
+
+    # flat offsets of each row's cells: flat gathers and scatters are several times as fast as 2-d ones
+    at = row * k
+    order = rank_order(s)
+    rank_of = np.empty(m * k, dtype=np.intp)
+    rank_of[order + at] = np.arange(1, k + 1)
+    rank_of = rank_of.reshape(m, k)
+    c, S = _ap_prefixes(y.take(order + at))
+
+    ra = rank_of.take(slots + at)[:, :, None]  # positive ranks, (m, P, 1)
+    rb = rank_of[:, None, :]                   # every rank, (m, 1, k)
     amin = np.minimum(ra, rb)
     amax = np.maximum(ra, rb)
     concordant = ra < rb
-    r = row[:, :, None]  # amax - 2 is -1 only off the pairs
-    mid = S[r, amax - 2] - S[r, amin - 1]
-    P = np.maximum(n_pos, 1)[:, None, None]  # a row without positives has no pairs
-    w = ((c[r, amin - 1] + (~concordant).astype(np.float64)) / amin + mid - c[r, amax - 1] / amax) / P
+    # the prefixes at rank positions amin and amax; the one before amax is at -1 only off the pairs
+    lo, hi = at[:, :, None] + amin - 1, at[:, :, None] + amax - 1
+    mid = S.take(hi - 1) - S.take(lo)
+    P = max(count, 1)  # a row without positives has no pairs
+    w = ((c.take(lo) + (~concordant).astype(np.float64)) / amin + mid - c.take(hi) / amax) / P
 
-    rho = _pair_sigmoid(sigma * (s[row, slots][:, :, None] - s[:, None, :]))
+    rho = _pair_sigmoid(sigma * (s.take(slots + at)[:, :, None] - s[:, None, :]))
     lam = np.where(pair, sigma * rho * w, 0.0)
     curv = np.where(pair, sigma * sigma * rho * (1.0 - rho) * w, 0.0)
     g = lam.sum(axis=1)
     h = curv.sum(axis=1)
-    # a positive's column holds 0 so far, and a padding slot's sum is 0
-    g[row, slots] -= lam.sum(axis=2)
-    h[row, slots] += curv.sum(axis=2)
+    # a positive's column holds 0 so far
+    g.ravel()[slots + at] -= lam.sum(axis=2)
+    h.ravel()[slots + at] += curv.sum(axis=2)
     return g, h
 
 

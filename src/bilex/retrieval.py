@@ -11,9 +11,9 @@ the pass starts and freed when it returns, so no pass allocates or copies
 a whole block. Only a pass's index side is cast to float32 whole: each
 block casts its own query rows, so no pass holds a float32 copy of its
 queries. The float32 values only screen. Every top-k selection, of
-candidates and of neighborhood means, takes one path, SELECT_ROWS rows at a
-time, and no step of it runs over a whole row but one elementwise chunk
-maximum per row:
+candidates and of neighborhood means, takes one path, a slice of
+SELECT_CELLS product cells at a time, and no step of it runs over a whole
+row but one elementwise chunk maximum per row:
 - the index rows are laid out as product columns so that chunk j of a row
   is every count-th column from column j (_Chunks); its maxima are then
   elementwise maxima of contiguous runs, which numpy vectorizes and which
@@ -128,11 +128,19 @@ def _block_rows(n_cols: int) -> int:
     return max(32, min(4096, BLOCK_CELLS // max(1, n_cols)))
 
 
-# rows per top-k selection call. Rows are selected independently, so slicing
-# changes no result. On a two-worker 5k x 20k retrieval, 400-row slices
-# raised stage.retrieve's peak RSS by 7 MB over 128-row ones, from
-# temporaries left in the worker threads' heaps.
-SELECT_ROWS = 128
+# product cells per top-k selection call: 128 rows of 20k targets. Rows are
+# selected independently, so slicing changes no result. On a two-worker 5k x
+# 20k retrieval, 400-row slices of 20k raised stage.retrieve's peak RSS by
+# 7 MB over 128-row ones, from temporaries left in the worker threads' heaps;
+# its 5k-wide neighborhood pass took 0.44 s in 512-row slices against 0.49 s
+# in 128-row ones.
+SELECT_CELLS = 2_560_000
+
+
+def _select_rows(width: int) -> int:
+    """Rows per selection slice of rows width product columns wide."""
+    return max(1, SELECT_CELLS // max(1, width))
+
 
 # float64 values in each worker's rescoring buffer (512 KB): the index
 # vectors of one _pair_dots call, also for a row whose whole width lies
@@ -209,6 +217,7 @@ class ScanStats:
         self.columns = 0
         self.widest = 0
         self.rescored = 0
+        self.back_rescored = 0
         self.buffer_bytes = 0
         self.product_cells = 0
         self.gemm_s = 0.0
@@ -221,6 +230,11 @@ class ScanStats:
             self.columns += int(kept.sum())
             self.widest = max(self.widest, int(kept.max(initial=0)))
             self.rescored += rescored
+
+    def note_back(self, rescored: int) -> None:
+        """Record the pairs that a column screen (_BackArgmax) rescored."""
+        with self._lock:
+            self.back_rescored += rescored
 
     def note_pass(self, buffer_bytes: int, cells: int) -> None:
         """Record the block buffers one pass held and the cells of its float32 product."""
@@ -235,8 +249,8 @@ class ScanStats:
             self.select_s += select_s
 
     def fields(self) -> dict[str, str]:
-        """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, the
-        largest buffer total of one pass in MB, the product cells of all passes in millions, and the
+        """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, the pairs
+        that column screens rescored to find each target's argmax over sources, the largest buffer total of one pass in MB, the product cells of all passes in millions, and the
         blocks' product and selection seconds summed over the workers.
 
         gemm_s sums wall seconds, not CPU: one worker's products run on all of OpenBLAS's threads,
@@ -248,6 +262,7 @@ class ScanStats:
             "shortlist_mean": f"{self.columns / rows:.1f}",
             "shortlist_max": str(self.widest),
             "rescored_mean": f"{self.rescored / rows:.1f}",
+            "back_rescored": str(self.back_rescored),
             "buffer_mb": f"{self.buffer_bytes / 2**20:.1f}",
             "product_mcells": f"{self.product_cells / 1e6:.3f}",
             "gemm_s": f"{self.gemm_s:.3f}",
@@ -263,7 +278,13 @@ def _check_aligned_pair(src: EmbeddingSpace, tgt: EmbeddingSpace) -> None:
 
 
 def _map_row_blocks(
-    fn, A: np.ndarray, B32: np.ndarray, n_threads: int, stats: ScanStats | None = None, width: int | None = None
+    fn,
+    A: np.ndarray,
+    B32: np.ndarray,
+    n_threads: int,
+    stats: ScanStats | None = None,
+    width: int | None = None,
+    held: int = 0,
 ) -> list:
     """Apply fn(lo, hi, sims, pairs) to fixed-size row blocks of the float32 product A @ B32.T, preserving block order.
 
@@ -281,7 +302,8 @@ def _map_row_blocks(
     is identical for any worker count. A pool of more than one worker runs
     under one OpenBLAS thread (_one_blas_thread); one worker leaves the
     count alone. stats gets each block's seconds in the product and in fn,
-    the buffers' bytes and the product's cells.
+    the buffers' bytes plus held, the bytes of other state that fn keeps
+    over the pass, and the product's cells.
     """
     n_rows, n_cols = len(A), len(B32)
     width = width or max(n_cols, 1)
@@ -296,7 +318,7 @@ def _map_row_blocks(
         sims[:, n_cols:] = -np.inf
         free.append((sims, np.empty(RESCORE_CELLS)))
     if stats is not None:
-        stats.note_pass(sum(sims.nbytes + pairs.nbytes for sims, pairs in free), n_rows * n_cols)
+        stats.note_pass(held + sum(sims.nbytes + pairs.nbytes for sims, pairs in free), n_rows * n_cols)
 
     def run(span: tuple[int, int]):
         lo, hi = span
@@ -420,18 +442,122 @@ class _Chunks:
             chunk_values = maxima
         # the floor bound - slack, in float64 (float32 arithmetic would round the slack away), then rounded down to
         # the screen's precision: a screen value reaches it if it reaches bound - slack, or equals it
-        floor = bound - slack
-        floor_screen = floor.astype(rows.dtype)
-        above = floor_screen > floor
-        floor_screen[above] = np.nextafter(floor_screen[above], -np.inf)
-        kept_rows, kept_chunks = np.nonzero(chunk_values >= floor_screen[:, None])
+        floor_screen = _round_down(bound - slack, rows.dtype)
+        kept_rows, kept_chunks = _nonzero(chunk_values >= floor_screen[:, None])
         values = strided[kept_rows, :, kept_chunks]  # (kept chunks, width)
         if csls:
             values *= 2.0
             values -= self.r_slots[kept_chunks]
-        at, slot = np.nonzero(values >= floor_screen[kept_rows, None])
+        at, slot = _nonzero(values >= floor_screen[kept_rows, None])
         kept = np.bincount(kept_rows, minlength=m) * self.width
         return kept_rows[at], self.ids[slot * self.count + kept_chunks[at]], kept
+
+
+def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of a 2-d mask, in the same row-major order, through np.flatnonzero: 7-13 times as fast on the
+    sparse masks of a selection slice (426 x 250 cells: 48 against 327 us)."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _round_down(values: np.ndarray, dtype=np.float32) -> np.ndarray:
+    """float64 values rounded down to dtype: a value of dtype reaches the result if it reaches the value."""
+    out = values.astype(dtype)
+    above = out > values
+    out[above] = np.nextafter(out[above], -np.inf)
+    return out
+
+
+class _BackArgmax:
+    """Each index row's CSLS argmax over the query rows of a full forward pass, merged slice by slice.
+
+    The value of a pair (s, t) is fl(2 * cosine - r_src(s)): the value on
+    which a top-1 retrieval from the index side, with the two means swapped,
+    selects (it subtracts r_tgt(t) only after selecting), ties to the lowest
+    query id. Its cosine is the _pair_dots value of (t, s). The state is one
+    running best per product column, an exact value and a query id, merged
+    under a lock by value descending, then id ascending, so the result
+    depends on neither the block order nor the worker count; with the
+    float32 floor of each column it is 20 bytes per index row, whatever the
+    block count.
+
+    Each selection slice is screened on its float32 product. With e the bound on |screen value - rescored value| (half the
+    margin), a pair can beat its column's running best only if its screen
+    value fl32(2 * S - fl32(r_src)) reaches that best less e, the column's
+    floor. While a column has no best yet, its floor is the rows' lowest
+    possible best screen value less 2e: its maximum cosine twice, less the
+    rows' largest r_src (rounding is monotone). A screen value is at most
+    fl32(2 * S - r) for the rows' smallest r_src r, so only cosines S with
+    2 * S - r within half a float32 spacing below the floor can reach it:
+    those pairs are found by one comparison of the product with a threshold
+    per column. Of those, the pairs whose screen value reaches the floor and
+    the rows' largest screen value in their column less 2e are rescored.
+    """
+
+    def __init__(self, chunks: _Chunks, Q: np.ndarray, I: np.ndarray, margin: float):
+        n = len(chunks.ids)
+        self.ids, self.Q, self.I, self.error = chunks.ids, Q, I, margin / 2
+        self.value = np.full(n, -np.inf)
+        self.query = np.zeros(n, dtype=np.int64)
+        self.floor = np.full(n, -np.inf, dtype=np.float32)  # value - e rounded down to float32
+        self.nbytes = self.value.nbytes + self.query.nbytes + self.floor.nbytes
+        self._lock = threading.Lock()
+
+    def add(self, q0: int, rows: np.ndarray, r_src: np.ndarray, pairs: np.ndarray, stats: ScanStats | None) -> None:
+        """Merge product rows q0, q0 + 1, ... (their r_src given) into each column's running best."""
+        n, d = len(self.value), self.Q.shape[1]
+        sims, r32 = rows[:, :n], r_src.astype(np.float32)
+        with self._lock:
+            floor = self.floor.copy()
+        if np.isneginf(floor).any():
+            low = sims.max(axis=0)
+            low *= 2.0
+            low -= r32.max()
+            np.maximum(floor, _round_down(low - 2 * self.error), out=floor)
+        # 2 * S - r reaches floor - spacing / 2, or fl32 rounds it below the floor
+        gap = floor - np.nextafter(floor, -np.inf)
+        least = _round_down((floor.astype(np.float64) + float(r32.min()) - gap) / 2)
+        row, col = _nonzero(sims >= least)
+        screen = sims[row, col] * np.float32(2.0)
+        screen -= r32[row]
+        keep = np.flatnonzero(screen >= floor[col])
+        # by column, rows ascending: the pairs within 2e of their column's largest screen value
+        keep = keep[np.argsort(col[keep], kind="stable")]
+        row, col, screen = row[keep], col[keep], screen[keep]
+        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        if not starts.size:
+            return
+        top = np.repeat(np.maximum.reduceat(screen, starts), np.diff(starts, append=col.size))
+        keep = screen >= _round_down(top - 2 * self.error)
+        row, col = row[keep], col[keep]
+        # the exact values, the index vector first, as the index-side retrieval orders them
+        value = np.empty(row.size)
+        per_call = len(pairs) // (2 * d)
+        for p0 in range(0, row.size, per_call):
+            size = min(per_call, row.size - p0)
+            a, b = pairs[: 2 * size * d].reshape(2, size, d)
+            np.take(self.I, self.ids[col[p0 : p0 + size]], axis=0, out=a, mode="clip")
+            np.take(self.Q, q0 + row[p0 : p0 + size], axis=0, out=b, mode="clip")
+            value[p0 : p0 + size] = _pair_dots(a, b)
+        value *= 2.0
+        value -= r_src[row]
+        query = q0 + row
+        # each column's best of these rows: value descending, then query id ascending
+        order = np.lexsort((query, -value, col))
+        first = order[np.flatnonzero(np.diff(col[order], prepend=-1))]
+        col, value, query = col[first], value[first], query[first]
+        with self._lock:
+            held = self.value[col]
+            wins = (value > held) | ((value == held) & (query < self.query[col]))
+            col, value = col[wins], value[wins]
+            self.value[col] = value
+            self.query[col] = query[wins]
+            self.floor[col] = _round_down(value - self.error)
+        if stats is not None:
+            stats.note_back(row.size)
+
+    def argmax(self, out: np.ndarray) -> None:
+        """Write each index row's argmax query id into out, by index id."""
+        out[self.ids] = self.query
 
 
 def _topk_desc_full(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -550,7 +676,7 @@ def _topk_desc_rows(
     every pair's screen value, the product itself or fl32(2 * S - fl32(r))
     given csls, lies within margin / 2 of its rescored value. rescore(lo, ids, counts) gives
     the float64 values of the first counts[i] ids of each row i, rows
-    counted from lo (_rescorer). SELECT_ROWS rows at a time,
+    counted from lo (_rescorer). A slice of SELECT_CELLS cells at a time,
     _Chunks.shortlist finds the ids whose screen value can come within
     margin of the row's k-th, they are rescored, and _topk_desc_full
     selects on the rescored values. The result is that of _topk_desc_full
@@ -558,8 +684,9 @@ def _topk_desc_rows(
     each (m, k); stats gets the columns read and the pairs rescored.
     """
     id_parts, value_parts = [], []
-    for lo in range(0, len(screen), SELECT_ROWS):
-        hi = lo + SELECT_ROWS
+    step = _select_rows(screen.shape[1])
+    for lo in range(0, len(screen), step):
+        hi = lo + step
         slice_maxima = chunks.maxima(screen[lo:hi]) if maxima is None else maxima[lo:hi]
         rows, cols, kept = chunks.shortlist(screen[lo:hi], slice_maxima, k, margin, csls)
         counts = np.bincount(rows, minlength=len(kept))
@@ -630,6 +757,7 @@ def retrieve_topk(
     rows: np.ndarray | None = None,
     means: NeighborhoodMeans | None = None,
     stats: ScanStats | None = None,
+    back: np.ndarray | None = None,
 ) -> tuple[CandidateSet, NeighborhoodMeans]:
     """Exact top-k retrieval of target candidates for the source ids in rows
     (default: every source word), in that order.
@@ -642,12 +770,19 @@ def retrieve_topk(
     cosine itself: means is ignored and the returned means are zero. Each
     cosine is the _pair_dots value of its two vectors. The returned r_src
     covers the retrieved rows only.
+
+    back, an int64 array of len(tgt), is filled by a CSLS run over every
+    source with each target's CSLS argmax over sources, the lowest id on a
+    tie: what a top-1 retrieval from the target side with the two means
+    swapped selects (_BackArgmax), without its pass.
     """
     _check_aligned_pair(src, tgt)
     params.validate(len(tgt))
     if metric not in ("csls", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
     csls = metric == "csls"
+    if back is not None and (rows is not None or not csls):
+        raise ValueError("a target's argmax over sources needs a CSLS run over every source")
     if not csls:
         means = NeighborhoodMeans(r_src=np.zeros(len(src)), r_tgt=np.zeros(len(tgt)))
     src_ids = np.arange(len(src), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
@@ -661,11 +796,17 @@ def retrieve_topk(
     margin = _screen_margin(X, Y, r_tgt) if csls else cosine_margin
     # one layout for both selections of a block, chunked for the larger k
     chunks = _Chunks.build(len(Y), max(params.top_k, params.k_csls if means is None else 1), r_tgt if csls else None)
+    columns = None
+    if back is not None:
+        # no mean of cosines exceeds twice the product of the largest norms, so 2A bounds the r_src it subtracts
+        r_bound = np.array([2.0 * _max_norm(X) * _max_norm(Y)])
+        columns = _BackArgmax(chunks, X, Y, _screen_margin(Y, X, r_bound))
 
     def block(lo: int, hi: int, sims: np.ndarray, pairs: np.ndarray):
         parts = []
-        for s0 in range(lo, hi, SELECT_ROWS):  # both selections of a slice share its chunk maxima
-            s1 = min(s0 + SELECT_ROWS, hi)
+        step = _select_rows(sims.shape[1])
+        for s0 in range(lo, hi, step):  # both selections of a slice share its chunk maxima
+            s1 = min(s0 + step, hi)
             rows = sims[s0 - lo : s1 - lo]
             maxima = chunks.maxima(rows)
             if means is not None:
@@ -673,6 +814,8 @@ def retrieve_topk(
             else:
                 cosine = _rescorer(X[s0:s1], Y, pairs)
                 r_src = _topk_mean_rows(rows, chunks, params.k_csls, cosine_margin, cosine, stats, maxima)
+            if columns is not None:
+                columns.add(s0, rows, r_src, pairs, stats)
             rescore = _rescorer(X[s0:s1], Y, pairs, r_tgt if csls else None)
             ids, vals = _topk_desc_rows(rows, chunks, params.top_k, margin, rescore, stats, maxima, csls)
             if csls:
@@ -680,7 +823,10 @@ def retrieve_topk(
             parts.append((ids, vals, r_src))
         return [np.concatenate(part) for part in zip(*parts)]
 
-    parts = _map_row_blocks(block, X, chunks.cast(Y), n_threads, stats, chunks.width)
+    held = 0 if columns is None else columns.nbytes
+    parts = _map_row_blocks(block, X, chunks.cast(Y), n_threads, stats, chunks.width, held)
+    if columns is not None:
+        columns.argmax(back)
     cand_ids = np.concatenate([p[0] for p in parts]) if parts else np.zeros((0, params.top_k), dtype=np.int64)
     scores = np.concatenate([p[1] for p in parts]) if parts else np.zeros((0, params.top_k))
     r_src = np.concatenate([p[2] for p in parts]) if parts else np.zeros(0)
@@ -774,33 +920,21 @@ def apply_alignment(space: EmbeddingSpace, W: np.ndarray) -> EmbeddingSpace:
     )
 
 
-def mutual_nn_pairs(
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    best: CandidateSet,
-    means: NeighborhoodMeans,
-    n_threads: int = 1,
-    stats: ScanStats | None = None,
-) -> list[tuple[int, int, float]]:
+def mutual_nn_pairs(best: CandidateSet, back: np.ndarray) -> list[tuple[int, int, float]]:
     """High-confidence pairs: mutual CSLS nearest neighbors, best first.
 
-    best and means are what retrieve_topk returned for every source of these
-    spaces (top_k=1 is enough): column 0 of best is each source's CSLS argmax
-    over targets. (s, t) is kept when t is s's argmax and s is t's CSLS argmax
-    over sources, which a top-1 retrieval from the target side finds with the
-    two means swapped. Argmax ties go to the lowest id. Pairs are sorted by
-    descending score, then ascending source id.
+    best and back are what retrieve_topk returned and filled for every
+    source (top_k=1 is enough): column 0 of best is each source's CSLS
+    argmax over targets, back each target's CSLS argmax over sources, both
+    over the same means. (s, t) is kept when t is s's argmax and s is t's.
+    Argmax ties go to the lowest id. Pairs are sorted by descending score,
+    then ascending source id.
     """
-    src_ids = np.arange(len(src))
+    src_ids = np.arange(len(best.src_ids))
     if not np.array_equal(best.src_ids, src_ids):
         raise ValueError("mutual_nn_pairs needs the candidates of every source, in id order")
-    swapped = NeighborhoodMeans(r_src=means.r_tgt, r_tgt=means.r_src)
-    # k_csls only passes validation here: the given means replace the neighborhood passes
-    back, _ = retrieve_topk(
-        tgt, src, SimilarityParams(k_csls=1, top_k=1), n_threads=n_threads, means=swapped, stats=stats
-    )
-    best_t, best_s, scores = best.cand_ids[:, 0], back.cand_ids[:, 0], best.scores[:, 0]
-    mutual = src_ids[best_s[best_t] == src_ids]
+    best_t, scores = best.cand_ids[:, 0], best.scores[:, 0]
+    mutual = src_ids[back[best_t] == src_ids]
     order = np.lexsort((mutual, -scores[mutual]))
     return [(int(s), int(best_t[s]), float(scores[s])) for s in mutual[order]]
 
@@ -877,13 +1011,23 @@ def hubness_skew(cands: CandidateSet, k: int, n_tgt: int) -> float:
 
 
 def write_candidates(cands: CandidateSet, src_vocab: Vocabulary, tgt_vocab: Vocabulary, path: str | Path) -> None:
-    """Export "src<TAB>cand<TAB>score" rows, grouped by source in retrieval order; all or nothing."""
+    """Export "src<TAB>cand<TAB>score" rows, grouped by source in retrieval order; all or nothing.
+
+    The rows of 256 sources at a time are formatted by one % call. On 5,000
+    sources x 50 candidates that took 0.105 s against 0.141 s for one
+    f-string per row, with the same bytes.
+    """
+    k = cands.cand_ids.shape[1]
+    src_words, tgt_words = src_vocab.words, tgt_vocab.words
     with atomic_writer(path) as fh:
-        for s, cand_row, score_row in zip(cands.src_ids.tolist(), cands.cand_ids, cands.scores):
-            sw = src_vocab.word(s)
-            # tolist() gives Python ints and floats; a float formats as the float64 it came from
-            rows = zip(cand_row.tolist(), score_row.tolist())
-            fh.write("".join(f"{sw}\t{tgt_vocab.word(c)}\t{v:.6f}\n" for c, v in rows))
+        for lo in range(0, len(cands.src_ids), 256):
+            cand_ids = cands.cand_ids[lo : lo + 256].ravel()
+            fields = [None] * (3 * cand_ids.size)
+            fields[0::3] = [src_words[s] for s in np.repeat(cands.src_ids[lo : lo + 256], k).tolist()]
+            fields[1::3] = [tgt_words[c] for c in cand_ids.tolist()]
+            # tolist() gives Python floats, each formatting as the float64 it came from
+            fields[2::3] = cands.scores[lo : lo + 256].ravel().tolist()
+            fh.write(("%s\t%s\t%.6f\n" * cand_ids.size) % tuple(fields))
 
 
 def _word_ids(words: list[str], vocab: Vocabulary, cache: dict[str, int]) -> np.ndarray:

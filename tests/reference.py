@@ -3,6 +3,9 @@
 featurize_pair and label_candidates compute what features.build_groups fills
 column by column, apply_mask what it zeroes for an ablation, and
 average_precision what ltr.mean_ap computes for a whole grid of groups.
+mutual_pairs_two_passes mines mutual nearest neighbors with a second top-1
+retrieval from the target side, which retrieval.retrieve_topk's back argmax
+replaces.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 
 from bilex.corpus import FrequencyTable, PosTable, TranslationDictionary
 from bilex.features import N_FEATURES, FeatureSchema
+from bilex.retrieval import NeighborhoodMeans, SimilarityParams, retrieve_topk
 
 
 def apply_mask(schema: FeatureSchema, features: np.ndarray) -> np.ndarray:
@@ -75,3 +79,16 @@ def average_precision(labels) -> float:
     hits = np.cumsum(y)
     ks = np.arange(1, y.size + 1, dtype=np.float64)
     return float((hits[y == 1] / ks[y == 1]).sum() / positives)
+
+
+def mutual_pairs_two_passes(src, tgt, k_csls: int, n_threads: int = 1):
+    """Mutual CSLS nearest neighbors from two top-1 retrievals: each target's argmax over sources is a top-1
+    retrieval from the target side with the two means swapped. Returns (pairs, that argmax)."""
+    best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=k_csls, top_k=1), n_threads=n_threads)
+    swapped = NeighborhoodMeans(r_src=means.r_tgt, r_tgt=means.r_src)
+    back, _ = retrieve_topk(tgt, src, SimilarityParams(k_csls=1, top_k=1), n_threads=n_threads, means=swapped)
+    best_t, best_s, scores = best.cand_ids[:, 0], back.cand_ids[:, 0], best.scores[:, 0]
+    src_ids = np.arange(len(src))
+    mutual = src_ids[best_s[best_t] == src_ids]
+    order = np.lexsort((mutual, -scores[mutual]))
+    return [(int(s), int(best_t[s]), float(scores[s])) for s in mutual[order]], best_s

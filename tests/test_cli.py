@@ -342,9 +342,9 @@ class TestTrain:
         monkeypatch.setattr(ltr, "train", watched_train)
         assert run(*args) == 0
         assert int(stage_fields(kv(tmp_path / "out" / "run.log"), "augment")["retrieved_sources"]) > 0
-        # the forward top-1, the top-1 from the target side, the extension: each sees the aligned source
-        # and the target alone, so the unaligned source is gone
-        assert seen["passes"] == [(2, True)] * 3
+        # the forward top-1 (which also finds each target's argmax) and the extension: each sees the aligned
+        # source and the target alone, so the unaligned source is gone
+        assert seen["passes"] == [(2, True)] * 2
         assert seen["fit"] == [0]
 
     @pytest.mark.parametrize("flag, value", [("--k-csls", 151)])
@@ -758,8 +758,9 @@ class TestPinnedOutputs:
         for metric in ("csls", "cosine"):
             cands, means = retrieval.retrieve_topk(src, tgt, retrieval.SimilarityParams(5, 20), metric, n_threads=2)
             arrays[metric] = [cands.cand_ids, cands.scores, means.r_src, means.r_tgt]
-        best, means = retrieval.retrieve_topk(src, tgt, retrieval.SimilarityParams(5, 1))
-        arrays["mutual"] = [np.array(retrieval.mutual_nn_pairs(src, tgt, best, means))]
+        back = np.empty(len(tgt), dtype=np.int64)
+        best, _ = retrieval.retrieve_topk(src, tgt, retrieval.SimilarityParams(5, 1), back=back)
+        arrays["mutual"] = [np.array(retrieval.mutual_nn_pairs(best, back))]
         for name, values in arrays.items():
             digests[f"arrays/{name}"] = hashlib.sha256(b"".join(a.tobytes() for a in values)).hexdigest()
         key = build_key()
@@ -1259,12 +1260,14 @@ class TestRunLogStages:
         log = kv(tmp_path / "run.log")
         augment = stage_fields(log, "augment")
         assert set(augment) == TIMING | {
-            "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources",
-            "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb", "product_mcells", "gemm_s", "select_s",
+            "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources", "shortlist_mean", "shortlist_max",
+            "rescored_mean", "back_rescored", "buffer_mb", "product_mcells", "gemm_s", "select_s",
         }
         assert augment["candidate_width"] == "10"
-        # 150 x 150 spaces: the means r_T, the top-1 in each direction, and the extension
-        assert augment["product_mcells"] == f"{(3 * 150 + int(augment['retrieved_sources'])) * 150 / 1e6:.3f}"
+        # 150 x 150 spaces: the means r_T, the top-1 pass that also finds each target's argmax, and the extension
+        assert augment["product_mcells"] == f"{(2 * 150 + int(augment['retrieved_sources'])) * 150 / 1e6:.3f}"
+        # at least one pair per target
+        assert int(augment["back_rescored"]) >= 150
         assert augment["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert 0 < float(augment["shortlist_mean"]) <= int(augment["shortlist_max"]) <= 150
         # every selection rescores at least its k pairs per row (k = 1 for the mining passes)
@@ -1330,10 +1333,10 @@ class TestRunLogStages:
         assert stages == ["stage.load", "stage.align", "stage.retrieve", "stage.write", "stage.report"]
         retrieve = stage_fields(log, "retrieve")
         assert set(retrieve) == TIMING | {
-            "queries", "top_k", "blas_threads", "shortlist_mean", "shortlist_max", "rescored_mean", "buffer_mb",
-            "product_mcells", "gemm_s", "select_s",
+            "queries", "top_k", "blas_threads", "shortlist_mean", "shortlist_max", "rescored_mean", "back_rescored",
+            "buffer_mb", "product_mcells", "gemm_s", "select_s",
         }
-        assert retrieve["queries"] == "150" and retrieve["top_k"] == "10"
+        assert retrieve["queries"] == "150" and retrieve["top_k"] == "10" and retrieve["back_rescored"] == "0"
         assert retrieve["product_mcells"] == f"{2 * 150 * 150 / 1e6:.3f}"  # the means r_T and the top-k pass
         # one worker: its passes run on the library's own count
         assert retrieve["blas_threads"] == retrieval.blas_threads(one_thread=False)
@@ -1598,7 +1601,7 @@ class TestBenchmarkProbes:
         spans = records["train_semi"]["spans"]
         calls = Counter(span["name"] for span in spans)
         assert calls["retrieval.knn_mean_similarity"] == 1
-        # the top-1 pass, the target-side pass inside mutual_nn_pairs and the extension
-        assert calls["retrieval.retrieve_topk"] == 3
+        # the top-1 pass, which also finds each target's argmax over sources, and the extension
+        assert calls["retrieval.retrieve_topk"] == 2
         (mined,) = [s for s in spans if s["name"] == "retrieval.mutual_nn_pairs"]
         assert mined["counts"]["pairs"] > 0

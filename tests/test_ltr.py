@@ -11,6 +11,7 @@ from bilex.features import FEATURE_NAMES, N_FEATURES, FeatureSchema, build_group
 from bilex.ltr import (
     FitStats,
     GbdtParams,
+    RegressionTree,
     _BinnedColumns,
     _pair_sigmoid,
     combine_with_retriever,
@@ -141,6 +142,19 @@ class TestDeltaAp:
     def test_same_position_rejected(self):
         with pytest.raises(ValueError):
             delta_ap([1, 0], [0, 1], 1, 1)
+
+
+class TestRankOrder:
+    def test_ties_and_nans_keep_candidate_position(self, rng):
+        # rounded scores tie often; a row of zeros and signed zeros, and rows with NaNs, which sort last
+        s = np.round(rng.standard_normal((300, 50)), 1)
+        s[7] = 0.0
+        s[8, ::3] = -0.0
+        s[9, [3, 9]] = np.nan
+        s[10] = np.nan
+        distinct = rng.permutation(50)[None, :] + np.zeros((4, 1))
+        for scores in (s, distinct):
+            assert rank_order(scores).tolist() == np.argsort(-scores, axis=1, kind="stable").tolist()
 
 
 class TestComputeLambdas:
@@ -403,6 +417,30 @@ class TestTrain:
 
 
 class TestPredictAndPersistence:
+    def test_rows_take_the_path_of_a_walk_from_the_root(self, rng):
+        # leaves at depths 1, 2 and 3; a NaN feature fails its comparison and goes right
+        tree = RegressionTree(
+            feature=np.array([0, -1, 1, 2, -1, -1, -1], dtype=np.int32),
+            threshold=np.array([0.0, 0.0, 0.5, -1.0, 0.0, 0.0, 0.0]),
+            left=np.array([1, -1, 3, 5, -1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, 4, 6, -1, -1, -1], dtype=np.int32),
+            value=np.array([0.0, 1.0, 0.0, 0.0, 2.0, 3.0, 4.0]),
+        )
+        X = rng.standard_normal((500, 3)) * 2
+        X[rng.random(X.shape) < 0.1] = np.nan
+
+        def walk(x):
+            node = 0
+            while tree.feature[node] >= 0:
+                node = tree.left[node] if x[tree.feature[node]] < tree.threshold[node] else tree.right[node]
+            return tree.value[node]
+
+        assert tree.depth() == 3
+        assert tree.predict(X).tolist() == [walk(x) for x in X]
+        assert set(tree.predict(X).tolist()) == {1.0, 2.0, 3.0, 4.0}
+        leaf = RegressionTree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.5)))
+        assert leaf.depth() == 0 and leaf.predict(X).tolist() == [0.5] * 500
+
     def test_empty_model_returns_base(self):
         schema = FeatureSchema()
         from bilex.ltr import GbdtModel

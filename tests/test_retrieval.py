@@ -33,6 +33,7 @@ from bilex.retrieval import (
 )
 from bilex.synth import random_orthogonal
 from conftest import unit_space
+from reference import mutual_pairs_two_passes
 
 
 def brute_force_csls(src, tgt, k_csls):
@@ -62,9 +63,10 @@ def operands(n_rows, n_cols):
 
 
 def mutual_pairs(src, tgt, k_csls, n_threads=1):
-    """mutual_nn_pairs over the top-1 retrieval and means that semi train passes it."""
-    best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=k_csls, top_k=1), n_threads=n_threads)
-    return mutual_nn_pairs(src, tgt, best, means, n_threads)
+    """mutual_nn_pairs over the top-1 retrieval and target-side argmax that semi train passes it."""
+    back = np.empty(len(tgt), dtype=np.int64)
+    best, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=k_csls, top_k=1), n_threads=n_threads, back=back)
+    return mutual_nn_pairs(best, back)
 
 
 def skew(src, tgt, k, metric="csls"):
@@ -352,7 +354,7 @@ class TestExactScreen:
         S, k = case
         stats = retrieval.ScanStats()
         screen, chunks = laid_out(S, k)
-        with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
+        with mock.patch.object(retrieval, "SELECT_CELLS", select_rows * screen.shape[1]):
             ids, vals = retrieval._topk_desc_rows(screen, chunks, k, 0.0, values_of(S), stats)
         full_ids, full_vals = retrieval._topk_desc_full(S, k)
         assert ids.tolist() == full_ids.tolist()
@@ -369,8 +371,9 @@ class TestExactScreen:
     @example(case=(np.array([[-0.0, -1.0, -0.0, -0.0, -0.0, -0.0, 0.0]]), 1), select_rows=1)
     def test_top_k_mean_is_the_descending_sum(self, case, select_rows):
         S, k = case
-        with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
-            got = retrieval._topk_mean_rows(*laid_out(S, k), k, 0.0, values_of(S))
+        screen, chunks = laid_out(S, k)
+        with mock.patch.object(retrieval, "SELECT_CELLS", select_rows * screen.shape[1]):
+            got = retrieval._topk_mean_rows(screen, chunks, k, 0.0, values_of(S))
         want = np.array([descending_mean(row, k) for row in S])
         assert got.tobytes() == want.tobytes()
 
@@ -385,9 +388,10 @@ class TestExactScreen:
     def test_a_screen_within_half_the_margin_selects_exactly(self, case, select_rows):
         # any screen within margin / 2 of the rescored values, ties and reorderings included
         S, screen, k, margin = case
-        with mock.patch.object(retrieval, "SELECT_ROWS", select_rows):
-            ids, vals = retrieval._topk_desc_rows(*laid_out(screen, k), k, margin, values_of(S))
-            means = retrieval._topk_mean_rows(*laid_out(screen, k), k, margin, values_of(S))
+        rows, chunks = laid_out(screen, k)
+        with mock.patch.object(retrieval, "SELECT_CELLS", select_rows * rows.shape[1]):
+            ids, vals = retrieval._topk_desc_rows(rows, chunks, k, margin, values_of(S))
+            means = retrieval._topk_mean_rows(rows, chunks, k, margin, values_of(S))
         full_ids, full_vals = retrieval._topk_desc_full(S, k)
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
@@ -680,11 +684,14 @@ class TestScopedRetrieval:
         src = unit_space(rng.standard_normal((30, 8)))
         tgt = unit_space(rng.standard_normal((40, 8)))
         params = SimilarityParams(k_csls=5, top_k=6)
-        best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=5, top_k=1))
+        back = np.empty(len(tgt), dtype=np.int64)
+        best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=5, top_k=1), back=back)
         with mock.patch.object(retrieval, "knn_mean_similarity", side_effect=AssertionError("recomputed")):
-            pairs = mutual_nn_pairs(src, tgt, best, means)
+            again = np.empty(len(tgt), dtype=np.int64)
+            retrieve_topk(src, tgt, SimilarityParams(k_csls=5, top_k=1), means=means, back=again)
             retrieve_topk(src, tgt, params, rows=np.array([3, 1]), means=means)
-        assert pairs == mutual_pairs(src, tgt, 5)
+        assert again.tolist() == back.tolist()
+        assert mutual_nn_pairs(best, back) == mutual_pairs(src, tgt, 5)
 
 
 def test_r_tgt_shift_leaves_ordering_invariant(rng):
@@ -910,6 +917,32 @@ class TestPassFootprint:
                 assert peak <= len(index) * 128 * 4 + buffers + slack, (name, n_threads, peak)
 
 
+    def test_target_argmax_state_does_not_grow_with_the_blocks(self, rng, monkeypatch):
+        # 32-row blocks: 20 for 640 sources, 80 for 2,560. One best per target stays the same whatever the block
+        # count; keeping even 4 bytes per target of each block would add 240 KB at 80 blocks
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 1)
+        tgt = unit_space(rng.standard_normal((1_000, 16)))
+        params = SimilarityParams(k_csls=5, top_k=1)
+        extra = {}
+        for n_src in (640, 2_560):
+            src = unit_space(rng.standard_normal((n_src, 16)))
+            _, means = retrieve_topk(src, tgt, params)  # given, so that the pass is the one top-1 pass
+            back = np.empty(len(tgt), dtype=np.int64)
+            peaks = []
+            for given in (None, back):
+                tracemalloc.start()
+                try:
+                    retrieve_topk(src, tgt, params, means=means, back=given)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            extra[n_src] = peaks[1] - peaks[0]
+        assert retrieval._block_rows(len(tgt)) == 32
+        # the state is 20 bytes per target; a slice's screen adds a few bytes per cell of its 32 x 1,000 product
+        assert extra[640] <= 20 * 1_000 + 8 * 32 * 1_000, extra
+        assert extra[2_560] <= extra[640] + 32 * 1024, extra
+
+
 @st.composite
 def tied_spaces(draw):
     """Two spaces of rows ±1/4 over 16 dimensions, drawn from small pools so rows repeat.
@@ -979,12 +1012,84 @@ class TestMutualNN:
         assert [(s, t) for s, t, _ in got] == [(s, t) for s, t, _ in want]
         np.testing.assert_allclose([v for _, _, v in got], [v for _, _, v in want], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_to_two_top1_retrievals(self, seed, n_threads):
+        # noisy copies of targets among the sources give strong mutual pairs, random sources weak ones
+        rng = np.random.default_rng(seed)
+        tgt = unit_space(rng.standard_normal((300, 24)))
+        noisy = tgt.matrix[rng.permutation(300)[:200]] + 0.3 * rng.standard_normal((200, 24))
+        src = unit_space(np.vstack([noisy, rng.standard_normal((150, 24))]))
+        want, want_back = mutual_pairs_two_passes(src, tgt, 5, n_threads)
+        back = np.full(len(tgt), -1, dtype=np.int64)
+        best, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=5, top_k=1), n_threads=n_threads, back=back)
+        assert back.tolist() == want_back.tolist()
+        assert mutual_nn_pairs(best, back) == want and len(want) > 100
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_equal_to_two_top1_retrievals_over_many_small_blocks(self, rng, monkeypatch, n_threads):
+        # 32-row blocks of one-row selection slices: every source row is merged into the targets' bests alone
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 1)
+        monkeypatch.setattr(retrieval, "SELECT_CELLS", 1)
+        src = unit_space(rng.standard_normal((250, 12)))
+        tgt = unit_space(rng.standard_normal((90, 12)))
+        want, want_back = mutual_pairs_two_passes(src, tgt, 3, n_threads)
+        back = np.full(len(tgt), -1, dtype=np.int64)
+        stats = retrieval.ScanStats()
+        best, _ = retrieve_topk(src, tgt, SimilarityParams(k_csls=3, top_k=1), n_threads=n_threads, stats=stats, back=back)
+        assert back.tolist() == want_back.tolist()
+        assert mutual_nn_pairs(best, back) == want
+        assert stats.back_rescored >= len(tgt)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_a_tie_for_a_target_goes_to_the_lower_source(self, rng, monkeypatch, n_threads):
+        # sources 5 and 290 are one vector, target 0's nearest: equal CSLS values to the last bit. 32-row blocks
+        # put them in different blocks, which two workers may merge in either order
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", 1)
+        X, Y = rng.standard_normal((300, 16)), rng.standard_normal((100, 16))
+        X[5] = X[290] = Y[0]
+        src, tgt = unit_space(X), unit_space(Y)
+        back = np.full(len(tgt), -1, dtype=np.int64)
+        best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=4, top_k=1), n_threads=n_threads, back=back)
+        assert means.r_src[5] == means.r_src[290]
+        assert back[0] == 5 and mutual_pairs_two_passes(src, tgt, 4, n_threads)[1][0] == 5
+        assert (5, 0) in {(s, t) for s, t, _ in mutual_nn_pairs(best, back)}
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_back_argmax_merges_slices_in_any_order(self, rng, reverse):
+        # the column screen alone, on a product laid out as retrieve_topk lays it out, fed slices first to last
+        # or last to first; queries 7 and 40 are one vector, equal to index row 3
+        Q, I = rng.standard_normal((60, 12)), rng.standard_normal((30, 12))
+        Q[7] = Q[40] = I[3]
+        Q, I = unit_space(Q).matrix, unit_space(I).matrix
+        r = rng.uniform(0.1, 0.4, 60)
+        r[40] = r[7]
+        chunks = retrieval._Chunks.build(len(I), 1)
+        sims = np.full((60, chunks.count * chunks.width), -np.inf, dtype=np.float32)
+        sims[:, : len(I)] = Q.astype(np.float32) @ I[chunks.ids].astype(np.float32).T
+        columns = retrieval._BackArgmax(chunks, Q, I, retrieval._screen_margin(I, Q, np.array([2.0])))
+        spans = [(lo, min(lo + 8, 60)) for lo in range(0, 60, 8)]
+        pairs = np.empty(retrieval.RESCORE_CELLS)
+        for lo, hi in spans[::-1] if reverse else spans:
+            columns.add(lo, sims[lo:hi], r[lo:hi], pairs, None)
+        got = np.full(len(I), -1, dtype=np.int64)
+        columns.argmax(got)
+        value = 2.0 * np.array([[retrieval._pair_dots(I[t : t + 1], Q[s : s + 1])[0] for s in range(60)] for t in range(30)])
+        value -= r
+        want = [min(range(60), key=lambda s: (-row[s], s)) for row in value]
+        assert got.tolist() == want and got[3] == 7
+
     def test_scoped_candidates_refused(self, rng):
         src = unit_space(rng.standard_normal((10, 4)))
         tgt = unit_space(rng.standard_normal((12, 4)))
-        best, means = retrieve_topk(src, tgt, SimilarityParams(k_csls=3, top_k=1), rows=np.arange(9, -1, -1))
+        params, back = SimilarityParams(k_csls=3, top_k=1), np.empty(12, dtype=np.int64)
+        best, _ = retrieve_topk(src, tgt, params, rows=np.arange(9, -1, -1))
         with pytest.raises(ValueError, match="every source"):
-            mutual_nn_pairs(src, tgt, best, means)
+            mutual_nn_pairs(best, back)
+        # the target-side argmax needs a CSLS run over every source
+        for kwargs in ({"rows": np.arange(10)}, {"metric": "cosine"}):
+            with pytest.raises(ValueError, match="every source"):
+                retrieve_topk(src, tgt, params, back=back, **kwargs)
 
 
 class TestAugmentDictionary:
@@ -1145,6 +1250,20 @@ class TestCandidateFiles:
         )
         assert path.read_text() == want
         assert "\t-0.000000\n" in want and max(map(len, want.splitlines())) > 300
+
+    def test_rows_of_many_sources_equal_the_per_value_format(self, tmp_path, rng):
+        # 600 sources: the export formats 256 sources at a time, the last block short
+        v = Vocabulary.from_words([f"w{i}" for i in range(700)])
+        scores = rng.standard_normal((600, 3)) * 10.0 ** rng.integers(-8, 8, (600, 3))
+        cands = CandidateSet.from_arrays(rng.permutation(700)[:600], rng.integers(0, 700, (600, 3)), scores)
+        path = tmp_path / "cands.tsv"
+        write_candidates(cands, v, v, path)
+        want = "".join(
+            f"{v.word(int(s))}\t{v.word(int(c))}\t{x:.6f}\n"
+            for row, s in enumerate(cands.src_ids)
+            for c, x in zip(cands.cand_ids[row], cands.scores[row])
+        )
+        assert path.read_text() == want
 
     def test_unknown_word_fatal(self, tmp_path):
         from bilex.corpus import DataFormatError

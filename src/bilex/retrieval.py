@@ -250,8 +250,9 @@ class ScanStats:
 
     def fields(self) -> dict[str, str]:
         """Mean and widest shortlist in columns per row, mean float64 pairs rescored per row, the pairs
-        that column screens rescored to find each target's argmax over sources, the largest buffer total of one pass in MB, the product cells of all passes in millions, and the
-        blocks' product and selection seconds summed over the workers.
+        that column screens rescored to find each target's argmax over sources, the largest buffer
+        total of one pass in MB, the product cells of all passes in millions, and the blocks' product
+        and selection seconds summed over the workers.
 
         gemm_s sums wall seconds, not CPU: one worker's products run on all of OpenBLAS's threads,
         so its gemm_s is their wall time, while a pool runs each product on one thread (see
@@ -480,17 +481,19 @@ class _BackArgmax:
     float32 floor of each column it is 20 bytes per index row, whatever the
     block count.
 
-    Each selection slice is screened on its float32 product. With e the bound on |screen value - rescored value| (half the
-    margin), a pair can beat its column's running best only if its screen
-    value fl32(2 * S - fl32(r_src)) reaches that best less e, the column's
-    floor. While a column has no best yet, its floor is the rows' lowest
-    possible best screen value less 2e: its maximum cosine twice, less the
-    rows' largest r_src (rounding is monotone). A screen value is at most
-    fl32(2 * S - r) for the rows' smallest r_src r, so only cosines S with
-    2 * S - r within half a float32 spacing below the floor can reach it:
-    those pairs are found by one comparison of the product with a threshold
-    per column. Of those, the pairs whose screen value reaches the floor and
-    the rows' largest screen value in their column less 2e are rescored.
+    Each selection slice is screened on its float32 product. With e the
+    bound on |screen value - rescored value| (half the margin), a pair can
+    beat its column's running best only if its screen value
+    fl32(2 * S - fl32(r_src)) reaches that best less e, the column's floor.
+    While a column has no best yet, its floor is the slice's lowest possible
+    best screen value less 2e: its maximum cosine twice, less the slice's
+    largest r_src (rounding is monotone). A screen value is at most
+    fl32(2 * S - r) for the slice's smallest r_src r, which rounds below the
+    floor unless 2 * S - r is within half a float32 spacing of it: one
+    comparison of the product with a threshold per column finds the pairs
+    that can reach the floor. Of those, the pairs whose screen value reaches
+    the floor and their column's largest screen value in the slice less 2e
+    are rescored.
     """
 
     def __init__(self, chunks: _Chunks, Q: np.ndarray, I: np.ndarray, margin: float):
@@ -512,11 +515,15 @@ class _BackArgmax:
             low = sims.max(axis=0)
             low *= 2.0
             low -= r32.max()
-            np.maximum(floor, _round_down(low - 2 * self.error), out=floor)
+            np.maximum(floor, _round_down(low.astype(np.float64) - 2 * self.error), out=floor)
         # 2 * S - r reaches floor - spacing / 2, or fl32 rounds it below the floor
         gap = floor - np.nextafter(floor, -np.inf)
         least = _round_down((floor.astype(np.float64) + float(r32.min()) - gap) / 2)
-        row, col = _nonzero(sims >= least)
+        # the comparison's mask a few rows at a time (the whole of a 426 x 6k slice raised semi train's peak
+        # RSS by 0.8 MB)
+        hits = [_nonzero(sims[lo : lo + 128] >= least) for lo in range(0, len(sims), 128)]
+        row = np.concatenate([lo + at for lo, (at, _) in zip(range(0, len(sims), 128), hits)])
+        col = np.concatenate([at for _, at in hits])
         screen = sims[row, col] * np.float32(2.0)
         screen -= r32[row]
         keep = np.flatnonzero(screen >= floor[col])
@@ -527,7 +534,7 @@ class _BackArgmax:
         if not starts.size:
             return
         top = np.repeat(np.maximum.reduceat(screen, starts), np.diff(starts, append=col.size))
-        keep = screen >= _round_down(top - 2 * self.error)
+        keep = screen >= _round_down(top.astype(np.float64) - 2 * self.error)
         row, col = row[keep], col[keep]
         # the exact values, the index vector first, as the index-side retrieval orders them
         value = np.empty(row.size)

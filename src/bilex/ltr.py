@@ -14,9 +14,10 @@ each member's cut takes its bin as the right side and the node total minus
 that bin as the left. fit_tree writes each training row's leaf value as it
 settles the leaves, and train adds those values to the scores instead of
 running the tree over its own rows again. Each round is a few whole-array
-passes over the (m, k) grid: one lambda batch, one histogram build per node,
-one MAP trace. Everything is deterministic: stable sorts, fixed reduction
-orders, ties to the lowest feature index / candidate position.
+passes over the (m, k) grid: one lambda batch per positive count, one
+histogram build per node, one MAP trace. Everything is deterministic:
+stable sorts, fixed reduction orders, ties to the lowest feature index /
+candidate position.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _batch_lambdas(s: np.ndarray, y: np.ndarray, count: int, sigma: float) -> tu
     amin = np.minimum(ra, rb)
     amax = np.maximum(ra, rb)
     concordant = ra < rb
-    # the prefixes at rank positions amin and amax; the one before amax is at -1 only off the pairs
+    # the prefixes at rank positions amin and amax; the one before amax falls outside the row only off the pairs
     lo, hi = at[:, :, None] + amin - 1, at[:, :, None] + amax - 1
     mid = S.take(hi - 1) - S.take(lo)
     P = max(count, 1)  # a row without positives has no pairs

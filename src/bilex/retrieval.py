@@ -61,8 +61,11 @@ knn_mean_similarity runs its own float32 block products for the means r_T.
 CSLS neighborhood means always cover the whole source and target spaces; a
 run over every source returns them, and a retrieval scoped to some source
 rows scores them against those means, as a full run does. Mutual nearest
-neighbors are a top-1 retrieval in each direction over the same means, and
-hubness counts the first columns of a retrieval's candidate lists.
+neighbors come from one full top-1 retrieval: its blocks also screen their
+products column by column for each target's CSLS argmax over sources
+(_BackArgmax), with one running best per target, so no pass runs from the
+target side. Hubness counts the first columns of a retrieval's candidate
+lists.
 
 One rule sets the OpenBLAS thread count, through numpy's OpenBLAS thread
 controls (_one_blas_thread) when they can be reached and
@@ -132,8 +135,8 @@ def _block_rows(n_cols: int) -> int:
 # selected independently, so slicing changes no result. On a two-worker 5k x
 # 20k retrieval, 400-row slices of 20k raised stage.retrieve's peak RSS by
 # 7 MB over 128-row ones, from temporaries left in the worker threads' heaps;
-# its 5k-wide neighborhood pass took 0.44 s in 512-row slices against 0.49 s
-# in 128-row ones.
+# its 5k-wide neighborhood pass took 0.53 s in 512-row slices against 0.60 s
+# in 128-row ones (2-CPU VM, medians of 6 alternated runs).
 SELECT_CELLS = 2_560_000
 
 
@@ -519,8 +522,8 @@ class _BackArgmax:
         # 2 * S - r reaches floor - spacing / 2, or fl32 rounds it below the floor
         gap = floor - np.nextafter(floor, -np.inf)
         least = _round_down((floor.astype(np.float64) + float(r32.min()) - gap) / 2)
-        # the comparison's mask a few rows at a time (the whole of a 426 x 6k slice raised semi train's peak
-        # RSS by 0.8 MB)
+        # the comparison's mask a few rows at a time: the whole of each 426 x 6k slice raised the traced peak of
+        # semi train's forward pass by 0.8 MB
         hits = [_nonzero(sims[lo : lo + 128] >= least) for lo in range(0, len(sims), 128)]
         row = np.concatenate([lo + at for lo, (at, _) in zip(range(0, len(sims), 128), hits)])
         col = np.concatenate([at for _, at in hits])
@@ -1021,8 +1024,8 @@ def write_candidates(cands: CandidateSet, src_vocab: Vocabulary, tgt_vocab: Voca
     """Export "src<TAB>cand<TAB>score" rows, grouped by source in retrieval order; all or nothing.
 
     The rows of 256 sources at a time are formatted by one % call. On 5,000
-    sources x 50 candidates that took 0.105 s against 0.141 s for one
-    f-string per row, with the same bytes.
+    sources x 50 candidates that took 0.19 s against 0.28 s for one
+    f-string per row (2-CPU VM), with the same bytes.
     """
     k = cands.cand_ids.shape[1]
     src_words, tgt_words = src_vocab.words, tgt_vocab.words

@@ -144,19 +144,6 @@ class TestDeltaAp:
             delta_ap([1, 0], [0, 1], 1, 1)
 
 
-class TestRankOrder:
-    def test_ties_and_nans_keep_candidate_position(self, rng):
-        # rounded scores tie often; a row of zeros and signed zeros, and rows with NaNs, which sort last
-        s = np.round(rng.standard_normal((300, 50)), 1)
-        s[7] = 0.0
-        s[8, ::3] = -0.0
-        s[9, [3, 9]] = np.nan
-        s[10] = np.nan
-        distinct = rng.permutation(50)[None, :] + np.zeros((4, 1))
-        for scores in (s, distinct):
-            assert rank_order(scores).tolist() == np.argsort(-scores, axis=1, kind="stable").tolist()
-
-
 class TestComputeLambdas:
     def test_all_labels_equal_gives_zeros(self):
         g, h = compute_lambdas(np.array([1.0, 2.0]), np.array([1, 1]))

@@ -311,9 +311,13 @@ def _aligned_source(src, tgt, seed):
     return src if seed is None else retrieval.apply_alignment(src, retrieval.align_procrustes(src, tgt, seed))
 
 
-def _read_word_list(path: str | Path, vocab: corpus.Vocabulary) -> list[int]:
-    """Vocabulary ids of a one-word-per-line file, in file order; an unknown or repeated word is an error."""
+def _read_word_list(
+    path: str | Path, vocab: corpus.Vocabulary, file_of: Callable[[str], str] | None = None
+) -> list[int]:
+    """Vocabulary ids of a one-word-per-line file, in file order; an unknown or repeated word is an error, and so
+    is, given file_of, a word whose output file file_of(word) an earlier word already names."""
     ids: dict[int, None] = {}  # an ordered set
+    files: dict[str, tuple[int, str]] = {}  # output file: the line and word that named it first
     for line_no, line in corpus._data_lines(Path(path)):
         word = corpus._nfc(line.strip())
         if word not in vocab:
@@ -321,6 +325,12 @@ def _read_word_list(path: str | Path, vocab: corpus.Vocabulary) -> list[int]:
         if vocab.id(word) in ids:
             raise corpus.DataFormatError(f"{path}: line {line_no}: repeated word {word!r}")
         ids[vocab.id(word)] = None
+        if file_of is not None:
+            first_line, first = files.setdefault(file_of(word), (line_no, word))
+            if first_line != line_no:
+                raise corpus.DataFormatError(
+                    f"{path}: line {line_no}: {word!r} and {first!r} on line {first_line} both write {file_of(word)}"
+                )
     return list(ids)
 
 
@@ -738,7 +748,7 @@ ANALYZE_SCHEMA = {
     "seed_dict": OPTIONAL_INPUT,
     "words": OPTIONAL_INPUT,
     "pair_label": Option(str, "src-tgt"),
-    "min_n": Option(int, 10),
+    "min_n": Option(int, 10, minimum=2),
     "k_csls": K_CSLS,
     "top_k": TOP_K,
     "max_vocab": MAX_VOCAB,
@@ -746,9 +756,10 @@ ANALYZE_SCHEMA = {
 }
 
 
-def _safe_name(word: str) -> str:
+def _pca_file(word: str) -> str:
+    """The name of a word's PCA export: every character of the word but letters and digits becomes "_"."""
     cleaned = "".join(c if c.isalnum() else "_" for c in word)
-    return cleaned or "word"
+    return f"pca_{cleaned or 'word'}.tsv"
 
 
 def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
@@ -760,7 +771,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
                 src, tgt = _load_spaces(opts, counts)
                 src_vocab, tgt_vocab = src.vocab, tgt.vocab
                 seed = corpus.load_dictionary(opts.seed_dict, src_vocab, tgt_vocab) if opts.seed_dict else None
-                word_ids = _read_word_list(opts.words, src_vocab)
+                word_ids = _read_word_list(opts.words, src_vocab, _pca_file)
             else:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
             dic = corpus.load_dictionary(opts.dict, src_vocab, tgt_vocab)
@@ -797,7 +808,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
                         (tgt.vocab.word(int(c)), "candidate", coords[2 + i, 0], coords[2 + i, 1])
                         for i, c in enumerate(cands.cand_ids[row])
                     ]
-                    evaluation.write_pca_coordinates(rows, out / f"pca_{_safe_name(word)}.tsv")
+                    evaluation.write_pca_coordinates(rows, out / _pca_file(word))
     return 0
 
 

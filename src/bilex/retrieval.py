@@ -11,9 +11,9 @@ the pass starts and freed when it returns, so no pass allocates or copies
 a whole block. Only a pass's index side is cast to float32 whole: each
 block casts its own query rows, so no pass holds a float32 copy of its
 queries. The float32 values only screen. Every top-k selection, of
-candidates and of neighborhood means, takes one path, a slice of
-SELECT_CELLS product cells at a time, and no step of it runs over a whole
-row but one elementwise chunk maximum per row:
+candidates and of neighborhood means, takes one path over a whole block,
+and no step of it runs over a whole row but one elementwise chunk maximum
+per row:
 - the index rows are laid out as product columns so that chunk j of a row
   is every count-th column from column j (_Chunks); its maxima are then
   elementwise maxima of contiguous runs, which numpy vectorizes and which
@@ -21,8 +21,8 @@ row but one elementwise chunk maximum per row:
   the j-th run of ids in ascending order of the r that a CSLS screen
   subtracts, so the screen values fl32(2 * S - fl32(r)) of a chunk lie
   between two values computed from its cosine maximum and the chunk's
-  largest and smallest r. Both selections of a retrieval slice, r_src and
-  the candidates, share the slice's maxima, and no CSLS screen is formed
+  largest and smallest r. Both selections of a retrieval block, r_src and
+  the candidates, share the block's maxima, and no CSLS screen is formed
   over a whole row;
 - the k-th largest low chunk value bounds the row's k-th screen value from
   below, and only the chunks whose high value comes within the screen
@@ -118,31 +118,19 @@ from .corpus import (
 
 log = logging.getLogger(__name__)
 
-# similarity blocks are sized so one block holds ~4M matrix cells, a float32
-# buffer of up to 16 MB per worker; the size depends only on the problem shape,
-# never on the worker count. No bit depends on it either, since every selected
-# pair is rescored by _pair_dots. On a two-worker 5k x 20k x 300 retrieval, 8M
-# cells held 30.5 MB more buffer, and 2M cells made stage.retrieve 2.03-2.33 s
-# against 1.87-2.00 s.
-BLOCK_CELLS = 4_000_000
+# product cells per similarity block, 128 rows of 20k targets: a float32 buffer
+# of up to 10 MB per worker, and the rows of every top-k selection, which takes
+# a block whole. The size depends only on the problem shape, never on the
+# worker count. No bit depends on it either, since every selected pair is
+# rescored by _pair_dots. Against 4M-cell blocks selected in slices of 2.56M
+# cells, peak RSS fell from 180.6 to 169.6 MB on a two-worker 5k x 20k x 300
+# retrieve and from 117.8 to 113.3 MB on a 6k x 6k semi train, at wall times of
+# 1.78 -> 1.75 s and 2.26 -> 2.21 s (2-CPU VM, medians of ten alternated pairs).
+BLOCK_CELLS = 2_560_000
 
 
 def _block_rows(n_cols: int) -> int:
     return max(32, min(4096, BLOCK_CELLS // max(1, n_cols)))
-
-
-# product cells per top-k selection call: 128 rows of 20k targets. Rows are
-# selected independently, so slicing changes no result. On a two-worker 5k x
-# 20k retrieval, 400-row slices of 20k raised stage.retrieve's peak RSS by
-# 7 MB over 128-row ones, from temporaries left in the worker threads' heaps;
-# its 5k-wide neighborhood pass took 0.53 s in 512-row slices against 0.60 s
-# in 128-row ones (2-CPU VM, medians of 6 alternated runs).
-SELECT_CELLS = 2_560_000
-
-
-def _select_rows(width: int) -> int:
-    """Rows per selection slice of rows width product columns wide."""
-    return max(1, SELECT_CELLS // max(1, width))
 
 
 # float64 values in each worker's rescoring buffer (512 KB): the index
@@ -295,7 +283,8 @@ def _map_row_blocks(
     sims (hi - lo, c * width) holds the product of rows lo:hi in its first
     len(B32) columns and -inf in the rest: rows padded to whole chunks of
     width columns (default: one chunk, no padding). It is a float32 block
-    buffer that fn may overwrite, as long as the padding stays -inf. pairs
+    buffer that fn may overwrite, as long as the padding stays -inf, and the
+    unit of every selection: fn takes its rows whole. pairs
     is a float64 buffer of RESCORE_CELLS values for the rescoring
     (_rescorer). A's rows may be of any float type: each block casts its
     own rows to float32, so no float32 copy of A is made. One pair of
@@ -448,18 +437,23 @@ class _Chunks:
         # the screen's precision: a screen value reaches it if it reaches bound - slack, or equals it
         floor_screen = _round_down(bound - slack, rows.dtype)
         kept_rows, kept_chunks = _nonzero(chunk_values >= floor_screen[:, None])
+        # the maxima (unless the caller keeps them for a second selection) and each temporary go once read: the
+        # peak of a block's selection adds to its worker's buffers
+        del chunk_values, maxima
         values = strided[kept_rows, :, kept_chunks]  # (kept chunks, width)
         if csls:
             values *= 2.0
             values -= self.r_slots[kept_chunks]
-        at, slot = _nonzero(values >= floor_screen[kept_rows, None])
+        hits = values >= floor_screen[kept_rows, None]
+        del values
+        at, slot = _nonzero(hits)
         kept = np.bincount(kept_rows, minlength=m) * self.width
         return kept_rows[at], self.ids[slot * self.count + kept_chunks[at]], kept
 
 
 def _nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.nonzero of a 2-d mask, in the same row-major order, through np.flatnonzero: 7-13 times as fast on the
-    sparse masks of a selection slice (426 x 250 cells: 48 against 327 us)."""
+    sparse masks of a block's chunk screen (426 x 250 cells: 48 against 327 us)."""
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
@@ -472,7 +466,7 @@ def _round_down(values: np.ndarray, dtype=np.float32) -> np.ndarray:
 
 
 class _BackArgmax:
-    """Each index row's CSLS argmax over the query rows of a full forward pass, merged slice by slice.
+    """Each index row's CSLS argmax over the query rows of a full forward pass, merged block by block.
 
     The value of a pair (s, t) is fl(2 * cosine - r_src(s)): the value on
     which a top-1 retrieval from the index side, with the two means swapped,
@@ -484,19 +478,18 @@ class _BackArgmax:
     float32 floor of each column it is 20 bytes per index row, whatever the
     block count.
 
-    Each selection slice is screened on its float32 product. With e the
-    bound on |screen value - rescored value| (half the margin), a pair can
-    beat its column's running best only if its screen value
-    fl32(2 * S - fl32(r_src)) reaches that best less e, the column's floor.
-    While a column has no best yet, its floor is the slice's lowest possible
-    best screen value less 2e: its maximum cosine twice, less the slice's
-    largest r_src (rounding is monotone). A screen value is at most
-    fl32(2 * S - r) for the slice's smallest r_src r, which rounds below the
-    floor unless 2 * S - r is within half a float32 spacing of it: one
-    comparison of the product with a threshold per column finds the pairs
-    that can reach the floor. Of those, the pairs whose screen value reaches
-    the floor and their column's largest screen value in the slice less 2e
-    are rescored.
+    Each block is screened on its float32 product. With e the bound on
+    |screen value - rescored value| (half the margin), a pair can beat its
+    column's running best only if its screen value fl32(2 * S - fl32(r_src))
+    reaches that best less e, the column's floor. While a column has no best
+    yet, its floor is the block's lowest possible best screen value less 2e:
+    its maximum cosine twice, less the block's largest r_src (rounding is
+    monotone). A screen value is at most fl32(2 * S - r) for the block's
+    smallest r_src r, which rounds below the floor unless 2 * S - r is within
+    half a float32 spacing of it: one comparison of the product with a
+    threshold per column finds the pairs that can reach the floor. Of those,
+    the pairs whose screen value reaches the floor and their column's largest
+    screen value in the block less 2e are rescored.
     """
 
     def __init__(self, chunks: _Chunks, Q: np.ndarray, I: np.ndarray, margin: float):
@@ -522,11 +515,7 @@ class _BackArgmax:
         # 2 * S - r reaches floor - spacing / 2, or fl32 rounds it below the floor
         gap = floor - np.nextafter(floor, -np.inf)
         least = _round_down((floor.astype(np.float64) + float(r32.min()) - gap) / 2)
-        # the comparison's mask a few rows at a time: the whole of each 426 x 6k slice raised the traced peak of
-        # semi train's forward pass by 0.8 MB
-        hits = [_nonzero(sims[lo : lo + 128] >= least) for lo in range(0, len(sims), 128)]
-        row = np.concatenate([lo + at for lo, (at, _) in zip(range(0, len(sims), 128), hits)])
-        col = np.concatenate([at for _, at in hits])
+        row, col = _nonzero(sims >= least)
         screen = sims[row, col] * np.float32(2.0)
         screen -= r32[row]
         keep = np.flatnonzero(screen >= floor[col])
@@ -610,8 +599,8 @@ def _pair_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _rescorer(Q: np.ndarray, I: np.ndarray, pairs: np.ndarray, r: np.ndarray | None = None):
-    """rescore(lo, ids, counts): the float64 cosine Q[lo + i] . I[ids[i, j]] of the first counts[i] ids of each
-    row i of ids, or its CSLS screen value 2 * cosine - r[ids[i, j]] given r; -inf past a row's count.
+    """rescore(ids, counts): the float64 cosine Q[i] . I[ids[i, j]] of the first counts[i] ids of each row i of
+    ids, or its CSLS screen value 2 * cosine - r[ids[i, j]] given r; -inf past a row's count.
 
     Each call of _pair_dots takes a grid of rows by id slots: the index
     vectors are gathered into pairs, a float64 buffer made before the pass
@@ -622,9 +611,8 @@ def _rescorer(Q: np.ndarray, I: np.ndarray, pairs: np.ndarray, r: np.ndarray | N
     """
     d = Q.shape[1]
 
-    def rescore(lo: int, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def rescore(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
         m, c = ids.shape
-        queries = Q[lo : lo + m]
         out = np.full((m, c), -np.inf)
         step = min(-(-int(counts.sum()) // max(m, 1)), max(1, len(pairs) // d))
         for c0 in range(0, c, step):
@@ -638,7 +626,7 @@ def _rescorer(Q: np.ndarray, I: np.ndarray, pairs: np.ndarray, r: np.ndarray | N
                 cols = ids[rows, c0:c1]
                 index = pairs[: cols.size * d].reshape(*cols.shape, d)
                 np.take(I, cols, axis=0, out=index, mode="clip")
-                out[rows, c0:c1] = _pair_dots(queries[rows, None], index)
+                out[rows, c0:c1] = _pair_dots(Q[rows, None], index)
         if r is not None:
             out *= 2.0
             out -= r[ids]
@@ -652,20 +640,19 @@ def _max_norm(M: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", M, M).max(initial=0.0)))
 
 
-def _screen_margin(Q: np.ndarray, I: np.ndarray, r: np.ndarray | None = None) -> float:
-    """Certified margin of the float32 screen of Q's rows against I's: cosine, or CSLS 2 * cosine - r given r.
+def _screen_margin(d: int, q: float, i: float, r: float | None = None) -> float:
+    """Certified margin of the float32 screen of d-dimensional query rows against index rows, q and i the largest
+    row norms of each (_max_norm): cosine, or CSLS 2 * cosine - r given r, the largest |r|.
 
     Twice the bound e on |screen value - rescored value| of one pair that
     the module docstring derives.
     """
-    d = Q.shape[1]
     u, u64 = 2.0**-24, 2.0**-53
-    q, i = _max_norm(Q), _max_norm(I)
     dots = ((d + 2) * u / (1 - (d + 2) * u) + d * u64 / (1 - d * u64)) * q * i
     underflow = d * (1 + q + i) * 2.0**-140
     if r is None:
         return 2 * (dots + underflow)
-    steps = (u + u64) * (4 * q * i + 3 * float(np.abs(r).max(initial=0.0)))
+    steps = (u + u64) * (4 * q * i + 3 * r)
     return 2 * (2 * dots + steps + underflow)
 
 
@@ -681,34 +668,27 @@ def _topk_desc_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise exact top-k of rescored values, by descending value, ties broken by ascending id.
 
-    screen holds product rows laid out by chunks (_Chunks), and maxima
-    their chunk maxima (computed here a slice at a time if not given);
-    every pair's screen value, the product itself or fl32(2 * S - fl32(r))
-    given csls, lies within margin / 2 of its rescored value. rescore(lo, ids, counts) gives
-    the float64 values of the first counts[i] ids of each row i, rows
-    counted from lo (_rescorer). A slice of SELECT_CELLS cells at a time,
+    screen holds a block's product rows laid out by chunks (_Chunks), and
+    maxima their chunk maxima (computed here if not given); every pair's
+    screen value, the product itself or fl32(2 * S - fl32(r)) given csls,
+    lies within margin / 2 of its rescored value. rescore(ids, counts) gives
+    the float64 values of the first counts[i] ids of each row i (_rescorer).
     _Chunks.shortlist finds the ids whose screen value can come within
     margin of the row's k-th, they are rescored, and _topk_desc_full
     selects on the rescored values. The result is that of _topk_desc_full
     over whole rows of rescored values in id order. Returns (ids, values),
     each (m, k); stats gets the columns read and the pairs rescored.
     """
-    id_parts, value_parts = [], []
-    step = _select_rows(screen.shape[1])
-    for lo in range(0, len(screen), step):
-        hi = lo + step
-        slice_maxima = chunks.maxima(screen[lo:hi]) if maxima is None else maxima[lo:hi]
-        rows, cols, kept = chunks.shortlist(screen[lo:hi], slice_maxima, k, margin, csls)
-        counts = np.bincount(rows, minlength=len(kept))
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        ids = np.zeros((len(kept), counts.max()), dtype=np.int64)  # id 0 in the slots past a row's count
-        ids[rows, slot] = cols
-        at, top = _topk_desc_full(rescore(lo, ids, counts), k, ids)
-        id_parts.append(np.take_along_axis(ids, at, axis=1))
-        value_parts.append(top)
-        if stats is not None:
-            stats.note_shortlist(kept, rows.size)
-    return np.concatenate(id_parts), np.concatenate(value_parts)
+    # maxima computed here are held by the shortlist alone, which lets them go once read
+    rows, cols, kept = chunks.shortlist(screen, chunks.maxima(screen) if maxima is None else maxima, k, margin, csls)
+    counts = np.bincount(rows, minlength=len(kept))
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ids = np.zeros((len(kept), counts.max()), dtype=np.int64)  # id 0 in the slots past a row's count
+    ids[rows, slot] = cols
+    at, top = _topk_desc_full(rescore(ids, counts), k, ids)
+    if stats is not None:
+        stats.note_shortlist(kept, rows.size)
+    return np.take_along_axis(ids, at, axis=1), top
 
 
 def _topk_mean_rows(
@@ -748,7 +728,7 @@ def knn_mean_similarity(
     if k < 1 or k > len(index):
         raise ValueError(f"k must be in [1, {len(index)}], got {k}")
     Q, I = queries.matrix, index.matrix
-    margin = _screen_margin(Q, I)
+    margin = _screen_margin(Q.shape[1], _max_norm(Q), _max_norm(I))
     chunks = _Chunks.build(len(I), k)
 
     def block(lo: int, hi: int, sims: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -802,36 +782,31 @@ def retrieve_topk(
         r_tgt = means.r_tgt
     else:
         r_tgt = knn_mean_similarity(tgt, src, min(params.k_csls, len(src)), n_threads, stats)
-    cosine_margin = _screen_margin(X, Y)
-    margin = _screen_margin(X, Y, r_tgt) if csls else cosine_margin
+    # the largest row norms, once per pass: every margin and bound below comes from these two
+    d, x_norm, y_norm = X.shape[1], _max_norm(X), _max_norm(Y)
+    cosine_margin = _screen_margin(d, x_norm, y_norm)
+    margin = _screen_margin(d, x_norm, y_norm, float(np.abs(r_tgt).max(initial=0.0))) if csls else cosine_margin
     # one layout for both selections of a block, chunked for the larger k
     chunks = _Chunks.build(len(Y), max(params.top_k, params.k_csls if means is None else 1), r_tgt if csls else None)
     columns = None
     if back is not None:
         # no mean of cosines exceeds twice the product of the largest norms, so 2A bounds the r_src it subtracts
-        r_bound = np.array([2.0 * _max_norm(X) * _max_norm(Y)])
-        columns = _BackArgmax(chunks, X, Y, _screen_margin(Y, X, r_bound))
+        columns = _BackArgmax(chunks, X, Y, _screen_margin(d, y_norm, x_norm, 2.0 * x_norm * y_norm))
 
     def block(lo: int, hi: int, sims: np.ndarray, pairs: np.ndarray):
-        parts = []
-        step = _select_rows(sims.shape[1])
-        for s0 in range(lo, hi, step):  # both selections of a slice share its chunk maxima
-            s1 = min(s0 + step, hi)
-            rows = sims[s0 - lo : s1 - lo]
-            maxima = chunks.maxima(rows)
-            if means is not None:
-                r_src = means.r_src[src_ids[s0:s1]]
-            else:
-                cosine = _rescorer(X[s0:s1], Y, pairs)
-                r_src = _topk_mean_rows(rows, chunks, params.k_csls, cosine_margin, cosine, stats, maxima)
-            if columns is not None:
-                columns.add(s0, rows, r_src, pairs, stats)
-            rescore = _rescorer(X[s0:s1], Y, pairs, r_tgt if csls else None)
-            ids, vals = _topk_desc_rows(rows, chunks, params.top_k, margin, rescore, stats, maxima, csls)
-            if csls:
-                vals -= r_src[:, None]
-            parts.append((ids, vals, r_src))
-        return [np.concatenate(part) for part in zip(*parts)]
+        maxima = chunks.maxima(sims)  # both selections of a block share its chunk maxima
+        if means is not None:
+            r_src = means.r_src[src_ids[lo:hi]]
+        else:
+            cosine = _rescorer(X[lo:hi], Y, pairs)
+            r_src = _topk_mean_rows(sims, chunks, params.k_csls, cosine_margin, cosine, stats, maxima)
+        if columns is not None:
+            columns.add(lo, sims, r_src, pairs, stats)
+        rescore = _rescorer(X[lo:hi], Y, pairs, r_tgt if csls else None)
+        ids, vals = _topk_desc_rows(sims, chunks, params.top_k, margin, rescore, stats, maxima, csls)
+        if csls:
+            vals -= r_src[:, None]
+        return ids, vals, r_src
 
     held = 0 if columns is None else columns.nbytes
     parts = _map_row_blocks(block, X, chunks.cast(Y), n_threads, stats, chunks.width, held)

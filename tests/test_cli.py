@@ -608,6 +608,20 @@ class TestAnalyze:
         roles = {l.split("\t")[1] for l in pca[1:]}
         assert roles == {"source", "gold", "candidate"}
 
+    def test_words_of_one_pca_file_exit_3_before_writing(self, world_dir, tmp_path, capsys):
+        # "a.b" and "a-b" would both write pca_a_b.tsv, the second over the first
+        world = tmp_path / "world"
+        world.mkdir()
+        for path in world_dir.iterdir():
+            (world / path.name).write_text(path.read_text().replace("s00003", "a.b").replace("s00007", "a-b"))
+        words = tmp_path / "words.txt"
+        words.write_text("s00001\na.b\ns00002\na-b\n")
+        out = tmp_path / "out"
+        assert run(*analyze_args(world, out, "--words", words, "--top-k", 5, "--k-csls", 3)) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {words}: line 4: 'a-b' and 'a.b' on line 2 both write pca_a_b.tsv" in err
+        assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+
     def test_small_bucket_prints_na(self, world_dir, tmp_path):
         assert run(
             "analyze", "--out-dir", tmp_path,
@@ -1013,6 +1027,8 @@ class TestOptionTables:
         ("train", ["--mode", "semi", "--n-aug", -1], "--n-aug must be >= 0, got -1"),
         ("retrieve", ["--max-vocab", -5], "--max-vocab must be >= 1, got -5"),
         ("analyze", ["--top-k", 0], "--top-k must be >= 1, got 0"),
+        # a correlation needs two pairs: --min-n 1 would fail on a one-pair bucket only after loading
+        ("analyze", ["--min-n", 1], "--min-n must be >= 2, got 1"),
     ])
     def test_out_of_range_value_exit_2_before_writing(
         self, world_dir, retrieved_dir, tmp_path, capsys, command, extra, message,

@@ -291,8 +291,8 @@ def descending_mean(row, k):
 
 def values_of(S):
     """A rescore function that reads the values of S itself."""
-    return lambda lo, ids, counts: np.where(
-        np.arange(ids.shape[1]) < counts[:, None], S[lo + np.arange(len(ids))[:, None], ids], -np.inf
+    return lambda ids, counts: np.where(
+        np.arange(ids.shape[1]) < counts[:, None], S[np.arange(len(ids))[:, None], ids], -np.inf
     )
 
 
@@ -348,14 +348,13 @@ class TestExactScreen:
         assert retrieval._chunk_width(20_000, 50) == 20 and retrieval._chunk_width(5_000, 10) == 22
 
     @settings(max_examples=300, deadline=None)
-    @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
-    def test_top_k_equals_the_full_row_routine(self, case, select_rows):
+    @given(case=wide_rows())
+    def test_top_k_equals_the_full_row_routine(self, case):
         # the values as their own screen, with no margin
         S, k = case
         stats = retrieval.ScanStats()
         screen, chunks = laid_out(S, k)
-        with mock.patch.object(retrieval, "SELECT_CELLS", select_rows * screen.shape[1]):
-            ids, vals = retrieval._topk_desc_rows(screen, chunks, k, 0.0, values_of(S), stats)
+        ids, vals = retrieval._topk_desc_rows(screen, chunks, k, 0.0, values_of(S), stats)
         full_ids, full_vals = retrieval._topk_desc_full(S, k)
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
@@ -367,13 +366,12 @@ class TestExactScreen:
         assert stats.rescored == sum(screened)
 
     @settings(max_examples=300, deadline=None)
-    @given(case=wide_rows(), select_rows=st.sampled_from([1, 2, 128]))
-    @example(case=(np.array([[-0.0, -1.0, -0.0, -0.0, -0.0, -0.0, 0.0]]), 1), select_rows=1)
-    def test_top_k_mean_is_the_descending_sum(self, case, select_rows):
+    @given(case=wide_rows())
+    @example(case=(np.array([[-0.0, -1.0, -0.0, -0.0, -0.0, -0.0, 0.0]]), 1))
+    def test_top_k_mean_is_the_descending_sum(self, case):
         S, k = case
         screen, chunks = laid_out(S, k)
-        with mock.patch.object(retrieval, "SELECT_CELLS", select_rows * screen.shape[1]):
-            got = retrieval._topk_mean_rows(screen, chunks, k, 0.0, values_of(S))
+        got = retrieval._topk_mean_rows(screen, chunks, k, 0.0, values_of(S))
         want = np.array([descending_mean(row, k) for row in S])
         assert got.tobytes() == want.tobytes()
 
@@ -384,14 +382,13 @@ class TestExactScreen:
             assert retrieval._topk_mean_rows(*laid_out(S, k), k, 0.0, values_of(S)).tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(case=screened_rows(), select_rows=st.sampled_from([1, 2, 128]))
-    def test_a_screen_within_half_the_margin_selects_exactly(self, case, select_rows):
+    @given(case=screened_rows())
+    def test_a_screen_within_half_the_margin_selects_exactly(self, case):
         # any screen within margin / 2 of the rescored values, ties and reorderings included
         S, screen, k, margin = case
         rows, chunks = laid_out(screen, k)
-        with mock.patch.object(retrieval, "SELECT_CELLS", select_rows * rows.shape[1]):
-            ids, vals = retrieval._topk_desc_rows(rows, chunks, k, margin, values_of(S))
-            means = retrieval._topk_mean_rows(rows, chunks, k, margin, values_of(S))
+        ids, vals = retrieval._topk_desc_rows(rows, chunks, k, margin, values_of(S))
+        means = retrieval._topk_mean_rows(rows, chunks, k, margin, values_of(S))
         full_ids, full_vals = retrieval._topk_desc_full(S, k)
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
@@ -405,9 +402,11 @@ class TestExactScreen:
         ids, counts = np.tile(np.arange(len(Y)), (len(X), 1)), np.full(len(X), len(Y))
         screen = np.matmul(X.astype(np.float32), Y.astype(np.float32).T)
         pairs = np.empty(retrieval.RESCORE_CELLS)
-        cosine = retrieval._rescorer(X, Y, pairs)(0, ids, counts)
-        csls = retrieval._rescorer(X, Y, pairs, r)(0, ids, counts)
-        cosine_margin, csls_margin = retrieval._screen_margin(X, Y), retrieval._screen_margin(X, Y, r)
+        cosine = retrieval._rescorer(X, Y, pairs)(ids, counts)
+        csls = retrieval._rescorer(X, Y, pairs, r)(ids, counts)
+        largest = d, retrieval._max_norm(X), retrieval._max_norm(Y)
+        cosine_margin = retrieval._screen_margin(*largest)
+        csls_margin = retrieval._screen_margin(*largest, float(np.abs(r).max()))
         cosine_error = np.abs(screen.astype(np.float64) - cosine).max()
         csls_error = np.abs((screen * np.float32(2) - r.astype(np.float32)).astype(np.float64) - csls).max()
         # the rows that all round down give the screen a real error to bound
@@ -522,7 +521,7 @@ class TestExactScreen:
         counts = np.array([0, 1, 5, 5, 5, 6, 2, 40, 3, 5, 5])
         ids = np.array([rng.permutation(40) for _ in range(11)])[:, : counts.max()]
         for given_r in (None, r):
-            got = retrieval._rescorer(Q, I, np.empty(cells), given_r)(0, ids, counts)
+            got = retrieval._rescorer(Q, I, np.empty(cells), given_r)(ids, counts)
             for i, row in enumerate(ids):
                 want = retrieval._pair_dots(np.tile(Q[i], (counts[i], 1)), I[row[: counts[i]]])
                 if given_r is not None:
@@ -889,15 +888,15 @@ class TestBlockShape:
 class TestPassFootprint:
     def test_no_pass_holds_a_float32_copy_of_its_queries(self, rng):
         # 16k queries x 128: their float32 copy (7.8 MB) exceeds the slack. Each worker holds one block buffer
-        # of 4,000 x 1,000 products (padded to whole chunks) and a float64 rescoring buffer, and casts its block's
-        # 4,000 query rows; the index is cast whole.
+        # of 2,560 x 1,000 products (padded to whole chunks) and a float64 rescoring buffer, and casts its block's
+        # 2,560 query rows; the index is cast whole.
         queries = unit_space(rng.standard_normal((16_000, 128)))
         index = unit_space(rng.standard_normal((1_000, 128)))
         params = SimilarityParams(k_csls=10, top_k=5)
         _, means = retrieve_topk(queries, index, params)
         rows = retrieval._block_rows(len(index))
         slack = 4 << 20
-        assert 16_000 * 128 * 4 > slack and rows == 4_000
+        assert 16_000 * 128 * 4 > slack and rows == 2_560
         for n_threads in (1, 2):
             passes = {
                 "knn_mean_similarity": (10, lambda: knn_mean_similarity(queries, index, 10, n_threads)),
@@ -938,7 +937,7 @@ class TestPassFootprint:
                     tracemalloc.stop()
             extra[n_src] = peaks[1] - peaks[0]
         assert retrieval._block_rows(len(tgt)) == 32
-        # the state is 20 bytes per target; a slice's screen adds a few bytes per cell of its 32 x 1,000 product
+        # the state is 20 bytes per target; a block's screen adds a few bytes per cell of its 32 x 1,000 product
         assert extra[640] <= 20 * 1_000 + 8 * 32 * 1_000, extra
         assert extra[2_560] <= extra[640] + 32 * 1024, extra
 
@@ -1026,11 +1025,20 @@ class TestMutualNN:
         assert back.tolist() == want_back.tolist()
         assert mutual_nn_pairs(best, back) == want and len(want) > 100
 
+    def test_largest_norms_are_taken_once_per_space_and_pass(self, rng):
+        # the means pass over the targets takes its two, the forward pass its own two: every margin and the bound
+        # on r_src come from those
+        src = unit_space(rng.standard_normal((40, 8)))
+        tgt = unit_space(rng.standard_normal((50, 8)))
+        back = np.empty(len(tgt), dtype=np.int64)
+        with mock.patch.object(retrieval, "_max_norm", wraps=retrieval._max_norm) as max_norm:
+            retrieve_topk(src, tgt, SimilarityParams(k_csls=3, top_k=1), back=back)
+        assert max_norm.call_count == 4
+
     @pytest.mark.parametrize("n_threads", [1, 2, 3])
     def test_equal_to_two_top1_retrievals_over_many_small_blocks(self, rng, monkeypatch, n_threads):
-        # 32-row blocks of one-row selection slices: every source row is merged into the targets' bests alone
+        # 32-row blocks: 8 for 250 sources, the last one short, merged into the targets' bests in any order
         monkeypatch.setattr(retrieval, "BLOCK_CELLS", 1)
-        monkeypatch.setattr(retrieval, "SELECT_CELLS", 1)
         src = unit_space(rng.standard_normal((250, 12)))
         tgt = unit_space(rng.standard_normal((90, 12)))
         want, want_back = mutual_pairs_two_passes(src, tgt, 3, n_threads)
@@ -1057,8 +1065,9 @@ class TestMutualNN:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_back_argmax_merges_slices_in_any_order(self, rng, reverse):
-        # the column screen alone, on a product laid out as retrieve_topk lays it out, fed slices first to last
-        # or last to first; queries 7 and 40 are one vector, equal to index row 3
+        # the column screen alone, on a product laid out as retrieve_topk lays it out, fed blocks of one or of 8
+        # rows, first to last or last to first: with one row, every source row is merged into the bests alone;
+        # queries 7 and 40 are one vector, equal to index row 3
         Q, I = rng.standard_normal((60, 12)), rng.standard_normal((30, 12))
         Q[7] = Q[40] = I[3]
         Q, I = unit_space(Q).matrix, unit_space(I).matrix
@@ -1067,17 +1076,19 @@ class TestMutualNN:
         chunks = retrieval._Chunks.build(len(I), 1)
         sims = np.full((60, chunks.count * chunks.width), -np.inf, dtype=np.float32)
         sims[:, : len(I)] = Q.astype(np.float32) @ I[chunks.ids].astype(np.float32).T
-        columns = retrieval._BackArgmax(chunks, Q, I, retrieval._screen_margin(I, Q, np.array([2.0])))
-        spans = [(lo, min(lo + 8, 60)) for lo in range(0, 60, 8)]
-        pairs = np.empty(retrieval.RESCORE_CELLS)
-        for lo, hi in spans[::-1] if reverse else spans:
-            columns.add(lo, sims[lo:hi], r[lo:hi], pairs, None)
-        got = np.full(len(I), -1, dtype=np.int64)
-        columns.argmax(got)
+        margin = retrieval._screen_margin(12, retrieval._max_norm(I), retrieval._max_norm(Q), 2.0)
         value = 2.0 * np.array([[retrieval._pair_dots(I[t : t + 1], Q[s : s + 1])[0] for s in range(60)] for t in range(30)])
         value -= r
         want = [min(range(60), key=lambda s: (-row[s], s)) for row in value]
-        assert got.tolist() == want and got[3] == 7
+        pairs = np.empty(retrieval.RESCORE_CELLS)
+        for span in (1, 8):
+            columns = retrieval._BackArgmax(chunks, Q, I, margin)
+            spans = [(lo, min(lo + span, 60)) for lo in range(0, 60, span)]
+            for lo, hi in spans[::-1] if reverse else spans:
+                columns.add(lo, sims[lo:hi], r[lo:hi], pairs, None)
+            got = np.full(len(I), -1, dtype=np.int64)
+            columns.argmax(got)
+            assert got.tolist() == want and got[3] == 7, span
 
     def test_scoped_candidates_refused(self, rng):
         src = unit_space(rng.standard_normal((10, 4)))

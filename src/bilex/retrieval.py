@@ -123,9 +123,9 @@ log = logging.getLogger(__name__)
 # a block whole. The size depends only on the problem shape, never on the
 # worker count. No bit depends on it either, since every selected pair is
 # rescored by _pair_dots. Against 4M-cell blocks selected in slices of 2.56M
-# cells, peak RSS fell from 180.6 to 169.6 MB on a two-worker 5k x 20k x 300
-# retrieve and from 117.8 to 113.3 MB on a 6k x 6k semi train, at wall times of
-# 1.78 -> 1.75 s and 2.26 -> 2.21 s (2-CPU VM, medians of ten alternated pairs).
+# cells, peak RSS fell from 180.8 to 168.8 MB on a two-worker 5k x 20k x 300
+# retrieve and from 117.8 to 112.8 MB on a 6k x 6k semi train, at wall times of
+# 1.73 -> 1.72 s and 2.23 -> 2.14 s (2-CPU VM, medians of ten alternated pairs).
 BLOCK_CELLS = 2_560_000
 
 

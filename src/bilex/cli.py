@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import datetime
 import logging
+import math
 import os
 import resource
 import sys
@@ -112,8 +113,8 @@ def resolve_options(args: argparse.Namespace, schema: dict[str, Option]) -> tupl
 
     Also returns the problems the schema finds: a missing required option, a
     missing input file, a value outside its choices or below its minimum, or
-    one that does not convert (which then takes its default). The command
-    adds its own checks.
+    one that does not convert or is a non-finite float (either then takes its
+    default). The command adds its own checks.
     """
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     out = argparse.Namespace()
@@ -125,6 +126,9 @@ def resolve_options(args: argparse.Namespace, schema: dict[str, Option]) -> tupl
                 value = opt.conv(file_values[key])
             except ValueError as e:
                 errors.append(f"config key {key}: {e}")
+        if isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{_flag(key)} must be finite, got {value}")
+            value = None
         if value is None:
             value = opt.default
         setattr(out, key, value)

@@ -6,24 +6,28 @@ for a whole sources x k grid with any number of positives per source. Trees
 are grown with second-order (Newton) leaf values by an exact histogram split
 search (the exact greedy search of XGBoost, Chen & Guestrin 2016): each
 column is binned once per training by its distinct values into its own code
-array, and every node builds three histograms (counts, gradients, hessians)
-per code array directly from its own rows, so every distinct-value cut is
-scored. 0/1 columns that are never 1 in the same row, such as the one-hot POS
-blocks, share one code array (Exclusive Feature Bundling, Ke et al. 2017);
-each member's cut takes its bin as the right side and the node total minus
-that bin as the left. fit_tree writes each training row's leaf value as it
-settles the leaves, and train adds those values to the scores instead of
-running the tree over its own rows again. Each round is a few whole-array
-passes over the (m, k) grid: one lambda batch per positive count, one
-histogram build per node, one MAP trace. Everything is deterministic:
-stable sorts, fixed reduction orders, ties to the lowest feature index /
-candidate position.
+array, and every node builds two histograms (gradients, hessians) per code
+array directly from its own rows, so every distinct-value cut is scored. A
+plain column's cuts follow the bins the node's rows occupy: every bin at the
+root, a boolean mark below it. 0/1 columns that are never 1 in the same row,
+such as the one-hot POS blocks, share one code array (Exclusive Feature
+Bundling, Ke et al. 2017); each member's cut takes its bin as the right side
+and the node total minus that bin as the left, and a bundle also counts its
+rows. fit_tree writes each training row's leaf value as it settles the
+leaves, and train adds those values to the scores instead of running the
+tree over its own rows again. Each round is a few whole-array passes over
+the (m, k) grid: one lambda batch per positive count, one histogram build
+per node, one stable sort of the updated scores that ranks both the round's
+MAP trace and the next round's lambdas. Everything is deterministic: stable
+sorts, fixed reduction orders, ties to the lowest feature index / candidate
+position.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +65,10 @@ class GbdtParams:
             raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        # the range tests above let a NaN or inf through
+        for name in ("min_child_weight", "l2_leaf_reg", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -113,12 +121,13 @@ def rank_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
 
 
-def mean_ap(groups: RankingGroups, scores: np.ndarray) -> float:
+def mean_ap(groups: RankingGroups, scores: np.ndarray, order: np.ndarray | None = None) -> float:
     """Mean AP over the sources that have a positive, each ranked by its row of scores (m, k).
 
-    One row-wise stable sort ranks every source. Each AP is the last entry of
-    a running sum of the precisions at the positive ranks, added in rank order,
-    divided by the source's positives.
+    One row-wise stable sort ranks every source, unless order gives
+    rank_order(scores) already. Each AP is the last entry of a running sum of
+    the precisions at the positive ranks, added in rank order, divided by the
+    source's positives.
     """
     y = groups.labels.astype(np.float64)
     positives = y.sum(axis=1)
@@ -128,7 +137,7 @@ def mean_ap(groups: RankingGroups, scores: np.ndarray) -> float:
         log.debug("mean_ap: %d all-negative groups excluded", skipped)
     if not keep.any():
         return 0.0
-    order = rank_order(np.asarray(scores)[keep])
+    order = rank_order(np.asarray(scores)[keep]) if order is None else order[keep]
     ranked = np.take_along_axis(y[keep], order, axis=1)
     hits = np.cumsum(ranked, axis=1)
     precision = np.where(ranked == 1, hits / np.arange(1, y.shape[1] + 1, dtype=np.float64), 0.0)
@@ -168,7 +177,9 @@ def _pair_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0, 1.0, e) / (1.0 + e)
 
 
-def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def compute_lambdas(
+    scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0, order: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-candidate gradient/hessian of the AP-weighted pairwise objective.
 
     scores and labels are one source's list (k,) or a grid of sources (m, k),
@@ -181,26 +192,32 @@ def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0) 
     when all rows have the same count). Pairs live in (m, P, k) arrays: each
     row's positives against every candidate, with zero off the pairs. A
     positive sums over the whole candidate axis and a negative over the
-    positive axis, so a row's result does not depend on its batch.
+    positive axis, so a row's result does not depend on its batch. order, if
+    given, is rank_order(scores); rows sort independently, so each batch
+    takes its rows of it.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.ndim == 1:
-        g, h = compute_lambdas(s[None, :], y[None, :], sigma)
+        g, h = compute_lambdas(s[None, :], y[None, :], sigma, None if order is None else order[None, :])
         return g[0], h[0]
+    if order is None:
+        order = rank_order(s)
     n_pos = (y == 1).sum(axis=1)
     counts = np.unique(n_pos)
     if counts.size <= 1:
-        return _batch_lambdas(s, y, int(counts.max(initial=0)), sigma)
+        return _batch_lambdas(s, y, order, int(counts.max(initial=0)), sigma)
     g, h = np.empty_like(s), np.empty_like(s)
     for count in counts.tolist():
         rows = np.flatnonzero(n_pos == count)
-        g[rows], h[rows] = _batch_lambdas(s[rows], y[rows], count, sigma)
+        g[rows], h[rows] = _batch_lambdas(s[rows], y[rows], order[rows], count, sigma)
     return g, h
 
 
-def _batch_lambdas(s: np.ndarray, y: np.ndarray, count: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """compute_lambdas over a batch of rows (m, k) that each hold count positives."""
+def _batch_lambdas(
+    s: np.ndarray, y: np.ndarray, order: np.ndarray, count: int, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """compute_lambdas over a batch of rows (m, k) that each hold count positives, ranked by order."""
     m, k = s.shape
     row = np.arange(m)[:, None]
     slots = (np.flatnonzero(y == 1) % k).reshape(m, count)  # each row's positive candidates, ascending
@@ -208,7 +225,6 @@ def _batch_lambdas(s: np.ndarray, y: np.ndarray, count: int, sigma: float) -> tu
 
     # flat offsets of each row's cells: flat gathers and scatters are several times as fast as 2-d ones
     at = row * k
-    order = rank_order(s)
     rank_of = np.empty(m * k, dtype=np.intp)
     rank_of[order + at] = np.arange(1, k + 1)
     rank_of = rank_of.reshape(m, k)
@@ -256,12 +272,12 @@ class _BinnedColumns:
             column = X[:, f]
             if (column == column[:1]).all():  # constant, found without sorting it
                 continue
-            distinct, inverse = np.unique(column, return_inverse=True)
-            if distinct.size < 2:  # all NaN
+            ones = column == 1.0
+            if (ones | (column == 0.0)).all():  # 0/1 and not constant, also found without sorting it
+                flags.append((f, ones))
                 continue
-            if distinct.size == 2 and distinct[0] == 0.0 and distinct[1] == 1.0:
-                flags.append((f, inverse == 1))
-            else:
+            distinct, inverse = np.unique(column, return_inverse=True)
+            if distinct.size > 1:  # else all NaN
                 self.plain.append((f, distinct, inverse))
         groups: list[tuple[list[int], np.ndarray]] = []  # (positions in flags, rows holding a 1)
         for i, (_, ones) in enumerate(flags):
@@ -287,44 +303,65 @@ class _BinnedColumns:
 def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
     """Best (feature, threshold) of a node, or None.
 
-    g_rows and h_rows are g[rows] and h[rows]. Each code array gives three
-    histograms over the node's rows (counts, gradients, hessians). In a plain
-    column a cut goes after each non-empty bin that has a later non-empty
-    bin, at the midpoint of the two values, and its left sums accumulate in
-    bin order. A bundle member's cut is at 0.5: its bin is the right side,
+    g_rows and h_rows are g[rows] and h[rows]. Each code array gives a
+    gradient and a hessian histogram over the node's rows. In a plain column
+    a cut goes after each occupied bin that has a later occupied bin, at the
+    midpoint of the two values, and its left sums accumulate in bin order; at
+    the root every bin is occupied, since the bins are the distinct values of
+    every row. A bundle member's cut is at 0.5: its bin is the right side,
     and the left side is the node total minus it. Gains tie to the lowest
     feature index, then the lowest threshold.
     """
     parent = G * G / (H + lam) if H + lam > 0 else 0.0
     whole = rows.size == bins.n_rows  # the root: every row, in order
+    # HL >= mcw and lam >= 0 give HL + lam >= mcw + lam under rounding, so both sides' denominators are
+    # positive whenever mcw + lam is; only when both are 0 must each side's hessian sum be tested
+    bare = mcw + lam == 0
 
-    def first_best(GL, HL, ok=True) -> tuple[int, float]:
-        """Position and gain of the first best of one code array's cuts."""
-        GR, HR = G - GL, H - HL
-        dl, dr = HL + lam, HR + lam
-        valid = (HL >= mcw) & (HR >= mcw) & (dl > 0) & (dr > 0) & ok
-        # 0.5 * (GL^2 / dl + GR^2 / dr - parent), in place on fresh arrays
+    def first_best(GL, HL, ok=None) -> tuple[int, float]:
+        """Position and gain of the first best of one code array's cuts; GL and HL are fresh and overwritten."""
+        HR = H - HL
+        if bare:
+            valid = HL > 0
+            valid &= HR > 0
+        else:
+            valid = HL >= mcw
+            valid &= HR >= mcw
+        if ok is not None:
+            valid &= ok
+        # 0.5 * (GL^2 / (HL + lam) + GR^2 / (HR + lam) - parent), in place; a NaN sum fails the tests above
         with np.errstate(divide="ignore", invalid="ignore"):
-            gains = GL * GL
-            gains /= dl
+            GR = G - GL
             GR *= GR
-            GR /= dr
-            gains += GR
-            gains -= parent
-            gains *= 0.5
-        gains[~valid] = -np.inf
-        i = int(np.argmax(gains))
-        return i, float(gains[i])
+            HR += lam
+            GR /= HR
+            GL *= GL
+            HL += lam
+            GL /= HL
+            GL += GR
+            GL -= parent
+            GL *= 0.5
+        np.copyto(GL, -np.inf, where=~valid)
+        i = int(np.argmax(GL))
+        return i, float(GL[i])
 
     cuts = []  # the first best cut of each code array: (gain, feature, lo, hi)
     for f, values, codes in bins.plain:
-        code = codes if whole else codes[rows]
-        nz = np.flatnonzero(np.bincount(code, minlength=values.size))
-        if nz.size > 1:
-            GL = np.cumsum(np.bincount(code, weights=g_rows, minlength=values.size)[nz[:-1]])
-            HL = np.cumsum(np.bincount(code, weights=h_rows, minlength=values.size)[nz[:-1]])
-            i, gain = first_best(GL, HL)
-            cuts.append((gain, f, values[nz[i]], values[nz[i + 1]]))
+        if whole:
+            code, ends = codes, slice(-1)
+        else:
+            code = codes[rows]
+            occupied = np.zeros(values.size, dtype=bool)
+            occupied[code] = True
+            nz = np.flatnonzero(occupied)
+            if nz.size < 2:
+                continue
+            ends = nz[:-1]
+        GL = np.cumsum(np.bincount(code, weights=g_rows, minlength=values.size)[ends])
+        HL = np.cumsum(np.bincount(code, weights=h_rows, minlength=values.size)[ends])
+        i, gain = first_best(GL, HL)
+        lo, hi = (i, i + 1) if whole else (nz[i], nz[i + 1])
+        cuts.append((gain, f, values[lo], values[hi]))
     for members, codes in bins.bundles:
         code = codes if whole else codes[rows]
         m = members.size
@@ -419,18 +456,25 @@ def fit_tree(
 
 @dataclass
 class FitStats:
-    """Histogram layout and split-search time of one training, for run.log."""
+    """Histogram layout of one training and where its time went, for run.log."""
 
     histogram_columns: int = 0
     bundled_columns: int = 0
+    bin_s: float = 0.0
+    lambda_s: float = 0.0
     split_s: float = 0.0
+    map_s: float = 0.0
 
     def fields(self) -> dict[str, str]:
-        """Plain columns plus bundles, the 0/1 columns folded into bundles, and seconds in fit_tree."""
+        """Plain columns plus bundles, the 0/1 columns folded into bundles, and the seconds spent binning, in
+        compute_lambdas, in fit_tree, and updating and ranking the scores for the MAP trace."""
         return {
             "histogram_columns": str(self.histogram_columns),
             "bundled_columns": str(self.bundled_columns),
+            "bin_s": f"{self.bin_s:.3f}",
+            "lambda_s": f"{self.lambda_s:.3f}",
             "split_s": f"{self.split_s:.3f}",
+            "map_s": f"{self.map_s:.3f}",
         }
 
 
@@ -445,8 +489,9 @@ def train(
     Sources lacking both a positive and a negative contribute no gradient but
     their rows remain in the pool. At least one mixed source is required.
     Each round adds the leaf values fit_tree wrote for the training rows, so
-    no tree is run over them again. stats, if given, receives the histogram
-    layout and the seconds spent in fit_tree.
+    no tree is run over them again, and sorts the updated scores once: that
+    order ranks the round's MAP trace and the next round's lambdas. stats, if
+    given, receives the histogram layout and the seconds of each part.
     """
     params.validate()
     schema = schema or FeatureSchema()
@@ -458,24 +503,34 @@ def train(
     labels = groups.labels[trainable]
 
     X = groups.features
-    scores = np.zeros(groups.labels.shape)
+    m, k = groups.labels.shape
+    scores = np.zeros((m, k))
+    order = np.broadcast_to(np.arange(k), (m, k))  # rank_order of the all-zero scores
     leaf = np.empty(X.shape[0], dtype=np.float64)
-    bins = _BinnedColumns(X)
     stats = stats if stats is not None else FitStats()
+    start = time.perf_counter()
+    bins = _BinnedColumns(X)
+    stats.bin_s = time.perf_counter() - start
     stats.histogram_columns = len(bins.plain) + len(bins.bundles)
     stats.bundled_columns = sum(members.size for members, _ in bins.bundles)
 
     trees: list[RegressionTree] = []
     trace: list[tuple[int, float]] = []
     for round_no in range(1, params.n_trees + 1):
+        start = time.perf_counter()
         g = np.zeros(scores.shape)
         h = np.zeros(scores.shape)
-        g[trainable], h[trainable] = compute_lambdas(scores[trainable], labels, params.sigma)
-        start = time.perf_counter()
+        ranked, order = order[trainable], None  # the whole grid's order is done with: free it before the batch
+        g[trainable], h[trainable] = compute_lambdas(scores[trainable], labels, params.sigma, ranked)
+        lambdas_done = time.perf_counter()
         trees.append(fit_tree(X, g.ravel(), h.ravel(), params, bins, out=leaf))
-        stats.split_s += time.perf_counter() - start
+        tree_done = time.perf_counter()
         scores += params.learning_rate * leaf.reshape(scores.shape)
-        trace.append((round_no, mean_ap(groups, scores)))
+        order = rank_order(scores)
+        trace.append((round_no, mean_ap(groups, scores, order)))
+        stats.lambda_s += lambdas_done - start
+        stats.split_s += tree_done - lambdas_done
+        stats.map_s += time.perf_counter() - tree_done
 
     model = GbdtModel(
         trees=trees,

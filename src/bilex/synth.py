@@ -9,6 +9,7 @@ stream, so adding one component never shifts another's output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,7 @@ class SynthConfig:
             raise ValueError(f"mean_offset must be >= 0, got {self.mean_offset}")
         if not 0 <= self.hub_count <= self.vocab_n:
             raise ValueError(f"hub_count must be in [0, {self.vocab_n}], got {self.hub_count}")
-        if abs(sum(self.pos_distribution.values()) - 1.0) > 1e-9:
+        if not abs(sum(self.pos_distribution.values()) - 1.0) <= 1e-9:  # a NaN fails too
             raise ValueError("pos_distribution probabilities must sum to 1")
         for tag in self.pos_distribution:
             if tag not in ALL_TAGS:
@@ -78,6 +79,10 @@ class SynthConfig:
             raise ValueError(f"pos_match_prob must be in [0, 1], got {self.pos_match_prob}")
         if self.rank_jitter < 0:
             raise ValueError(f"rank_jitter must be >= 0, got {self.rank_jitter}")
+        # the range tests above let a NaN or inf through
+        for name in ("noise_sigma", "zipf_exponent", "rank_jitter", "mean_offset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass

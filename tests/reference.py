@@ -5,7 +5,10 @@ column by column, apply_mask what it zeroes for an ablation, and
 average_precision what ltr.mean_ap computes for a whole grid of groups.
 mutual_pairs_two_passes mines mutual nearest neighbors with a second top-1
 retrieval from the target side, which retrieval.retrieve_topk's back argmax
-replaces.
+replaces. _best_split_at and fit_tree are ltr's split search as it was before
+it dropped its count histograms and redundant mask passes: three histograms
+per code array at every node, the root included, and every cut tested for
+positive denominators.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from bilex.corpus import FrequencyTable, PosTable, TranslationDictionary
 from bilex.features import N_FEATURES, FeatureSchema
+from bilex.ltr import GbdtParams, RegressionTree, _BinnedColumns
 from bilex.retrieval import NeighborhoodMeans, SimilarityParams, retrieve_topk
 
 
@@ -92,3 +96,136 @@ def mutual_pairs_two_passes(src, tgt, k_csls: int, n_threads: int = 1):
     mutual = src_ids[best_s[best_t] == src_ids]
     order = np.lexsort((mutual, -scores[mutual]))
     return [(int(s), int(best_t[s]), float(scores[s])) for s in mutual[order]], best_s
+
+
+def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
+    """Best (feature, threshold) of a node, or None.
+
+    g_rows and h_rows are g[rows] and h[rows]. Each code array gives three
+    histograms over the node's rows (counts, gradients, hessians). In a plain
+    column a cut goes after each non-empty bin that has a later non-empty
+    bin, at the midpoint of the two values, and its left sums accumulate in
+    bin order. A bundle member's cut is at 0.5: its bin is the right side,
+    and the left side is the node total minus it. Gains tie to the lowest
+    feature index, then the lowest threshold.
+    """
+    parent = G * G / (H + lam) if H + lam > 0 else 0.0
+    whole = rows.size == bins.n_rows  # the root: every row, in order
+
+    def first_best(GL, HL, ok=True) -> tuple[int, float]:
+        """Position and gain of the first best of one code array's cuts."""
+        GR, HR = G - GL, H - HL
+        dl, dr = HL + lam, HR + lam
+        valid = (HL >= mcw) & (HR >= mcw) & (dl > 0) & (dr > 0) & ok
+        # 0.5 * (GL^2 / dl + GR^2 / dr - parent), in place on fresh arrays
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = GL * GL
+            gains /= dl
+            GR *= GR
+            GR /= dr
+            gains += GR
+            gains -= parent
+            gains *= 0.5
+        gains[~valid] = -np.inf
+        i = int(np.argmax(gains))
+        return i, float(gains[i])
+
+    cuts = []  # the first best cut of each code array: (gain, feature, lo, hi)
+    for f, values, codes in bins.plain:
+        code = codes if whole else codes[rows]
+        nz = np.flatnonzero(np.bincount(code, minlength=values.size))
+        if nz.size > 1:
+            GL = np.cumsum(np.bincount(code, weights=g_rows, minlength=values.size)[nz[:-1]])
+            HL = np.cumsum(np.bincount(code, weights=h_rows, minlength=values.size)[nz[:-1]])
+            i, gain = first_best(GL, HL)
+            cuts.append((gain, f, values[nz[i]], values[nz[i + 1]]))
+    for members, codes in bins.bundles:
+        code = codes if whole else codes[rows]
+        m = members.size
+        count = np.bincount(code, minlength=m + 1)[:m]
+        GL = G - np.bincount(code, weights=g_rows, minlength=m + 1)[:m]
+        HL = H - np.bincount(code, weights=h_rows, minlength=m + 1)[:m]
+        # a member holding every row of the node has no cut: G - G_t would be a rounding residue
+        i, gain = first_best(GL, HL, (count > 0) & (count < rows.size))
+        cuts.append((gain, int(members[i]), 0.0, 1.0))
+    # a feature's cuts all come from one code array, so the lowest feature wins a tie here
+    gain, f, lo, hi = max(cuts, key=lambda cut: (cut[0], -cut[1]), default=(0.0, -1, 0.0, 0.0))
+    if not gain > 0.0:
+        return None
+    thr = 0.5 * (lo + hi)
+    if thr <= lo:  # midpoint rounded onto lo
+        thr = hi
+    return f, float(thr)
+
+
+def fit_tree(
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    params: GbdtParams,
+    bins: _BinnedColumns | None = None,
+    out: np.ndarray | None = None,
+) -> RegressionTree:
+    """Grow one regression tree by exact histogram gain search.
+
+    Candidate thresholds are midpoints of consecutive distinct values present
+    in the node; gain = 0.5*(GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)).
+    Ties go to the lowest feature index, then the lowest threshold. If out is
+    given, each row's leaf value is written to it, the same floats that
+    tree.predict(X) returns.
+    """
+    n, n_features = X.shape
+    if n == 0:
+        raise ValueError("cannot fit a tree on empty input")
+    lam = params.l2_leaf_reg
+    mcw = params.min_child_weight
+    if bins is None:
+        bins = _BinnedColumns(X)
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(n), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        g_rows, h_rows = g[rows], h[rows]
+        G = float(g_rows.sum())
+        H = float(h_rows.sum())
+        best = None
+        if depth < params.max_depth:
+            best = _best_split_at(bins, g_rows, h_rows, rows, G, H, lam, mcw)
+        if best is None:
+            denom = H + lam
+            value[node] = (-G / denom if denom > 0 else 0.0) + 0.0
+            if out is not None:
+                out[rows] = value[node]
+            continue
+        f, thr = best
+        feature[node] = f
+        threshold[node] = thr
+        sel = X[rows, f] < thr
+        lchild = new_node()
+        rchild = new_node()
+        left[node] = lchild
+        right[node] = rchild
+        stack.append((rchild, rows.compress(~sel), depth + 1))
+        stack.append((lchild, rows.compress(sel), depth + 1))
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )

@@ -1045,6 +1045,35 @@ class TestOptionTables:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,raw", [
+        ("train", "--l2-leaf-reg", "nan"),
+        ("train", "--sigma", "nan"),
+        ("train", "--min-child-weight", "nan"),
+        ("train", "--learning-rate", "inf"),
+        ("synth", "--noise-sigma", "nan"),
+        ("synth", "--zipf-exponent", "nan"),
+        ("synth", "--mean-offset", "inf"),
+        ("synth", "--rank-jitter", "nan"),
+        ("synth", "--test-fraction", "inf"),
+    ])
+    @pytest.mark.parametrize("by_file", [False, True])
+    def test_non_finite_float_exit_2_before_writing(
+        self, world_dir, retrieved_dir, tmp_path, capsys, command, flag, raw, by_file,
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {raw}\n")
+        extra = ["--config", cfg] if by_file else [flag, raw]
+        if command == "train":
+            args = train_args(world_dir, retrieved_dir, out, *extra)
+        else:
+            args = ["synth", "--out-dir", out, "--n", 50, "--dim", 8, *extra]
+        assert run(*args) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite, got {float(raw)}" in err
+        assert err.count("finite") == 1  # refused once, by the option table, not again by the command
+        assert not out.exists()
+
     def test_out_dir_naming_a_file_exit_2_before_writing(self, world_dir, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
@@ -1317,12 +1346,15 @@ class TestRunLogStages:
         fit = stage_fields(log, "fit")
         assert set(fit) == TIMING | {
             "trees", "rows", "trainable_groups", "multi_positive_groups",
-            "histogram_columns", "bundled_columns", "split_s",
+            "histogram_columns", "bundled_columns", "bin_s", "lambda_s", "split_s", "map_s",
         }
         assert fit["trees"] == "6" and fit["rows"] == featurize["rows"]
         # the two one-hot POS blocks are bundles, each of at least two columns
         assert int(fit["bundled_columns"]) >= 4 and int(fit["histogram_columns"]) >= 3
         assert 0.0 < float(fit["split_s"]) <= float(fit["wall_s"])
+        parts = [float(fit[key]) for key in ("bin_s", "lambda_s", "split_s", "map_s")]
+        # disjoint spans inside the stage; each of the five fields is rounded to the millisecond
+        assert min(parts) >= 0.0 and sum(parts) <= float(fit["wall_s"]) + 0.0025
         gold, cands = gold_and_candidates(world_dir / "dict.train.tsv", retrieved_dir / "candidates.tsv")
         trainable = sum(bool(gold[s] & set(cands[s])) for s in gold)  # one target each, ten candidates
         assert fit["trainable_groups"] == str(trainable) and fit["multi_positive_groups"] == "0"

@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bilex.ltr import (
     train,
 )
 from conftest import grid
+import reference
 from reference import average_precision
 
 
@@ -554,6 +556,11 @@ class TestPredictAndPersistence:
         ("learning_rate", -3.0, "learning_rate must be in (0, 1], got -3.0"),
         ("max_depth", 0, "max_depth must be >= 1, got 0"),
         ("sigma", "1", "'<=' not supported"),
+        # json writes these as bare NaN and Infinity, which it also reads
+        ("l2_leaf_reg", float("nan"), "l2_leaf_reg must be finite, got nan"),
+        ("min_child_weight", float("nan"), "min_child_weight must be finite, got nan"),
+        ("sigma", float("nan"), "sigma must be finite, got nan"),
+        ("sigma", float("inf"), "sigma must be finite, got inf"),
     ])
     def test_invalid_params_rejected(self, tmp_path, rng, field, value, message):
         import json
@@ -789,6 +796,31 @@ class TestHistogramSplitOracle:
         assert tree.value[0] == -2.0 / 6.0
 
 
+class TestSplitSearchMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        split_problems(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(0.0, 0.0), (0.25, 1.0), (0.0, 0.5), (1.0, 0.0)]),
+    )
+    def test_same_tree_and_leaf_bits_as_the_reference(self, problem, seed, reg):
+        # non-dyadic gradients, mixed with the g = h = 0 rows of untrainable groups
+        X, _, _, params = problem
+        n = X.shape[0]
+        rng = np.random.default_rng(seed)
+        idle = rng.random(n) < 0.3
+        g = np.where(idle, 0.0, rng.standard_normal(n))
+        h = np.where(idle, 0.0, rng.random(n))
+        mcw, lam = reg
+        params = GbdtParams(max_depth=params.max_depth, min_child_weight=mcw, l2_leaf_reg=lam)
+        out, want_out = np.full(n, np.nan), np.full(n, np.nan)
+        tree = fit_tree(X, g, h, params, out=out)
+        want = reference.fit_tree(X, g, h, params, out=want_out)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
+        assert out.tobytes() == want_out.tobytes()
+
+
 @st.composite
 def flag_matrices(draw):
     """Sparse 0/1 columns, some never 1 in the same row, with a few constant and non-0/1 columns."""
@@ -867,10 +899,13 @@ class TestBundles:
         assert "pos_match" in [FEATURE_NAMES[f] for f, _, _ in bins.plain]
 
         stats = FitStats()
+        start = time.perf_counter()
         train(groups, GbdtParams(n_trees=2), stats=stats)
+        wall = time.perf_counter() - start
         assert stats.histogram_columns == len(varying) - len(want[0]) - len(want[1]) + 2
         assert stats.bundled_columns == len(want[0]) + len(want[1])
-        assert stats.split_s > 0.0
+        parts = [stats.bin_s, stats.lambda_s, stats.split_s, stats.map_s]
+        assert min(parts) > 0.0 and sum(parts) <= wall
 
 
 class TestSplitTieRule:

@@ -118,6 +118,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SynthConfig(vocab_n=10, dim=8, hub_count=11).validate()
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "zipf_exponent", "rank_jitter", "mean_offset", "pos_match_prob"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(vocab_n=10, dim=8, **{field: value}).validate()
+
+    def test_non_finite_pos_share_rejected(self):
+        shares = {"NOUN": float("nan"), "VERB": 1.0}
+        with pytest.raises(ValueError, match="sum to 1"):
+            SynthConfig(vocab_n=10, dim=8, pos_distribution=shares).validate()
+
     def test_split_fraction_validated(self):
         world = gen_bilingual_world(small_cfg())
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import corpus, evaluation, features, ltr, retrieval, synth
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("bilex.cli")  # not __name__, which is "__main__" under python -m: run.log counts "bilex"
 
 # thread settings recorded in run.log as found in the environment
 LOGGED_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -78,7 +78,7 @@ OPTIONAL_INPUT = Option(is_file=True)
 K_CSLS = Option(int, 10, minimum=1)
 TOP_K = Option(int, 50, minimum=1)
 MAX_VOCAB = Option(int, minimum=1)
-THREADS = Option(int, 1, minimum=1)
+THREADS = Option(int, minimum=1)  # unset: one worker per usable CPU (_RunLog.workers)
 SEED = Option(int, 0)
 
 
@@ -219,21 +219,30 @@ class _RunLog:
     code and the error after the stages that finished.
     """
 
-    def __init__(self, out_dir: Path, command: str, threads: int | None = None):
+    def __init__(self, out_dir: Path, command: str):
         self.out_dir = out_dir
         self.t0 = time.perf_counter()
         self.lines: list[str] = [f"command\t{command}", f"started\t{datetime.datetime.now().isoformat()}"]
         self.note("numpy", np.__version__)
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
         self.note("blas", f"{blas.get('name')} {blas.get('version')}")
-        if threads is not None:  # the worker count of a command that runs similarity passes
-            self.note("threads", threads)
         for var in LOGGED_ENV:
             self.note(var, os.environ.get(var, "unset"))
         self.warnings = _WarningCounter()
 
     def note(self, key: str, value) -> None:
         self.lines.append(f"{key}\t{value}")
+
+    def workers(self, requested: int | None) -> int:
+        """One worker per CPU this process may use, or fewer if requested (a larger request is clipped, with a
+        warning), noted with the OpenBLAS thread count every similarity pass runs at."""
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        threads = min(requested or cpus, cpus)
+        if requested and requested > cpus:
+            log.warning("--threads %d: this process may use %d CPUs, so %d workers run", requested, cpus, cpus)
+        self.note("threads", threads)
+        self.note("blas_threads", retrieval.blas_threads())
+        return threads
 
     @contextlib.contextmanager
     def stage(self, name: str, **counts):
@@ -422,20 +431,19 @@ RETRIEVE_SCHEMA = {
 
 def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
     out = _output_dir(opts, errors)
-    with _RunLog(out, "retrieve", opts.threads) as runlog:
+    with _RunLog(out, "retrieve") as runlog:
+        opts.threads = runlog.workers(opts.threads)
         with runlog.stage("load", vectors_parsed=1) as counts:
             src, tgt = _load_spaces(opts, counts)
             counts["vector_rows"] = len(src) + len(tgt)
             seed = corpus.load_dictionary(opts.seed_dict, src.vocab, tgt.vocab) if opts.seed_dict else None
             rows = None if opts.source_words is None else np.array(_read_word_list(opts.source_words, src.vocab))
-        with runlog.stage("align", blas_threads=retrieval.blas_threads(one_thread=True)):
+        with runlog.stage("align"):
             src = _aligned_source(src, tgt, seed)
 
         params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
         n_queries = len(src) if rows is None else len(rows)
-        with runlog.stage(
-            "retrieve", queries=n_queries, top_k=opts.top_k, blas_threads=retrieval.blas_threads(opts.threads > 1)
-        ) as counts:
+        with runlog.stage("retrieve", queries=n_queries, top_k=opts.top_k) as counts:
             stats = retrieval.ScanStats()
             cands, _ = retrieval.retrieve_topk(
                 src, tgt, params, metric=opts.metric, n_threads=opts.threads, rows=rows, stats=stats
@@ -575,7 +583,8 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
     except ValueError as e:
         errors.append(str(e))
     out = _output_dir(opts, errors)
-    with _RunLog(out, "train", opts.threads) as runlog:
+    with _RunLog(out, "train") as runlog:
+        opts.threads = runlog.workers(opts.threads)
         need_vectors = opts.mode == "semi" and opts.n_aug > 0
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
             if need_vectors:
@@ -595,11 +604,7 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             )
 
         if need_vectors:
-            with runlog.stage(
-                "augment",
-                candidate_width=cands.cand_ids.shape[1],
-                blas_threads=retrieval.blas_threads(opts.threads > 1),
-            ) as counts:
+            with runlog.stage("augment", candidate_width=cands.cand_ids.shape[1]) as counts:
                 top1 = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1)
                 top1.validate(len(tgt))  # before Procrustes and the similarity passes
                 # aligned in place: the unaligned matrix is freed before the similarity passes
@@ -768,7 +773,8 @@ def _pca_file(word: str) -> str:
 
 def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
     out = _output_dir(opts, errors)
-    with _RunLog(out, "analyze", opts.threads) as runlog:
+    with _RunLog(out, "analyze") as runlog:
+        opts.threads = runlog.workers(opts.threads)
         need_vectors = opts.words is not None
         with runlog.stage("load", vectors_parsed=int(need_vectors)) as counts:
             if need_vectors:
@@ -787,7 +793,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
             evaluation.write_correlation_grid(grid, opts.pair_label, out / "pos_correlation.tsv")
 
         if need_vectors:
-            with runlog.stage("pca", blas_threads=retrieval.blas_threads(opts.threads > 1)) as counts:
+            with runlog.stage("pca") as counts:
                 src_aligned = _aligned_source(src, tgt, seed)
                 counts["words"] = len(word_ids)
                 params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)

@@ -8,7 +8,7 @@ immutable after construction and are safe to share across threads.
 
 A vector file is read in parts. Its body, the rows after the "<count> <dim>"
 header, is cut at line starts into up to `workers` byte ranges of at least
-MIN_PART_BYTES, one per usable CPU at most. The first part is parsed in this
+MIN_PART_BYTES. The first part is parsed in this
 process straight into the final matrix, and each other one in a forked child
 that writes its unit rows into a shared anonymous mapping of its own (_Slab)
 and sends back, down a pipe, its tokens, row, line and zero-row counts and
@@ -532,11 +532,10 @@ def load_vocabulary(path: str | Path, max_vocab: int | None = None) -> Vocabular
 
 
 def _part_count(workers: int, body_bytes: int) -> int:
-    """Processes to parse a body of body_bytes with: at most workers, one per usable CPU and MIN_PART_BYTES each."""
+    """Processes to parse a body of body_bytes with: at most workers, and MIN_PART_BYTES each."""
     if workers <= 1 or not hasattr(os, "fork"):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(workers, cpus, body_bytes // MIN_PART_BYTES))
+    return max(1, min(workers, body_bytes // MIN_PART_BYTES))
 
 
 def _cut_points(fd: int, start: int, end: int, n: int) -> list[int]:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DataFormatError, atomic_writer
-from .features import FeatureSchema, RankingGroups
+from .features import FEATURE_GROUPS, N_FEATURES, FeatureSchema, RankingGroups
 
 log = logging.getLogger(__name__)
 
@@ -301,7 +301,7 @@ class _BinnedColumns:
 
 
 def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
-    """Best (feature, threshold) of a node, or None.
+    """Best (feature, threshold, gain) of a node, or None.
 
     g_rows and h_rows are g[rows] and h[rows]. Each code array gives a
     gradient and a hessian histogram over the node's rows. In a plain column
@@ -378,7 +378,7 @@ def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
     thr = 0.5 * (lo + hi)
     if thr <= lo:  # midpoint rounded onto lo
         thr = hi
-    return f, float(thr)
+    return f, float(thr), gain
 
 
 def fit_tree(
@@ -388,6 +388,7 @@ def fit_tree(
     params: GbdtParams,
     bins: _BinnedColumns | None = None,
     out: np.ndarray | None = None,
+    stats: FitStats | None = None,
 ) -> RegressionTree:
     """Grow one regression tree by exact histogram gain search.
 
@@ -395,7 +396,8 @@ def fit_tree(
     in the node; gain = 0.5*(GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)).
     Ties go to the lowest feature index, then the lowest threshold. If out is
     given, each row's leaf value is written to it, the same floats that
-    tree.predict(X) returns.
+    tree.predict(X) returns. If stats is given, each split is counted and its
+    gain added at its feature.
     """
     n, n_features = X.shape
     if n == 0:
@@ -435,7 +437,10 @@ def fit_tree(
             if out is not None:
                 out[rows] = value[node]
             continue
-        f, thr = best
+        f, thr, gain = best
+        if stats is not None:
+            stats.splits[f] += 1
+            stats.gain[f] += gain
         feature[node] = f
         threshold[node] = thr
         sel = X[rows, f] < thr
@@ -454,9 +459,15 @@ def fit_tree(
     )
 
 
+# the feature groups that stage.fit credits splits and gain to: the retriever's score, the external scores
+# and the two ablation groups, which together cover every column
+IMPORTANCE_GROUPS = {"csls": (0,), "ext": (1, 2), **FEATURE_GROUPS}
+
+
 @dataclass
 class FitStats:
-    """Histogram layout of one training and where its time went, for run.log."""
+    """Histogram layout of one training, where its time went and which features its trees split on, for
+    run.log."""
 
     histogram_columns: int = 0
     bundled_columns: int = 0
@@ -464,10 +475,17 @@ class FitStats:
     lambda_s: float = 0.0
     split_s: float = 0.0
     map_s: float = 0.0
+    splits: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES, dtype=np.int64))  # per feature
+    gain: np.ndarray = field(default_factory=lambda: np.zeros(N_FEATURES))  # summed over its splits
 
     def fields(self) -> dict[str, str]:
-        """Plain columns plus bundles, the 0/1 columns folded into bundles, and the seconds spent binning, in
-        compute_lambdas, in fit_tree, and updating and ranking the scores for the MAP trace."""
+        """Plain columns plus bundles, the 0/1 columns folded into bundles, the seconds spent binning, in
+        compute_lambdas, in fit_tree, and updating and ranking the scores for the MAP trace, and per group of
+        IMPORTANCE_GROUPS the splits of every tree on its columns and the sum of their gains."""
+        importance = {}
+        for group, columns in IMPORTANCE_GROUPS.items():
+            importance[f"splits_{group}"] = str(self.splits[list(columns)].sum())
+            importance[f"gain_{group}"] = f"{self.gain[list(columns)].sum():.6g}"
         return {
             "histogram_columns": str(self.histogram_columns),
             "bundled_columns": str(self.bundled_columns),
@@ -475,6 +493,7 @@ class FitStats:
             "lambda_s": f"{self.lambda_s:.3f}",
             "split_s": f"{self.split_s:.3f}",
             "map_s": f"{self.map_s:.3f}",
+            **importance,
         }
 
 
@@ -491,7 +510,8 @@ def train(
     Each round adds the leaf values fit_tree wrote for the training rows, so
     no tree is run over them again, and sorts the updated scores once: that
     order ranks the round's MAP trace and the next round's lambdas. stats, if
-    given, receives the histogram layout and the seconds of each part.
+    given, receives the histogram layout, the seconds of each part and each
+    split's feature and gain.
     """
     params.validate()
     schema = schema or FeatureSchema()
@@ -523,7 +543,7 @@ def train(
         ranked, order = order[trainable], None  # the whole grid's order is done with: free it before the batch
         g[trainable], h[trainable] = compute_lambdas(scores[trainable], labels, params.sigma, ranked)
         lambdas_done = time.perf_counter()
-        trees.append(fit_tree(X, g.ravel(), h.ravel(), params, bins, out=leaf))
+        trees.append(fit_tree(X, g.ravel(), h.ravel(), params, bins, out=leaf, stats=stats))
         tree_done = time.perf_counter()
         scores += params.learning_rate * leaf.reshape(scores.shape)
         order = rank_order(scores)

@@ -67,18 +67,16 @@ products column by column for each target's CSLS argmax over sources
 target side. Hubness counts the first columns of a retrieval's candidate
 lists.
 
-One rule sets the OpenBLAS thread count, through numpy's OpenBLAS thread
-controls (_one_blas_thread) when they can be reached and
-OPENBLAS_NUM_THREADS is unset; the previous count is back when the work
-ends. A pass that runs more than one worker (_map_row_blocks with n_threads
-above 1 and more than one block) runs its pool under one OpenBLAS thread.
-On a 2-CPU machine, two workers each on OpenBLAS's default two threads put
-four threads on two cores; stage.retrieve of a 5k x 20k x 300 retrieval
-with two workers took 1.46-1.90 s (CPU 2.9-3.7 s) that way against
-1.39-1.46 s (CPU 2.3-2.6 s) under one OpenBLAS thread, three runs each.
-A single-worker pass leaves the count alone, so its products use every
-CPU. align_procrustes computes its map under one thread too: with two
-threads the 300 x 300 SVD sometimes took about a second instead of a few
+Every similarity pass runs its blocks on n_threads workers (_map_row_blocks)
+under one OpenBLAS thread, through numpy's OpenBLAS thread controls
+(_one_blas_thread) when they can be reached and OPENBLAS_NUM_THREADS is
+unset; the previous count is back when the pass ends. A worker is a CPU. On
+a 2-CPU machine a 5k x 20k x 300 retrieval took 1.39-1.46 s at two workers
+that way, against 1.46-1.90 s with each worker on OpenBLAS's default two
+threads; one worker on those two threads read 1.06-1.82 s, and burnt about
+twice its wall time in CPU as the idle BLAS thread spun between products.
+align_procrustes computes its map under one thread too: with two threads
+the 300 x 300 SVD sometimes took about a second instead of a few
 hundredths, and the map's last bits depended on the thread count. The
 float32 screen's margin holds in any summation order, so no result
 depends on the thread count.
@@ -245,10 +243,8 @@ class ScanStats:
         total of one pass in MB, the product cells of all passes in millions, and the blocks' product
         and selection seconds summed over the workers.
 
-        gemm_s sums wall seconds, not CPU: one worker's products run on all of OpenBLAS's threads,
-        so its gemm_s is their wall time, while a pool runs each product on one thread (see
-        _one_blas_thread). On a 2-CPU VM the same 5k x 20k retrieval read gemm_s 0.55-0.72 s at one
-        worker (two BLAS threads) and 1.2-1.5 s summed at two workers: the same CPU work."""
+        Every product runs on one OpenBLAS thread (_one_blas_thread), so gemm_s, summed over the
+        workers, is also their CPU seconds in the products."""
         rows = max(self.rows, 1)
         return {
             "shortlist_mean": f"{self.columns / rows:.1f}",
@@ -292,18 +288,17 @@ def _map_row_blocks(
     block starts, taken from a pool when a block starts and put back when
     it ends; all are freed when this call returns. Block boundaries depend
     only on the problem shape, not on n_threads, so the concatenated result
-    is identical for any worker count. A pool of more than one worker runs
-    under one OpenBLAS thread (_one_blas_thread); one worker leaves the
-    count alone. stats gets each block's seconds in the product and in fn,
-    the buffers' bytes plus held, the bytes of other state that fn keeps
-    over the pass, and the product's cells.
+    is identical for any worker count. The pool runs under one OpenBLAS
+    thread (_one_blas_thread). stats gets each block's seconds in the
+    product and in fn, the buffers' bytes plus held, the bytes of other
+    state that fn keeps over the pass, and the product's cells.
     """
     n_rows, n_cols = len(A), len(B32)
     width = width or max(n_cols, 1)
     padded = -(-n_cols // width) * width
     block = _block_rows(n_cols)
     spans = [(lo, min(lo + block, n_rows)) for lo in range(0, n_rows, block)]
-    workers = 1 if n_threads <= 1 else min(n_threads, len(spans))
+    workers = max(1, min(n_threads, len(spans)))
     # list.pop and list.append are atomic; at most `workers` blocks run at once
     free = []
     for _ in spans[:workers]:
@@ -327,8 +322,6 @@ def _map_row_blocks(
         finally:
             free.append((sims, pairs))
 
-    if workers <= 1:
-        return [run(span) for span in spans]
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, spans))
 
@@ -854,16 +847,16 @@ def _one_blas_thread():
         set_(before)
 
 
-def blas_threads(one_thread: bool) -> str:
-    """The OpenBLAS thread count of work run under _one_blas_thread (one_thread) or outside it, for run.log.
+def blas_threads() -> str:
+    """The OpenBLAS thread count every similarity pass runs at, for run.log.
 
-    "1" under it, unless OPENBLAS_NUM_THREADS is set; else the library's
-    count; "unknown" without the controls.
+    "1" (_one_blas_thread), unless OPENBLAS_NUM_THREADS is set; else the
+    library's count; "unknown" without the controls.
     """
     controls = _openblas_threads()
     if controls is None:
         return "unknown"
-    return "1" if one_thread and "OPENBLAS_NUM_THREADS" not in os.environ else str(controls[0]())
+    return "1" if "OPENBLAS_NUM_THREADS" not in os.environ else str(controls[0]())
 
 
 def align_procrustes(src: EmbeddingSpace, tgt: EmbeddingSpace, seed: TranslationDictionary) -> np.ndarray:

@@ -854,7 +854,8 @@ class TestParallelLoad:
 
 
 class TestThreadsEnvVar:
-    """The worker count comes from --threads or the threads config key, else 1."""
+    """The worker count comes from --threads or the threads config key, else one per usable CPU, and never
+    exceeds the usable CPUs."""
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_flag_below_one_is_config_error(self, world_dir, retrieved_dir, tmp_path, capsys, value):
@@ -871,16 +872,81 @@ class TestThreadsEnvVar:
         assert "--threads must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_run_log_records_the_worker_count(self, world_dir, retrieved_dir, model_dir, tmp_path):
-        assert kv(retrieved_dir / "run.log")["threads"] == "1"
-        assert kv(model_dir / "run.log")["threads"] == "1"
+    @staticmethod
+    def retrieve(world_dir, out, *extra):
+        """Run retrieve on the shared world as the retrieved_dir fixture does; its run.log by key."""
+        assert run(
+            "retrieve", "--out-dir", out,
+            "--src-emb", world_dir / "embeddings.src.vec", "--tgt-emb", world_dir / "embeddings.tgt.vec",
+            "--seed-dict", world_dir / "dict.train.tsv", "--top-k", 10, "--k-csls", 5, *extra,
+        ) == 0
+        return kv(out / "run.log")
+
+    def test_run_log_records_the_worker_count(self, world_dir, retrieved_dir, model_dir, tmp_path, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        for log in (kv(retrieved_dir / "run.log"), kv(model_dir / "run.log")):
+            assert log["threads"] == str(cpus) and log["blas_threads"] == retrieval.blas_threads()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         words = tmp_path / "words.txt"
         words.write_text("s00003\n")
         assert run(*analyze_args(world_dir, tmp_path / "analyze", "--words", words, "--threads", 2)) == 0
-        log = kv(tmp_path / "analyze" / "run.log")
-        assert log["threads"] == "2"
-        # two workers: their passes run under one OpenBLAS thread
-        assert stage_fields(log, "pca")["blas_threads"] == retrieval.blas_threads(one_thread=True)
+        lines = (tmp_path / "analyze" / "run.log").read_text().splitlines()
+        # one note each: every similarity pass runs at these counts, and no stage repeats them
+        assert [line for line in lines if line.split("\t")[0] in ("threads", "blas_threads")] == [
+            "threads\t2", f"blas_threads\t{retrieval.blas_threads()}",
+        ]
+        assert not any("blas_threads=" in line for line in lines)
+
+    def test_unset_count_is_one_worker_per_usable_cpu(self, world_dir, retrieved_dir, tmp_path, monkeypatch):
+        # 150-row files and one block per pass: three usable CPUs start no process and one pool thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert self.retrieve(world_dir, tmp_path / "affinity")["threads"] == "3"
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert self.retrieve(world_dir, tmp_path / "cpu_count")["threads"] == "5"
+        for out in ("affinity", "cpu_count"):
+            assert (tmp_path / out / "candidates.tsv").read_bytes() == (retrieved_dir / "candidates.tsv").read_bytes()
+
+    def test_request_above_the_usable_cpus_is_clipped(self, world_dir, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 8\n")
+        for name, extra in (("flag", ("--threads", 8)), ("config", ("--config", cfg))):
+            caplog.clear()
+            log = self.retrieve(world_dir, tmp_path / name, *extra)
+            assert log["threads"] == "2" and log["warnings"] == "1"
+            assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+                "--threads 8: this process may use 2 CPUs, so 2 workers run"
+            ]
+        # run as a module, where the warning is counted too
+        out = tmp_path / "module"
+        env = {**os.environ, "PYTHONPATH": str(Path(bilex.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilex.cli", "retrieve", "--out-dir", str(out), "--threads", "4096",
+             "--src-emb", str(world_dir / "embeddings.src.vec"), "--tgt-emb", str(world_dir / "embeddings.tgt.vec")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and "--threads 4096: this process may use" in proc.stderr
+        assert kv(out / "run.log")["warnings"] == "1"
+
+    def test_no_more_parse_parts_than_usable_cpus(self, world_dir, retrieved_dir, tmp_path, monkeypatch):
+        # a fork that fails leaves its part to this process, so counting attempts starts no process
+        monkeypatch.setattr(corpus, "MIN_PART_BYTES", 1)
+        attempts = []
+
+        def no_fork():
+            attempts.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for cpus in (3, 64):
+            attempts.clear()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            log = self.retrieve(world_dir, tmp_path / f"cpus{cpus}", "--threads", 4096)
+            assert log["threads"] == str(cpus) and stage_fields(log, "load")["parse_workers"] == str(cpus)
+            assert len(attempts) == 2 * (cpus - 1)  # each vector file
+            got = (tmp_path / f"cpus{cpus}" / "candidates.tsv").read_bytes()
+            assert got == (retrieved_dir / "candidates.tsv").read_bytes()
 
 
 class TestConfigFile:
@@ -1305,7 +1371,7 @@ class TestRunLogStages:
         log = kv(tmp_path / "run.log")
         augment = stage_fields(log, "augment")
         assert set(augment) == TIMING | {
-            "candidate_width", "blas_threads", "mined_pairs", "retrieved_sources", "shortlist_mean", "shortlist_max",
+            "candidate_width", "mined_pairs", "retrieved_sources", "shortlist_mean", "shortlist_max",
             "rescored_mean", "back_rescored", "buffer_mb", "product_mcells", "gemm_s", "select_s",
         }
         assert augment["candidate_width"] == "10"
@@ -1313,7 +1379,6 @@ class TestRunLogStages:
         assert augment["product_mcells"] == f"{(2 * 150 + int(augment['retrieved_sources'])) * 150 / 1e6:.3f}"
         # at least one pair per target
         assert int(augment["back_rescored"]) >= 150
-        assert augment["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert 0 < float(augment["shortlist_mean"]) <= int(augment["shortlist_max"]) <= 150
         # every selection rescores at least its k pairs per row (k = 1 for the mining passes)
         assert 1 <= float(augment["rescored_mean"]) <= float(augment["shortlist_mean"])
@@ -1347,6 +1412,7 @@ class TestRunLogStages:
         assert set(fit) == TIMING | {
             "trees", "rows", "trainable_groups", "multi_positive_groups",
             "histogram_columns", "bundled_columns", "bin_s", "lambda_s", "split_s", "map_s",
+            *(f"{kind}_{group}" for kind in ("splits", "gain") for group in ("csls", "ext", "freq", "pos")),
         }
         assert fit["trees"] == "6" and fit["rows"] == featurize["rows"]
         # the two one-hot POS blocks are bundles, each of at least two columns
@@ -1375,27 +1441,35 @@ class TestRunLogStages:
         stages = [key for key in log if key.startswith("stage.")]
         assert stages == ["stage.load", "stage.featurize", "stage.predict", "stage.report"]
 
+    def test_fit_credits_splits_to_feature_groups(self, world_dir, retrieved_dir, model_dir, tmp_path):
+        assert run(*train_args(world_dir, retrieved_dir, tmp_path, "--no-pos")) == 0
+        for out in (model_dir, tmp_path):
+            fit = stage_fields(kv(out / "run.log"), "fit")
+            trees = json.loads((out / "model.json").read_text())["trees"]
+            split = Counter(f for tree in trees for f in tree["feature"] if f >= 0)
+            for group, columns in ltr.IMPORTANCE_GROUPS.items():
+                assert fit[f"splits_{group}"] == str(sum(split[f] for f in columns))
+                assert (float(fit[f"gain_{group}"]) > 0) == any(split[f] for f in columns)
+        assert int(stage_fields(kv(model_dir / "run.log"), "fit")["splits_pos"]) > 0
+        assert fit["splits_pos"] == "0" and fit["gain_pos"] == "0"
+
     def test_retrieve_mine_analyze_stage_lines(self, world_dir, retrieved_dir, tmp_path):
         log = kv(retrieved_dir / "run.log")
         stages = [key for key in log if key.startswith("stage.")]
         assert stages == ["stage.load", "stage.align", "stage.retrieve", "stage.write", "stage.report"]
         retrieve = stage_fields(log, "retrieve")
         assert set(retrieve) == TIMING | {
-            "queries", "top_k", "blas_threads", "shortlist_mean", "shortlist_max", "rescored_mean", "back_rescored",
+            "queries", "top_k", "shortlist_mean", "shortlist_max", "rescored_mean", "back_rescored",
             "buffer_mb", "product_mcells", "gemm_s", "select_s",
         }
         assert retrieve["queries"] == "150" and retrieve["top_k"] == "10" and retrieve["back_rescored"] == "0"
         assert retrieve["product_mcells"] == f"{2 * 150 * 150 / 1e6:.3f}"  # the means r_T and the top-k pass
-        # one worker: its passes run on the library's own count
-        assert retrieve["blas_threads"] == retrieval.blas_threads(one_thread=False)
         assert 0 < float(retrieve["shortlist_mean"]) <= int(retrieve["shortlist_max"]) <= 150
         # the means at k_csls = 5 and the candidates at top_k = 10 rescore at least k pairs per row
         assert 5 <= float(retrieve["rescored_mean"]) <= float(retrieve["shortlist_mean"])
         assert float(retrieve["buffer_mb"]) > 0
         assert 0 < float(retrieve["gemm_s"]) + float(retrieve["select_s"]) <= float(retrieve["wall_s"]) + 0.002
-        assert set(stage_fields(log, "align")) == TIMING | {"blas_threads"}
-        assert stage_fields(log, "align")["blas_threads"] == retrieval.blas_threads(one_thread=True)
-        for name in ("write", "report"):
+        for name in ("align", "write", "report"):
             assert set(stage_fields(log, name)) == TIMING
 
         assert run(
@@ -1419,8 +1493,7 @@ class TestRunLogStages:
         assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.grid", "stage.pca"]
         assert set(stage_fields(log, "grid")) == TIMING
         pca = stage_fields(log, "pca")
-        assert set(pca) == TIMING | {"words", "blas_threads"} and pca["words"] == "2"
-        assert pca["blas_threads"] == retrieval.blas_threads(one_thread=False)
+        assert set(pca) == TIMING | {"words"} and pca["words"] == "2"
         assert run(*analyze_args(world_dir, tmp_path / "grid")) == 0
         log = kv(tmp_path / "grid" / "run.log")
         assert [key for key in log if key.startswith("stage.")] == ["stage.load", "stage.grid"]
@@ -1568,6 +1641,8 @@ class TestInputFaults:
                 argv += ["--model", paths["model"]]
             if kind == "vec":
                 argv += ["--threads", parts, "--top-k", 5, "--k-csls", 3]
+            elif command in ("retrieve", "analyze"):
+                argv += ["--threads", 1]  # the vector files in one part each: only the vec cases fork
             assert run(*argv) == 3
             errors.append([e for e in capsys.readouterr().err.splitlines() if e.startswith("data error")])
             assert [p.name for p in out.iterdir()] == ["run.log"]

@@ -520,28 +520,6 @@ class TestParallelParse:
             load_embeddings(p, None, parts)
         assert len(slabs) == parts - 1 and all(slab.mapping.closed and slab.rows is None for slab in slabs)
 
-    def test_no_more_parts_than_usable_cpus(self, tmp_path, monkeypatch):
-        # a fork that fails leaves its part to this process, so counting attempts starts no process
-        monkeypatch.setattr(corpus, "MIN_PART_BYTES", 1)
-        attempts = []
-
-        def no_fork():
-            attempts.append(1)
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        p = write(tmp_path / "e.vec", "200 1\n" + "".join(f"w{i} {i + 1}\n" for i in range(200)))
-        one = load_embeddings(p)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        space = load_embeddings(p, None, 4096)
-        assert len(attempts) == cpus - 1
-        assert space.parse_workers == cpus and space.matrix.tobytes() == one.matrix.tobytes()
-        attempts.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        space = load_embeddings(p, None, 4096)
-        assert len(attempts) == 63
-        assert space.vocab.words == one.vocab.words and space.matrix.tobytes() == one.matrix.tobytes()
-
     def test_one_part_without_fork(self, tmp_path, monkeypatch):
         monkeypatch.setattr(corpus, "MIN_PART_BYTES", 1)
         monkeypatch.delattr(os, "fork", raising=False)
@@ -549,7 +527,6 @@ class TestParallelParse:
         assert load_embeddings(p, None, 4).parse_workers == 1
 
     def test_large_parts_only(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         p = write(tmp_path / "e.vec", "6 2\n" + SIX_ROWS)  # 36 bytes of rows
         monkeypatch.setattr(corpus, "MIN_PART_BYTES", 13)
         assert load_embeddings(p, None, 8).parse_workers == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bilex.corpus import DataFormatError
 from bilex.features import FEATURE_NAMES, N_FEATURES, FeatureSchema, build_groups
 from bilex.ltr import (
+    IMPORTANCE_GROUPS,
     FitStats,
     GbdtParams,
     RegressionTree,
@@ -924,6 +925,28 @@ class TestSplitTieRule:
         X = np.column_stack([np.zeros(40), x, x])
         tree = fit_tree(X, rng.standard_normal(40), np.ones(40), GbdtParams(max_depth=3, min_child_weight=0.0))
         assert set(tree.feature[tree.feature >= 0].tolist()) == {1}
+
+
+class TestSplitImportance:
+    @pytest.mark.parametrize("group, column", [("csls", 0), ("ext", 1), ("freq", 5), ("pos", 9)])
+    def test_the_only_group_that_can_split_gets_every_split(self, rng, group, column):
+        labels = np.zeros((30, 5), dtype=np.int8)
+        labels[np.arange(30), rng.integers(0, 5, 30)] = 1
+        features = np.zeros((150, N_FEATURES))
+        values = labels.ravel() + 0.5 * rng.standard_normal(150)
+        features[:, column] = values > 0.5 if group == "pos" else values  # a 0/1 column for the POS block
+        stats = FitStats()
+        model, _ = train(grid(labels, features), GbdtParams(n_trees=4, max_depth=2, min_child_weight=0.0), stats=stats)
+        split = np.concatenate([tree.feature[tree.feature >= 0] for tree in model.trees])
+        assert split.size > 0 and (split == column).all()
+        np.testing.assert_array_equal(stats.splits, np.bincount(split, minlength=N_FEATURES))
+        fields = stats.fields()
+        for other in IMPORTANCE_GROUPS:
+            assert fields[f"splits_{other}"] == (str(split.size) if other == group else "0")
+            assert (float(fields[f"gain_{other}"]) > 0) == (other == group)
+        assert sorted(np.concatenate([list(c) for c in IMPORTANCE_GROUPS.values()]).tolist()) == list(
+            range(N_FEATURES)
+        )
 
 
 class TestPredictGroups:

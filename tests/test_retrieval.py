@@ -778,7 +778,7 @@ class TestProcrustes:
                 assert get() == threads
             # a set variable leaves BLAS alone: the SVD runs on 2 threads, and its last bits depend on that
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-            assert retrieval.blas_threads(one_thread=True) == "2"
+            assert retrieval.blas_threads() == "2"
             left_alone = align_procrustes(src, tgt, seed)
         finally:
             set_(before)
@@ -794,7 +794,7 @@ class TestProcrustes:
             set_(2)
             with pytest.raises(ZeroDivisionError):
                 with retrieval._one_blas_thread():
-                    assert get() == 1 and retrieval.blas_threads(one_thread=True) == "1"
+                    assert get() == 1 and retrieval.blas_threads() == "1"
                     1 / 0
             assert get() == 2
         finally:
@@ -809,7 +809,7 @@ class TestProcrustes:
 
 @pytest.mark.skipif(retrieval._openblas_threads() is None, reason="numpy's OpenBLAS thread controls not found")
 class TestPoolBlasThreads:
-    """A pool of more than one worker runs under one OpenBLAS thread; one worker leaves the count alone."""
+    """Every pass, at any worker count, runs under one OpenBLAS thread, and the count comes back after it."""
 
     @pytest.fixture
     def get(self, monkeypatch):
@@ -830,7 +830,7 @@ class TestPoolBlasThreads:
     def test_workers_run_under_one_thread_and_the_count_comes_back(self, get):
         assert self.seen(get, 32 * 6, 2) == [1] * 6
         assert get() == 2
-        assert retrieval.blas_threads(one_thread=True) == "1" and retrieval.blas_threads(one_thread=False) == "2"
+        assert retrieval.blas_threads() == "1"
 
     def test_the_count_comes_back_when_a_block_raises(self, get):
         def fail(lo, hi, out, pairs):
@@ -841,16 +841,16 @@ class TestPoolBlasThreads:
             retrieval._map_row_blocks(fail, *operands(32 * 6, 50), 2)
         assert get() == 2
 
-    def test_one_worker_leaves_the_count_alone(self, get):
-        with mock.patch.object(retrieval, "_one_blas_thread", side_effect=AssertionError("count changed")):
-            assert self.seen(get, 32 * 6, 1) == [2] * 6  # one worker, several blocks
-            assert self.seen(get, 20, 2) == [2]  # two workers, one block: no pool starts
+    def test_one_worker_runs_under_one_thread_too(self, get):
+        assert self.seen(get, 32 * 6, 1) == [1] * 6  # one worker, several blocks
+        assert self.seen(get, 20, 2) == [1]  # two workers, one block: a pool of one
         assert get() == 2
 
     def test_a_set_variable_wins(self, get, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         assert self.seen(get, 32 * 6, 2) == [2] * 6
-        assert retrieval.blas_threads(one_thread=True) == "2"
+        assert self.seen(get, 32 * 6, 1) == [2] * 6
+        assert retrieval.blas_threads() == "2"
 
 
 class TestBlockShape:

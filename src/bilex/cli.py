@@ -729,6 +729,9 @@ def cmd_eval(opts: argparse.Namespace, errors: list[str]) -> int:
                 ("n_eval", report.n_eval),
                 ("p_at_1", f"{report.p_at_1:.6f}"),
                 ("p_at_1_x100", f"{report.p_at_1 * 100:.2f}"),
+                ("p_at_1_retriever", f"{report.p_at_1_retriever:.6f}"),
+                ("ranker_fixed", report.ranker_fixed),
+                ("ranker_broke", report.ranker_broke),
                 ("gold_missed", report.gold_missed),
                 ("mix", "none" if opts.mix is None else repr(opts.mix)),
                 ("errors_only", int(opts.errors_only)),
@@ -741,6 +744,7 @@ def cmd_eval(opts: argparse.Namespace, errors: list[str]) -> int:
             records = evaluation.explain_predictions(groups, scores, src_vocab, tgt_vocab, freq_src, freq_tgt, pos_src, pos_tgt)
             evaluation.write_explanations(records, out / "explanations.tsv")
         runlog.note("p_at_1", f"{report.p_at_1:.6f}")
+        runlog.note("p_at_1_retriever", f"{report.p_at_1_retriever:.6f}")
     return 0
 
 

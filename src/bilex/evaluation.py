@@ -29,6 +29,9 @@ class FreqDiffStats:
 @dataclass
 class EvalReport:
     p_at_1: float
+    p_at_1_retriever: float  # the same sources ranked by the retriever's csls score
+    ranker_fixed: int  # sources the retriever gets wrong and the scores right
+    ranker_broke: int  # sources the retriever gets right and the scores wrong
     n_eval: int
     gold_missed: int
     per_pos: dict[str, tuple[int, float]]
@@ -229,8 +232,13 @@ def build_eval_report(
     pos_src: PosTable,
     errors_only: bool = False,
 ) -> EvalReport:
+    p_at_1 = precision_at_1(groups, scores)
+    hits, retriever_hits = _top1(groups, scores)[1], _top1(groups, groups.csls)[1]
     return EvalReport(
-        p_at_1=precision_at_1(groups, scores),
+        p_at_1=p_at_1,
+        p_at_1_retriever=int(retriever_hits.sum()) / len(groups),
+        ranker_fixed=int((hits & ~retriever_hits).sum()),
+        ranker_broke=int((retriever_hits & ~hits).sum()),
         n_eval=len(groups),
         gold_missed=int(groups.gold_missed.sum()),
         per_pos=per_pos_accuracy(groups, scores, pos_src),

@@ -12,15 +12,22 @@ plain column's cuts follow the bins the node's rows occupy: every bin at the
 root, a boolean mark below it. 0/1 columns that are never 1 in the same row,
 such as the one-hot POS blocks, share one code array (Exclusive Feature
 Bundling, Ke et al. 2017); each member's cut takes its bin as the right side
-and the node total minus that bin as the left, and a bundle also counts its
-rows. fit_tree writes each training row's leaf value as it settles the
-leaves, and train adds those values to the scores instead of running the
-tree over its own rows again. Each round is a few whole-array passes over
-the (m, k) grid: one lambda batch per positive count, one histogram build
-per node, one stable sort of the updated scores that ranks both the round's
-MAP trace and the next round's lambdas. Everything is deterministic: stable
-sorts, fixed reduction orders, ties to the lowest feature index / candidate
-position.
+and the node total minus that bin as the left. fit_tree first rounds each
+tree's gradients and hessians to a dyadic grid, multiples of 2^-e with e as
+large as keeps the sum of their magnitudes below 2^51 grid steps (as in
+quantized GBDT training, Shi et al. 2022): every partial sum is then an
+integer count of steps below 2^53, so every histogram, prefix sum, node
+total and difference of them is exact in float64, in any summation order. A
+member that holds every row of a node, or none, gains exactly 0, and a
+column and its reversed mirror gain the same bits, so ties go to the lowest
+feature index by construction. fit_tree writes each training row's leaf
+value as it settles the leaves, and train adds those values to the scores
+instead of running the tree over its own rows again. Each round is a few
+whole-array passes over the (m, k) grid: one lambda batch per positive
+count, one histogram build per node, one stable sort of the updated scores
+that ranks both the round's MAP trace and the next round's lambdas.
+Everything is deterministic: stable sorts, fixed reduction orders, ties to
+the lowest feature index / candidate position.
 """
 
 from __future__ import annotations
@@ -260,8 +267,8 @@ class _BinnedColumns:
     1 in the same row are bundled (Exclusive Feature Bundling, Ke et al.
     2017): taken in column order, each joins the first bundle it shares no 1
     with. A bundle's code of a row is the position of the member holding the
-    1 there, or the member count when none does. A bundle of one column stays
-    a plain column. Constant columns get no codes and never split.
+    1 there, or the member count when none does. Constant columns get no
+    codes and never split.
     """
 
     def __init__(self, X: np.ndarray):
@@ -290,10 +297,6 @@ class _BinnedColumns:
                 taken |= ones
         self.bundles: list[tuple[np.ndarray, np.ndarray]] = []  # (member features, codes)
         for members, _ in groups:
-            if len(members) == 1:
-                f, ones = flags[members[0]]
-                self.plain.append((f, np.array([0.0, 1.0]), ones.astype(np.intp)))
-                continue
             codes = np.full(self.n_rows, len(members), dtype=np.intp)
             for t, i in enumerate(members):
                 codes[flags[i][1]] = t
@@ -309,16 +312,17 @@ def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
     midpoint of the two values, and its left sums accumulate in bin order; at
     the root every bin is occupied, since the bins are the distinct values of
     every row. A bundle member's cut is at 0.5: its bin is the right side,
-    and the left side is the node total minus it. Gains tie to the lowest
-    feature index, then the lowest threshold.
+    and the left side is the node total minus it; a member holding every row
+    of the node, or none, gains exactly 0. Gains tie to the lowest feature
+    index, then the lowest threshold.
     """
     parent = G * G / (H + lam) if H + lam > 0 else 0.0
     whole = rows.size == bins.n_rows  # the root: every row, in order
-    # HL >= mcw and lam >= 0 give HL + lam >= mcw + lam under rounding, so both sides' denominators are
-    # positive whenever mcw + lam is; only when both are 0 must each side's hessian sum be tested
+    # HL >= mcw and lam >= 0 give HL + lam >= mcw + lam, so both sides' denominators are positive whenever
+    # mcw + lam is; only when both are 0 must each side's hessian sum be tested
     bare = mcw + lam == 0
 
-    def first_best(GL, HL, ok=None) -> tuple[int, float]:
+    def first_best(GL, HL) -> tuple[int, float]:
         """Position and gain of the first best of one code array's cuts; GL and HL are fresh and overwritten."""
         HR = H - HL
         if bare:
@@ -327,8 +331,6 @@ def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
         else:
             valid = HL >= mcw
             valid &= HR >= mcw
-        if ok is not None:
-            valid &= ok
         # 0.5 * (GL^2 / (HL + lam) + GR^2 / (HR + lam) - parent), in place; a NaN sum fails the tests above
         with np.errstate(divide="ignore", invalid="ignore"):
             GR = G - GL
@@ -365,11 +367,9 @@ def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
     for members, codes in bins.bundles:
         code = codes if whole else codes[rows]
         m = members.size
-        count = np.bincount(code, minlength=m + 1)[:m]
         GL = G - np.bincount(code, weights=g_rows, minlength=m + 1)[:m]
         HL = H - np.bincount(code, weights=h_rows, minlength=m + 1)[:m]
-        # a member holding every row of the node has no cut: G - G_t would be a rounding residue
-        i, gain = first_best(GL, HL, (count > 0) & (count < rows.size))
+        i, gain = first_best(GL, HL)
         cuts.append((gain, int(members[i]), 0.0, 1.0))
     # a feature's cuts all come from one code array, so the lowest feature wins a tie here
     gain, f, lo, hi = max(cuts, key=lambda cut: (cut[0], -cut[1]), default=(0.0, -1, 0.0, 0.0))
@@ -379,6 +379,17 @@ def _best_split_at(bins: _BinnedColumns, g_rows, h_rows, rows, G, H, lam, mcw):
     if thr <= lo:  # midpoint rounded onto lo
         thr = hi
     return f, float(thr), gain
+
+
+def _on_grid(x: np.ndarray) -> np.ndarray:
+    """x rounded to the nearest multiples of 2^-e, e = 52 - frexp(sum |x|)[1] - 1.
+
+    The magnitudes then sum to less than 2^51 steps of 2^-e, plus half a step
+    per value for the rounding, so every partial sum of any subset, in any
+    order, is an integer count of steps below 2^53: exact in float64.
+    """
+    e = 52 - math.frexp(float(np.abs(x).sum()))[1] - 1
+    return np.ldexp(np.rint(np.ldexp(x, e)), -e)
 
 
 def fit_tree(
@@ -392,8 +403,10 @@ def fit_tree(
 ) -> RegressionTree:
     """Grow one regression tree by exact histogram gain search.
 
-    Candidate thresholds are midpoints of consecutive distinct values present
-    in the node; gain = 0.5*(GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)).
+    g and h are first rounded to their dyadic grids (_on_grid), so every sum
+    the search takes is exact. Candidate thresholds are midpoints of
+    consecutive distinct values present in the node;
+    gain = 0.5*(GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)).
     Ties go to the lowest feature index, then the lowest threshold. If out is
     given, each row's leaf value is written to it, the same floats that
     tree.predict(X) returns. If stats is given, each split is counted and its
@@ -406,6 +419,7 @@ def fit_tree(
     mcw = params.min_child_weight
     if bins is None:
         bins = _BinnedColumns(X)
+    g, h = _on_grid(g), _on_grid(h)
 
     feature: list[int] = []
     threshold: list[float] = []

@@ -552,10 +552,10 @@ class _BackArgmax:
         out[self.ids] = self.query
 
 
-def _topk_desc_full(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _topk_desc_full(scores: np.ndarray, k: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise top-k by descending score over whole rows, ties broken by
     ascending id; the selection rule that _topk_desc_rows applies. ids
-    gives each score's id (default: its column).
+    gives each score's id.
 
     A row with more than k values at or above its k-th (a tie across the
     boundary) takes those above it, then the lowest ids of those equal to
@@ -570,12 +570,9 @@ def _topk_desc_full(scores: np.ndarray, k: int, ids: np.ndarray | None = None) -
     tied, bound = scores[over], boundary[over, None]
     # rank 0 above the boundary, 1 on it, 2 below; ids ascending within each
     rank = np.add(tied <= bound, tied < bound, dtype=np.int8)
-    if ids is None:  # a stable sort keeps columns ascending
-        chosen[over] = np.argsort(rank, axis=1, kind="stable")[:, :k]
-    else:
-        chosen[over] = np.lexsort((ids[over], rank), axis=1)[:, :k]
+    chosen[over] = np.lexsort((ids[over], rank), axis=1)[:, :k]
     vals = np.take_along_axis(scores, chosen, axis=1)
-    order = np.lexsort((chosen if ids is None else np.take_along_axis(ids, chosen, axis=1), -vals), axis=1)
+    order = np.lexsort((np.take_along_axis(ids, chosen, axis=1), -vals), axis=1)
     return np.take_along_axis(chosen, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 

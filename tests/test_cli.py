@@ -460,6 +460,19 @@ class TestEval:
         # the report rounds to six decimals
         assert float(report["p_at_1"]) == pytest.approx(hits / len(gold), abs=1e-6)
 
+    def test_mix_zero_ranks_as_the_retriever_does(self, world_dir, retrieved_dir, model_dir, tmp_path):
+        assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path, "--mix", 0)) == 0
+        report = kv(tmp_path / "eval_report.txt")
+        assert report["p_at_1"] == report["p_at_1_retriever"]
+        assert report["ranker_fixed"] == report["ranker_broke"] == "0"
+        assert kv(tmp_path / "run.log")["p_at_1_retriever"] == report["p_at_1_retriever"]
+
+    def test_fixed_minus_broke_is_the_p_at_1_gain(self, world_dir, retrieved_dir, model_dir, tmp_path):
+        assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path)) == 0
+        report = kv(tmp_path / "eval_report.txt")
+        n, fixed, broke = (int(report[key]) for key in ("n_eval", "ranker_fixed", "ranker_broke"))
+        assert fixed - broke == round((float(report["p_at_1"]) - float(report["p_at_1_retriever"])) * n)
+
     def test_perfect_world_reports_p1_of_one(self, tmp_path):
         # noise-free rotated world: the gold candidate is an exact match,
         # so the trained ranker has a fully separable signal
@@ -473,6 +486,7 @@ class TestEval:
         assert run(*train_args(world, ret, model, "--n-trees", 30)) == 0
         assert run(*eval_args(world, ret, model, ev)) == 0
         assert kv(ev / "eval_report.txt")["p_at_1"] == "1.000000"
+        assert kv(ev / "eval_report.txt")["ranker_broke"] == "0"
 
     def test_bare_mix_flag_defaults_to_half(self, world_dir, retrieved_dir, model_dir, tmp_path):
         assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path, "--mix")) == 0
@@ -703,16 +717,16 @@ PINNED_OUTPUTS = {
         'analyze/pca_s00112.tsv': 'd0e0de7de26c7f15f8e8125492b2eb63ec5f43fa3f11a2e1ccf722923e22de2c',
         'analyze/pca_s00125.tsv': '209d33e45ce6763f72061c0f4f4497b8cdb3c9239d34387769f780713ddd6563',
         'analyze/pos_correlation.tsv': '0239d20b382d3b3e95d98bface2a30649ee3c60f5ec68ed4e197d82eff4c7e9e',
-        'eval/eval_report.txt': 'bfb0282ae47756d90a276b2cbc078cfe6876ac153fd50af40448ab0b768029f2',
+        'eval/eval_report.txt': '481760caecb5a79ddd4758c34a1897b7375a2aefa2c2cbcc69140d1b3d693da2',
         'eval/explanations.tsv': '1a2817bf3f64efda22578591e59db3b60f4bc06d9a2f45776c91a60e8735ec4c',
         'eval/per_pos.tsv': '8a15caeff983098ce4c2700547df4ebb5245856d7a4e5bb0bba6863322e01384',
         'retrieve/candidates.tsv': 'd00a0bc7329949377426a4341ebf21f2f7bb1ac7a699f298426d32f52d5ed5de',
         'retrieve/retrieval_report.txt': 'efce9d4de5284e15646da42272af47074f3c05bb79885d579c7e95ce675c33d7',
         'scoped/candidates.tsv': '4118b96a164ff2a21b01b4dbd10b660a6d7bb64a7dafa7a6f346a48d4361611b',
         'scoped/retrieval_report.txt': 'ce58bb7cf913b099a3c84da3e4ba5de1511113933f27936e758dc98a3b92b821',
-        'semi/model.json': '9eb487d8106d90174fc14a4abe669c079234a073f46f733a033f3360825846e7',
+        'semi/model.json': 'c08fa9f270789db908e33a1df625bb1498c707ebf921d5b5343a190f5eb4fa3c',
         'semi/train_trace.tsv': 'ddf8ed492c7dab23c965f19210f6f84ef8bf723c7f00562c0f112f6d29f01b8c',
-        'train/model.json': 'd0533ba706bb44b1499870457ac6a18524c26327dc0077a5425aecf658b975d7',
+        'train/model.json': '6de510736abc015b16421aafba12788f7dcd4f68086a3b8c65e1b8af1c5dbdc8',
         'train/train_trace.tsv': '36a6a0232847028b6edf41b467825e2017c04e62b95eb8e75b6793f2012f2409',
         'world/dict.full.tsv': '64102459cc99886e0be9e723f0c9098a05573c8953ba2c37263c68b076f2e891',
         'world/dict.test.tsv': 'bfe6a53fca7bef815339a5ff2aa53db042c5a9d395ba88bc8796d305342bb4cf',

@@ -20,7 +20,8 @@ from bilex.evaluation import (
     precision_at_1,
     spearman,
 )
-from bilex.ltr import rank_order
+from bilex.features import N_FEATURES
+from bilex.ltr import combine_with_retriever, rank_order
 from conftest import grid
 
 
@@ -319,3 +320,16 @@ class TestExplainAndReport:
         assert report.n_eval == 2
         assert 0.0 <= report.p_at_1 <= 1.0
         assert sum(n for n, _ in report.per_pos.values()) == report.n_eval
+
+    def test_report_sets_the_retriever_beside_the_scores(self):
+        sv, tv, fs, ft, ps, pt, dic, _, scores = self.make_world()
+        # csls ranks the second candidate first in both groups: wrong in the first, right in the second; the
+        # scores rank the first candidate first: right in the first, wrong in the second
+        features = np.zeros((4, N_FEATURES))
+        features[:, 0] = [0.1, 0.9, 0.1, 0.9]
+        groups = grid([[1, 0], [0, 1]], features)
+        report = build_eval_report(groups, scores, dic, fs, ft, ps)
+        assert (report.p_at_1, report.p_at_1_retriever, report.ranker_fixed, report.ranker_broke) == (0.5, 0.5, 1, 1)
+        # scores that only blend in the retriever rank as it does
+        alone = build_eval_report(groups, combine_with_retriever(scores, groups.csls, 0.0), dic, fs, ft, ps)
+        assert (alone.p_at_1, alone.p_at_1_retriever, alone.ranker_fixed, alone.ranker_broke) == (0.5, 0.5, 0, 0)

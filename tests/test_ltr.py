@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import time
 
@@ -15,6 +16,7 @@ from bilex.ltr import (
     GbdtParams,
     RegressionTree,
     _BinnedColumns,
+    _on_grid,
     _pair_sigmoid,
     combine_with_retriever,
     compute_lambdas,
@@ -797,6 +799,34 @@ class TestHistogramSplitOracle:
         assert tree.value[0] == -2.0 / 6.0
 
 
+class TestGridSums:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60),
+        st.integers(min_value=-1100, max_value=900),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_sum_of_grid_values_is_exact(self, values, shift, seed):
+        # values of mixed magnitudes at any scale, subnormal ones included; every sum the split search takes
+        # equals the exactly rounded sum
+        x = np.ldexp(np.array(values), shift)
+        v = _on_grid(x)
+        assert np.all(np.abs(v - x) <= np.abs(x))  # each value rounds to a neighbour or to 0
+        G = np.sum(v)
+        assert G == math.fsum(v)
+        forward, backward = np.cumsum(v), np.cumsum(v[::-1])
+        for i in range(v.size):
+            assert forward[i] == math.fsum(v[: i + 1]) and backward[i] == math.fsum(v[::-1][: i + 1])
+            assert G - forward[i] == math.fsum(v[i + 1 :])
+        codes = np.random.default_rng(seed).integers(0, 4, v.size)
+        bins = np.bincount(codes, weights=v, minlength=4)
+        assert bins.tolist() == [math.fsum(v[codes == c]) for c in range(4)]
+
+    def test_dyadic_values_stay_put(self):
+        x = np.array([-1.0, 0.25, 3.0, -0.0, 0.0])
+        assert _on_grid(x).tobytes() == x.tobytes()
+
+
 class TestSplitSearchMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -805,7 +835,8 @@ class TestSplitSearchMatchesReference:
         st.sampled_from([(0.0, 0.0), (0.25, 1.0), (0.0, 0.5), (1.0, 0.0)]),
     )
     def test_same_tree_and_leaf_bits_as_the_reference(self, problem, seed, reg):
-        # non-dyadic gradients, mixed with the g = h = 0 rows of untrainable groups
+        # non-dyadic gradients, mixed with the g = h = 0 rows of untrainable groups; fit_tree puts them on their
+        # grids itself, the reference is fed them there
         X, _, _, params = problem
         n = X.shape[0]
         rng = np.random.default_rng(seed)
@@ -816,7 +847,7 @@ class TestSplitSearchMatchesReference:
         params = GbdtParams(max_depth=params.max_depth, min_child_weight=mcw, l2_leaf_reg=lam)
         out, want_out = np.full(n, np.nan), np.full(n, np.nan)
         tree = fit_tree(X, g, h, params, out=out)
-        want = reference.fit_tree(X, g, h, params, out=want_out)
+        want = reference.fit_tree(X, _on_grid(g), _on_grid(h), params, out=want_out)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert getattr(tree, name).tobytes() == getattr(want, name).tobytes(), name
         assert out.tobytes() == want_out.tobytes()
@@ -845,11 +876,13 @@ class TestBundles:
         plain = [f for f, _, _ in bins.plain]
         bundled = [int(f) for members, _ in bins.bundles for f in members]
         assert sorted(plain + bundled) == [f for f in range(X.shape[1]) if np.unique(X[:, f]).size > 1]
+        # every 0/1 column is a bundle member, alone if need be
+        assert not any(set(np.unique(X[:, f]).tolist()) <= {0.0, 1.0} for f in plain)
         for f, values, codes in bins.plain:
             distinct, inverse = np.unique(X[:, f], return_inverse=True)
             assert np.array_equal(values, distinct) and np.array_equal(codes, inverse)
         for members, codes in bins.bundles:
-            assert members.size >= 2 and (np.diff(members) > 0).all()
+            assert members.size >= 1 and (np.diff(members) > 0).all()
             block = X[:, members]
             assert set(np.unique(block).tolist()) <= {0.0, 1.0}
             assert (block.sum(axis=1) <= 1).all()  # no row holds two members' 1s
@@ -869,7 +902,7 @@ class TestBundles:
 
     def test_member_holding_every_row_of_a_node_is_not_cut(self):
         # after the root cut, every row of a child holds the same member and
-        # none holds the other; G - G_t is then a rounding residue, not a gain
+        # none holds the other; on the grid G - G_t is then exactly 0, and so is the gain
         X = np.zeros((32, 2))
         X[:16, 0] = 1.0
         X[16:, 1] = 1.0
@@ -896,15 +929,15 @@ class TestBundles:
         varying = [name for f, name in enumerate(FEATURE_NAMES) if np.unique(X[:, f]).size > 1]
         want = [[name for name in varying if name.startswith(block)] for block in ("src_pos_", "cand_pos_")]
         assert len(want[0]) >= 2 and len(want[1]) >= 2
-        assert [[FEATURE_NAMES[f] for f in members] for members, _ in bins.bundles] == want
-        assert "pos_match" in [FEATURE_NAMES[f] for f, _, _ in bins.plain]
+        # pos_match shares a 1 with both blocks, so it is a bundle of one
+        assert [[FEATURE_NAMES[f] for f in members] for members, _ in bins.bundles] == [["pos_match"], *want]
 
         stats = FitStats()
         start = time.perf_counter()
         train(groups, GbdtParams(n_trees=2), stats=stats)
         wall = time.perf_counter() - start
         assert stats.histogram_columns == len(varying) - len(want[0]) - len(want[1]) + 2
-        assert stats.bundled_columns == len(want[0]) + len(want[1])
+        assert stats.bundled_columns == len(want[0]) + len(want[1]) + 1
         parts = [stats.bin_s, stats.lambda_s, stats.split_s, stats.map_s]
         assert min(parts) > 0.0 and sum(parts) <= wall
 
@@ -919,6 +952,24 @@ class TestSplitTieRule:
         tree = fit_tree(X, g, np.ones(6), GbdtParams(max_depth=1, min_child_weight=0.0))
         assert tree.feature[0] == 0
         np.testing.assert_array_equal(X[:, 0] < tree.threshold[0], transform_first ^ (x < 2.5))
+
+    @pytest.mark.parametrize("mirror_first", [False, True])
+    def test_mirror_gains_the_same_bits_and_the_lower_index_wins(self, mirror_first):
+        # the cuts of x and -x split the rows alike, one side's sums taken by prefix, the other's as the node
+        # total minus them; with non-dyadic g and h only exact sums make the two best gains equal
+        params = GbdtParams(max_depth=1, min_child_weight=0.0)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(64)
+            g, h = rng.standard_normal(64) / 3.0, rng.random(64) + 0.1
+            cols = [-x, x] if mirror_first else [x, -x]
+            gains = []
+            for X in (cols[0][:, None], cols[1][:, None], np.column_stack(cols)):
+                stats = FitStats()
+                tree = fit_tree(X, g, h, params, stats=stats)
+                gains.append(stats.gain[: X.shape[1]].sum())
+            assert gains[0].tobytes() == gains[1].tobytes() == gains[2].tobytes(), seed
+            assert tree.feature[0] == 0, seed
 
     def test_duplicate_column_ties_to_lower_index(self, rng):
         x = rng.standard_normal(40)

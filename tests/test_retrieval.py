@@ -355,7 +355,7 @@ class TestExactScreen:
         stats = retrieval.ScanStats()
         screen, chunks = laid_out(S, k)
         ids, vals = retrieval._topk_desc_rows(screen, chunks, k, 0.0, values_of(S), stats)
-        full_ids, full_vals = retrieval._topk_desc_full(S, k)
+        full_ids, full_vals = retrieval._topk_desc_full(S, k, np.broadcast_to(np.arange(S.shape[1]), S.shape))
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
         for row, got in zip(S, ids):
@@ -389,7 +389,7 @@ class TestExactScreen:
         rows, chunks = laid_out(screen, k)
         ids, vals = retrieval._topk_desc_rows(rows, chunks, k, margin, values_of(S))
         means = retrieval._topk_mean_rows(rows, chunks, k, margin, values_of(S))
-        full_ids, full_vals = retrieval._topk_desc_full(S, k)
+        full_ids, full_vals = retrieval._topk_desc_full(S, k, np.broadcast_to(np.arange(S.shape[1]), S.shape))
         assert ids.tolist() == full_ids.tolist()
         assert vals.tobytes() == full_vals.tobytes()
         assert means.tobytes() == np.array([descending_mean(row, k) for row in S]).tobytes()

@@ -753,8 +753,9 @@ class TestHistogramSplitOracle:
     @settings(max_examples=100, deadline=None)
     @given(split_problems(), st.integers(min_value=0, max_value=2**32 - 1))
     def test_generic_gradients_pick_a_best_root_split(self, problem, seed):
-        # non-dyadic gradients: sums round differently, but the chosen root
-        # split must still be the oracle's best partition unless it is a near tie
+        # non-dyadic gradients, which fit_tree rounds to its grid and the oracle
+        # does not: the chosen root split must still be the oracle's best
+        # partition unless it is a near tie
         X, _, _, params = problem
         rng = np.random.default_rng(seed)
         g = rng.standard_normal(X.shape[0])

@@ -3,19 +3,25 @@
 Options resolve as CLI flag > config file ("key = value" lines) > default.
 Each option is declared once, as an Option in its command's schema; the
 parser, the config file keys and the required/file/choice checks all come
-from that entry. Every command validates its full configuration before
-writing anything.
+from that entry. The options of the ranker and of the synthetic world are
+the defaulted fields of ltr.GbdtParams and synth.SynthConfig, each with its
+field's type and default (_field_options), and their resolved values build
+those objects (_from_options). Every command validates its full
+configuration before writing anything.
 Exit codes: 0 success, 2 config error, 3 data error, 4 internal invariant.
 
 All randomness flows from the single --seed value; identical configurations
-produce byte-identical output files. Wall-clock information goes only to the
-run.log sidecar.
+produce byte-identical output files, at any --threads and CPU count, except
+synth's embeddings.tgt.vec: synth rotates the world on OpenBLAS's default
+thread count, so that file's last digits may depend on the CPUs the process
+may use. Wall-clock information goes only to the run.log sidecar.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import logging
 import math
@@ -23,6 +29,7 @@ import os
 import resource
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -75,8 +82,8 @@ class Option:
 OUT_DIR = Option(required=True)
 INPUT = Option(required=True, is_file=True)
 OPTIONAL_INPUT = Option(is_file=True)
-K_CSLS = Option(int, 10, minimum=1)
-TOP_K = Option(int, 50, minimum=1)
+K_CSLS = Option(int, retrieval.SimilarityParams.k_csls, minimum=1)
+TOP_K = Option(int, retrieval.SimilarityParams.top_k, minimum=1)
 MAX_VOCAB = Option(int, minimum=1)
 THREADS = Option(int, minimum=1)  # unset: one worker per usable CPU (_RunLog.workers)
 SEED = Option(int, 0)
@@ -84,6 +91,23 @@ SEED = Option(int, 0)
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def _option_fields(params: type) -> list[dataclasses.Field]:
+    """The fields of a parameter dataclass that are options: those with a plain default."""
+    return [f for f in dataclasses.fields(params) if f.default is not dataclasses.MISSING]
+
+
+def _field_options(params: type) -> dict[str, Option]:
+    """One Option per option field of a parameter dataclass, in field order, with the field's type and default;
+    a seed field is left to the shared SEED."""
+    types = typing.get_type_hints(params)
+    return {f.name: Option(types[f.name], f.default) for f in _option_fields(params) if f.name != "seed"}
+
+
+def _from_options(params: type, opts: argparse.Namespace, **given):
+    """A parameter dataclass built from the resolved options of its option fields, plus the given fields."""
+    return params(**given, **{f.name: getattr(opts, f.name) for f in _option_fields(params)})
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -353,29 +377,14 @@ SYNTH_SCHEMA = {
     "out_dir": OUT_DIR,
     "n": Option(int, 2000),
     "dim": Option(int, 64),
-    "noise_sigma": Option(float, 0.0),
-    "hub_count": Option(int, 0),
-    "zipf_exponent": Option(float, 1.0),
-    "pos_match_prob": Option(float, 0.9),
-    "rank_jitter": Option(float, 0.1),
-    "mean_offset": Option(float, 0.0),
+    **_field_options(synth.SynthConfig),
     "test_fraction": Option(float, 0.3),
     "seed": SEED,
 }
 
 
 def cmd_synth(opts: argparse.Namespace, errors: list[str]) -> int:
-    cfg = synth.SynthConfig(
-        vocab_n=opts.n,
-        dim=opts.dim,
-        noise_sigma=opts.noise_sigma,
-        hub_count=opts.hub_count,
-        zipf_exponent=opts.zipf_exponent,
-        pos_match_prob=opts.pos_match_prob,
-        rank_jitter=opts.rank_jitter,
-        mean_offset=opts.mean_offset,
-        seed=opts.seed,
-    )
+    cfg = _from_options(synth.SynthConfig, opts, vocab_n=opts.n, dim=opts.dim)
     try:
         cfg.validate()
     except ValueError as e:
@@ -395,17 +404,10 @@ def cmd_synth(opts: argparse.Namespace, errors: list[str]) -> int:
         corpus.write_frequency_counts(world.counts_tgt, out / "freq.tgt.tsv")
         corpus.write_pos_tags(world.tags_src, out / "pos.src.tsv")
         corpus.write_pos_tags(world.tags_tgt, out / "pos.tgt.tsv")
+        # every option as resolved, in schema order; --n is the world's vocab_n
         _write_kv(out / "world.meta", [
             ("vocab_n", cfg.vocab_n),
-            ("dim", cfg.dim),
-            ("noise_sigma", repr(cfg.noise_sigma)),
-            ("hub_count", cfg.hub_count),
-            ("zipf_exponent", repr(cfg.zipf_exponent)),
-            ("pos_match_prob", repr(cfg.pos_match_prob)),
-            ("rank_jitter", repr(cfg.rank_jitter)),
-            ("mean_offset", repr(cfg.mean_offset)),
-            ("test_fraction", repr(opts.test_fraction)),
-            ("seed", cfg.seed),
+            *((key, repr(getattr(opts, key))) for key in SYNTH_SCHEMA if key not in ("out_dir", "n")),
             ("train_pairs", train_dict.pair_count()),
             ("test_pairs", test_dict.pair_count()),
         ])
@@ -529,12 +531,7 @@ TRAIN_SCHEMA = {
     "mode": Option(str, "supervised", choices=("supervised", "semi")),
     "n_aug": Option(int, 4000, minimum=0),
     "k_csls": K_CSLS,
-    "n_trees": Option(int, 200),
-    "max_depth": Option(int, 3),
-    "learning_rate": Option(float, 0.1),
-    "min_child_weight": Option(float, 1.0),
-    "l2_leaf_reg": Option(float, 1.0),
-    "sigma": Option(float, 1.0),
+    **_field_options(ltr.GbdtParams),
     "seed": SEED,
     "no_pos": Option(_as_bool, False),
     "no_freq": Option(_as_bool, False),
@@ -570,14 +567,7 @@ def _extend_candidates(cands, missing: list[int], src, tgt, k_csls: int, threads
 
 
 def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
-    gparams = ltr.GbdtParams(
-        n_trees=opts.n_trees,
-        max_depth=opts.max_depth,
-        learning_rate=opts.learning_rate,
-        min_child_weight=opts.min_child_weight,
-        l2_leaf_reg=opts.l2_leaf_reg,
-        sigma=opts.sigma,
-    )
+    gparams = _from_options(ltr.GbdtParams, opts)
     try:
         gparams.validate()
     except ValueError as e:
@@ -640,12 +630,11 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
 
         positives = groups.labels.sum(axis=1)[groups.trainable]
         with runlog.stage(
-            "fit", trees=gparams.n_trees, rows=n_rows,
-            trainable_groups=positives.size, multi_positive_groups=int((positives > 1).sum()),
+            "fit", rows=n_rows, trainable_groups=positives.size, multi_positive_groups=int((positives > 1).sum()),
         ) as counts:
             stats = ltr.FitStats()
             model, trace = ltr.train(groups, gparams, schema, stats)
-            counts.update(stats.fields())
+            counts.update(trees=len(model.trees), **stats.fields())
         model.meta.update(meta)
         with runlog.stage("write"):
             ltr.save_model(model, out / "model.json")

@@ -36,7 +36,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -603,14 +603,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "base_score": model.base_score,
-        "params": {
-            "n_trees": model.params.n_trees,
-            "max_depth": model.params.max_depth,
-            "learning_rate": model.params.learning_rate,
-            "min_child_weight": model.params.min_child_weight,
-            "l2_leaf_reg": model.params.l2_leaf_reg,
-            "sigma": model.params.sigma,
-        },
+        "params": asdict(model.params),
         "schema": {
             "names": list(model.schema.names),
             "disabled": list(model.schema.disabled),

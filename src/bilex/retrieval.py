@@ -67,19 +67,22 @@ products column by column for each target's CSLS argmax over sources
 target side. Hubness counts the first columns of a retrieval's candidate
 lists.
 
-Every similarity pass runs its blocks on n_threads workers (_map_row_blocks)
-under one OpenBLAS thread, through numpy's OpenBLAS thread controls
-(_one_blas_thread) when they can be reached and OPENBLAS_NUM_THREADS is
-unset; the previous count is back when the pass ends. A worker is a CPU. On
-a 2-CPU machine a 5k x 20k x 300 retrieval took 1.39-1.46 s at two workers
-that way, against 1.46-1.90 s with each worker on OpenBLAS's default two
-threads; one worker on those two threads read 1.06-1.82 s, and burnt about
-twice its wall time in CPU as the idle BLAS thread spun between products.
-align_procrustes computes its map under one thread too: with two threads
-the 300 x 300 SVD sometimes took about a second instead of a few
-hundredths, and the map's last bits depended on the thread count. The
-float32 screen's margin holds in any summation order, so no result
-depends on the thread count.
+One BLAS rule: every similarity pass, align_procrustes and the product of
+apply_alignment run under one OpenBLAS thread, through numpy's OpenBLAS
+thread controls (_one_blas_thread) when they can be reached and
+OPENBLAS_NUM_THREADS is unset; the previous count is back when each ends.
+A similarity pass runs its blocks on n_threads workers (_map_row_blocks),
+and a worker is a CPU. On a 2-CPU machine a 5k x 20k x 300 retrieval took
+1.39-1.46 s at two workers that way, against 1.46-1.90 s with each worker
+on OpenBLAS's default two threads; one worker on those two threads read
+1.06-1.82 s, and burnt about twice its wall time in CPU as the idle BLAS
+thread spun between products. With two threads the 300 x 300 SVD of
+Procrustes sometimes took about a second instead of a few hundredths, and
+the last bits of the map and of some aligned rows depended on the thread
+count. The float32 screen's margin holds in any summation order, so with
+this rule no result of this module depends on the thread count. The
+remaining exception is bilex.synth, whose rotation of a synthetic world
+runs on OpenBLAS's default count.
 
 Candidate files are read back a block of lines at a time (corpus._data_blocks):
 fields are split, words looked up and scores parsed a block at a time, and a
@@ -861,7 +864,10 @@ def align_procrustes(src: EmbeddingSpace, tgt: EmbeddingSpace, seed: Translation
 
     Pairs with multiple targets contribute one row per target. W is computed
     under one OpenBLAS thread (_one_blas_thread): the last bits of the SVD and
-    of the products around it depend on the thread count.
+    of the products around it depend on the thread count. The orthogonality
+    check runs there too: on the default count its 300 x 300 product woke
+    OpenBLAS's other thread, whose spinning made a one-worker semi train's
+    augment stage burn about 1.14x its wall time in CPU.
     """
     _check_aligned_pair(src, tgt)
     if not seed.entries:
@@ -877,17 +883,23 @@ def align_procrustes(src: EmbeddingSpace, tgt: EmbeddingSpace, seed: Translation
     with _one_blas_thread():
         U, _, Vt = np.linalg.svd(X.T @ Y)
         W = U @ Vt
-    err = np.abs(W.T @ W - np.eye(src.dim)).max()
+        err = np.abs(W.T @ W - np.eye(src.dim)).max()
     if err >= 1e-5:
         raise ArithmeticError(f"alignment matrix not orthogonal: max |W'W - I| = {err:.2e}")
     return W
 
 
 def apply_alignment(space: EmbeddingSpace, W: np.ndarray) -> EmbeddingSpace:
-    """Rotate a normalized space into the target space; norms are preserved."""
+    """Rotate a normalized space into the target space; norms are preserved.
+
+    The product runs under one OpenBLAS thread (_one_blas_thread): the last bits of some of its rows depend on
+    the thread count.
+    """
+    with _one_blas_thread():
+        matrix = space.matrix @ W
     return EmbeddingSpace(
         vocab=space.vocab,
-        matrix=space.matrix @ W,
+        matrix=matrix,
         dim=space.dim,
         normalized=space.normalized,
         duplicate_count=space.duplicate_count,

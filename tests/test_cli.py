@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -7,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -15,9 +17,14 @@ import numpy as np
 import pytest
 
 import bilex
-from bilex import corpus, ltr, retrieval
+from bilex import corpus, ltr, retrieval, synth
 from bilex.cli import (
     COMMANDS,
+    K_CSLS,
+    SEED,
+    SYNTH_SCHEMA,
+    TOP_K,
+    TRAIN_SCHEMA,
     _aligned_source,
     _as_bool,
     _extend_candidates,
@@ -1101,6 +1108,25 @@ class TestOptionTables:
         for name, _, schema, _ in COMMANDS:
             for key, opt in schema.items():
                 assert declared.setdefault(key, opt) is opt, (name, key)
+
+    @pytest.mark.parametrize("schema,params", [(TRAIN_SCHEMA, ltr.GbdtParams), (SYNTH_SCHEMA, synth.SynthConfig)])
+    def test_each_defaulted_parameter_field_is_one_option_with_its_type_and_default(self, schema, params):
+        types = typing.get_type_hints(params)
+        fields = [f for f in dataclasses.fields(params) if f.default is not dataclasses.MISSING]
+        assert len(fields) >= 6
+        for f in fields:
+            opt = schema[f.name]
+            assert (opt.conv, opt.default) == (types[f.name], f.default), f.name
+        assert schema["seed"] is SEED
+
+    def test_retrieval_options_default_to_the_similarity_params(self):
+        assert (K_CSLS.default, TOP_K.default) == (retrieval.SimilarityParams.k_csls, retrieval.SimilarityParams.top_k)
+
+    def test_train_without_ranker_flags_writes_the_default_params(self, world_dir, retrieved_dir, tmp_path):
+        args = train_args(world_dir, retrieved_dir, tmp_path / "out")
+        assert run(*args[:args.index("--n-trees")]) == 0
+        params = json.loads((tmp_path / "out" / "model.json").read_text())["params"]
+        assert params == dataclasses.asdict(ltr.GbdtParams())
 
     @pytest.mark.parametrize("command,extra,message", [
         ("train", ["--mode", "semi", "--k-csls", 0], "--k-csls must be >= 1, got 0"),

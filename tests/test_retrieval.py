@@ -786,6 +786,24 @@ class TestProcrustes:
         np.testing.assert_allclose(left_alone, runs[0], rtol=0, atol=1e-12)
 
     @pytest.mark.skipif(retrieval._openblas_threads() is None, reason="numpy's OpenBLAS thread controls not found")
+    def test_aligned_rows_do_not_depend_on_the_blas_thread_count(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        rng = np.random.default_rng(0)
+        space = unit_space(rng.standard_normal((5000, 300)))
+        W = random_orthogonal(300, rng)
+        get, set_ = retrieval._openblas_threads()
+        before = get()
+        try:
+            runs = []
+            for threads in (1, 2):
+                set_(threads)
+                runs.append(apply_alignment(space, W).matrix)
+                assert get() == threads
+        finally:
+            set_(before)
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    @pytest.mark.skipif(retrieval._openblas_threads() is None, reason="numpy's OpenBLAS thread controls not found")
     def test_blas_thread_count_is_restored_after_an_error(self, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         get, set_ = retrieval._openblas_threads()

@@ -3,11 +3,13 @@
 Options resolve as CLI flag > config file ("key = value" lines) > default.
 Each option is declared once, as an Option in its command's schema; the
 parser, the config file keys and the required/file/choice checks all come
-from that entry. The options of the ranker and of the synthetic world are
-the defaulted fields of ltr.GbdtParams and synth.SynthConfig, each with its
-field's type and default (_field_options), and their resolved values build
-those objects (_from_options). Every command validates its full
-configuration before writing anything.
+from that entry. argparse only splits the command line: a flag's value and
+a config value are strings alike, converted and checked by resolve_options,
+which lists every problem at once. The options of the ranker and of the
+synthetic world are the defaulted fields of ltr.GbdtParams and
+synth.SynthConfig, each with its field's type and default (_field_options),
+and their resolved values build those objects (_from_options). Every
+command validates its full configuration before writing anything.
 Exit codes: 0 success, 2 config error, 3 data error, 4 internal invariant.
 
 All randomness flows from the single --seed value; identical configurations
@@ -135,21 +137,26 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 def resolve_options(args: argparse.Namespace, schema: dict[str, Option]) -> tuple[argparse.Namespace, list[str]]:
     """Merge flags, config file entries, and defaults into one namespace.
 
-    Also returns the problems the schema finds: a missing required option, a
-    missing input file, a value outside its choices or below its minimum, or
-    one that does not convert or is a non-finite float (either then takes its
-    default). The command adds its own checks.
+    Flag values and config file values are strings alike, converted here by
+    the option's conv; only a bare flag gives its const or True. Also returns
+    the problems the schema finds, each naming the flag: a missing required
+    option, a missing input file, a value outside its choices or below its
+    minimum, or one that does not convert or is a non-finite float (either
+    then takes its default). The command adds its own checks.
     """
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     out = argparse.Namespace()
     errors = []
     for key, opt in schema.items():
         value = getattr(args, key, None)
-        if value is None and key in file_values:
+        if value is None:
+            value = file_values.get(key)
+        if isinstance(value, str):
             try:
-                value = opt.conv(file_values[key])
+                value = opt.conv(value)
             except ValueError as e:
-                errors.append(f"config key {key}: {e}")
+                errors.append(f"{_flag(key)}: {e}")
+                value = None
         if isinstance(value, float) and not math.isfinite(value):
             errors.append(f"{_flag(key)} must be finite, got {value}")
             value = None
@@ -343,6 +350,13 @@ def _load_side_tables(opts: argparse.Namespace, src_vocab, tgt_vocab):
     )
 
 
+def _similarity_params(opts: argparse.Namespace, n_tgt: int, top_k: int) -> retrieval.SimilarityParams:
+    """--k-csls and top_k, checked against the n_tgt target words in the load stage, before any pass."""
+    params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=top_k)
+    params.validate(n_tgt)
+    return params
+
+
 def _aligned_source(src, tgt, seed):
     """The source space Procrustes-aligned on a seed dictionary; src itself without one."""
     return src if seed is None else retrieval.apply_alignment(src, retrieval.align_procrustes(src, tgt, seed))
@@ -438,12 +452,12 @@ def cmd_retrieve(opts: argparse.Namespace, errors: list[str]) -> int:
         with runlog.stage("load", vectors_parsed=1) as counts:
             src, tgt = _load_spaces(opts, counts)
             counts["vector_rows"] = len(src) + len(tgt)
+            params = _similarity_params(opts, len(tgt), opts.top_k)
             seed = corpus.load_dictionary(opts.seed_dict, src.vocab, tgt.vocab) if opts.seed_dict else None
             rows = None if opts.source_words is None else np.array(_read_word_list(opts.source_words, src.vocab))
         with runlog.stage("align"):
             src = _aligned_source(src, tgt, seed)
 
-        params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
         n_queries = len(src) if rows is None else len(rows)
         with runlog.stage("retrieve", queries=n_queries, top_k=opts.top_k) as counts:
             stats = retrieval.ScanStats()
@@ -580,6 +594,7 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
             if need_vectors:
                 src, tgt = _load_spaces(opts, counts)
                 src_vocab, tgt_vocab = src.vocab, tgt.vocab
+                top1 = _similarity_params(opts, len(tgt), 1)
             else:
                 src_vocab, tgt_vocab = _load_vocabularies(opts)
             dic = corpus.load_dictionary(opts.dict_train, src_vocab, tgt_vocab)
@@ -595,8 +610,6 @@ def cmd_train(opts: argparse.Namespace, errors: list[str]) -> int:
 
         if need_vectors:
             with runlog.stage("augment", candidate_width=cands.cand_ids.shape[1]) as counts:
-                top1 = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=1)
-                top1.validate(len(tgt))  # before Procrustes and the similarity passes
                 # aligned in place: the unaligned matrix is freed before the similarity passes
                 src = _aligned_source(src, tgt, dic)
                 stats = retrieval.ScanStats()
@@ -773,6 +786,7 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
             if need_vectors:
                 src, tgt = _load_spaces(opts, counts)
                 src_vocab, tgt_vocab = src.vocab, tgt.vocab
+                params = _similarity_params(opts, len(tgt), opts.top_k)
                 seed = corpus.load_dictionary(opts.seed_dict, src_vocab, tgt_vocab) if opts.seed_dict else None
                 word_ids = _read_word_list(opts.words, src_vocab, _pca_file)
             else:
@@ -789,7 +803,6 @@ def cmd_analyze(opts: argparse.Namespace, errors: list[str]) -> int:
             with runlog.stage("pca") as counts:
                 src_aligned = _aligned_source(src, tgt, seed)
                 counts["words"] = len(word_ids)
-                params = retrieval.SimilarityParams(k_csls=opts.k_csls, top_k=opts.top_k)
                 cands, _ = retrieval.retrieve_topk(
                     src_aligned, tgt, params, n_threads=opts.threads, rows=np.array(word_ids)
                 )
@@ -839,9 +852,10 @@ def build_parser() -> argparse.ArgumentParser:
         for key, opt in schema.items():
             if opt.conv is _as_bool:
                 p.add_argument(_flag(key), action="store_true", default=None)
-            else:
+            else:  # the value stays a string, for resolve_options to convert and check as a config value
                 nargs = None if opt.const is None else "?"
-                p.add_argument(_flag(key), type=opt.conv, choices=opt.choices or None, nargs=nargs, const=opt.const)
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument(_flag(key), nargs=nargs, const=opt.const, metavar=metavar)
         p.set_defaults(schema=schema, func=func)
     return parser
 

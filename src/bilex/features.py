@@ -1,8 +1,9 @@
 """Per-candidate feature vectors and labeled ranking groups.
 
-The 46-column layout is fixed: retriever/reranker scores, frequency features,
-a POS-match bit, and two 18-way one-hot POS blocks. Ablations zero columns
-out in place; the schema length never changes.
+The 46-column layout, FEATURE_NAMES, is fixed: retriever/reranker scores,
+frequency features, a POS-match bit, and two 18-way one-hot POS blocks.
+Ablations zero columns out in place; the schema length never changes. A
+model file carries the layout, and ltr.load_model refuses any other.
 
 build_groups returns one sources x k grid, RankingGroups, whose (m * k, 46)
 feature matrix it fills column by column through id arrays.
@@ -58,9 +59,8 @@ FEATURE_GROUPS = {
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Feature layout plus the set of ablated (zeroed) groups."""
+    """The set of ablated (zeroed) groups of the one feature layout, FEATURE_NAMES."""
 
-    names: tuple[str, ...] = FEATURE_NAMES
     disabled: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -69,7 +69,7 @@ class FeatureSchema:
                 raise ValueError(f"unknown feature group {group!r}")
 
     def fingerprint(self) -> str:
-        payload = "|".join(self.names) + ";disabled=" + ",".join(sorted(self.disabled))
+        payload = "|".join(FEATURE_NAMES) + ";disabled=" + ",".join(sorted(self.disabled))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def masked_columns(self) -> list[int]:

@@ -36,13 +36,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import DataFormatError, atomic_writer
-from .features import FEATURE_GROUPS, N_FEATURES, FeatureSchema, RankingGroups
+from .features import FEATURE_GROUPS, FEATURE_NAMES, N_FEATURES, FeatureSchema, RankingGroups
 
 log = logging.getLogger(__name__)
 
@@ -80,13 +80,33 @@ class GbdtParams:
 
 @dataclass
 class RegressionTree:
-    """Array-encoded binary tree; rows route left iff feature < threshold."""
+    """Array-encoded binary tree; rows route left iff feature < threshold.
 
-    feature: np.ndarray    # int32, -1 at leaves
-    threshold: np.ndarray  # float64, 0.0 at leaves
-    left: np.ndarray       # int32, -1 at leaves
-    right: np.ndarray      # int32, -1 at leaves
-    value: np.ndarray      # float64, leaf outputs, 0.0 at internal nodes
+    Each field is one node array, its dtype in the field's metadata, and the
+    fields in order are the model file's tree layout: fit_tree builds a tree
+    with of(), save_model writes arrays() and load_model reads them back
+    with from_arrays().
+    """
+
+    feature: np.ndarray = field(metadata={"dtype": np.int32})      # -1 at leaves
+    threshold: np.ndarray = field(metadata={"dtype": np.float64})  # 0.0 at leaves
+    left: np.ndarray = field(metadata={"dtype": np.int32})         # -1 at leaves
+    right: np.ndarray = field(metadata={"dtype": np.int32})        # -1 at leaves
+    value: np.ndarray = field(metadata={"dtype": np.float64})      # leaf outputs, 0.0 at internal nodes
+
+    @classmethod
+    def of(cls, columns) -> RegressionTree:
+        """The tree whose node arrays are columns, in field order, each a sequence cast to its field's dtype."""
+        return cls(*(np.array(c, dtype=f.metadata["dtype"]) for f, c in zip(fields(cls), columns, strict=True)))
+
+    @classmethod
+    def from_arrays(cls, arrays: dict) -> RegressionTree:
+        """The tree of a dict that arrays() gave: of() on its entries in field order."""
+        return cls.of(arrays[f.name] for f in fields(cls))
+
+    def arrays(self) -> dict[str, list]:
+        """The node arrays by name, in field order, as lists of Python numbers."""
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Each row's leaf value, in as many whole-array steps as the tree is deep: a leaf routes to itself."""
@@ -412,7 +432,7 @@ def fit_tree(
     tree.predict(X) returns. If stats is given, each split is counted and its
     gain added at its feature.
     """
-    n, n_features = X.shape
+    n = X.shape[0]
     if n == 0:
         raise ValueError("cannot fit a tree on empty input")
     lam = params.l2_leaf_reg
@@ -421,22 +441,8 @@ def fit_tree(
         bins = _BinnedColumns(X)
     g, h = _on_grid(g), _on_grid(h)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(n), 0)]
+    nodes: list[tuple] = [()]  # each node's row of RegressionTree's fields, set when the node settles
+    stack = [(0, np.arange(n), 0)]
     while stack:
         node, rows, depth = stack.pop()
         g_rows, h_rows = g[rows], h[rows]
@@ -447,30 +453,22 @@ def fit_tree(
             best = _best_split_at(bins, g_rows, h_rows, rows, G, H, lam, mcw)
         if best is None:
             denom = H + lam
-            value[node] = (-G / denom if denom > 0 else 0.0) + 0.0
+            value = (-G / denom if denom > 0 else 0.0) + 0.0
+            nodes[node] = (-1, 0.0, -1, -1, value)  # a leaf
             if out is not None:
-                out[rows] = value[node]
+                out[rows] = value
             continue
         f, thr, gain = best
         if stats is not None:
             stats.splits[f] += 1
             stats.gain[f] += gain
-        feature[node] = f
-        threshold[node] = thr
         sel = X[rows, f] < thr
-        lchild = new_node()
-        rchild = new_node()
-        left[node] = lchild
-        right[node] = rchild
+        lchild, rchild = len(nodes), len(nodes) + 1
+        nodes[node] = (f, thr, lchild, rchild, 0.0)
+        nodes += [(), ()]
         stack.append((rchild, rows.compress(~sel), depth + 1))
         stack.append((lchild, rows.compress(sel), depth + 1))
-    return RegressionTree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-    )
+    return RegressionTree.of(zip(*nodes))
 
 
 # the feature groups that stage.fit credits splits and gain to: the retriever's score, the external scores
@@ -584,8 +582,8 @@ def predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
             f"schema fingerprint mismatch: model carries {model.fingerprint[:12]}..., "
             f"schema hashes to {expected[:12]}..."
         )
-    if X.ndim != 2 or X.shape[1] != len(model.schema.names):
-        raise DataFormatError(f"feature matrix must have {len(model.schema.names)} columns, got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != N_FEATURES:
+        raise DataFormatError(f"feature matrix must have {N_FEATURES} columns, got {X.shape}")
     out = np.full(X.shape[0], model.base_score, dtype=np.float64)
     for tree in model.trees:
         out += model.params.learning_rate * tree.predict(X)
@@ -605,33 +603,24 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         "base_score": model.base_score,
         "params": asdict(model.params),
         "schema": {
-            "names": list(model.schema.names),
+            "names": list(FEATURE_NAMES),
             "disabled": list(model.schema.disabled),
             "fingerprint": model.fingerprint,
         },
         "meta": model.meta,
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-            }
-            for tree in model.trees
-        ],
+        "trees": [tree.arrays() for tree in model.trees],
     }
     with atomic_writer(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def _check_tree(tree: RegressionTree, n_features: int, where: str) -> None:
+def _check_tree(tree: RegressionTree, where: str) -> None:
     n = tree.n_nodes()
     if n == 0:
         raise DataFormatError(f"{where}: empty tree")
     internal = tree.feature >= 0
-    if (tree.feature >= n_features).any():
+    if (tree.feature >= N_FEATURES).any():
         raise DataFormatError(f"{where}: feature index out of range")
     # fit_tree appends children after their parent; requiring that keeps every path finite
     kids = np.stack([tree.left[internal], tree.right[internal]])
@@ -660,17 +649,10 @@ def load_model(path: str | Path) -> GbdtModel:
         fields = {**doc["params"]}
         fields.pop("seed", None)
         params = GbdtParams(**fields)
-        schema = FeatureSchema(names=tuple(doc["schema"]["names"]), disabled=tuple(doc["schema"]["disabled"]))
-        trees = [
-            RegressionTree(
-                feature=np.array(t["feature"], dtype=np.int32),
-                threshold=np.array(t["threshold"], dtype=np.float64),
-                left=np.array(t["left"], dtype=np.int32),
-                right=np.array(t["right"], dtype=np.int32),
-                value=np.array(t["value"], dtype=np.float64),
-            )
-            for t in doc["trees"]
-        ]
+        if doc["schema"]["names"] != list(FEATURE_NAMES):
+            raise DataFormatError(f"{path}: schema names are not bilex's {N_FEATURES} feature columns in order")
+        schema = FeatureSchema(disabled=tuple(doc["schema"]["disabled"]))
+        trees = [RegressionTree.from_arrays(t) for t in doc["trees"]]
         model = GbdtModel(
             trees=trees,
             params=params,
@@ -688,7 +670,7 @@ def load_model(path: str | Path) -> GbdtModel:
     if len(trees) != params.n_trees:
         raise DataFormatError(f"{path}: {len(trees)} trees, but params give n_trees={params.n_trees}")
     for t, tree in enumerate(model.trees):
-        _check_tree(tree, len(model.schema.names), f"{path}: tree {t}")
+        _check_tree(tree, f"{path}: tree {t}")
     return model
 
 

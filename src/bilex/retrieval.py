@@ -964,9 +964,10 @@ def mine_hard_negatives(
             raise DataFormatError(f"source id {s} in dictionary has no candidate list")
         gold = set(dic.entries[s])
         ids, _ = cands.for_source(s)
-        negatives = [int(c) for c in ids if int(c) not in gold][:n_neg]
-        if not negatives:
+        others = [int(c) for c in ids if int(c) not in gold]
+        if not others:
             log.warning("mine_hard_negatives: source id %d has no non-gold candidates", s)
+        negatives = others[:n_neg]
         for g in dic.entries[s]:
             out.append((s, int(g), 1))
             out.extend((s, c, 0) for c in negatives)

@@ -145,6 +145,18 @@ class TestRetrieve:
         assert report["top_k"] == "10"
         assert "gold_missed_rate" in report
 
+    def test_similarity_params_beyond_the_targets_exit_3_before_the_alignment(self, world_dir, tmp_path, capsys):
+        # 150 target words; the load stage refuses --top-k before Procrustes runs
+        out = tmp_path / "out"
+        with mock.patch.object(retrieval, "align_procrustes", side_effect=AssertionError("aligned")):
+            assert run(
+                "retrieve", "--out-dir", out,
+                "--src-emb", world_dir / "embeddings.src.vec", "--tgt-emb", world_dir / "embeddings.tgt.vec",
+                "--seed-dict", world_dir / "dict.train.tsv", "--top-k", 151,
+            ) == 3
+        assert "data error: top_k must be in [1, 150], got 151" in capsys.readouterr().err
+        assert [key for key in kv(out / "run.log") if key.startswith("stage.")] == []
+
     def test_missing_embedding_path_exit_2_names_field(self, tmp_path, capsys):
         rc = run(
             "retrieve", "--out-dir", tmp_path,
@@ -495,6 +507,27 @@ class TestEval:
         assert kv(ev / "eval_report.txt")["p_at_1"] == "1.000000"
         assert kv(ev / "eval_report.txt")["ranker_broke"] == "0"
 
+    @pytest.mark.parametrize("edit", ["swap", "rename"])
+    def test_model_of_other_feature_columns_exit_3_before_writing(
+        self, world_dir, retrieved_dir, model_dir, tmp_path, capsys, edit
+    ):
+        doc = json.loads((model_dir / "model.json").read_text())
+        names = doc["schema"]["names"]
+        if edit == "swap":
+            names[3], names[7] = names[7], names[3]  # zipf_src and log_rank_src
+        else:
+            names[-1] = "cand_pos_Z"
+        # the fingerprint of the edited names, so that only the names give the model away
+        payload = "|".join(names) + ";disabled=" + ",".join(sorted(doc["schema"]["disabled"]))
+        doc["schema"]["fingerprint"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc, indent=1))
+        args = eval_args(world_dir, retrieved_dir, model_dir, tmp_path / "out")
+        args[args.index("--model") + 1] = tampered
+        assert run(*args) == 3
+        assert f"data error: {tampered}: schema names are not bilex's 46 feature columns in order" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["run.log"]
+
     def test_bare_mix_flag_defaults_to_half(self, world_dir, retrieved_dir, model_dir, tmp_path):
         assert run(*eval_args(world_dir, retrieved_dir, model_dir, tmp_path, "--mix")) == 0
         assert kv(tmp_path / "eval_report.txt")["mix"] == "0.5"
@@ -642,6 +675,19 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"data error: {words}: line 4: 'a-b' and 'a.b' on line 2 both write pca_a_b.tsv" in err
         assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+
+    @pytest.mark.parametrize("flag, value", [("--top-k", 5000), ("--k-csls", 151)])
+    def test_words_with_similarity_params_beyond_the_targets_exit_3_before_writing(
+        self, world_dir, tmp_path, capsys, flag, value
+    ):
+        # 150 target words: the load stage refuses the value, before the grid is written
+        words = tmp_path / "words.txt"
+        words.write_text("s00001\n")
+        out = tmp_path / "out"
+        assert run(*analyze_args(world_dir, out, "--words", words, flag, value)) == 3
+        assert f"data error: {flag[2:].replace('-', '_')} must be in [1, 150], got {value}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+        assert [key for key in kv(out / "run.log") if key.startswith("stage.")] == []
 
     def test_small_bucket_prints_na(self, world_dir, tmp_path):
         assert run(
@@ -1001,6 +1047,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"config error: {cfg}: line 2: invalid UTF-8" in err and "data error" not in err
         assert not out.exists()
+
+    def test_bad_flags_are_all_reported_as_config_values_are(self, world_dir, tmp_path, capsys):
+        spaces = ["--src-emb", world_dir / "embeddings.src.vec", "--tgt-emb", world_dir / "embeddings.tgt.vec"]
+        by_flags = tmp_path / "by_flags"
+        assert run("retrieve", "--out-dir", by_flags, *spaces, "--metric", "bogus", "--top-k", "abc") == 2
+        flag_errors = capsys.readouterr().err.splitlines()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("metric = bogus\ntop_k = abc\n")
+        by_file = tmp_path / "by_file"
+        assert run("retrieve", "--out-dir", by_file, *spaces, "--config", cfg) == 2
+        assert flag_errors == capsys.readouterr().err.splitlines() == [
+            "config error: --metric must be csls or cosine, got 'bogus'",
+            "config error: --top-k: invalid literal for int() with base 10: 'abc'",
+        ]
+        assert not by_flags.exists() and not by_file.exists()
 
     def test_key_of_another_command_allowed(self, tmp_path):
         cfg = tmp_path / "run.cfg"

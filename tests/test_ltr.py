@@ -510,6 +510,51 @@ class TestPredictAndPersistence:
         with pytest.raises(DataFormatError, match="fingerprint"):
             predict(tampered, np.zeros((1, N_FEATURES)))
 
+    @pytest.mark.parametrize("edit", ["swap", "rename", "drop", "append"])
+    def test_other_feature_columns_refused_at_load(self, tmp_path, rng, edit):
+        import hashlib
+        import json
+
+        model, _ = train(separable_groups(rng, n_groups=4), GbdtParams(n_trees=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        names = doc["schema"]["names"]
+        assert names == list(FEATURE_NAMES)
+        if edit == "swap":
+            names[3], names[7] = names[7], names[3]  # zipf_src and log_rank_src
+        elif edit == "rename":
+            names[0] = "cosine"
+        elif edit == "drop":
+            names.pop()
+        else:
+            names.append("extra")
+        # a fingerprint that matches the edited names, so only the names give the model away
+        payload = "|".join(names) + ";disabled=" + ",".join(sorted(doc["schema"]["disabled"]))
+        doc["schema"]["fingerprint"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        path.write_text(json.dumps(doc, indent=1))
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: schema names are not bilex's {N_FEATURES} feature columns in order"
+
+    def test_tree_layout_is_the_node_array_fields(self, tmp_path, rng):
+        import json
+
+        model, _ = train(separable_groups(rng, n_groups=10), GbdtParams(n_trees=3))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for tree, written in zip(model.trees, json.loads(path.read_text())["trees"]):
+            assert list(written) == ["feature", "threshold", "left", "right", "value"]
+            assert [a.dtype for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)] == [
+                np.int32, np.float64, np.int32, np.int32, np.float64
+            ]
+        back = load_model(path)
+        for tree, loaded in zip(model.trees, back.trees):
+            for name, array in tree.arrays().items():
+                loaded_array = getattr(loaded, name)
+                assert loaded_array.dtype == getattr(tree, name).dtype
+                np.testing.assert_array_equal(loaded_array, getattr(tree, name))
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format": "bilex-gbdt", "version": 99}')

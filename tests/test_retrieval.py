@@ -1173,6 +1173,16 @@ class TestMineHardNegatives:
         assert all(lab == 1 for _, _, lab in pairs)
         assert any("no non-gold" in r.message for r in caplog.records)
 
+    def test_zero_negatives_requested_warns_nothing(self, caplog):
+        import logging
+
+        cands = self.make_cands(3, 5)
+        dic = TranslationDictionary(entries={0: (1,), 1: (0, 2), 2: (4,)})
+        with caplog.at_level(logging.WARNING):
+            pairs = mine_hard_negatives(dic, cands, n_neg=0)
+        assert sorted(pairs) == [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 4, 1)]
+        assert not caplog.records
+
     def test_two_golds_share_the_same_negatives(self):
         cands = self.make_cands(1, 10)
         dic = TranslationDictionary(entries={0: (2, 5)})
